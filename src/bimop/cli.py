@@ -14,7 +14,7 @@ from typing import List, Optional
 from . import multiindex as mi
 from . import relations
 from .errors import BimopError, NotNormal, SchemaError
-from .linalg import format_scalar
+from .linalg import FLOAT_TOL, format_scalar
 from .measures import FLOAT64, MeasureSystem, parse_config, parse_uni_config
 from .mopcore import (
     inner,
@@ -48,13 +48,8 @@ def _load_system(args) -> MeasureSystem:
     if not args.config:
         raise SchemaError("--config", "a measure config is required for this command")
     with open(args.config) as fh:
-        sys_ = parse_config(fh.read())
-    if getattr(args, "float_mode", False):
-        sys_.mode = FLOAT64
-        sys_._moment_cache.clear()
-    if getattr(args, "tol", None) is not None:
-        sys_.tol = args.tol
-    return sys_
+        return parse_config(fh.read(), mode=FLOAT64 if args.float_mode else None,
+                            tol=args.tol)
 
 
 def _load_product_system(args) -> ProductSystem:
@@ -67,13 +62,9 @@ def _load_product_system(args) -> ProductSystem:
             raise SchemaError("$", f"invalid JSON: {exc}")
     if not isinstance(doc, dict) or "x" not in doc or "y" not in doc:
         raise SchemaError("$", "product config needs 'x' and 'y' family lists")
-    mode = doc.get("scalar", "exact")
-    if getattr(args, "float_mode", False):
-        mode = FLOAT64
-    xs = parse_uni_config(doc["x"], "$.x", mode)
-    ys = parse_uni_config(doc["y"], "$.y", mode)
-    if getattr(args, "tol", None) is not None:
-        xs.tol = ys.tol = args.tol
+    mode = FLOAT64 if args.float_mode else doc.get("scalar", "exact")
+    xs = parse_uni_config(doc["x"], "$.x", mode, args.tol)
+    ys = parse_uni_config(doc["y"], "$.y", mode, args.tol)
     return ProductSystem.build(xs, ys)
 
 
@@ -242,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", help="measure config JSON file")
             p.add_argument("--float", dest="float_mode", action="store_true",
                            help="switch to float64 scalar mode")
-            p.add_argument("--tol", type=float, default=None,
+            p.add_argument("--tol", type=float, default=FLOAT_TOL,
                            help="float singularity tolerance override")
         p.add_argument("--pretty", action="store_true",
                        help="add human-readable polynomial strings")

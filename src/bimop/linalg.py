@@ -1,15 +1,18 @@
 """Dense matrices over exact rationals or binary64, with determinant and solve.
 
-Exact mode uses fraction-free (Bareiss) elimination for determinants and
-ordinary Gaussian elimination for solves; both are exact over Fraction.
+Exact mode clears each row's denominators and runs one fraction-free
+(Bareiss) LU factorisation over the integers, ``ExactLU``; the determinant
+and the solves with M and with M^t all come from that one factorisation.
 Float mode uses partial-pivot LU with a configurable singularity tolerance.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Union
+from typing import List, Sequence, Tuple, Union
 
 from .errors import DimensionMismatch, NotSquare, Singular
 
@@ -57,8 +60,109 @@ class Matrix:
                 and self.cols == other.cols and self.data == other.data)
 
 
+class ExactLU:
+    """One fraction-free LU factorisation of an exact square matrix M.
+
+    Row i of M is scaled by the lcm of its denominators, giving the integer
+    matrix A = D M.  Bareiss elimination with row pivoting then factors P A
+    in place: on and above the diagonal ``lu`` holds the integer U (row k as
+    it stood when it became the pivot row, so U[k][k] is the leading
+    (k+1)-minor of P A), below it the integer multipliers of L.  Every
+    division, in the elimination and in the substitutions, is exact.
+
+    The transpose of ``lu`` is the same compact factorisation of (P A)^t, so
+    one substitution routine solves with both M and M^t.
+    """
+
+    def __init__(self, m: Matrix):
+        n = m.rows
+        self.scale: List[int] = []
+        lu = []
+        for row in m.data:
+            # Star-unpack lists, not generators: a generator's argument tuple
+            # is resized, and the resized tuples pile up on the free lists.
+            d = math.lcm(*[v.denominator for v in row])
+            self.scale.append(d)
+            lu.append([v.numerator * (d // v.denominator) for v in row])
+        #: row k of P A is row perm[k] of A
+        self.perm = list(range(n))
+        #: det(P), or 0 when some column has no nonzero pivot
+        self.sign = 1
+        prev = 1
+        for k in range(n):
+            p = next((i for i in range(k, n) if lu[i][k]), None)
+            if p is None:
+                self.sign = 0
+                break
+            if p != k:
+                lu[k], lu[p] = lu[p], lu[k]
+                self.perm[k], self.perm[p] = self.perm[p], self.perm[k]
+                self.sign = -self.sign
+            top = lu[k][k + 1:]
+            piv = lu[k][k]
+            for row in lu[k + 1:]:
+                f = row[k]
+                row[k + 1:] = [(piv * a - f * t) // prev for a, t in zip(row[k + 1:], top)]
+            prev = piv
+        self.lu = lu
+
+    def det(self) -> Fraction:
+        """det(M) = det(P) U[n-1][n-1] / prod(D); 0 when singular."""
+        if not self.lu:
+            return Fraction(1)
+        return Fraction(self.sign * self.lu[-1][-1], math.prod(self.scale))
+
+    def solve(self, rhs: Sequence[Scalar]) -> List[Fraction]:
+        """x with M x = rhs, from P A x = P D rhs."""
+        c, den = self._integers(rhs)
+        x, q = _substitute(self.lu, [c[i] * self.scale[i] for i in self.perm])
+        return [Fraction(v, q * den) for v in x]
+
+    def solve_transpose(self, rhs: Sequence[Scalar]) -> List[Fraction]:
+        """y with M^t y = rhs, from (P A)^t w = rhs and y = D P^t w."""
+        c, den = self._integers(rhs)
+        w, q = _substitute(list(zip(*self.lu)), c)
+        y = [Fraction(0)] * len(w)
+        for k, i in enumerate(self.perm):
+            y[i] = Fraction(w[k] * self.scale[i], q * den)
+        return y
+
+    def _integers(self, rhs: Sequence[Scalar]) -> Tuple[List[int], int]:
+        """Integers c and their common denominator: rhs = c / den."""
+        if len(rhs) != len(self.lu):
+            raise DimensionMismatch(f"rhs length {len(rhs)} != {len(self.lu)}")
+        if not self.sign:
+            raise Singular(Fraction(0))
+        rhs = [Fraction(v) for v in rhs]
+        den = math.lcm(*[v.denominator for v in rhs])
+        return [v.numerator * (den // v.denominator) for v in rhs], den
+
+
+def _substitute(lu: Sequence[Sequence[int]], b: List[int]) -> Tuple[List[int], int]:
+    """Fraction-free forward and back substitution with a compact factorisation.
+
+    Returns integers (x, d) with solution x / d, d the determinant.  The
+    forward pass replays the Bareiss steps on b; the back pass yields
+    d * solution, an integer vector by Cramer's rule.
+    """
+    n = len(lu)
+    b = list(b)
+    prev = 1
+    for k in range(n - 1):
+        piv, bk = lu[k][k], b[k]
+        for i in range(k + 1, n):
+            b[i] = (piv * b[i] - lu[i][k] * bk) // prev
+        prev = piv
+    d = lu[-1][-1] if n else 1
+    x = [0] * n
+    for k in range(n - 1, -1, -1):
+        row = lu[k]
+        x[k] = (d * b[k] - sum(map(operator.mul, row[k + 1:], x[k + 1:]))) // row[k]
+    return x, d
+
+
 def det(m: Matrix, tol: float = FLOAT_TOL) -> Scalar:
-    """Determinant: Bareiss in exact mode, LU pivot product in float mode.
+    """Determinant: fraction-free LU in exact mode, LU pivot product in float mode.
 
     The empty 0x0 matrix has determinant 1.
     """
@@ -67,30 +171,8 @@ def det(m: Matrix, tol: float = FLOAT_TOL) -> Scalar:
     if m.rows == 0:
         return Fraction(1) if m.is_exact() else 1.0
     if m.is_exact():
-        return _det_bareiss(m)
+        return ExactLU(m).det()
     return _det_float(m, tol)
-
-
-def _det_bareiss(m: Matrix) -> Fraction:
-    n = m.rows
-    a = [[Fraction(v) for v in row] for row in m.data]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def _det_float(m: Matrix, tol: float) -> float:
@@ -128,23 +210,7 @@ def solve(m: Matrix, rhs: Sequence[Scalar], tol: float = FLOAT_TOL) -> List[Scal
     if n == 0:
         return []
     if m.is_exact():
-        a = [[Fraction(v) for v in row] + [Fraction(b)]
-             for row, b in zip(m.data, rhs)]
-        for k in range(n):
-            piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-            if piv is None:
-                raise Singular(Fraction(0))
-            a[k], a[piv] = a[piv], a[k]
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    f = a[i][k] / a[k][k]
-                    for j in range(k, n + 1):
-                        a[i][j] -= f * a[k][j]
-        x: List[Scalar] = [Fraction(0)] * n
-        for k in range(n - 1, -1, -1):
-            s = a[k][n] - sum(a[k][j] * x[j] for j in range(k + 1, n))
-            x[k] = s / a[k][k]
-        return x
+        return ExactLU(m).solve(rhs)
 
     a = [[float(v) for v in row] + [float(b)] for row, b in zip(m.data, rhs)]
     scale = max(max(abs(v) for v in row[:n]) for row in a)

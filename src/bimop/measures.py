@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple, Union
 
 from .errors import (
     IndexOutOfRange,
@@ -86,7 +86,10 @@ class MomentTable:
     weight = None
 
 
-UnivariateFamily = Union[Laguerre, Jacobi, MomentTable]
+if TYPE_CHECKING:
+    # Annotations only.  A runtime Union of bimop classes stays in typing's
+    # cache and keeps each re-imported copy of this module alive.
+    UnivariateFamily = Union[Laguerre, Jacobi, MomentTable]
 
 
 class TensorMeasure:
@@ -125,23 +128,24 @@ class TableMeasure:
         raise TableExhausted("table measures carry no weight")
 
 
-BivariateMeasure = Union[TensorMeasure, TableMeasure]
+if TYPE_CHECKING:
+    BivariateMeasure = Union[TensorMeasure, TableMeasure]
 
 
 @dataclass
 class MeasureSystem:
     """A system of r bivariate measures sharing one scalar mode.
 
-    Moments are cached; solver results are cached by the mopcore module in
-    the private dicts below (the system is otherwise immutable).
+    Moments are cached; the mopcore module caches each index's determinant,
+    Type II and Type I polynomials in ``_index_cache`` (the system is
+    otherwise immutable).
     """
 
     measures: Tuple[BivariateMeasure, ...]
     mode: str = EXACT
     tol: float = FLOAT_TOL
     _moment_cache: dict = field(default_factory=dict, repr=False)
-    _type2_cache: dict = field(default_factory=dict, repr=False)
-    _type1_cache: dict = field(default_factory=dict, repr=False)
+    _index_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not self.measures:
@@ -272,27 +276,32 @@ def _parse_measure(obj, path: str) -> BivariateMeasure:
     raise SchemaError(path + ".kind", f"unknown measure kind {kind!r}")
 
 
-def parse_config(text: str) -> MeasureSystem:
-    """Build a MeasureSystem from a JSON config document."""
+def parse_config(text: str, mode: Optional[str] = None, tol: float = FLOAT_TOL) -> MeasureSystem:
+    """Build a MeasureSystem from a JSON config document.
+
+    mode, when given, replaces the document's "scalar" mode; tol is the
+    float singularity tolerance.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected an object")
-    mode = doc.get("scalar", EXACT)
-    if mode not in (EXACT, FLOAT64):
-        raise SchemaError("$.scalar", f"expected 'exact' or 'float64', got {mode!r}")
+    scalar = doc.get("scalar", EXACT)
+    if scalar not in (EXACT, FLOAT64):
+        raise SchemaError("$.scalar", f"expected 'exact' or 'float64', got {scalar!r}")
     measures = doc.get("measures")
     if not isinstance(measures, list) or not measures:
         raise SchemaError("$.measures", "expected a non-empty list")
     parsed = tuple(_parse_measure(m, f"$.measures[{i}]") for i, m in enumerate(measures))
-    return MeasureSystem(measures=parsed, mode=mode)
+    return MeasureSystem(measures=parsed, mode=mode or scalar, tol=tol)
 
 
-def parse_uni_config(doc, path: str = "$", mode: str = EXACT) -> UniMeasureSystem:
+def parse_uni_config(doc, path: str = "$", mode: str = EXACT,
+                     tol: float = FLOAT_TOL) -> UniMeasureSystem:
     """Build a univariate system from a list of family objects."""
     if not isinstance(doc, list) or not doc:
         raise SchemaError(path, "expected a non-empty list of families")
     families = tuple(_parse_family(f, f"{path}[{i}]") for i, f in enumerate(doc))
-    return UniMeasureSystem(families=families, mode=mode)
+    return UniMeasureSystem(families=families, mode=mode, tol=tol)

@@ -19,8 +19,9 @@ from .errors import (
     NotNormal,
     NoWeightEvaluator,
     Singular,
+    TableExhausted,
 )
-from .linalg import Matrix, Scalar, det, format_scalar, solve
+from .linalg import ExactLU, Matrix, Scalar, det, format_scalar, solve
 from .measures import MeasureSystem, UniMeasureSystem
 
 #: Float-mode normality is indeterminate when |det| / hadamard_bound falls
@@ -232,6 +233,87 @@ def moment_matrix(sys: MeasureSystem, n: Sequence[int]) -> MomentMatrix:
                         else Matrix(0, 0, []))
 
 
+class _Solved:
+    """Cached results of one index; None where not (yet) known."""
+
+    __slots__ = ("det", "type2", "type1")
+
+    def __init__(self, det: Optional[Scalar] = None):
+        self.det = det
+        self.type2: Optional[BiPoly] = None
+        self.type1: Optional[TypeISet] = None
+
+
+def _solved(sys: MeasureSystem, key: Tuple[int, ...]) -> _Solved:
+    """The cache entry of an index.
+
+    In exact mode the first call factorises M_n once and fills det, Type II
+    and Type I together; the factorisation is dropped on return.  Float
+    entries start empty and are filled one solve at a time.
+    """
+    try:
+        return sys._index_cache[key]
+    except KeyError:
+        pass
+    entry = _factorise(sys, key) if sys.exact else _Solved()
+    sys._index_cache[key] = entry
+    return entry
+
+
+def _factorise(sys: MeasureSystem, key: Tuple[int, ...]) -> _Solved:
+    lu = ExactLU(moment_matrix(sys, key).matrix)
+    entry = _Solved(det=lu.det())
+    if entry.det == 0 or not sum(key):
+        return entry
+    entry.type1 = _type1_set(sys, key, lu.solve)
+    try:
+        entry.type2 = _type2_poly(sys, key, lu.solve_transpose)
+    except TableExhausted:
+        # The Type II right-hand side needs moments of order |n|, which a
+        # table may lack; type2 then raises on request, normality still works.
+        pass
+    return entry
+
+
+def _solver(sys: MeasureSystem, key: Tuple[int, ...], entry: _Solved, transpose: bool):
+    """Solve with M_n (or M_n^t) on its own, as float mode does.
+
+    Raises NotNormal when the index is known or found to be singular.
+    """
+    if entry.det == 0:
+        raise NotNormal(key, entry.det)
+    m = moment_matrix(sys, key).matrix
+    if transpose:
+        m = m.transpose()
+
+    def run(rhs):
+        try:
+            return solve(m, rhs, tol=sys.tol)
+        except Singular as exc:
+            raise NotNormal(key, exc.det) from None
+    return run
+
+
+def _type2_poly(sys: MeasureSystem, n: Tuple[int, ...], solve_t) -> BiPoly:
+    nt, ns = mi.unpair(sum(n))
+    rhs = []
+    for j, nj in enumerate(n, start=1):
+        for l in range(nj):
+            lt, ls = mi.unpair(l)
+            rhs.append(-sys.moment(j, nt + lt, ns + ls))
+    return BiPoly(tuple(solve_t(rhs)) + (sys.one(),))
+
+
+def _type1_set(sys: MeasureSystem, n: Tuple[int, ...], solve_) -> TypeISet:
+    c = solve_([sys.zero()] * (sum(n) - 1) + [sys.one()])
+    polys = []
+    offset = 0
+    for nj in n:
+        polys.append(BiPoly.from_coeffs(c[offset:offset + nj]))
+        offset += nj
+    return TypeISet(polys=tuple(polys))
+
+
 def normality(sys: MeasureSystem, n: Sequence[int]) -> Normality:
     """Normality of n: det(M_n) != 0.
 
@@ -239,10 +321,11 @@ def normality(sys: MeasureSystem, n: Sequence[int]) -> Normality:
     float mode the verdict is indeterminate (None) when |det| falls between
     FLOAT_DET_LOW and FLOAT_DET_HIGH times the Hadamard bound of the matrix.
     """
+    if sys.exact:
+        d = _solved(sys, tuple(n)).det
+        return Normality(normal=(d != 0), det=d)
     mm = moment_matrix(sys, n)
     d = det(mm.matrix, tol=sys.tol)
-    if sys.exact:
-        return Normality(normal=(d != 0), det=d)
     bound = 1.0
     for row in mm.matrix.data:
         bound *= max(1.0, sum(float(v) * float(v) for v in row) ** 0.5)
@@ -265,29 +348,12 @@ def type2(sys: MeasureSystem, n: Sequence[int]) -> BiPoly:
     sits at position |n|.
     """
     key = tuple(n)
-    try:
-        return sys._type2_cache[key]
-    except KeyError:
-        pass
-    size = sum(n)
-    if size == 0:
-        poly = BiPoly((sys.one(),))
-        sys._type2_cache[key] = poly
-        return poly
-    mm = moment_matrix(sys, n)
-    nt, ns = mi.unpair(size)
-    rhs = []
-    for j, nj in enumerate(n, start=1):
-        for l in range(nj):
-            lt, ls = mi.unpair(l)
-            rhs.append(-sys.moment(j, nt + lt, ns + ls))
-    try:
-        c = solve(mm.matrix.transpose(), rhs, tol=sys.tol)
-    except Singular as exc:
-        raise NotNormal(key, exc.det) from None
-    poly = BiPoly(tuple(c) + (sys.one(),))
-    sys._type2_cache[key] = poly
-    return poly
+    if not sum(key):
+        return BiPoly((sys.one(),))
+    entry = _solved(sys, key)
+    if entry.type2 is None:
+        entry.type2 = _type2_poly(sys, key, _solver(sys, key, entry, transpose=True))
+    return entry.type2
 
 
 def type1(sys: MeasureSystem, n: Sequence[int]) -> TypeISet:
@@ -298,27 +364,12 @@ def type1(sys: MeasureSystem, n: Sequence[int]) -> TypeISet:
     n_j = 0 yield the zero polynomial.
     """
     key = tuple(n)
-    try:
-        return sys._type1_cache[key]
-    except KeyError:
-        pass
-    size = sum(n)
-    if size == 0:
+    if not sum(key):
         raise EmptyIndex("Type I polynomials are undefined for the zero index")
-    mm = moment_matrix(sys, n)
-    rhs = [sys.zero()] * (size - 1) + [sys.one()]
-    try:
-        c = solve(mm.matrix, rhs, tol=sys.tol)
-    except Singular as exc:
-        raise NotNormal(key, exc.det) from None
-    polys = []
-    offset = 0
-    for nj in n:
-        polys.append(BiPoly.from_coeffs(c[offset:offset + nj]))
-        offset += nj
-    result = TypeISet(polys=tuple(polys))
-    sys._type1_cache[key] = result
-    return result
+    entry = _solved(sys, key)
+    if entry.type1 is None:
+        entry.type1 = _type1_set(sys, key, _solver(sys, key, entry, transpose=False))
+    return entry.type1
 
 
 def inner(sys: MeasureSystem, j: int, p: BiPoly, q: BiPoly) -> Scalar:

@@ -36,17 +36,16 @@ def _poly_zero(sys: MeasureSystem, p: BiPoly, scale=1, tol: float = FLOAT_RESIDU
 
 @dataclass(frozen=True)
 class BiorthResult:
-    """One pairing <P_n, Q_m> with the branch of the biorthogonality law."""
+    """One pairing <P_n, Q_m> with the branch of the biorthogonality law.
+
+    matches is None on the unconstrained branch; in float mode the value
+    matches within FLOAT_RESIDUAL_TOL, as in every other verifier.
+    """
 
     value: Scalar
     expected: Optional[int]
     label: str
-
-    @property
-    def matches(self) -> Optional[bool]:
-        if self.expected is None:
-            return None
-        return self.value == self.expected
+    matches: Optional[bool]
 
 
 def biorth(sys: MeasureSystem, n: Sequence[int], m: Sequence[int]) -> BiorthResult:
@@ -54,12 +53,14 @@ def biorth(sys: MeasureSystem, n: Sequence[int], m: Sequence[int]) -> BiorthResu
     n, m = tuple(n), tuple(m)
     value = type1_pairing(sys, type2(sys, n), m)
     if mi.leq(m, n):
-        return BiorthResult(value, 0, "m<=n")
-    if sum(n) <= sum(m) - 2:
-        return BiorthResult(value, 0, "|n|<=|m|-2")
-    if sum(n) == sum(m) - 1:
-        return BiorthResult(value, 1, "|n|=|m|-1")
-    return BiorthResult(value, None, "unconstrained")
+        expected, label = 0, "m<=n"
+    elif sum(n) <= sum(m) - 2:
+        expected, label = 0, "|n|<=|m|-2"
+    elif sum(n) == sum(m) - 1:
+        expected, label = 1, "|n|=|m|-1"
+    else:
+        return BiorthResult(value, None, "unconstrained", None)
+    return BiorthResult(value, expected, label, _is_zero(sys, value - expected))
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,23 @@ def test_biorth(configs):
     assert doc["matches"] is True
 
 
+def test_biorth_float_within_tolerance(configs):
+    code, out, _ = invoke(["biorth", "--config", configs["duo"], "--float",
+                           "--n", "2,2", "--m", "2,3"])
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert isinstance(doc["value"], float)
+    assert doc["matches"] is True
+
+
+def test_check_battery_float(configs):
+    code, out, _ = invoke(["check", "--config", configs["duo"], "--float"])
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["ok"] is True
+    assert {"name": "biorthogonality-grid", "pass": True} in doc["checks"]
+
+
 def test_nnr_holds(configs):
     code, out, _ = invoke(["nnr", "--config", configs["duo"],
                            "--index", "6,8", "--axis", "x"])

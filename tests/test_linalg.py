@@ -51,29 +51,52 @@ fractions = st.builds(F, st.integers(min_value=-9, max_value=9),
                       st.integers(min_value=1, max_value=9))
 
 
+@st.composite
+def square_matrices(draw, size=st.integers(min_value=1, max_value=6)):
+    """Rational square matrices, some with a zero leading pivot or rank-deficient.
+
+    "zero-pivot" zeroes the leading (k+1)-minor (row k proportional to row 0
+    on the leading k + 1 columns; for k = 0 the corner entry), so
+    elimination must swap rows at step k.  "rank-deficient" makes one row a
+    combination of two others.
+    """
+    n = draw(size)
+    rows = draw(st.lists(st.lists(fractions, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    shape = draw(st.sampled_from(["plain", "zero-pivot", "rank-deficient"]))
+    if shape == "zero-pivot":
+        k = draw(st.integers(min_value=0, max_value=n - 1))
+        c = draw(fractions)
+        rows[k][:k + 1] = [c * v for v in rows[0][:k + 1]] if k else [F(0)]
+    elif shape == "rank-deficient" and n > 1:
+        i, j = draw(st.permutations(range(n)))[:2]
+        l = draw(st.sampled_from([k for k in range(n) if k != i]))
+        a, b = draw(fractions), draw(fractions)
+        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[l])]
+    return Matrix.from_rows(rows)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=1, max_value=4).flatmap(
-    lambda n: st.lists(st.lists(fractions, min_size=n, max_size=n),
-                       min_size=n, max_size=n)))
-def test_det_matches_cofactor_expansion(rows):
-    m = Matrix.from_rows(rows)
+@given(square_matrices())
+def test_det_matches_cofactor_expansion(m):
     assert det(m) == cofactor_det(m)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=1, max_value=4).flatmap(
-    lambda n: st.tuples(
-        st.lists(st.lists(fractions, min_size=n, max_size=n), min_size=n, max_size=n),
-        st.lists(fractions, min_size=n, max_size=n))))
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(square_matrices(st.just(n)),
+                        st.lists(fractions, min_size=n, max_size=n))))
 def test_solve_satisfies_system(case):
-    rows, rhs = case
-    m = Matrix.from_rows(rows)
-    if det(m) == 0:
-        with pytest.raises(Singular):
-            solve(m, rhs)
-        return
-    x = solve(m, rhs)
-    assert m.matvec(x) == list(rhs)
+    """solve with m and with m^t, and Singular (det 0) exactly when det = 0."""
+    m, rhs = case
+    singular = cofactor_det(m) == 0
+    for a in (m, m.transpose()):
+        if singular:
+            with pytest.raises(Singular) as err:
+                solve(a, rhs)
+            assert err.value.det == 0
+        else:
+            assert a.matvec(solve(a, rhs)) == list(rhs)
 
 
 def test_solve_singular_carries_zero_det():

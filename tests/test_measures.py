@@ -1,5 +1,8 @@
 """Moment providers: built-in families, tables, tensors, and config parsing."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -108,6 +111,14 @@ def test_parse_config_roundtrip():
     assert sys_.moment(2, 0, 0) == 1
 
 
+def test_parse_config_mode_and_tol_override():
+    text = '{"scalar": "exact", "measures": [{"kind": "tensor", "x": {"family": "laguerre", "alpha": 1}, "y": {"family": "laguerre", "alpha": "2.3"}}]}'
+    sys_ = parse_config(text, mode="float64", tol=1e-6)
+    assert (sys_.mode, sys_.tol) == ("float64", 1e-6)
+    assert sys_.moment(1, 1, 1) == float(F(2) * F(33, 10))
+    assert parse_config(text).mode == "exact"
+
+
 def test_parse_config_rejects_float_exponent():
     text = '{"measures": [{"kind": "tensor", "x": {"family": "laguerre", "alpha": 2.2}, "y": {"family": "laguerre", "alpha": 1}}]}'
     with pytest.raises(SchemaError) as err:
@@ -134,3 +145,21 @@ def test_parse_uni_config():
     assert sys_.moment(2, 1) == F(3, 5)
     with pytest.raises(SchemaError):
         parse_uni_config([])
+
+
+REIMPORT = """
+import gc, importlib, sys, weakref
+old = weakref.ref(importlib.import_module("bimop.measures").Laguerre)
+for name in [m for m in sys.modules if m == "bimop" or m.startswith("bimop.")]:
+    del sys.modules[name]
+importlib.import_module("bimop")
+gc.collect()
+sys.exit(0 if old() is None else 1)
+"""
+
+
+def test_reimport_releases_previous_measures_module():
+    """Nothing outside bimop (such as typing's cache) keeps an old copy alive."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", REIMPORT], env=env).returncode == 0

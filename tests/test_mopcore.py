@@ -31,7 +31,8 @@ from bimop import (
     uni_type2,
     unpair,
 )
-from conftest import make_pair_system, make_xsystem, make_ysystem
+from bimop import mopcore
+from conftest import make_pair_system, make_product_system, make_xsystem, make_ysystem
 
 
 def direct_condition(sys_, j, p, t, s):
@@ -126,6 +127,28 @@ def test_equivalence_of_solvers_and_det(duo):
                     type2(duo, n)
                 with pytest.raises(NotNormal):
                     type1(duo, n)
+
+
+@pytest.mark.parametrize("n", [(3, 4), (3, 3, 3, 3)])
+@pytest.mark.parametrize("first", ["normality", "type2", "type1"])
+def test_one_moment_matrix_per_exact_index(monkeypatch, n, first):
+    """normality, type2 and type1 of one exact index share one M_n."""
+    sys_ = make_pair_system() if len(n) == 2 else make_product_system().bivariate
+    built = []
+    build = mopcore.moment_matrix
+
+    def spy(system, index):
+        built.append(tuple(index))
+        return build(system, index)
+
+    monkeypatch.setattr(mopcore, "moment_matrix", spy)
+    calls = [first] + [c for c in ("normality", "type2", "type1") if c != first]
+    for call in calls * 2:
+        try:
+            getattr(mopcore, call)(sys_, n)
+        except NotNormal as exc:
+            assert n == (3, 3, 3, 3) and exc.det == 0
+    assert built == [n]
 
 
 def test_float_normality_can_be_indeterminate(duo_float):

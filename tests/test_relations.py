@@ -54,6 +54,13 @@ def test_biorth_grid(duo):
                     assert res.matches is not False
 
 
+def test_biorth_float_matches_within_tolerance(duo_float):
+    res = biorth(duo_float, (2, 2), (2, 3))
+    assert res.value != 1  # round-off: exact equality would report a mismatch
+    assert res.matches is True
+    assert biorth(duo_float, (3, 0), (1, 2)).matches is None
+
+
 def test_biorth_matrix_same_chain(duo):
     res = biorth_matrix(duo, CHAIN_D2, CHAIN_D2)
     assert res.case == "shifted identity"
