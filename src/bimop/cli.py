@@ -17,12 +17,10 @@ from .errors import BimopError, NotNormal, SchemaError
 from .linalg import FLOAT_TOL, format_scalar
 from .measures import FLOAT64, MeasureSystem, parse_config, parse_uni_config
 from .mopcore import (
-    inner,
     BiPoly,
     normality,
     poly_to_json,
     type1,
-    type1_pairing,
     type2,
 )
 from .product import ProductSystem, candidate_vs, find_v, product_poly, tilde_v, verify_product
@@ -177,14 +175,7 @@ def cmd_check(args) -> int:
     bound = 4 if r <= 2 else 3
     indices = _indices_up_to(r, bound)
     normal = [n for n in indices if normality(sys_, n).normal]
-    orth_ok = True
-    for n in normal:
-        p = type2(sys_, n)
-        for j, nj in enumerate(n, start=1):
-            for l in range(nj):
-                if inner(sys_, j, p, BiPoly.monomial(*mi.unpair(l))) != sys_.zero():
-                    if sys_.exact or abs(float(inner(sys_, j, p, BiPoly.monomial(*mi.unpair(l))))) > 1e-8:
-                        orth_ok = False
+    orth_ok = all(relations.gram_pattern_holds(sys_, n, type2(sys_, n)) for n in normal)
     checks.append(("type2-orthogonality", orth_ok))
 
     bi_ok = True

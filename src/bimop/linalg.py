@@ -21,6 +21,10 @@ Scalar = Union[Fraction, float, int]
 #: |pivot| <= FLOAT_TOL * max row norm declares a float matrix singular.
 FLOAT_TOL = 1e-12
 
+#: Residual tolerance for float-mode verdicts, relative to the largest
+#: coefficient involved.
+FLOAT_RESIDUAL_TOL = 1e-9
+
 
 @dataclass
 class Matrix:

@@ -132,30 +132,10 @@ if TYPE_CHECKING:
     BivariateMeasure = Union[TensorMeasure, TableMeasure]
 
 
-@dataclass
-class MeasureSystem:
-    """A system of r bivariate measures sharing one scalar mode.
+class _ScalarMode:
+    """Scalar mode shared by the measure systems: exact rationals or float64."""
 
-    Moments are cached; the mopcore module caches each index's determinant,
-    Type II and Type I polynomials in ``_index_cache`` (the system is
-    otherwise immutable).
-    """
-
-    measures: Tuple[BivariateMeasure, ...]
-    mode: str = EXACT
-    tol: float = FLOAT_TOL
-    _moment_cache: dict = field(default_factory=dict, repr=False)
-    _index_cache: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if not self.measures:
-            raise SchemaError("$.measures", "at least one measure required")
-        if self.mode not in (EXACT, FLOAT64):
-            raise SchemaError("$.scalar", f"unknown scalar mode {self.mode!r}")
-
-    @property
-    def r(self) -> int:
-        return len(self.measures)
+    mode: str
 
     @property
     def exact(self) -> bool:
@@ -166,6 +146,32 @@ class MeasureSystem:
 
     def one(self) -> Scalar:
         return Fraction(1) if self.exact else 1.0
+
+
+@dataclass(frozen=True)
+class MeasureSystem(_ScalarMode):
+    """A system of r bivariate measures sharing one scalar mode.
+
+    The system is frozen.  Moments are cached; the mopcore module caches
+    each index's determinant, Type II and Type I polynomials in
+    ``_index_cache``.
+    """
+
+    measures: Tuple[BivariateMeasure, ...]
+    mode: str = EXACT
+    tol: float = FLOAT_TOL
+    _moment_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _index_cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.measures:
+            raise SchemaError("$.measures", "at least one measure required")
+        if self.mode not in (EXACT, FLOAT64):
+            raise SchemaError("$.scalar", f"unknown scalar mode {self.mode!r}")
+
+    @property
+    def r(self) -> int:
+        return len(self.measures)
 
     def moment(self, j: int, t: int, s: int) -> Scalar:
         """Moment m^{(j)}_{(t,s)}; j is 1-based."""
@@ -182,16 +188,15 @@ class MeasureSystem:
             return value
 
 
-@dataclass
-class UniMeasureSystem:
+@dataclass(frozen=True)
+class UniMeasureSystem(_ScalarMode):
     """A system of r univariate measures, used by the product construction."""
 
     families: Tuple[UnivariateFamily, ...]
     mode: str = EXACT
     tol: float = FLOAT_TOL
-    _moment_cache: dict = field(default_factory=dict, repr=False)
-    _type2_cache: dict = field(default_factory=dict, repr=False)
-    _type1_cache: dict = field(default_factory=dict, repr=False)
+    _moment_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _index_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.families:
@@ -201,13 +206,12 @@ class UniMeasureSystem:
     def r(self) -> int:
         return len(self.families)
 
-    @property
-    def exact(self) -> bool:
-        return self.mode == EXACT
-
-    def moment(self, j: int, k: int) -> Scalar:
+    def moment(self, j: int, k: int, s: int = 0) -> Scalar:
+        """Moment m^{(j)}_k; j is 1-based.  The power of y, s, must be 0."""
         if not 1 <= j <= self.r:
             raise IndexOutOfRange(f"measure index {j} not in 1..{self.r}")
+        if s:
+            raise IndexOutOfRange(f"univariate measures have no moment of y^{s}")
         key = (j, k)
         try:
             return self._moment_cache[key]

@@ -3,14 +3,15 @@
 Bivariate polynomials are dense coefficient sequences indexed by Cantor
 position: coeffs[z] multiplies x^t y^s with pair(t, s) = z.  Inner products
 are bilinear extensions through moments; quadrature is never used, so
-unbounded supports are exact.
+unbounded supports are exact.  Univariate systems run through the same
+solver over the power basis (see ``_basis``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Type, Union
 
 from . import multiindex as mi
 from .errors import (
@@ -21,8 +22,11 @@ from .errors import (
     Singular,
     TableExhausted,
 )
-from .linalg import ExactLU, Matrix, Scalar, det, format_scalar, solve
+from .linalg import FLOAT_RESIDUAL_TOL, ExactLU, Matrix, Scalar, det, format_scalar, solve
 from .measures import MeasureSystem, UniMeasureSystem
+
+if TYPE_CHECKING:
+    System = Union[MeasureSystem, UniMeasureSystem]
 
 #: Float-mode normality is indeterminate when |det| / hadamard_bound falls
 #: inside this band; below it the index is declared non-normal, above normal.
@@ -30,21 +34,24 @@ FLOAT_DET_LOW = 1e-12
 FLOAT_DET_HIGH = 1e-6
 
 
-def _trim(coeffs: List[Scalar]) -> Tuple[Scalar, ...]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
 @dataclass(frozen=True)
-class BiPoly:
-    """Bivariate polynomial, dense by Cantor position."""
+class _Dense:
+    """Dense coefficients by basis position, as the solver returns them."""
 
     coeffs: Tuple[Scalar, ...]
 
     @classmethod
-    def from_coeffs(cls, coeffs: Sequence[Scalar]) -> "BiPoly":
-        return cls(_trim(list(coeffs)))
+    def from_coeffs(cls, coeffs: Sequence[Scalar]):
+        """The polynomial with trailing zero coefficients trimmed."""
+        coeffs = list(coeffs)
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        return cls(tuple(coeffs))
+
+
+@dataclass(frozen=True)
+class BiPoly(_Dense):
+    """Bivariate polynomial, dense by Cantor position."""
 
     @classmethod
     def zero(cls) -> "BiPoly":
@@ -120,7 +127,7 @@ class BiPoly:
                 total += c * x ** t * y ** s
         return total
 
-    def allclose(self, other: "BiPoly", tol: float = 1e-9) -> bool:
+    def allclose(self, other: "BiPoly", tol: float = FLOAT_RESIDUAL_TOL) -> bool:
         n = max(len(self.coeffs), len(other.coeffs))
         scale = max([1.0] + [abs(float(self[z])) for z in range(n)])
         return all(abs(float(self[z]) - float(other[z])) <= tol * scale for z in range(n))
@@ -160,29 +167,14 @@ def _power(var: str, e: int) -> str:
 
 
 @dataclass(frozen=True)
-class UniPoly:
+class UniPoly(_Dense):
     """Univariate polynomial, coefficients by ascending power."""
-
-    coeffs: Tuple[Scalar, ...]
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Sequence[Scalar]) -> "UniPoly":
-        return cls(_trim(list(coeffs)))
-
-    def __getitem__(self, k: int) -> Scalar:
-        return self.coeffs[k] if k < len(self.coeffs) else 0
 
     @property
     def deg(self) -> int:
         if not self.coeffs:
             raise ValueError("zero polynomial has no degree")
         return len(self.coeffs) - 1
-
-    def eval(self, x: Scalar) -> Scalar:
-        total: Scalar = 0
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
 
 
 @dataclass(frozen=True)
@@ -215,19 +207,35 @@ class Normality:
     det: Scalar
 
 
-def moment_matrix(sys: MeasureSystem, n: Sequence[int]) -> MomentMatrix:
-    """Assemble M_n: entry (k, l) of block j is m^{(j)}_{unpair(k)+unpair(l)}."""
+def _univariate_exponent(k: int) -> Tuple[int, int]:
+    return k, 0
+
+
+def _basis(sys: System) -> Tuple[Callable[[int], Tuple[int, int]], Type]:
+    """Exponent (t, s) of each basis position, and the polynomial type.
+
+    Bivariate systems use the Cantor-ordered basis 1, x, y, x^2, ...;
+    univariate ones the power basis, whose position k is x^k y^0.
+    """
+    if isinstance(sys, UniMeasureSystem):
+        return _univariate_exponent, UniPoly
+    return mi.unpair, BiPoly
+
+
+def moment_matrix(sys: System, n: Sequence[int]) -> MomentMatrix:
+    """Assemble M_n: entry (k, l) of block j is m^{(j)}_{e_k+e_l}, e_k = exponent(k)."""
     if len(n) != sys.r:
         raise DimensionMismatch(f"index length {len(n)} != r = {sys.r}")
     size = sum(n)
+    exponent, _ = _basis(sys)
+    exponents = [exponent(k) for k in range(size)]
     rows = [[sys.zero()] * size for _ in range(size)]
     col = 0
     for j, nj in enumerate(n, start=1):
         for l in range(nj):
-            lt, ls = mi.unpair(l)
-            for k in range(size):
-                kt, ks = mi.unpair(k)
-                rows[k][col] = sys.moment(j, kt + lt, ks + ls)
+            lt, ls = exponents[l]
+            for row, (kt, ks) in zip(rows, exponents):
+                row[col] = sys.moment(j, kt + lt, ks + ls)
             col += 1
     return MomentMatrix(index=tuple(n), matrix=Matrix.from_rows(rows) if size
                         else Matrix(0, 0, []))
@@ -244,12 +252,13 @@ class _Solved:
         self.type1: Optional[TypeISet] = None
 
 
-def _solved(sys: MeasureSystem, key: Tuple[int, ...]) -> _Solved:
+def _solved(sys: System, key: Tuple[int, ...]) -> _Solved:
     """The cache entry of an index.
 
     In exact mode the first call factorises M_n once and fills det, Type II
     and Type I together; the factorisation is dropped on return.  Float
-    entries start empty and are filled one solve at a time.
+    entries start empty and are filled one solve at a time.  Systems are
+    frozen, so the key needs no scalar mode.
     """
     try:
         return sys._index_cache[key]
@@ -260,7 +269,7 @@ def _solved(sys: MeasureSystem, key: Tuple[int, ...]) -> _Solved:
     return entry
 
 
-def _factorise(sys: MeasureSystem, key: Tuple[int, ...]) -> _Solved:
+def _factorise(sys: System, key: Tuple[int, ...]) -> _Solved:
     lu = ExactLU(moment_matrix(sys, key).matrix)
     entry = _Solved(det=lu.det())
     if entry.det == 0 or not sum(key):
@@ -275,7 +284,7 @@ def _factorise(sys: MeasureSystem, key: Tuple[int, ...]) -> _Solved:
     return entry
 
 
-def _solver(sys: MeasureSystem, key: Tuple[int, ...], entry: _Solved, transpose: bool):
+def _solver(sys: System, key: Tuple[int, ...], entry: _Solved, transpose: bool):
     """Solve with M_n (or M_n^t) on its own, as float mode does.
 
     Raises NotNormal when the index is known or found to be singular.
@@ -294,27 +303,29 @@ def _solver(sys: MeasureSystem, key: Tuple[int, ...], entry: _Solved, transpose:
     return run
 
 
-def _type2_poly(sys: MeasureSystem, n: Tuple[int, ...], solve_t) -> BiPoly:
-    nt, ns = mi.unpair(sum(n))
+def _type2_poly(sys: System, n: Tuple[int, ...], solve_t) -> BiPoly:
+    exponent, poly = _basis(sys)
+    nt, ns = exponent(sum(n))
     rhs = []
     for j, nj in enumerate(n, start=1):
         for l in range(nj):
-            lt, ls = mi.unpair(l)
+            lt, ls = exponent(l)
             rhs.append(-sys.moment(j, nt + lt, ns + ls))
-    return BiPoly(tuple(solve_t(rhs)) + (sys.one(),))
+    return poly(tuple(solve_t(rhs)) + (sys.one(),))
 
 
-def _type1_set(sys: MeasureSystem, n: Tuple[int, ...], solve_) -> TypeISet:
+def _type1_set(sys: System, n: Tuple[int, ...], solve_) -> TypeISet:
+    _, poly = _basis(sys)
     c = solve_([sys.zero()] * (sum(n) - 1) + [sys.one()])
     polys = []
     offset = 0
     for nj in n:
-        polys.append(BiPoly.from_coeffs(c[offset:offset + nj]))
+        polys.append(poly.from_coeffs(c[offset:offset + nj]))
         offset += nj
     return TypeISet(polys=tuple(polys))
 
 
-def normality(sys: MeasureSystem, n: Sequence[int]) -> Normality:
+def normality(sys: System, n: Sequence[int]) -> Normality:
     """Normality of n: det(M_n) != 0.
 
     The 0x0 matrix has det 1, so the zero index is vacuously normal.  In
@@ -341,23 +352,23 @@ def is_normal(sys: MeasureSystem, n: Sequence[int]) -> bool:
     return bool(v.normal)
 
 
-def type2(sys: MeasureSystem, n: Sequence[int]) -> BiPoly:
-    """Monic bivariate Type II polynomial of the multi-index n.
+def type2(sys: System, n: Sequence[int]) -> BiPoly:
+    """Monic Type II polynomial of the multi-index n.
 
     Solves M_n^t c = -b for the lower coefficients; the leading coefficient
     sits at position |n|.
     """
     key = tuple(n)
     if not sum(key):
-        return BiPoly((sys.one(),))
+        return _basis(sys)[1]((sys.one(),))
     entry = _solved(sys, key)
     if entry.type2 is None:
         entry.type2 = _type2_poly(sys, key, _solver(sys, key, entry, transpose=True))
     return entry.type2
 
 
-def type1(sys: MeasureSystem, n: Sequence[int]) -> TypeISet:
-    """The r bivariate Type I polynomials of the multi-index n.
+def type1(sys: System, n: Sequence[int]) -> TypeISet:
+    """The r Type I polynomials of the multi-index n.
 
     Solves M_n c = (0, ..., 0, 1)^t; block j of the solution holds the
     coefficients of A_{n,j} at positions 0..n_j - 1.  Components with
@@ -414,84 +425,25 @@ def eval_q(sys: MeasureSystem, aset: TypeISet, x: float, y: float) -> float:
 
 
 def uni_moment_matrix(sys1d: UniMeasureSystem, n: Sequence[int]) -> Matrix:
-    """Univariate block matrix: block j has rows m^{(j)}_{k+l}, k < n_j."""
-    if len(n) != sys1d.r:
-        raise DimensionMismatch(f"index length {len(n)} != r = {sys1d.r}")
-    size = sum(n)
-    rows = []
-    for j, nj in enumerate(n, start=1):
-        for k in range(nj):
-            rows.append([sys1d.moment(j, k + l) for l in range(size)])
-    return Matrix.from_rows(rows) if size else Matrix(0, 0, [])
+    """Univariate block matrix M_n^t: block j has rows m^{(j)}_{k+l}, k < n_j."""
+    return moment_matrix(sys1d, n).matrix.transpose()
 
 
 def uni_type2(sys1d: UniMeasureSystem, n: Sequence[int]) -> UniPoly:
     """Monic univariate Type II polynomial of degree |n|."""
-    key = tuple(n)
-    try:
-        return sys1d._type2_cache[key]
-    except KeyError:
-        pass
-    size = sum(n)
-    one = Fraction(1) if sys1d.exact else 1.0
-    if size == 0:
-        poly = UniPoly((one,))
-        sys1d._type2_cache[key] = poly
-        return poly
-    m = uni_moment_matrix(sys1d, n)
-    rhs = []
-    for j, nj in enumerate(n, start=1):
-        for k in range(nj):
-            rhs.append(-sys1d.moment(j, size + k))
-    try:
-        c = solve(m, rhs, tol=sys1d.tol)
-    except Singular as exc:
-        raise NotNormal(key, exc.det) from None
-    poly = UniPoly(tuple(c) + (one,))
-    sys1d._type2_cache[key] = poly
-    return poly
+    return type2(sys1d, n)
 
 
 def uni_type1(sys1d: UniMeasureSystem, n: Sequence[int]) -> Tuple[UniPoly, ...]:
     """Univariate Type I polynomials (A_{n,1}, ..., A_{n,r})."""
-    key = tuple(n)
-    try:
-        return sys1d._type1_cache[key]
-    except KeyError:
-        pass
-    size = sum(n)
-    if size == 0:
-        raise EmptyIndex("Type I polynomials are undefined for the zero index")
-    m = uni_moment_matrix(sys1d, n)
-    zero = Fraction(0) if sys1d.exact else 0.0
-    one = Fraction(1) if sys1d.exact else 1.0
-    rhs = [zero] * (size - 1) + [one]
-    try:
-        c = solve(m.transpose(), rhs, tol=sys1d.tol)
-    except Singular as exc:
-        raise NotNormal(key, exc.det) from None
-    polys = []
-    offset = 0
-    for nj in n:
-        polys.append(UniPoly.from_coeffs(c[offset:offset + nj]))
-        offset += nj
-    result = tuple(polys)
-    sys1d._type1_cache[key] = result
-    return result
+    return type1(sys1d, n).polys
 
 
 def uni_normality(sys1d: UniMeasureSystem, n: Sequence[int]) -> Normality:
-    d = det(uni_moment_matrix(sys1d, n), tol=sys1d.tol)
-    if sys1d.exact:
-        return Normality(normal=(d != 0), det=d)
-    return Normality(normal=(abs(d) > sys1d.tol), det=d)
+    """Normality of a univariate index, by the same rule as ``normality``."""
+    return normality(sys1d, n)
 
 
-def poly_to_json(p: Union[BiPoly, UniPoly]) -> dict:
+def poly_to_json(p: BiPoly) -> dict:
     """Polynomial JSON form, terms sorted by descending Cantor position."""
-    if isinstance(p, UniPoly):
-        terms = [{"k": k, "c": format_scalar(c)}
-                 for k in range(len(p.coeffs) - 1, -1, -1)
-                 if (c := p.coeffs[k]) != 0]
-        return {"terms": terms}
     return {"terms": [{"t": t, "s": s, "c": format_scalar(c)} for t, s, c in p.terms()]}

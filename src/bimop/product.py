@@ -13,12 +13,12 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import multiindex as mi
 from .errors import BadV, DivisionByZeroFactor, SurplusNegative
-from .linalg import Scalar, det
+from .linalg import FLOAT_RESIDUAL_TOL, Scalar
 from .measures import MeasureSystem, TensorMeasure, UniMeasureSystem
-from .mopcore import BiPoly, moment_matrix, type2, uni_moment_matrix, uni_type2
+from .mopcore import BiPoly, moment_matrix, type2, uni_type2
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProductSystem:
     """Two univariate systems plus their induced bivariate tensor system."""
 
@@ -95,7 +95,7 @@ def product_poly(ps: ProductSystem, n: Sequence[int], m: Sequence[int]) -> BiPol
 
 
 def verify_product(ps: ProductSystem, n: Sequence[int], m: Sequence[int],
-                   v: Sequence[int], tol: float = 1e-9) -> bool:
+                   v: Sequence[int], tol: float = FLOAT_RESIDUAL_TOL) -> bool:
     """True iff the bivariate Type II polynomial of v equals P_n(x) P_m(y)."""
     v = tuple(v)
     tv = tilde_v(n, m)
@@ -134,9 +134,9 @@ def det_factor_check(ps: ProductSystem, v: Sequence[int],
     num = moment_matrix(ps.bivariate, v).det
     den = ps.bivariate.one()
     for f in x_factors:
-        den *= det(uni_moment_matrix(ps.xsystem, f), tol=ps.xsystem.tol)
+        den *= moment_matrix(ps.xsystem, f).det
     for f in y_factors:
-        den *= det(uni_moment_matrix(ps.ysystem, f), tol=ps.ysystem.tol)
+        den *= moment_matrix(ps.ysystem, f).det
     for j, k in x_moments:
         den *= ps.xsystem.moment(j, k)
     for j, k in y_moments:

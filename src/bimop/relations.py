@@ -15,13 +15,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import multiindex as mi
 from .errors import ChainInvalid, EmptyIndex, IndexTooSmall, PathInvalid
-from .linalg import Matrix, Scalar, format_scalar
+from .linalg import FLOAT_RESIDUAL_TOL, Matrix, Scalar, format_scalar
 from .measures import MeasureSystem
 from .mopcore import BiPoly, inner, type1, type1_pairing, type2
-
-#: Residual tolerance for float-mode verdicts, relative to the largest
-#: coefficient involved.
-FLOAT_RESIDUAL_TOL = 1e-9
 
 
 def _is_zero(sys: MeasureSystem, value, scale=1, tol: float = FLOAT_RESIDUAL_TOL) -> bool:
@@ -143,13 +139,15 @@ def assemble_type2_vector(sys: MeasureSystem, chain: Sequence[Sequence[int]]) ->
     if not mi.validate_chain(chain, d):
         raise ChainInvalid(f"not a valid degree-{d} chain")
     polys = tuple(type2(sys, n) for n in chain)
-    ok = True
-    for n, p in zip(chain, polys):
-        for j, nj in enumerate(n, start=1):
-            for l in range(nj):
-                if not _is_zero(sys, inner(sys, j, p, BiPoly.monomial(*mi.unpair(l)))):
-                    ok = False
+    ok = all(gram_pattern_holds(sys, n, p) for n, p in zip(chain, polys))
     return MOPV(degree=d, chain=tuple(chain), polys=polys, pattern_ok=ok)
+
+
+def gram_pattern_holds(sys: MeasureSystem, n: Sequence[int], p: BiPoly) -> bool:
+    """True iff <p, x^t y^s>_j vanishes for the first n_j monomials of each j
+    (the Type II conditions of n), within FLOAT_RESIDUAL_TOL in float mode."""
+    return all(_is_zero(sys, inner(sys, j, p, BiPoly.monomial(*mi.unpair(l))))
+               for j, nj in enumerate(n, start=1) for l in range(nj))
 
 
 def assemble_type1_vectors(sys: MeasureSystem, chain: Sequence[Sequence[int]]) -> TypeIMOPV:

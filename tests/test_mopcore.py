@@ -1,6 +1,7 @@
 """Moment matrices, normality, and the Type I / Type II solvers."""
 
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
@@ -12,10 +13,13 @@ from bimop import (
     Laguerre,
     Matrix,
     MeasureSystem,
+    MomentTable,
     NoWeightEvaluator,
     NotNormal,
+    TableExhausted,
     TableMeasure,
     TensorMeasure,
+    UniMeasureSystem,
     eval_q,
     inner,
     is_normal,
@@ -129,11 +133,25 @@ def test_equivalence_of_solvers_and_det(duo):
                     type1(duo, n)
 
 
-@pytest.mark.parametrize("n", [(3, 4), (3, 3, 3, 3)])
+SYSTEMS = {
+    "pair": make_pair_system,
+    "quad": lambda: make_product_system().bivariate,
+    "x": make_xsystem,
+}
+
+
+@pytest.mark.parametrize("system, n, prefix", [
+    pytest.param("pair", (3, 4), "", id="n0"),
+    pytest.param("quad", (3, 3, 3, 3), "", id="n1"),
+    pytest.param("x", (3, 4), "uni_", id="uni"),
+])
 @pytest.mark.parametrize("first", ["normality", "type2", "type1"])
-def test_one_moment_matrix_per_exact_index(monkeypatch, n, first):
-    """normality, type2 and type1 of one exact index share one M_n."""
-    sys_ = make_pair_system() if len(n) == 2 else make_product_system().bivariate
+def test_one_moment_matrix_per_exact_index(monkeypatch, system, n, prefix, first):
+    """normality, type2 and type1 of one exact index share one M_n.
+
+    The univariate entry points (prefix "uni_") run the same solver.
+    """
+    sys_ = SYSTEMS[system]()
     built = []
     build = mopcore.moment_matrix
 
@@ -145,7 +163,7 @@ def test_one_moment_matrix_per_exact_index(monkeypatch, n, first):
     calls = [first] + [c for c in ("normality", "type2", "type1") if c != first]
     for call in calls * 2:
         try:
-            getattr(mopcore, call)(sys_, n)
+            getattr(mopcore, prefix + call)(sys_, n)
         except NotNormal as exc:
             assert n == (3, 3, 3, 3) and exc.det == 0
     assert built == [n]
@@ -316,7 +334,7 @@ def test_uni_type2_paper_values():
 
 def test_uni_type2_orthogonality():
     xs = make_xsystem()
-    for n in [(2, 1), (1, 3), (2, 2)]:
+    for n in [(2, 1), (1, 3), (2, 2), (0, 3), (3, 0)]:
         p = uni_type2(xs, n)
         assert p.deg == sum(n)
         for j, nj in enumerate(n, start=1):
@@ -327,7 +345,7 @@ def test_uni_type2_orthogonality():
 
 def test_uni_type1_conditions():
     xs = make_xsystem()
-    for n in [(1, 1), (2, 1), (2, 3)]:
+    for n in [(1, 1), (2, 1), (2, 3), (0, 3), (3, 0)]:
         polys = uni_type1(xs, n)
         size = sum(n)
         for k in range(size):
@@ -338,6 +356,45 @@ def test_uni_type1_conditions():
 
 def test_uni_normality():
     assert uni_normality(make_xsystem(), (2, 2)).normal
+
+
+@pytest.mark.parametrize("first", ["uni_normality", "uni_type2"])
+def test_uni_short_table_normality_without_type2(first):
+    """A table with m_0..m_2 fills M_(2) but not the Type II right-hand side."""
+    xs = UniMeasureSystem(families=(MomentTable([F(1), F(1), F(2)]),))
+    if first == "uni_type2":
+        with pytest.raises(TableExhausted):
+            uni_type2(xs, (2,))
+    v = uni_normality(xs, (2,))
+    assert v.normal and v.det == 1
+    with pytest.raises(TableExhausted):
+        uni_type2(xs, (2,))
+    assert uni_type1(xs, (2,))[0].coeffs == (F(-1), F(1))
+
+
+@pytest.mark.parametrize("make", [make_xsystem, make_ysystem])
+def test_uni_float_matches_exact(make):
+    """Float Type II/I within 1e-8 of exact, relative to the largest coefficient."""
+    exact, approx = make(), make("float64")
+    for a in range(7):
+        for b in range(7 - a):
+            n = (a, b)
+            if not sum(n):
+                continue
+            pairs = [(uni_type2(exact, n), uni_type2(approx, n))]
+            pairs += zip(uni_type1(exact, n), uni_type1(approx, n))
+            for want, got in pairs:
+                scale = max((abs(float(c)) for c in want.coeffs), default=0.0)
+                assert len(got.coeffs) == len(want.coeffs)
+                assert all(abs(g - float(w)) <= 1e-8 * scale
+                           for g, w in zip(got.coeffs, want.coeffs))
+
+
+@pytest.mark.parametrize("make", [make_pair_system, make_xsystem])
+def test_systems_are_frozen(make):
+    sys_ = make()
+    with pytest.raises(FrozenInstanceError):
+        sys_.mode = "float64"
 
 
 # ---------------------------------------------------------------------------
