@@ -31,15 +31,24 @@ EXIT_INVALID = 3
 EXIT_FAILED = 4
 
 
-def _parse_index(text: str) -> tuple:
+def _parse_index(text: str, flag: str = "--index") -> tuple:
     try:
-        return tuple(int(x) for x in text.split(","))
+        index = tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise SchemaError("--index", f"expected comma-separated naturals, got {text!r}")
+        index = None
+    if index is None or min(index) < 0:
+        raise SchemaError(flag, f"expected comma-separated naturals, got {text!r}")
+    return index
 
 
-def _parse_chain(text: str) -> list:
-    return [_parse_index(part) for part in text.split(";") if part]
+def _parse_chain(text: str, flag: str) -> list:
+    return [_parse_index(part, flag) for part in text.split(";") if part]
+
+
+def _natural(value: int, name: str) -> int:
+    if value < 0:
+        raise SchemaError(name, f"expected a natural, got {value}")
+    return value
 
 
 def _load_system(args) -> MeasureSystem:
@@ -78,12 +87,12 @@ def _poly_doc(p: BiPoly, pretty: bool) -> dict:
 
 
 def cmd_pair(args) -> int:
-    _emit({"pi": mi.pair(args.t, args.s)})
+    _emit({"pi": mi.pair(_natural(args.t, "t"), _natural(args.s, "s"))})
     return EXIT_OK
 
 
 def cmd_unpair(args) -> int:
-    t, s = mi.unpair(args.z)
+    t, s = mi.unpair(_natural(args.z, "z"))
     _emit({"t": t, "s": s})
     return EXIT_OK
 
@@ -118,7 +127,8 @@ def cmd_type1(args) -> int:
 
 def cmd_biorth(args) -> int:
     sys_ = _load_system(args)
-    res = relations.biorth(sys_, _parse_index(args.n), _parse_index(args.m))
+    res = relations.biorth(sys_, _parse_index(args.n, "--n"),
+                           _parse_index(args.m, "--m"))
     _emit({"value": format_scalar(res.value), "label": res.label,
            "expected": res.expected, "matches": res.matches})
     if res.matches is False:
@@ -128,8 +138,8 @@ def cmd_biorth(args) -> int:
 
 def cmd_nnr(args) -> int:
     sys_ = _load_system(args)
-    path = _parse_chain(args.path) if args.path else None
-    w = _parse_index(args.w) if args.w else None
+    path = _parse_chain(args.path, "--path") if args.path else None
+    w = _parse_index(args.w, "--w") if args.w else None
     report = relations.nnr_type2(sys_, _parse_index(args.index), args.axis,
                                  path=path, w=w)
     _emit(report.to_json())
@@ -138,7 +148,7 @@ def cmd_nnr(args) -> int:
 
 def cmd_nnr_q(args) -> int:
     sys_ = _load_system(args)
-    path = _parse_chain(args.path) if args.path else None
+    path = _parse_chain(args.path, "--path") if args.path else None
     report = relations.nnr_type1(sys_, _parse_index(args.index), args.axis, path=path)
     _emit(report.to_json())
     return EXIT_OK if report.holds else EXIT_FAILED
@@ -146,17 +156,17 @@ def cmd_nnr_q(args) -> int:
 
 def cmd_vector(args) -> int:
     sys_ = _load_system(args)
-    report = relations.nnr_vector(sys_, _parse_chain(args.chain), args.axis)
+    report = relations.nnr_vector(sys_, _parse_chain(args.chain, "--chain"), args.axis)
     _emit(report.to_json())
     return EXIT_OK if report.holds else EXIT_FAILED
 
 
 def cmd_product(args) -> int:
     ps = _load_product_system(args)
-    n = _parse_index(args.n)
-    m = _parse_index(args.m)
+    n = _parse_index(args.n, "--n")
+    m = _parse_index(args.m, "--m")
     tv = tilde_v(n, m)
-    v = _parse_index(args.v) if args.v else find_v(n, m)
+    v = _parse_index(args.v, "--v") if args.v else find_v(n, m)
     match = verify_product(ps, n, m, v)
     doc = {"tilde_v": list(tv), "v": list(v), "match": match,
            "poly": _poly_doc(product_poly(ps, n, m), args.pretty)}

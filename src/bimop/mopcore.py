@@ -3,12 +3,16 @@
 Bivariate polynomials are dense coefficient sequences indexed by Cantor
 position: coeffs[z] multiplies x^t y^s with pair(t, s) = z.  Inner products
 are bilinear extensions through moments; quadrature is never used, so
-unbounded supports are exact.  Univariate systems run through the same
-solver over the power basis (see ``_basis``).
+unbounded supports are exact.  In exact mode ``inner`` is an integer kernel:
+it clears each polynomial's denominators once, adds up the integer products
+of coefficient pairs by exponent, reads each distinct moment once, and
+returns one fraction over a single denominator.  Univariate systems run
+through the same solver over the power basis (see ``_basis``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Type, Union
@@ -17,6 +21,7 @@ from . import multiindex as mi
 from .errors import (
     DimensionMismatch,
     EmptyIndex,
+    IndexOutOfRange,
     NotNormal,
     NoWeightEvaluator,
     Singular,
@@ -222,10 +227,19 @@ def _basis(sys: System) -> Tuple[Callable[[int], Tuple[int, int]], Type]:
     return mi.unpair, BiPoly
 
 
+def _index(sys: System, n: Sequence[int]) -> Tuple[int, ...]:
+    """n as a tuple, after checking it is a multi-index of naturals of length r."""
+    key = tuple(n)
+    if len(key) != sys.r:
+        raise DimensionMismatch(f"index length {len(key)} != r = {sys.r}")
+    if key and min(key) < 0:
+        raise IndexOutOfRange(f"index {key} has a negative component")
+    return key
+
+
 def moment_matrix(sys: System, n: Sequence[int]) -> MomentMatrix:
     """Assemble M_n: entry (k, l) of block j is m^{(j)}_{e_k+e_l}, e_k = exponent(k)."""
-    if len(n) != sys.r:
-        raise DimensionMismatch(f"index length {len(n)} != r = {sys.r}")
+    n = _index(sys, n)
     size = sum(n)
     exponent, _ = _basis(sys)
     exponents = [exponent(k) for k in range(size)]
@@ -333,7 +347,7 @@ def normality(sys: System, n: Sequence[int]) -> Normality:
     FLOAT_DET_LOW and FLOAT_DET_HIGH times the Hadamard bound of the matrix.
     """
     if sys.exact:
-        d = _solved(sys, tuple(n)).det
+        d = _solved(sys, _index(sys, n)).det
         return Normality(normal=(d != 0), det=d)
     mm = moment_matrix(sys, n)
     d = det(mm.matrix, tol=sys.tol)
@@ -358,7 +372,7 @@ def type2(sys: System, n: Sequence[int]) -> BiPoly:
     Solves M_n^t c = -b for the lower coefficients; the leading coefficient
     sits at position |n|.
     """
-    key = tuple(n)
+    key = _index(sys, n)
     if not sum(key):
         return _basis(sys)[1]((sys.one(),))
     entry = _solved(sys, key)
@@ -374,7 +388,7 @@ def type1(sys: System, n: Sequence[int]) -> TypeISet:
     coefficients of A_{n,j} at positions 0..n_j - 1.  Components with
     n_j = 0 yield the zero polynomial.
     """
-    key = tuple(n)
+    key = _index(sys, n)
     if not sum(key):
         raise EmptyIndex("Type I polynomials are undefined for the zero index")
     entry = _solved(sys, key)
@@ -384,7 +398,47 @@ def type1(sys: System, n: Sequence[int]) -> TypeISet:
 
 
 def inner(sys: MeasureSystem, j: int, p: BiPoly, q: BiPoly) -> Scalar:
-    """Moment-bilinear inner product <p, q>_j (no quadrature)."""
+    """Moment-bilinear inner product <p, q>_j (no quadrature).
+
+    Exact mode writes p = P/d_p and q = Q/d_q with P, Q integer, collects
+    P_u * Q_v by the exponent sum e_u + e_v, puts the moments of the
+    distinct exponents over their lcm L and returns one fraction
+    total / (d_p d_q L).  Moments are read in the order the pairs first
+    reach them, so a missing table moment raises on the same exponent as a
+    pair-by-pair sum would.  Exact mode takes int or Fraction coefficients;
+    float mode sums pair by pair.
+    """
+    if not sys.exact:
+        return _inner_float(sys, j, p, q)
+    p_terms, dp = _integer_terms(p)
+    q_terms, dq = _integer_terms(q)
+    # Exponent (t, s) is encoded as t * base + s; base exceeds every power
+    # of y in the product, so encoded exponents add like (t, s) pairs.
+    base = 2 * max((s for _, s, _ in p_terms + q_terms), default=0) + 1
+    q_keys = [(t * base + s, b) for t, s, b in q_terms]
+    by_exponent: dict = {}
+    for t, s, a in p_terms:
+        ku = t * base + s
+        for kv, b in q_keys:
+            k = ku + kv
+            by_exponent[k] = by_exponent.get(k, 0) + a * b
+    moments = [sys.moment(j, *divmod(k, base)) for k in by_exponent]
+    lcm = math.lcm(*[m.denominator for m in moments])
+    total = 0
+    for c, m in zip(by_exponent.values(), moments):
+        total += c * m.numerator * (lcm // m.denominator)
+    return Fraction(total, dp * dq * lcm)
+
+
+def _integer_terms(p: BiPoly) -> Tuple[List[Tuple[int, int, int]], int]:
+    """Nonzero terms (t, s, N) and d with p = sum N x^t y^s / d, N and d integer."""
+    nonzero = [(z, c) for z, c in enumerate(p.coeffs) if c != 0]
+    d = math.lcm(*[c.denominator for _, c in nonzero])
+    return [(*mi.unpair(z), c.numerator * (d // c.denominator)) for z, c in nonzero], d
+
+
+def _inner_float(sys: MeasureSystem, j: int, p: BiPoly, q: BiPoly) -> Scalar:
+    # Pair by pair: this order fixes the rounding of every float pairing.
     total = sys.zero()
     for u, cu in enumerate(p.coeffs):
         if cu == 0:

@@ -159,11 +159,10 @@ def assemble_type1_vectors(sys: MeasureSystem, chain: Sequence[Sequence[int]]) -
     sets = [type1(sys, n) for n in chain]
     r = sys.r
     ok = True
-    for n, aset in zip(chain, sets):
+    for n in chain:
         size = sum(n)
         for l in range(size):
-            total = sum(inner(sys, j, a, BiPoly.monomial(*mi.unpair(l)))
-                        for j, a in enumerate(aset.polys, start=1))
+            total = type1_pairing(sys, BiPoly.monomial(*mi.unpair(l)), n)
             want = 1 if l == size - 1 else 0
             if not _is_zero(sys, total - want):
                 ok = False

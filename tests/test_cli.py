@@ -218,6 +218,27 @@ def test_bad_index_text(configs):
     assert json.loads(err)["kind"] == "SchemaError"
 
 
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(["normal", "--index", "3,-1"], "--index", id="normal"),
+    pytest.param(["params", "--index", "3,-1"], "--index", id="params"),
+    pytest.param(["biorth", "--n", "2,2", "--m", "2,-3"], "--m", id="biorth"),
+    pytest.param(["biorth", "--n", "2,2", "--m", "2,x"], "--m", id="biorth-text"),
+    pytest.param(["nnr", "--index", "3,3", "--axis", "x", "--w", "6,-1"], "--w", id="nnr-w"),
+    pytest.param(["vector", "--chain", "2,1;2,-2", "--axis", "x"], "--chain", id="vector"),
+    pytest.param(["pair", "--", "-1", "2"], "t", id="pair"),
+    pytest.param(["unpair", "--", "-5"], "z", id="unpair"),
+])
+def test_negative_components_rejected(configs, argv, flag):
+    if argv[0] not in ("params", "pair", "unpair"):
+        argv = [argv[0], "--config", configs["duo"]] + argv[1:]
+    code, out, err = invoke(argv)
+    assert code == EXIT_INVALID
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["kind"] == "SchemaError"
+    assert doc["error"].startswith(f"{flag}: ")
+
+
 def test_float_mode(configs):
     code, out, _ = invoke(["normal", "--config", configs["duo"],
                            "--float", "--index", "2,2"])

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from bimop import (
     BiPoly,
     EmptyIndex,
+    IndexOutOfRange,
     Laguerre,
     Matrix,
     MeasureSystem,
@@ -304,6 +305,101 @@ def test_inner_trivial(duo):
     y = BiPoly.monomial(0, 1)
     assert inner(duo, 1, one, one) == duo.moment(1, 0, 0) == 1
     assert inner(duo, 2, x, y) == duo.moment(2, 1, 1)
+
+
+def naive_inner(sys_, j, p, q):
+    """<p, q>_j summed pair by pair straight from sys_.moment."""
+    total = sys_.zero()
+    for u, cu in enumerate(p.coeffs):
+        if cu == 0:
+            continue
+        ut, us = unpair(u)
+        for v, cv in enumerate(q.coeffs):
+            if cv == 0:
+                continue
+            vt, vs = unpair(v)
+            total += cu * cv * sys_.moment(j, ut + vt, us + vs)
+    return total
+
+
+def naive_pairing(sys_, p, m):
+    total = sys_.zero()
+    for j, a in enumerate(type1(sys_, m).polys, start=1):
+        total += naive_inner(sys_, j, p, a)
+    return total
+
+
+# Normal indices of the two- and four-measure systems, by r.
+PAIRING_INDICES = {2: [(1, 0), (1, 1), (2, 1), (1, 2), (3, 2)],
+                   4: [(1, 0, 0, 0), (1, 1, 1, 0), (0, 1, 1, 1), (2, 1, 1, 1)]}
+RATIONAL_POLYS = st.lists(
+    st.one_of(st.integers(-6, 6),
+              st.fractions(min_value=-6, max_value=6, max_denominator=12)),
+    max_size=10).map(BiPoly.from_coeffs)
+FLOAT_POLYS = st.lists(st.floats(-6, 6), max_size=10).map(BiPoly.from_coeffs)
+FLOAT_SYSTEMS = (make_pair_system("float64"), make_product_system("float64").bivariate)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=RATIONAL_POLYS, q=RATIONAL_POLYS, data=st.data())
+def test_inner_and_pairing_match_naive_sum(duo, quad, p, q, data):
+    for sys_ in (duo, quad):
+        for j in range(1, sys_.r + 1):
+            got = inner(sys_, j, p, q)
+            assert isinstance(got, F)
+            assert got == naive_inner(sys_, j, p, q)
+        m = data.draw(st.sampled_from(PAIRING_INDICES[sys_.r]))
+        got = type1_pairing(sys_, p, m)
+        assert isinstance(got, F)
+        assert got == naive_pairing(sys_, p, m)
+
+
+def test_inner_matches_naive_sum_on_solved_polys(duo):
+    """The verifiers' pairings: x*P_n and y*P_n against Type I sets."""
+    for n, m in [((2, 2), (3, 3)), ((3, 2), (4, 4)), ((3, 4), (5, 5))]:
+        pn = type2(duo, n)
+        for xp in (pn.mul_x(), pn.mul_y()):
+            assert type1_pairing(duo, xp, m) == naive_pairing(duo, xp, m)
+            for j, a in enumerate(type1(duo, m).polys, start=1):
+                assert inner(duo, j, a, xp) == naive_inner(duo, j, a, xp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=FLOAT_POLYS, q=FLOAT_POLYS, data=st.data())
+def test_float_inner_keeps_pairwise_summation(p, q, data):
+    """Float pairings equal the pair-by-pair sum bit for bit."""
+    for sys_ in FLOAT_SYSTEMS:
+        for j in range(1, sys_.r + 1):
+            assert inner(sys_, j, p, q).hex() == naive_inner(sys_, j, p, q).hex()
+        m = data.draw(st.sampled_from(PAIRING_INDICES[sys_.r]))
+        assert type1_pairing(sys_, p, m).hex() == naive_pairing(sys_, p, m).hex()
+
+
+def test_inner_reports_first_missing_table_moment():
+    """The first moment the pairs reach is the one reported missing.
+
+    With p = x + y and q = 1 + y^2 the pairs reach (1,0), (1,2), (0,1),
+    (0,3); of the missing (1,2) and (0,1), (1,2) comes first, although
+    (0,1) is first by Cantor position and by (t, s).
+    """
+    table = {(t, s): F(t + 1, s + 1) for t in range(4) for s in range(4)
+             if (t, s) not in ((1, 2), (0, 1))}
+    sys_ = MeasureSystem(measures=(TableMeasure(table),))
+    p = BiPoly.from_coeffs([0, F(1), F(1)])
+    q = BiPoly.from_coeffs([1, 0, 0, 0, 0, F(1)])
+    with pytest.raises(TableExhausted) as want:
+        naive_inner(sys_, 1, p, q)
+    with pytest.raises(TableExhausted) as got:
+        inner(sys_, 1, p, q)
+    assert str(got.value) == str(want.value) == "no moment for (t, s) = (1, 2)"
+
+
+@pytest.mark.parametrize("call", [normality, type2, type1, moment_matrix])
+@pytest.mark.parametrize("n", [(3, -1), (1, -1)])
+def test_negative_index_component_is_out_of_range(duo, duo_float, call, n):
+    for sys_ in (duo, duo_float):
+        with pytest.raises(IndexOutOfRange):
+            call(sys_, n)
 
 
 def test_eval_q_weighted_sum(duo):
