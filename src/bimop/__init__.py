@@ -51,6 +51,7 @@ from .mopcore import (
     moment_matrix,
     normality,
     poly_to_json,
+    solve_path,
     type1,
     type1_pairing,
     type2,

@@ -12,7 +12,8 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from functools import reduce
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import DimensionMismatch, NotSquare, Singular
 
@@ -67,19 +68,24 @@ class Matrix:
 class ExactLU:
     """One fraction-free LU factorisation of an exact square matrix M.
 
-    Row i of M is scaled by the lcm of its denominators, giving the integer
-    matrix A = D M.  Bareiss elimination with row pivoting then factors P A
-    in place: on and above the diagonal ``lu`` holds the integer U (row k as
-    it stood when it became the pivot row, so U[k][k] is the leading
-    (k+1)-minor of P A), below it the integer multipliers of L.  Every
-    division, in the elimination and in the substitutions, is exact.
+    The columns of M are taken in ``order`` (default: as they stand), and
+    row i is scaled by the lcm of its denominators, giving the integer
+    matrix A = D M[:, order].  Bareiss elimination with row pivoting then
+    factors P A in place: on and above the diagonal ``lu`` holds the integer
+    U (row k as it stood when it became the pivot row, so U[k][k] is the
+    leading (k+1)-minor of P A), below it the integer multipliers of L.
+    Every division, in the elimination and in the substitutions, is exact.
 
     The transpose of ``lu`` is the same compact factorisation of (P A)^t, so
-    one substitution routine solves with both M and M^t.
+    one substitution routine solves with both M and M^t.  Every leading
+    block of A shares these factors (``leading``).
     """
 
-    def __init__(self, m: Matrix):
+    def __init__(self, m: Matrix, order: Optional[Sequence[int]] = None):
         n = m.rows
+        #: column k of A is column order[k] of M
+        self.order = list(range(n)) if order is None else list(order)
+        in_place = self.order == sorted(self.order)
         self.scale: List[int] = []
         lu = []
         for row in m.data:
@@ -87,21 +93,27 @@ class ExactLU:
             # is resized, and the resized tuples pile up on the free lists.
             d = math.lcm(*[v.denominator for v in row])
             self.scale.append(d)
+            if not in_place:
+                row = [row[c] for c in self.order]
             lu.append([v.numerator * (d // v.denominator) for v in row])
         #: row k of P A is row perm[k] of A
         self.perm = list(range(n))
-        #: det(P), or 0 when some column has no nonzero pivot
-        self.sign = 1
-        prev = 1
+        #: signs[s]: the sign of the row and column permutations of the
+        #: leading s x s block, for each s the elimination completed
+        self.signs = [1]
+        sign = prev = 1
         for k in range(n):
             p = next((i for i in range(k, n) if lu[i][k]), None)
             if p is None:
-                self.sign = 0
                 break
             if p != k:
                 lu[k], lu[p] = lu[p], lu[k]
                 self.perm[k], self.perm[p] = self.perm[p], self.perm[k]
-                self.sign = -self.sign
+                sign = -sign
+            # column k of A passes the earlier columns that follow it in M
+            if not in_place and sum(map(self.order[k].__lt__, self.order[:k])) % 2:
+                sign = -sign
+            self.signs.append(sign)
             top = lu[k][k + 1:]
             piv = lu[k][k]
             for row in lu[k + 1:]:
@@ -109,23 +121,46 @@ class ExactLU:
                 row[k + 1:] = [(piv * a - f * t) // prev for a, t in zip(row[k + 1:], top)]
             prev = piv
         self.lu = lu
+        #: det(P) times the sign of the column order, or 0 when M is singular
+        self.sign = self.signs[n] if n < len(self.signs) else 0
+
+    def leading(self, s: int) -> "ExactLU":
+        """The factorisation of the first s rows of M on the columns order[:s]."""
+        # The block's factors are the leading s x s block of these unless a
+        # pivot row of the first s steps came from below the block; then,
+        # or when elimination stopped before step s, the block is singular.
+        if s == len(self.lu):
+            return self
+        block = object.__new__(ExactLU)
+        block.lu = [row[:s] for row in self.lu[:s]]
+        block.scale, block.perm = self.scale[:s], self.perm[:s]
+        # the block's columns are solved in the order they have in M: its
+        # order is the ranks of order[:s], the argsort of their argsort
+        cols = sorted(range(s), key=self.order.__getitem__)
+        block.order = sorted(range(s), key=cols.__getitem__)
+        regular = s < len(self.signs) and max(block.perm, default=-1) < s
+        block.sign = self.signs[s] if regular else 0
+        return block
 
     def det(self) -> Fraction:
-        """det(M) = det(P) U[n-1][n-1] / prod(D); 0 when singular."""
+        """det(M) = sign U[n-1][n-1] / prod(D); 0 when singular."""
         if not self.lu:
             return Fraction(1)
         return Fraction(self.sign * self.lu[-1][-1], math.prod(self.scale))
 
     def solve(self, rhs: Sequence[Scalar]) -> List[Fraction]:
-        """x with M x = rhs, from P A x = P D rhs."""
+        """x with M x = rhs, from P A z = P D rhs and x[order] = z."""
         c, den = self._integers(rhs)
-        x, q = _substitute(self.lu, [c[i] * self.scale[i] for i in self.perm])
-        return [Fraction(v, q * den) for v in x]
+        z, q = _substitute(self.lu, [c[i] * self.scale[i] for i in self.perm])
+        x = [Fraction(0)] * len(z)
+        for k, i in enumerate(self.order):
+            x[i] = Fraction(z[k], q * den)
+        return x
 
     def solve_transpose(self, rhs: Sequence[Scalar]) -> List[Fraction]:
-        """y with M^t y = rhs, from (P A)^t w = rhs and y = D P^t w."""
+        """y with M^t y = rhs, from (P A)^t w = rhs[order] and y = D P^t w."""
         c, den = self._integers(rhs)
-        w, q = _substitute(list(zip(*self.lu)), c)
+        w, q = _substitute(list(zip(*self.lu)), list(map(c.__getitem__, self.order)))
         y = [Fraction(0)] * len(w)
         for k, i in enumerate(self.perm):
             y[i] = Fraction(w[k] * self.scale[i], q * den)
@@ -230,7 +265,9 @@ def solve(m: Matrix, rhs: Sequence[Scalar], tol: float = FLOAT_TOL) -> List[Scal
                 a[i][j] -= f * a[k][j]
     xs = [0.0] * n
     for k in range(n - 1, -1, -1):
-        s = a[k][n] - sum(a[k][j] * xs[j] for j in range(k + 1, n))
+        # reduce, not sum(): sum() compensates float sums from Python 3.12 on;
+        # left to right from 0.0 gives the same digits on every version
+        s = a[k][n] - reduce(operator.add, (a[k][j] * xs[j] for j in range(k + 1, n)), 0.0)
         xs[k] = s / a[k][k]
     return xs
 

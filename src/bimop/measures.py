@@ -175,17 +175,19 @@ class MeasureSystem(_ScalarMode):
 
     def moment(self, j: int, t: int, s: int) -> Scalar:
         """Moment m^{(j)}_{(t,s)}; j is 1-based."""
+        # The cache is read first; the arguments are checked on a miss only,
+        # and a bad one is never cached.
+        try:
+            return self._moment_cache[j, t, s]
+        except KeyError:
+            pass
         if not 1 <= j <= self.r:
             raise IndexOutOfRange(f"measure index {j} not in 1..{self.r}")
-        key = (j, t, s)
-        try:
-            return self._moment_cache[key]
-        except KeyError:
-            value = self.measures[j - 1].moment(t, s)
-            if not self.exact:
-                value = float(value)
-            self._moment_cache[key] = value
-            return value
+        value = self.measures[j - 1].moment(t, s)
+        if not self.exact:
+            value = float(value)
+        self._moment_cache[j, t, s] = value
+        return value
 
 
 @dataclass(frozen=True)
@@ -208,19 +210,21 @@ class UniMeasureSystem(_ScalarMode):
 
     def moment(self, j: int, k: int, s: int = 0) -> Scalar:
         """Moment m^{(j)}_k; j is 1-based.  The power of y, s, must be 0."""
+        # The cache is read first; the arguments are checked on a miss only,
+        # and a bad one is never cached.
+        try:
+            return self._moment_cache[j, k, s]
+        except KeyError:
+            pass
         if not 1 <= j <= self.r:
             raise IndexOutOfRange(f"measure index {j} not in 1..{self.r}")
         if s:
             raise IndexOutOfRange(f"univariate measures have no moment of y^{s}")
-        key = (j, k)
-        try:
-            return self._moment_cache[key]
-        except KeyError:
-            value = self.families[j - 1].moment(k)
-            if not self.exact:
-                value = float(value)
-            self._moment_cache[key] = value
-            return value
+        value = self.families[j - 1].moment(k)
+        if not self.exact:
+            value = float(value)
+        self._moment_cache[j, k, s] = value
+        return value
 
 
 def _parse_family(obj, path: str) -> UnivariateFamily:

@@ -8,13 +8,19 @@ it clears each polynomial's denominators once, adds up the integer products
 of coefficient pairs by exponent, reads each distinct moment once, and
 returns one fraction over a single denominator.  Univariate systems run
 through the same solver over the power basis (see ``_basis``).
+
+Exact solves go by neighbour path (``solve_path``): every M_n on a path is a
+leading block of the last one, so one factorisation solves the whole path.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Type, Union
 
 from . import multiindex as mi
@@ -24,6 +30,7 @@ from .errors import (
     IndexOutOfRange,
     NotNormal,
     NoWeightEvaluator,
+    PathInvalid,
     Singular,
     TableExhausted,
 )
@@ -39,11 +46,11 @@ FLOAT_DET_LOW = 1e-12
 FLOAT_DET_HIGH = 1e-6
 
 
-@dataclass(frozen=True)
 class _Dense:
-    """Dense coefficients by basis position, as the solver returns them."""
+    """Dense coefficients by basis position, as the solver returns them.
 
-    coeffs: Tuple[Scalar, ...]
+    A field-less base: each frozen dataclass below declares ``coeffs``.
+    """
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence[Scalar]):
@@ -57,6 +64,8 @@ class _Dense:
 @dataclass(frozen=True)
 class BiPoly(_Dense):
     """Bivariate polynomial, dense by Cantor position."""
+
+    coeffs: Tuple[Scalar, ...]
 
     @classmethod
     def zero(cls) -> "BiPoly":
@@ -175,6 +184,8 @@ def _power(var: str, e: int) -> str:
 class UniPoly(_Dense):
     """Univariate polynomial, coefficients by ascending power."""
 
+    coeffs: Tuple[Scalar, ...]
+
     @property
     def deg(self) -> int:
         if not self.coeffs:
@@ -269,33 +280,58 @@ class _Solved:
 def _solved(sys: System, key: Tuple[int, ...]) -> _Solved:
     """The cache entry of an index.
 
-    In exact mode the first call factorises M_n once and fills det, Type II
-    and Type I together; the factorisation is dropped on return.  Float
-    entries start empty and are filled one solve at a time.  Systems are
-    frozen, so the key needs no scalar mode.
+    In exact mode the first call solves the index as a one-step path.
+    Float entries start empty and are filled one solve at a time.  Systems
+    are frozen, so the key needs no scalar mode.
     """
-    try:
-        return sys._index_cache[key]
-    except KeyError:
-        pass
-    entry = _factorise(sys, key) if sys.exact else _Solved()
-    sys._index_cache[key] = entry
-    return entry
+    if key not in sys._index_cache:
+        if sys.exact:
+            _factorise(sys, [key])
+        else:
+            sys._index_cache[key] = _Solved()
+    return sys._index_cache[key]
 
 
-def _factorise(sys: System, key: Tuple[int, ...]) -> _Solved:
-    lu = ExactLU(moment_matrix(sys, key).matrix)
-    entry = _Solved(det=lu.det())
-    if entry.det == 0 or not sum(key):
-        return entry
-    entry.type1 = _type1_set(sys, key, lu.solve)
-    try:
-        entry.type2 = _type2_poly(sys, key, lu.solve_transpose)
-    except TableExhausted:
-        # The Type II right-hand side needs moments of order |n|, which a
-        # table may lack; type2 then raises on request, normality still works.
-        pass
-    return entry
+def solve_path(sys: System, steps: Sequence[Sequence[int]]) -> None:
+    """Solve the indices of a neighbour path that are not yet cached, from
+    one factorisation, for normality, type2 and type1 to read."""
+    # Float mode solves nothing here, nor does a moment table too short for
+    # the last index: the indices are then solved one by one on request.
+    keys = [_index(sys, n) for n in steps]
+    if not mi.Path(tuple(keys)).is_valid():
+        raise PathInvalid("not a neighbour path")
+    if sys.exact and not sys._index_cache.keys() >= set(keys):
+        try:
+            _factorise(sys, keys)
+        except TableExhausted:
+            pass
+
+
+def _factorise(sys: System, steps: List[Tuple[int, ...]]) -> None:
+    # Each step of a path adds one column and one row to M_n.  With the
+    # columns of the last index's M in the order the steps added them, the
+    # M of every index on the path is a leading block of it (Gauss-Borel):
+    # one ExactLU, then two substitutions per index fill its cache entry.
+    last = steps[-1]
+    offsets = [0, *accumulate(last)]
+    order = [offsets[j] + l for j, nj in enumerate(steps[0]) for l in range(nj)]
+    order += [offsets[j] + a[j] for a, b in zip(steps, steps[1:])
+              for j in range(len(a)) if a[j] != b[j]]
+    lu = ExactLU(moment_matrix(sys, last).matrix, order)
+    for key in steps:
+        if key in sys._index_cache:
+            continue
+        block = lu.leading(sum(key))
+        entry = sys._index_cache[key] = _Solved(det=block.det())
+        if entry.det == 0 or not sum(key):
+            continue
+        entry.type1 = _type1_set(sys, key, block.solve)
+        try:
+            entry.type2 = _type2_poly(sys, key, block.solve_transpose)
+        except TableExhausted:
+            # The Type II right-hand side needs moments of order |n|, which a
+            # table may lack; type2 then raises on request, normality still works.
+            pass
 
 
 def _solver(sys: System, key: Tuple[int, ...], entry: _Solved, transpose: bool):
@@ -353,7 +389,8 @@ def normality(sys: System, n: Sequence[int]) -> Normality:
     d = det(mm.matrix, tol=sys.tol)
     bound = 1.0
     for row in mm.matrix.data:
-        bound *= max(1.0, sum(float(v) * float(v) for v in row) ** 0.5)
+        # reduce, not sum(): the same digits on every Python version
+        bound *= max(1.0, reduce(operator.add, (float(v) * float(v) for v in row), 0.0) ** 0.5)
     if abs(d) <= FLOAT_DET_LOW * bound:
         return Normality(normal=False, det=d)
     if abs(d) < FLOAT_DET_HIGH * bound:

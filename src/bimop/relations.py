@@ -17,7 +17,7 @@ from . import multiindex as mi
 from .errors import ChainInvalid, EmptyIndex, IndexTooSmall, PathInvalid
 from .linalg import FLOAT_RESIDUAL_TOL, Matrix, Scalar, format_scalar
 from .measures import MeasureSystem
-from .mopcore import BiPoly, inner, type1, type1_pairing, type2
+from .mopcore import BiPoly, inner, solve_path, type1, type1_pairing, type2
 
 
 def _is_zero(sys: MeasureSystem, value, scale=1, tol: float = FLOAT_RESIDUAL_TOL) -> bool:
@@ -256,6 +256,7 @@ def nnr_type2(sys: MeasureSystem, n: Sequence[int], axis: str,
     if not mi.leq(n, w_top):
         raise PathInvalid(f"w = {w_top} must dominate n componentwise")
 
+    solve_path(sys, path.steps[:top - path.start_modulus + 1])
     pn = type2(sys, n)
     xp = pn.mul_x() if axis == "x" else pn.mul_y()
     scale = max(abs(float(c)) for c in xp.coeffs)
@@ -334,9 +335,10 @@ def nnr_type1(sys: MeasureSystem, n: Sequence[int], axis: str,
         ext = mi.canonical_path([(0,) * r, steps[0]]).steps[:-1]
         steps = ext + steps
     full = mi.Path(steps)
+    solve_path(sys, steps[:top + 1])
 
     a_n = type1(sys, n).polys
-    mul = (lambda q: q.mul_x()) if axis == "x" else (lambda q: q.mul_y())
+    mul = BiPoly.mul_x if axis == "x" else BiPoly.mul_y
     xa = [mul(a) for a in a_n]
     scale = max([1.0] + [abs(float(c)) for a in xa for c in a.coeffs])
 
@@ -437,6 +439,7 @@ def nnr_vector(sys: MeasureSystem, chain: Sequence[Sequence[int]], axis: str,
     bump = d + 1 if axis == "x" else d + 2
     base = (d + 1) * (d + 2) // 2
     gtop = sum(chain[-1]) + bump
+    solve_path(sys, steps[:gtop - gpath.start_modulus + 1])
     amats = {h: [[zero] * (h + 1) for _ in range(d + 1)] for h in range(d + 2)}
     residuals = []
     # Row k must hit entry row_top - base of the degree d+1 vector with a

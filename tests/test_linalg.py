@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bimop import Matrix, NotSquare, Singular, det, format_scalar, parse_scalar, solve
+from bimop.linalg import ExactLU
 
 
 def cofactor_det(m):
@@ -97,6 +98,32 @@ def test_solve_satisfies_system(case):
             assert err.value.det == 0
         else:
             assert a.matvec(solve(a, rhs)) == list(rhs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(square_matrices(st.just(n)), st.permutations(range(n)),
+                        st.lists(fractions, min_size=n, max_size=n))))
+def test_leading_blocks_of_one_factorisation(case):
+    """Block s of ExactLU(m, order) is the first s rows of m on the columns
+    order[:s], kept in their order in m: its det, and its solves when the
+    det is nonzero, Singular when it is zero."""
+    m, order, rhs = case
+    lu = ExactLU(m, order)
+    for s in range(len(order) + 1):
+        cols = sorted(order[:s])
+        block = Matrix.from_rows([[row[c] for c in cols] for row in m.data[:s]])
+        view = lu.leading(s)
+        assert view.det() == cofactor_det(block)
+        if not s:
+            continue
+        if view.det():
+            assert block.matvec(view.solve(rhs[:s])) == rhs[:s]
+            assert block.transpose().matvec(view.solve_transpose(rhs[:s])) == rhs[:s]
+        else:
+            for solve_ in (view.solve, view.solve_transpose):
+                with pytest.raises(Singular):
+                    solve_(rhs[:s])
 
 
 def test_solve_singular_carries_zero_det():

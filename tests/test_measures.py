@@ -21,6 +21,7 @@ from bimop import (
     parse_config,
     parse_uni_config,
 )
+from conftest import make_xsystem
 
 
 def test_laguerre_relative_moments():
@@ -87,6 +88,21 @@ def test_system_moment_lookup_and_cache(duo):
         duo.moment(3, 0, 0)
     with pytest.raises(IndexOutOfRange):
         duo.moment(0, 0, 0)
+
+
+def test_bad_measure_index_raises_with_warm_cache(duo):
+    """The cache is read before j is checked; a bad j or s is never cached."""
+    for j in (1, 2):
+        duo.moment(j, 0, 0)
+    for j in (0, 3, -1):
+        with pytest.raises(IndexOutOfRange):
+            duo.moment(j, 0, 0)
+    xs = make_xsystem()
+    for j in (1, 2):
+        xs.moment(j, 0)
+    for j, s in ((0, 0), (3, 0), (1, 1)):
+        with pytest.raises(IndexOutOfRange):
+            xs.moment(j, 0, s)
 
 
 def test_float_mode_moments():

@@ -17,10 +17,12 @@ from bimop import (
     MomentTable,
     NoWeightEvaluator,
     NotNormal,
+    PathInvalid,
     TableExhausted,
     TableMeasure,
     TensorMeasure,
     UniMeasureSystem,
+    canonical_path,
     eval_q,
     inner,
     is_normal,
@@ -28,6 +30,7 @@ from bimop import (
     normality,
     pair,
     poly_to_json,
+    solve_path,
     type1,
     type1_pairing,
     type2,
@@ -168,6 +171,127 @@ def test_one_moment_matrix_per_exact_index(monkeypatch, system, n, prefix, first
         except NotNormal as exc:
             assert n == (3, 3, 3, 3) and exc.det == 0
     assert built == [n]
+
+
+# ---------------------------------------------------------------------------
+# Path solves: every index of a neighbour path from one factorisation
+
+
+def solved(sys_, n):
+    """det, Type II and Type I of n; None for a polynomial n has none of."""
+    d = normality(sys_, n).det
+    if d == 0:
+        for call in (type2, type1):
+            with pytest.raises(NotNormal) as err:
+                call(sys_, n)
+            assert err.value.det == 0
+        return d, None, None
+    return d, type2(sys_, n), type1(sys_, n) if sum(n) else None
+
+
+@st.composite
+def neighbour_paths(draw, r, reach):
+    """A start index with components up to 3, then up to reach random steps."""
+    steps = [tuple(draw(st.lists(st.integers(0, 3), min_size=r, max_size=r)))]
+    for j in draw(st.lists(st.integers(0, r - 1), max_size=reach)):
+        n = steps[-1]
+        steps.append(n[:j] + (n[j] + 1,) + n[j + 1:])
+    return steps
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_path_solve_matches_per_index(data):
+    """Path and per-index det, Type II and Type I are equal, non-normal steps
+    included: (5, 10) and (10, 5) for the pair, (1, 1, 0, 0) for the quad."""
+    for make, r, reach in ((make_pair_system, 2, 16),
+                           (lambda: make_product_system().bivariate, 4, 8)):
+        steps = data.draw(neighbour_paths(r, reach))
+        path_sys, index_sys = make(), make()
+        solve_path(path_sys, steps)
+        assert set(steps) <= set(path_sys._index_cache)
+        for n in steps:
+            assert solved(path_sys, n) == solved(index_sys, n)
+
+
+def test_canonical_path_through_non_normal_indices():
+    """(0, 0) -> (20, 22) raises the first component first, through the
+    non-normal (20, 8) and (20, 9); one factorisation solves all 43 indices."""
+    steps = canonical_path([(0, 0), (20, 22)]).steps
+    path_sys, index_sys = make_pair_system(), make_pair_system()
+    solve_path(path_sys, steps)
+    got = [solved(path_sys, n) for n in steps]
+    assert got == [solved(index_sys, n) for n in steps]
+    assert [n for n, (d, _, _) in zip(steps, got) if d == 0] == [(20, 8), (20, 9)]
+
+
+def test_normal_path_builds_one_moment_matrix(monkeypatch):
+    sys_ = make_pair_system()
+    steps = canonical_path([(0, 0), (4, 4), (9, 4)]).steps
+    built = []
+    build = mopcore.moment_matrix
+
+    def spy(system, index):
+        built.append(tuple(index))
+        return build(system, index)
+
+    monkeypatch.setattr(mopcore, "moment_matrix", spy)
+    solve_path(sys_, steps)
+    assert all(solved(sys_, n)[0] != 0 for n in steps)
+    assert built == [(9, 4)]
+
+
+def test_path_solve_leaves_float_mode_alone():
+    steps = canonical_path([(0, 0), (3, 3)]).steps
+    path_sys, index_sys = make_pair_system("float64"), make_pair_system("float64")
+    solve_path(path_sys, steps)
+    assert not path_sys._index_cache
+    for n in steps[1:]:
+        for call in (type2, type1):
+            got, want = call(path_sys, n), call(index_sys, n)
+            polys = zip(got.polys, want.polys) if call is type1 else [(got, want)]
+            for p, q in polys:
+                assert [c.hex() for c in p.coeffs] == [c.hex() for c in q.coeffs]
+
+
+def test_path_solve_rejects_non_neighbour_steps(duo):
+    with pytest.raises(PathInvalid):
+        solve_path(duo, [(1, 1), (2, 2)])
+
+
+@pytest.mark.parametrize("end", [6, 7])
+def test_short_table_path_raises_as_per_index(end):
+    """Moments up to total degree 4: M_(6) fits but its Type II right-hand
+    side does not; M_(7) does not fit, so a path to (7,) solves nothing."""
+    pair = make_pair_system()
+    table = {(t, s): pair.moment(1, t, s) for t in range(5) for s in range(5 - t)}
+    steps = [(k,) for k in range(end + 1)]
+    path_sys, index_sys = (MeasureSystem(measures=(TableMeasure(table),)) for _ in "ab")
+    solve_path(path_sys, steps)
+    assert len(path_sys._index_cache) == (end + 1 if end == 6 else 0)
+
+    def outcome(call, sys_, n):
+        try:
+            return repr(call(sys_, n))
+        except (TableExhausted, EmptyIndex) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    for n in steps:
+        for call in (normality, type2, type1):
+            assert outcome(call, path_sys, n) == outcome(call, index_sys, n)
+    assert outcome(type2, path_sys, (6,)).startswith("TableExhausted")
+    if end == 7:
+        assert outcome(normality, path_sys, (7,)).startswith("TableExhausted")
+
+
+def test_float_digits_pinned():
+    """float.hex() of float Type II/I coefficients, as summed left to right
+    (Python's own float sum() compensates from 3.12 on)."""
+    sys_ = make_pair_system("float64")
+    assert type2(sys_, (0, 5)).coeffs[0].hex() == "0x1.7c28f5c28f59fp+4"
+    assert type2(sys_, (0, 6)).coeffs[0].hex() == "-0x1.178d4fdf3b6c8p+6"
+    assert type2(sys_, (0, 7)).coeffs[0].hex() == "-0x1.d916872b02163p+5"
+    assert type1(sys_, (0, 4)).polys[1].coeffs[0].hex() == "0x1.000000000002fp-1"
 
 
 def test_float_normality_can_be_indeterminate(duo_float):

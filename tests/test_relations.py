@@ -9,6 +9,7 @@ from bimop import (
     EmptyIndex,
     IndexTooSmall,
     Matrix,
+    NotNormal,
     PathInvalid,
     assemble_type1_vectors,
     assemble_type2_vector,
@@ -24,6 +25,8 @@ from bimop import (
     type2,
     unpair,
 )
+from bimop import mopcore, relations
+from conftest import make_pair_system
 
 CHAIN_D2 = [(1, 2), (1, 3), (2, 3)]
 
@@ -270,3 +273,44 @@ def test_default_vector_chains_shape():
     assert len(upper) == 4
     assert lower[0][0] == (0, 0)
     assert upper[0] == (3, 3)
+
+
+# ---------------------------------------------------------------------------
+# One path solve per verifier
+
+
+def _report(call, sys_):
+    try:
+        return repr(call(sys_))
+    except NotNormal as exc:
+        return f"NotNormal: {exc}"
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda s: nnr_type2(s, (6, 8), "x"), id="xP"),
+    pytest.param(lambda s: nnr_type2(s, (6, 8), "y"), id="yP"),
+    pytest.param(lambda s: nnr_type2(s, (10, 6), "x"), id="xP-through-(10,5)"),
+    pytest.param(lambda s: nnr_type1(s, (3, 4), "x"), id="xQ"),
+    pytest.param(lambda s: nnr_type1(s, (2, 3), "y"), id="yQ"),
+    pytest.param(lambda s: nnr_vector(s, CHAIN_D2, "y"), id="vector-y"),
+])
+def test_verifiers_solve_their_path_once(monkeypatch, call):
+    """A verifier builds one M_n for its path and reports what per-index
+    solves report.
+
+    The default path of (10, 6) on axis x passes the non-normal (10, 5),
+    so both routes raise the same NotNormal.
+    """
+    built = []
+    build = mopcore.moment_matrix
+
+    def spy(system, index):
+        built.append(tuple(index))
+        return build(system, index)
+
+    monkeypatch.setattr(mopcore, "moment_matrix", spy)
+    got = _report(call, make_pair_system())
+    assert len(built) == 1
+    monkeypatch.setattr(relations, "solve_path", lambda sys_, steps: None)
+    assert _report(call, make_pair_system()) == got
+    assert len(built) > 2
