@@ -3,11 +3,12 @@
 Bivariate polynomials are dense coefficient sequences indexed by Cantor
 position: coeffs[z] multiplies x^t y^s with pair(t, s) = z.  Inner products
 are bilinear extensions through moments; quadrature is never used, so
-unbounded supports are exact.  In exact mode ``inner`` is an integer kernel:
-it clears each polynomial's denominators once, adds up the integer products
-of coefficient pairs by exponent, reads each distinct moment once, and
-returns one fraction over a single denominator.  Univariate systems run
-through the same solver over the power basis (see ``_basis``).
+unbounded supports are exact.  Exact pairings go through moment rows
+(``moment_rows``): a polynomial's denominators are cleared once, and each
+integer pairing <P, x^{e_l}>_j it needs is computed once, over one
+denominator, however many polynomials it is paired against; ``inner`` and
+``type1_pairing`` are one-shot uses.  Univariate systems run through the
+same solver over the power basis (see ``_basis``).
 
 Exact solves go by neighbour path (``solve_path``): every M_n on a path is a
 leading block of the last one, so one factorisation solves the whole path.
@@ -434,44 +435,98 @@ def type1(sys: System, n: Sequence[int]) -> TypeISet:
     return entry.type1
 
 
+def moment_rows(sys: MeasureSystem, p: BiPoly) -> Callable[..., Scalar]:
+    """pair(qs, j=1) = sum_i <p, qs[i]>_{j+i}: p paired against many polynomials.
+
+    Exact mode keeps moment rows for p = P/d_p, with P integer: row j maps
+    basis position l to the integer <P, x^{e_l}>_j * L, where L is one
+    denominator shared by every row.  A pairing fills the positions its
+    polynomials need and no other, then takes dot products with their
+    integer coefficients and returns one fraction over all j.  Float mode
+    sums pair by pair (``_inner_float``).
+    """
+    rows: dict = {}
+    scale = 1
+    if sys.exact:
+        (terms,), dp = _integer_terms((p,))
+        p_terms = []
+        for u, a in terms:
+            p_terms.append((*mi.unpair(u), a))
+
+    def pair(qs, j=1):
+        nonlocal scale
+        if not sys.exact:
+            total = sys.zero()
+            for q in qs:
+                total += _inner_float(sys, j, p, q)
+                j += 1
+            return total
+        q_terms, dq = _integer_terms(qs)
+        total = 0
+        for terms in q_terms:
+            row = rows.setdefault(j, {})
+            need = []
+            for l, _ in terms:
+                if l not in row:
+                    need.append(l)
+            if need:
+                # Every moment is read before any row changes, in the order
+                # the pairs first reach them (p's terms outer), so a missing
+                # table moment raises on the same exponent as a pair-by-pair
+                # sum would.
+                exps = []
+                for l in need:
+                    exps.append(mi.unpair(l))
+                moments = []
+                lcm = scale
+                for t, s, _ in p_terms:
+                    for lt, ls in exps:
+                        moments.append(m := sys.moment(j, t + lt, s + ls))
+                        lcm = math.lcm(lcm, m.denominator)
+                if lcm != scale:
+                    grow = lcm // scale
+                    total *= grow
+                    for other in rows.values():
+                        for l in other:
+                            other[l] *= grow
+                    scale = lcm
+                row.update(dict.fromkeys(need, 0))
+                reads = iter(moments)
+                for _, _, a in p_terms:
+                    for l in need:
+                        m = next(reads)
+                        row[l] += a * m.numerator * (lcm // m.denominator)
+            for l, b in terms:
+                total += b * row[l]
+            j += 1
+        return Fraction(total, dp * dq * scale)
+    return pair
+
+
 def inner(sys: MeasureSystem, j: int, p: BiPoly, q: BiPoly) -> Scalar:
     """Moment-bilinear inner product <p, q>_j (no quadrature).
 
-    Exact mode writes p = P/d_p and q = Q/d_q with P, Q integer, collects
-    P_u * Q_v by the exponent sum e_u + e_v, puts the moments of the
-    distinct exponents over their lcm L and returns one fraction
-    total / (d_p d_q L).  Moments are read in the order the pairs first
-    reach them, so a missing table moment raises on the same exponent as a
-    pair-by-pair sum would.  Exact mode takes int or Fraction coefficients;
-    float mode sums pair by pair.
+    Exact mode takes int or Fraction coefficients and returns one Fraction;
+    see ``moment_rows``.
     """
-    if not sys.exact:
-        return _inner_float(sys, j, p, q)
-    p_terms, dp = _integer_terms(p)
-    q_terms, dq = _integer_terms(q)
-    # Exponent (t, s) is encoded as t * base + s; base exceeds every power
-    # of y in the product, so encoded exponents add like (t, s) pairs.
-    base = 2 * max((s for _, s, _ in p_terms + q_terms), default=0) + 1
-    q_keys = [(t * base + s, b) for t, s, b in q_terms]
-    by_exponent: dict = {}
-    for t, s, a in p_terms:
-        ku = t * base + s
-        for kv, b in q_keys:
-            k = ku + kv
-            by_exponent[k] = by_exponent.get(k, 0) + a * b
-    moments = [sys.moment(j, *divmod(k, base)) for k in by_exponent]
-    lcm = math.lcm(*[m.denominator for m in moments])
-    total = 0
-    for c, m in zip(by_exponent.values(), moments):
-        total += c * m.numerator * (lcm // m.denominator)
-    return Fraction(total, dp * dq * lcm)
+    return moment_rows(sys, p)((q,), j)
 
 
-def _integer_terms(p: BiPoly) -> Tuple[List[Tuple[int, int, int]], int]:
-    """Nonzero terms (t, s, N) and d with p = sum N x^t y^s / d, N and d integer."""
-    nonzero = [(z, c) for z, c in enumerate(p.coeffs) if c != 0]
-    d = math.lcm(*[c.denominator for _, c in nonzero])
-    return [(*mi.unpair(z), c.numerator * (d // c.denominator)) for z, c in nonzero], d
+def _integer_terms(polys: Sequence[BiPoly]) -> Tuple[List[List[Tuple[int, int]]], int]:
+    """Nonzero terms (z, N) of each polynomial and one d with
+    polys[i] = sum N x^{e_z} / d, N and d integer."""
+    d = 1
+    for q in polys:
+        for c in q.coeffs:
+            if c:
+                d = math.lcm(d, c.denominator)
+    out = []
+    for q in polys:
+        out.append(terms := [])
+        for z, c in enumerate(q.coeffs):
+            if c:
+                terms.append((z, c.numerator * (d // c.denominator)))
+    return out, d
 
 
 def _inner_float(sys: MeasureSystem, j: int, p: BiPoly, q: BiPoly) -> Scalar:
@@ -494,11 +549,7 @@ def type1_pairing(sys: MeasureSystem, p: BiPoly, m: Sequence[int]) -> Scalar:
 
     Computed purely from moments; weights are never evaluated.
     """
-    aset = type1(sys, m)
-    total = sys.zero()
-    for j, a in enumerate(aset.polys, start=1):
-        total += inner(sys, j, p, a)
-    return total
+    return moment_rows(sys, p)(type1(sys, m).polys)
 
 
 def eval_q(sys: MeasureSystem, aset: TypeISet, x: float, y: float) -> float:

@@ -17,7 +17,7 @@ from . import multiindex as mi
 from .errors import ChainInvalid, EmptyIndex, IndexTooSmall, PathInvalid
 from .linalg import FLOAT_RESIDUAL_TOL, Matrix, Scalar, format_scalar
 from .measures import MeasureSystem
-from .mopcore import BiPoly, inner, solve_path, type1, type1_pairing, type2
+from .mopcore import BiPoly, moment_rows, solve_path, type1, type1_pairing, type2
 
 
 def _is_zero(sys: MeasureSystem, value, scale=1, tol: float = FLOAT_RESIDUAL_TOL) -> bool:
@@ -77,7 +77,17 @@ def biorth_matrix(sys: MeasureSystem,
         raise ChainInvalid(f"first chain is not a valid degree-{d} chain")
     if not mi.validate_chain(chain_m, h):
         raise ChainInvalid(f"second chain is not a valid degree-{h} chain")
-    data = [[type1_pairing(sys, type2(sys, n), m) for m in chain_m] for n in chain_n]
+    # Chains that join are solved as one neighbour path, others as one path
+    # each.  chain_m is solved once P_{n_0} is read, so a bad index in it
+    # raises after P_{n_0}'s own errors, in pairing order.
+    joined = chain_n + chain_m
+    solve_path(sys, joined if mi.Path(tuple(joined)).is_valid() else chain_n)
+    data = []
+    for n in chain_n:
+        pair = moment_rows(sys, type2(sys, n))
+        if not data:
+            solve_path(sys, chain_m)
+        data.append([pair(type1(sys, m).polys) for m in chain_m])
     b = Matrix.from_rows(data)
 
     expected = None
@@ -146,7 +156,8 @@ def assemble_type2_vector(sys: MeasureSystem, chain: Sequence[Sequence[int]]) ->
 def gram_pattern_holds(sys: MeasureSystem, n: Sequence[int], p: BiPoly) -> bool:
     """True iff <p, x^t y^s>_j vanishes for the first n_j monomials of each j
     (the Type II conditions of n), within FLOAT_RESIDUAL_TOL in float mode."""
-    return all(_is_zero(sys, inner(sys, j, p, BiPoly.monomial(*mi.unpair(l))))
+    pair = moment_rows(sys, p)
+    return all(_is_zero(sys, pair((BiPoly.monomial(*mi.unpair(l)),), j))
                for j, nj in enumerate(n, start=1) for l in range(nj))
 
 
@@ -262,8 +273,9 @@ def nnr_type2(sys: MeasureSystem, n: Sequence[int], axis: str,
     scale = max(abs(float(c)) for c in xp.coeffs)
     coefficients = []
     residual = xp - type2(sys, w_top)
+    pair = moment_rows(sys, xp)
     for i in range(path.start_modulus, top):
-        a = type1_pairing(sys, xp, path.at_modulus(i + 1))
+        a = pair(type1(sys, path.at_modulus(i + 1)).polys)
         coefficients.append((i, a))
         if a != 0:
             residual = residual - type2(sys, path.at_modulus(i)).scale(a)
@@ -341,13 +353,14 @@ def nnr_type1(sys: MeasureSystem, n: Sequence[int], axis: str,
     mul = BiPoly.mul_x if axis == "x" else BiPoly.mul_y
     xa = [mul(a) for a in a_n]
     scale = max([1.0] + [abs(float(c)) for a in xa for c in a.coeffs])
+    pairs = [moment_rows(sys, a) for a in xa]
 
     coefficients = []
     for k in range(1, top + 1):
-        pk = type2(sys, full.at_modulus(k - 1))
+        pk = (type2(sys, full.at_modulus(k - 1)),)
         value = sys.zero()
         for j in range(1, r + 1):
-            value += inner(sys, j, xa[j - 1], pk)
+            value += pairs[j - 1](pk, j)
         coefficients.append((k, value))
     by_mod = dict(coefficients)
 
@@ -454,10 +467,11 @@ def nnr_vector(sys: MeasureSystem, chain: Sequence[Sequence[int]], axis: str,
         row_top = sum(nk) + bump
         res = xp - type2(sys, gpath.at_modulus(row_top))
         amats[d + 1][k][row_top - base] = sys.one()
+        pair = moment_rows(sys, xp)
         for i in range(gpath.start_modulus, gtop):
             if i == row_top:
                 continue
-            a = type1_pairing(sys, xp, gpath.at_modulus(i + 1))
+            a = pair(type1(sys, gpath.at_modulus(i + 1)).polys)
             lt, ls = mi.unpair(i)
             amats[lt + ls][k][ls] = a
             if i > row_top and not _is_zero(sys, a, scale, tol):

@@ -173,6 +173,13 @@ def test_product_explicit_v(configs):
     assert json.loads(out)["v"] == [1, 0, 2, 1]
 
 
+def test_product_float(configs):
+    code, out, _ = invoke(["product", "--config", configs["product"], "--float",
+                           "--n", "0,1", "--m", "1,0"])
+    assert code == EXIT_OK
+    assert json.loads(out)["match"] is True
+
+
 def test_check_battery(configs):
     code, out, _ = invoke(["check", "--config", configs["duo"]])
     assert code == EXIT_OK

@@ -518,6 +518,58 @@ def test_inner_reports_first_missing_table_moment():
     assert str(got.value) == str(want.value) == "no moment for (t, s) = (1, 2)"
 
 
+@settings(max_examples=40, deadline=None)
+@given(p=RATIONAL_POLYS, qs=st.lists(RATIONAL_POLYS, min_size=1, max_size=4), data=st.data())
+def test_one_row_set_matches_pairwise_sums(duo, quad, p, qs, data):
+    """One row set paired against several q and several Type I sets in turn
+    gives every pair-by-pair sum exactly, zero polynomials included."""
+    for sys_ in (duo, quad):
+        for pp in (p, BiPoly.zero()):
+            pair = mopcore.moment_rows(sys_, pp)
+            for q in qs + [BiPoly.zero()]:
+                j = data.draw(st.integers(1, sys_.r))
+                got = pair((q,), j)
+                assert isinstance(got, F)
+                assert got == naive_inner(sys_, j, pp, q)
+                m = data.draw(st.sampled_from(PAIRING_INDICES[sys_.r]))
+                got = pair(type1(sys_, m).polys)
+                assert isinstance(got, F)
+                assert got == naive_pairing(sys_, pp, m)
+            got = pair(qs[:sys_.r])
+            assert isinstance(got, F)
+            assert got == sum(naive_inner(sys_, j, pp, q)
+                              for j, q in enumerate(qs[:sys_.r], start=1))
+
+
+def test_rows_read_no_moment_for_a_zero_coefficient():
+    """A moment missing only where q has a zero coefficient is never read,
+    and a row set shared by several pairings names the same first missing
+    moment as a pair-by-pair sum.
+
+    p = x + y.  q1 = 1 + y^2 has zero coefficients at y and x^2, whose
+    pairings with p would need the missing (0,2) and (3,0).  q2 = 1 + y + x^2
+    then reaches, p's terms outer, (1,0) (row filled), (1,1), (3,0): (3,0)
+    is named, although (0,2) comes first by Cantor position and by (t, s).
+    """
+    table = {(t, s): F(t + 1, s + 1) for t in range(5) for s in range(5)
+             if (t, s) not in ((0, 2), (3, 0))}
+    sys_ = MeasureSystem(measures=(TableMeasure(table),))
+    p = BiPoly.from_coeffs([0, 1, 1])
+    q1 = BiPoly.from_coeffs([1, 0, 0, 0, 0, 1])
+    q2 = BiPoly.from_coeffs([1, 0, 1, 1])
+    pair = mopcore.moment_rows(sys_, p)
+    assert pair((q1,)) == naive_inner(sys_, 1, p, q1)
+    with pytest.raises(TableExhausted) as want:
+        naive_inner(sys_, 1, p, q2)
+    with pytest.raises(TableExhausted) as got:
+        pair((q2,))
+    assert str(got.value) == str(want.value) == "no moment for (t, s) = (3, 0)"
+    # The failed pairing left no row entry behind.
+    with pytest.raises(TableExhausted):
+        pair((q2,))
+    assert pair((q1,)) == naive_inner(sys_, 1, p, q1)
+
+
 @pytest.mark.parametrize("call", [normality, type2, type1, moment_matrix])
 @pytest.mark.parametrize("n", [(3, -1), (1, -1)])
 def test_negative_index_component_is_out_of_range(duo, duo_float, call, n):

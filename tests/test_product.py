@@ -88,6 +88,13 @@ def test_verify_product_both_choices(psys):
     assert verify_product(psys, (0, 1), (1, 0), (2, 0, 1, 1))
 
 
+def test_verify_product_float_both_choices():
+    from conftest import make_product_system
+    ps = make_product_system("float64")
+    assert verify_product(ps, (0, 1), (1, 0), (1, 0, 2, 1)) is True
+    assert verify_product(ps, (0, 1), (1, 0), (2, 0, 1, 1)) is True
+
+
 def test_verify_product_rejects_bad_v(psys):
     with pytest.raises(BadV):
         verify_product(psys, (0, 1), (1, 0), (3, 0, 1, 0))

@@ -293,6 +293,9 @@ def _report(call, sys_):
     pytest.param(lambda s: nnr_type1(s, (3, 4), "x"), id="xQ"),
     pytest.param(lambda s: nnr_type1(s, (2, 3), "y"), id="yQ"),
     pytest.param(lambda s: nnr_vector(s, CHAIN_D2, "y"), id="vector-y"),
+    pytest.param(lambda s: biorth_matrix(s, CHAIN_D2, CHAIN_D2), id="biorth-same-chain"),
+    pytest.param(lambda s: biorth_matrix(s, CHAIN_D2, [(2, 4), (3, 4), (3, 5), (4, 5)]),
+                 id="biorth-joined-chains"),
 ])
 def test_verifiers_solve_their_path_once(monkeypatch, call):
     """A verifier builds one M_n for its path and reports what per-index
@@ -314,3 +317,36 @@ def test_verifiers_solve_their_path_once(monkeypatch, call):
     monkeypatch.setattr(relations, "solve_path", lambda sys_, steps: None)
     assert _report(call, make_pair_system()) == got
     assert len(built) > 2
+
+
+def test_biorth_matrix_solves_each_chain_once(monkeypatch):
+    """Chains that do not join into one path are solved as two paths."""
+    built = []
+    build = mopcore.moment_matrix
+
+    def spy(system, index):
+        built.append(tuple(index))
+        return build(system, index)
+
+    monkeypatch.setattr(mopcore, "moment_matrix", spy)
+    far = [(3, 7), (4, 7), (4, 8), (5, 8), (5, 9)]
+    got = biorth_matrix(make_pair_system(), CHAIN_D2, far)
+    assert built == [CHAIN_D2[-1], far[-1]]
+    monkeypatch.setattr(relations, "solve_path", lambda sys_, steps: None)
+    assert repr(biorth_matrix(make_pair_system(), CHAIN_D2, far)) == repr(got)
+
+
+def test_nnr_type2_clears_xp_denominators_once(monkeypatch):
+    """x*P_n is put over one denominator once per call, not once per pairing."""
+    cleared = []
+    clear = mopcore._integer_terms
+
+    def spy(polys):
+        cleared.append(polys)
+        return clear(polys)
+
+    monkeypatch.setattr(mopcore, "_integer_terms", spy)
+    sys_ = make_pair_system()
+    rep = nnr_type2(sys_, (6, 8), "x")
+    assert rep.holds and len(rep.coefficients) > 10
+    assert cleared.count((type2(sys_, (6, 8)).mul_x(),)) == 1
