@@ -1,9 +1,10 @@
 """Dense matrices over exact rationals or binary64, with determinant and solve.
 
-Exact mode clears each row's denominators and runs one fraction-free
-(Bareiss) LU factorisation over the integers, ``ExactLU``; the determinant
-and the solves with M and with M^t all come from that one factorisation.
-Float mode uses partial-pivot LU with a configurable singularity tolerance.
+One factorisation per matrix gives the determinant and the solves with M
+and with M^t.  Exact mode clears each row's denominators and runs one
+fraction-free (Bareiss) LU over the integers, ``ExactLU``; float mode runs
+one partial-pivot LU, ``FloatLU``, with a configurable singularity
+tolerance.  ``det`` and ``solve`` pick the kernel by the entries.
 """
 
 from __future__ import annotations
@@ -200,39 +201,87 @@ def _substitute(lu: Sequence[Sequence[int]], b: List[int]) -> Tuple[List[int], i
     return x, d
 
 
-def det(m: Matrix, tol: float = FLOAT_TOL) -> Scalar:
-    """Determinant: fraction-free LU in exact mode, LU pivot product in float mode.
+class FloatLU:
+    """One partial-pivot LU factorisation P M = L U of a square binary64 M.
 
-    The empty 0x0 matrix has determinant 1.
+    Step k pivots on the first largest |entry| of column k and stops, M
+    singular, when it is at most tol * max(1, max |entry of M|).  ``lu`` holds
+    U and, below it, L's multipliers; row k of P M is row perm[k] of M.  Sums
+    run left to right (``reduce``: ``sum()`` compensates from Python 3.12 on).
     """
+
+    def __init__(self, m: Matrix, tol: float = FLOAT_TOL):
+        n = m.rows
+        a = [[float(v) for v in row] for row in m.data]
+        scale = max([1.0] + [abs(v) for row in a for v in row])
+        self.perm = list(range(n))
+        #: det(P), or 0 when M is singular
+        self.sign = 1
+        for k in range(n):
+            p = max(range(k, n), key=lambda i: abs(a[i][k]))
+            if abs(a[p][k]) <= tol * scale:
+                self.sign = 0
+                break
+            if p != k:
+                a[k], a[p] = a[p], a[k]
+                self.perm[k], self.perm[p] = self.perm[p], self.perm[k]
+                self.sign = -self.sign
+            for i in range(k + 1, n):
+                f = a[i][k] = a[i][k] / a[k][k]
+                for j in range(k + 1, n):
+                    a[i][j] -= f * a[k][j]
+        self.lu = a
+
+    def det(self) -> float:
+        """det(P) times the pivots' product, taken left to right; 0.0 when singular."""
+        if not self.sign:
+            return 0.0
+        return self.sign * reduce(operator.mul, [row[k] for k, row in enumerate(self.lu)], 1.0)
+
+    def solve(self, rhs: Sequence[Scalar]) -> List[float]:
+        """x with M x = rhs: L y = P rhs, then U x = y."""
+        lu, n = self.lu, self._check(rhs)
+        b = [float(rhs[i]) for i in self.perm]
+        for k in range(n):
+            for i in range(k + 1, n):
+                b[i] -= lu[i][k] * b[k]
+        x = [0.0] * n
+        for k in range(n - 1, -1, -1):
+            x[k] = (b[k] - reduce(operator.add, (lu[k][j] * x[j] for j in range(k + 1, n)),
+                                  0.0)) / lu[k][k]
+        return x
+
+    def solve_transpose(self, rhs: Sequence[Scalar]) -> List[float]:
+        """y with M^t y = rhs: U^t z = rhs, L^t w = z, then y = P^t w."""
+        lu, n = self.lu, self._check(rhs)
+        z = [0.0] * n
+        for k in range(n):
+            z[k] = (float(rhs[k]) - reduce(operator.add, (lu[j][k] * z[j] for j in range(k)),
+                                           0.0)) / lu[k][k]
+        for k in range(n - 1, -1, -1):
+            z[k] -= reduce(operator.add, (lu[j][k] * z[j] for j in range(k + 1, n)), 0.0)
+        y = [0.0] * n
+        for k, i in enumerate(self.perm):
+            y[i] = z[k]
+        return y
+
+    def _check(self, rhs: Sequence[Scalar]) -> int:
+        if len(rhs) != len(self.lu):
+            raise DimensionMismatch(f"rhs length {len(rhs)} != {len(self.lu)}")
+        if not self.sign:
+            raise Singular(0.0)
+        return len(self.lu)
+
+
+def _kernel(m: Matrix, tol: float):
     if m.rows != m.cols:
         raise NotSquare(f"{m.rows}x{m.cols}")
-    if m.rows == 0:
-        return Fraction(1) if m.is_exact() else 1.0
-    if m.is_exact():
-        return ExactLU(m).det()
-    return _det_float(m, tol)
+    return ExactLU(m) if m.is_exact() else FloatLU(m, tol)
 
 
-def _det_float(m: Matrix, tol: float) -> float:
-    n = m.rows
-    a = [[float(v) for v in row] for row in m.data]
-    scale = max(max(abs(v) for v in row) for row in a)
-    scale = max(scale, 1.0)
-    result = 1.0
-    for k in range(n):
-        p = max(range(k, n), key=lambda i: abs(a[i][k]))
-        if abs(a[p][k]) <= tol * scale:
-            return 0.0
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            result = -result
-        result *= a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            for j in range(k + 1, n):
-                a[i][j] -= f * a[k][j]
-    return result
+def det(m: Matrix, tol: float = FLOAT_TOL) -> Scalar:
+    """Determinant by ``ExactLU`` or ``FloatLU``; the 0x0 matrix has det 1."""
+    return _kernel(m, tol).det()
 
 
 def solve(m: Matrix, rhs: Sequence[Scalar], tol: float = FLOAT_TOL) -> List[Scalar]:
@@ -241,35 +290,7 @@ def solve(m: Matrix, rhs: Sequence[Scalar], tol: float = FLOAT_TOL) -> List[Scal
     Raises Singular (carrying the determinant value) when no unique
     solution exists.
     """
-    if m.rows != m.cols:
-        raise NotSquare(f"{m.rows}x{m.cols}")
-    if len(rhs) != m.rows:
-        raise DimensionMismatch(f"rhs length {len(rhs)} != {m.rows}")
-    n = m.rows
-    if n == 0:
-        return []
-    if m.is_exact():
-        return ExactLU(m).solve(rhs)
-
-    a = [[float(v) for v in row] + [float(b)] for row, b in zip(m.data, rhs)]
-    scale = max(max(abs(v) for v in row[:n]) for row in a)
-    scale = max(scale, 1.0)
-    for k in range(n):
-        piv = max(range(k, n), key=lambda i: abs(a[i][k]))
-        if abs(a[piv][k]) <= tol * scale:
-            raise Singular(_det_float(m, tol))
-        a[k], a[piv] = a[piv], a[k]
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            for j in range(k, n + 1):
-                a[i][j] -= f * a[k][j]
-    xs = [0.0] * n
-    for k in range(n - 1, -1, -1):
-        # reduce, not sum(): sum() compensates float sums from Python 3.12 on;
-        # left to right from 0.0 gives the same digits on every version
-        s = a[k][n] - reduce(operator.add, (a[k][j] * xs[j] for j in range(k + 1, n)), 0.0)
-        xs[k] = s / a[k][k]
-    return xs
+    return _kernel(m, tol).solve(rhs)
 
 
 def format_scalar(v: Scalar) -> Union[str, float]:

@@ -21,7 +21,7 @@ from .errors import (
     SchemaError,
     TableExhausted,
 )
-from .linalg import FLOAT_TOL, parse_scalar
+from .linalg import FLOAT_RESIDUAL_TOL, FLOAT_TOL, parse_scalar
 
 Scalar = Union[Fraction, float]
 
@@ -137,9 +137,20 @@ class _ScalarMode:
 
     mode: str
 
+    def __post_init__(self):
+        if self.mode not in (EXACT, FLOAT64):
+            raise SchemaError("$.scalar", f"unknown scalar mode {self.mode!r}")
+
     @property
     def exact(self) -> bool:
         return self.mode == EXACT
+
+    def is_zero(self, value, scale=1) -> bool:
+        """value == 0 in exact mode; in float mode
+        |value| <= FLOAT_RESIDUAL_TOL * max(1, |scale|)."""
+        if self.exact:
+            return value == 0
+        return abs(float(value)) <= FLOAT_RESIDUAL_TOL * max(1.0, abs(float(scale)))
 
     def zero(self) -> Scalar:
         return Fraction(0) if self.exact else 0.0
@@ -166,8 +177,7 @@ class MeasureSystem(_ScalarMode):
     def __post_init__(self):
         if not self.measures:
             raise SchemaError("$.measures", "at least one measure required")
-        if self.mode not in (EXACT, FLOAT64):
-            raise SchemaError("$.scalar", f"unknown scalar mode {self.mode!r}")
+        super().__post_init__()
 
     @property
     def r(self) -> int:
@@ -203,6 +213,7 @@ class UniMeasureSystem(_ScalarMode):
     def __post_init__(self):
         if not self.families:
             raise SchemaError("$.measures", "at least one measure required")
+        super().__post_init__()
 
     @property
     def r(self) -> int:

@@ -10,6 +10,8 @@ denominator, however many polynomials it is paired against; ``inner`` and
 ``type1_pairing`` are one-shot uses.  Univariate systems run through the
 same solver over the power basis (see ``_basis``).
 
+``_factorise`` runs one factorisation of M_n, ``ExactLU`` or ``FloatLU``, for
+an index's det, verdict, Type I (a solve with M_n) and Type II (with M_n^t).
 Exact solves go by neighbour path (``solve_path``): every M_n on a path is a
 leading block of the last one, so one factorisation solves the whole path.
 """
@@ -32,10 +34,9 @@ from .errors import (
     NotNormal,
     NoWeightEvaluator,
     PathInvalid,
-    Singular,
     TableExhausted,
 )
-from .linalg import FLOAT_RESIDUAL_TOL, ExactLU, Matrix, Scalar, det, format_scalar, solve
+from .linalg import ExactLU, FloatLU, Matrix, Scalar, det, format_scalar
 from .measures import MeasureSystem, UniMeasureSystem
 
 if TYPE_CHECKING:
@@ -81,8 +82,8 @@ class BiPoly(_Dense):
         z = mi.pair(t, s)
         return cls.from_coeffs([0] * z + [c])
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(c) <= tol for c in self.coeffs)
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
 
     @property
     def top_position(self) -> int:
@@ -141,11 +142,6 @@ class BiPoly(_Dense):
                 t, s = mi.unpair(z)
                 total += c * x ** t * y ** s
         return total
-
-    def allclose(self, other: "BiPoly", tol: float = FLOAT_RESIDUAL_TOL) -> bool:
-        n = max(len(self.coeffs), len(other.coeffs))
-        scale = max([1.0] + [abs(float(self[z])) for z in range(n)])
-        return all(abs(float(self[z]) - float(other[z])) <= tol * scale for z in range(n))
 
     def terms(self) -> List[Tuple[int, int, Scalar]]:
         """Nonzero (t, s, coefficient) triples, descending Cantor position."""
@@ -268,36 +264,30 @@ def moment_matrix(sys: System, n: Sequence[int]) -> MomentMatrix:
 
 
 class _Solved:
-    """Cached results of one index; None where not (yet) known."""
+    """Cached results of one index: type2 and type1 are None when M_n is
+    singular, type2 the TableExhausted its right-hand side raised."""
 
-    __slots__ = ("det", "type2", "type1")
+    __slots__ = ("verdict", "type2", "type1")
 
-    def __init__(self, det: Optional[Scalar] = None):
-        self.det = det
-        self.type2: Optional[BiPoly] = None
-        self.type1: Optional[TypeISet] = None
+    def __init__(self, verdict: Normality):
+        self.verdict = verdict
+        self.type2 = self.type1 = None
 
 
 def _solved(sys: System, key: Tuple[int, ...]) -> _Solved:
-    """The cache entry of an index.
-
-    In exact mode the first call solves the index as a one-step path.
-    Float entries start empty and are filled one solve at a time.  Systems
-    are frozen, so the key needs no scalar mode.
-    """
+    """The cache entry of an index; the first call solves it as a one-step
+    path.  Systems are frozen, so the key needs no scalar mode."""
     if key not in sys._index_cache:
-        if sys.exact:
-            _factorise(sys, [key])
-        else:
-            sys._index_cache[key] = _Solved()
+        _factorise(sys, [key])
     return sys._index_cache[key]
 
 
 def solve_path(sys: System, steps: Sequence[Sequence[int]]) -> None:
     """Solve the indices of a neighbour path that are not yet cached, from
     one factorisation, for normality, type2 and type1 to read."""
-    # Float mode solves nothing here, nor does a moment table too short for
-    # the last index: the indices are then solved one by one on request.
+    # Float mode solves nothing here (a magnitude pivot may come from below a
+    # leading block, so the block's factors are not its own), nor does a
+    # table too short for the last index: indices are then solved on request.
     keys = [_index(sys, n) for n in steps]
     if not mi.Path(tuple(keys)).is_valid():
         raise PathInvalid("not a neighbour path")
@@ -313,45 +303,42 @@ def _factorise(sys: System, steps: List[Tuple[int, ...]]) -> None:
     # columns of the last index's M in the order the steps added them, the
     # M of every index on the path is a leading block of it (Gauss-Borel):
     # one ExactLU, then two substitutions per index fill its cache entry.
+    # A float path has one step: one FloatLU of M_n.
     last = steps[-1]
     offsets = [0, *accumulate(last)]
     order = [offsets[j] + l for j, nj in enumerate(steps[0]) for l in range(nj)]
     order += [offsets[j] + a[j] for a, b in zip(steps, steps[1:])
               for j in range(len(a)) if a[j] != b[j]]
-    lu = ExactLU(moment_matrix(sys, last).matrix, order)
+    m = moment_matrix(sys, last).matrix
+    lu = ExactLU(m, order) if sys.exact else FloatLU(m, sys.tol)
     for key in steps:
         if key in sys._index_cache:
             continue
-        block = lu.leading(sum(key))
-        entry = sys._index_cache[key] = _Solved(det=block.det())
-        if entry.det == 0 or not sum(key):
+        block = lu if key == last else lu.leading(sum(key))
+        d = block.det()
+        entry = sys._index_cache[key] = _Solved(
+            Normality(normal=d != 0 if sys.exact else _float_verdict(d, m), det=d))
+        if not block.sign or not sum(key):
             continue
         entry.type1 = _type1_set(sys, key, block.solve)
         try:
             entry.type2 = _type2_poly(sys, key, block.solve_transpose)
-        except TableExhausted:
+        except TableExhausted as exc:
             # The Type II right-hand side needs moments of order |n|, which a
             # table may lack; type2 then raises on request, normality still works.
-            pass
+            entry.type2 = exc.with_traceback(None)
 
 
-def _solver(sys: System, key: Tuple[int, ...], entry: _Solved, transpose: bool):
-    """Solve with M_n (or M_n^t) on its own, as float mode does.
-
-    Raises NotNormal when the index is known or found to be singular.
-    """
-    if entry.det == 0:
-        raise NotNormal(key, entry.det)
-    m = moment_matrix(sys, key).matrix
-    if transpose:
-        m = m.transpose()
-
-    def run(rhs):
-        try:
-            return solve(m, rhs, tol=sys.tol)
-        except Singular as exc:
-            raise NotNormal(key, exc.det) from None
-    return run
+def _float_verdict(d: float, m: Matrix) -> Optional[bool]:
+    """False, None (indeterminate) or True as |d| falls below FLOAT_DET_LOW,
+    between it and FLOAT_DET_HIGH, or above, times the Hadamard bound of m."""
+    bound = 1.0
+    for row in m.data:
+        # reduce, not sum(): the same digits on every Python version
+        bound *= max(1.0, reduce(operator.add, (v * v for v in row), 0.0) ** 0.5)
+    if abs(d) <= FLOAT_DET_LOW * bound:
+        return False
+    return None if abs(d) < FLOAT_DET_HIGH * bound else True
 
 
 def _type2_poly(sys: System, n: Tuple[int, ...], solve_t) -> BiPoly:
@@ -383,20 +370,7 @@ def normality(sys: System, n: Sequence[int]) -> Normality:
     float mode the verdict is indeterminate (None) when |det| falls between
     FLOAT_DET_LOW and FLOAT_DET_HIGH times the Hadamard bound of the matrix.
     """
-    if sys.exact:
-        d = _solved(sys, _index(sys, n)).det
-        return Normality(normal=(d != 0), det=d)
-    mm = moment_matrix(sys, n)
-    d = det(mm.matrix, tol=sys.tol)
-    bound = 1.0
-    for row in mm.matrix.data:
-        # reduce, not sum(): the same digits on every Python version
-        bound *= max(1.0, reduce(operator.add, (float(v) * float(v) for v in row), 0.0) ** 0.5)
-    if abs(d) <= FLOAT_DET_LOW * bound:
-        return Normality(normal=False, det=d)
-    if abs(d) < FLOAT_DET_HIGH * bound:
-        return Normality(normal=None, det=d)
-    return Normality(normal=True, det=d)
+    return _solved(sys, _index(sys, n)).verdict
 
 
 def is_normal(sys: MeasureSystem, n: Sequence[int]) -> bool:
@@ -415,7 +389,9 @@ def type2(sys: System, n: Sequence[int]) -> BiPoly:
         return _basis(sys)[1]((sys.one(),))
     entry = _solved(sys, key)
     if entry.type2 is None:
-        entry.type2 = _type2_poly(sys, key, _solver(sys, key, entry, transpose=True))
+        raise NotNormal(key, entry.verdict.det)
+    if isinstance(entry.type2, TableExhausted):
+        raise TableExhausted(*entry.type2.args)
     return entry.type2
 
 
@@ -431,7 +407,7 @@ def type1(sys: System, n: Sequence[int]) -> TypeISet:
         raise EmptyIndex("Type I polynomials are undefined for the zero index")
     entry = _solved(sys, key)
     if entry.type1 is None:
-        entry.type1 = _type1_set(sys, key, _solver(sys, key, entry, transpose=False))
+        raise NotNormal(key, entry.verdict.det)
     return entry.type1
 
 

@@ -13,9 +13,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import multiindex as mi
 from .errors import BadV, DivisionByZeroFactor, SurplusNegative
-from .linalg import FLOAT_RESIDUAL_TOL, Scalar
+from .linalg import Scalar
 from .measures import MeasureSystem, TensorMeasure, UniMeasureSystem
-from .mopcore import BiPoly, moment_matrix, type2, uni_type2
+from .mopcore import BiPoly, normality, type2, uni_type2
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,9 @@ def product_poly(ps: ProductSystem, n: Sequence[int], m: Sequence[int]) -> BiPol
 
 
 def verify_product(ps: ProductSystem, n: Sequence[int], m: Sequence[int],
-                   v: Sequence[int], tol: float = FLOAT_RESIDUAL_TOL) -> bool:
-    """True iff the bivariate Type II polynomial of v equals P_n(x) P_m(y)."""
+                   v: Sequence[int]) -> bool:
+    """True iff the bivariate Type II polynomial of v equals P_n(x) P_m(y),
+    coefficientwise within FLOAT_RESIDUAL_TOL of its largest in float mode."""
     v = tuple(v)
     tv = tilde_v(n, m)
     if len(v) != len(tv) or not mi.leq(v, tv):
@@ -104,10 +105,8 @@ def verify_product(ps: ProductSystem, n: Sequence[int], m: Sequence[int],
     if sum(v) != mi.pair(sum(n), sum(m)):
         raise BadV(f"|v| = {sum(v)} != pair(|n|, |m|) = {mi.pair(sum(n), sum(m))}")
     pv = type2(ps.bivariate, v)
-    r = product_poly(ps, n, m)
-    if ps.bivariate.exact:
-        return pv == r
-    return pv.allclose(r, tol)
+    scale = max(abs(c) for c in pv.coeffs)
+    return all(ps.bivariate.is_zero(c, scale) for c in (pv - product_poly(ps, n, m)).coeffs)
 
 
 @dataclass(frozen=True)
@@ -131,12 +130,12 @@ def det_factor_check(ps: ProductSystem, v: Sequence[int],
     order) pairs multiplied into the denominator.  A finite nonzero ratio
     confirms proportionality; the constant itself is reported, not asserted.
     """
-    num = moment_matrix(ps.bivariate, v).det
+    num = normality(ps.bivariate, v).det
     den = ps.bivariate.one()
     for f in x_factors:
-        den *= moment_matrix(ps.xsystem, f).det
+        den *= normality(ps.xsystem, f).det
     for f in y_factors:
-        den *= moment_matrix(ps.ysystem, f).det
+        den *= normality(ps.ysystem, f).det
     for j, k in x_moments:
         den *= ps.xsystem.moment(j, k)
     for j, k in y_moments:

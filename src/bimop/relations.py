@@ -15,19 +15,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import multiindex as mi
 from .errors import ChainInvalid, EmptyIndex, IndexTooSmall, PathInvalid
-from .linalg import FLOAT_RESIDUAL_TOL, Matrix, Scalar, format_scalar
+from .linalg import Matrix, Scalar, format_scalar
 from .measures import MeasureSystem
 from .mopcore import BiPoly, moment_rows, solve_path, type1, type1_pairing, type2
-
-
-def _is_zero(sys: MeasureSystem, value, scale=1, tol: float = FLOAT_RESIDUAL_TOL) -> bool:
-    if sys.exact:
-        return value == 0
-    return abs(float(value)) <= tol * max(1.0, abs(float(scale)))
-
-
-def _poly_zero(sys: MeasureSystem, p: BiPoly, scale=1, tol: float = FLOAT_RESIDUAL_TOL) -> bool:
-    return all(_is_zero(sys, c, scale, tol) for c in p.coeffs)
 
 
 @dataclass(frozen=True)
@@ -56,7 +46,7 @@ def biorth(sys: MeasureSystem, n: Sequence[int], m: Sequence[int]) -> BiorthResu
         expected, label = 1, "|n|=|m|-1"
     else:
         return BiorthResult(value, None, "unconstrained", None)
-    return BiorthResult(value, expected, label, _is_zero(sys, value - expected))
+    return BiorthResult(value, expected, label, sys.is_zero(value - expected))
 
 
 @dataclass(frozen=True)
@@ -108,7 +98,7 @@ def biorth_matrix(sys: MeasureSystem,
 
     matches = None
     if expected is not None:
-        matches = all(_is_zero(sys, data[k][i] - expected[k][i])
+        matches = all(sys.is_zero(data[k][i] - expected[k][i])
                       for k in range(d + 1) for i in range(h + 1))
     return BiorthMatrixResult(matrix=b, case=case, matches=matches)
 
@@ -157,7 +147,7 @@ def gram_pattern_holds(sys: MeasureSystem, n: Sequence[int], p: BiPoly) -> bool:
     """True iff <p, x^t y^s>_j vanishes for the first n_j monomials of each j
     (the Type II conditions of n), within FLOAT_RESIDUAL_TOL in float mode."""
     pair = moment_rows(sys, p)
-    return all(_is_zero(sys, pair((BiPoly.monomial(*mi.unpair(l)),), j))
+    return all(sys.is_zero(pair((BiPoly.monomial(*mi.unpair(l)),), j))
                for j, nj in enumerate(n, start=1) for l in range(nj))
 
 
@@ -175,7 +165,7 @@ def assemble_type1_vectors(sys: MeasureSystem, chain: Sequence[Sequence[int]]) -
         for l in range(size):
             total = type1_pairing(sys, BiPoly.monomial(*mi.unpair(l)), n)
             want = 1 if l == size - 1 else 0
-            if not _is_zero(sys, total - want):
+            if not sys.is_zero(total - want):
                 ok = False
     rows = tuple(tuple(sets[k].polys[j] for k in range(d + 1)) for j in range(r))
     return TypeIMOPV(degree=d, chain=tuple(chain), rows=rows, pattern_ok=ok)
@@ -228,8 +218,7 @@ def _as_path(path) -> mi.Path:
 
 
 def nnr_type2(sys: MeasureSystem, n: Sequence[int], axis: str,
-              path=None, w: Optional[Sequence[int]] = None,
-              tol: float = FLOAT_RESIDUAL_TOL) -> NNRReport:
+              path=None, w: Optional[Sequence[int]] = None) -> NNRReport:
     """Check x*P_n (or y*P_n) against its nearest-neighbour expansion.
 
     Coefficients are the pairings <axis * P_n, Q_{m_{i+1}}>; the residual is
@@ -280,9 +269,9 @@ def nnr_type2(sys: MeasureSystem, n: Sequence[int], axis: str,
         if a != 0:
             residual = residual - type2(sys, path.at_modulus(i)).scale(a)
     vanish_below = p.modulus - (d + 1) * r
-    vanishing_ok = all(_is_zero(sys, a, scale, tol)
+    vanishing_ok = all(sys.is_zero(a, scale)
                        for i, a in coefficients if i < vanish_below)
-    holds = _poly_zero(sys, residual, scale, tol) and vanishing_ok
+    holds = all(sys.is_zero(c, scale) for c in residual.coeffs) and vanishing_ok
     return NNRReport(variant=f"{axis}P", path=path, holds=holds,
                      coefficients=coefficients, residual=residual,
                      vanishing_ok=vanishing_ok)
@@ -300,7 +289,7 @@ def _default_descent(n: Tuple[int, ...], drop: int) -> Tuple[int, ...]:
 
 
 def nnr_type1(sys: MeasureSystem, n: Sequence[int], axis: str,
-              path=None, tol: float = FLOAT_RESIDUAL_TOL) -> NNRReport:
+              path=None) -> NNRReport:
     """Check x*Q_n (or y*Q_n) against its nearest-neighbour expansion.
 
     Verifies the per-measure coefficient identity
@@ -364,10 +353,10 @@ def nnr_type1(sys: MeasureSystem, n: Sequence[int], axis: str,
         coefficients.append((k, value))
     by_mod = dict(coefficients)
 
-    vanishing_ok = all(_is_zero(sys, by_mod[k], scale, tol) for k in range(1, low_mod))
+    vanishing_ok = all(sys.is_zero(by_mod[k], scale) for k in range(1, low_mod))
     low_unit_ok = None
     if low_mod >= 1:
-        low_unit_ok = _is_zero(sys, by_mod[low_mod] - 1, scale, tol)
+        low_unit_ok = sys.is_zero(by_mod[low_mod] - 1, scale)
 
     # Residual of the expansion with the computed coefficients, measure by
     # measure; the unit-low-coefficient claim is reported separately because
@@ -382,7 +371,7 @@ def nnr_type1(sys: MeasureSystem, n: Sequence[int], axis: str,
                 res = res - type1(sys, full.at_modulus(k)).polys[j - 1].scale(a)
         residuals.append(res)
 
-    holds = (all(_poly_zero(sys, rj, scale, tol) for rj in residuals)
+    holds = (all(sys.is_zero(c, scale) for rj in residuals for c in rj.coeffs)
              and vanishing_ok)
     return NNRReport(variant=f"{axis}Q", path=full, holds=holds,
                      coefficients=coefficients, residual=residuals,
@@ -408,8 +397,7 @@ def default_vector_chains(chain: Sequence[Sequence[int]]):
 
 
 def nnr_vector(sys: MeasureSystem, chain: Sequence[Sequence[int]], axis: str,
-               lower=None, upper=None,
-               tol: float = FLOAT_RESIDUAL_TOL) -> NNRReport:
+               lower=None, upper=None) -> NNRReport:
     """Vector nearest-neighbour check for one degree-d polynomial vector.
 
     Stacks the scalar expansions of axis*P_{n_k} into matrices A_h and
@@ -474,17 +462,17 @@ def nnr_vector(sys: MeasureSystem, chain: Sequence[Sequence[int]], axis: str,
             a = pair(type1(sys, gpath.at_modulus(i + 1)).polys)
             lt, ls = mi.unpair(i)
             amats[lt + ls][k][ls] = a
-            if i > row_top and not _is_zero(sys, a, scale, tol):
+            if i > row_top and not sys.is_zero(a, scale):
                 leading_ok = False
             if a != 0:
                 res = res - type2(sys, gpath.at_modulus(i)).scale(a)
         residuals.append(res)
 
-    vanishing_ok = all(_is_zero(sys, v, scale, tol)
+    vanishing_ok = all(sys.is_zero(v, scale)
                        for h in range(max(kk - 1, 0))
                        for row in amats[h] for v in row)
     holds = (leading_ok and vanishing_ok
-             and all(_poly_zero(sys, res, scale, tol) for res in residuals))
+             and all(sys.is_zero(c, scale) for res in residuals for c in res.coeffs))
     matrices = {h: Matrix.from_rows(amats[h]) for h in range(d + 2)}
     return NNRReport(variant=f"vector-{axis}", path=gpath, holds=holds,
                      residual=residuals, vanishing_ok=vanishing_ok,

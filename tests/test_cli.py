@@ -246,6 +246,15 @@ def test_negative_components_rejected(configs, argv, flag):
     assert doc["error"].startswith(f"{flag}: ")
 
 
+def test_float_zero_index_det_is_a_float(configs):
+    code, out, _ = invoke(["normal", "--config", configs["duo"], "--float",
+                           "--index", "0,0"])
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc == {"normal": True, "det": 1.0}
+    assert type(doc["det"]) is float
+
+
 def test_float_mode(configs):
     code, out, _ = invoke(["normal", "--config", configs["duo"],
                            "--float", "--index", "2,2"])

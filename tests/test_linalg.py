@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bimop import Matrix, NotSquare, Singular, det, format_scalar, parse_scalar, solve
-from bimop.linalg import ExactLU
+from bimop.linalg import ExactLU, FloatLU
 
 
 def cofactor_det(m):
@@ -144,6 +144,68 @@ def test_float_singular_detection():
     m = Matrix.from_rows([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(Singular):
         solve(m, [1.0, 1.0])
+
+
+floats = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def float_cases(draw):
+    """A 1-7 square float matrix, plain or singular by construction, and a rhs.
+
+    "duplicate-row" repeats a row and "zero-column" zeroes a column; both
+    stay exactly singular under elimination, whatever the rounding.
+    """
+    n = draw(st.integers(min_value=1, max_value=7))
+    rows = draw(st.lists(st.lists(floats, min_size=n, max_size=n), min_size=n, max_size=n))
+    shape = draw(st.sampled_from(["plain", "duplicate-row", "zero-column"]))
+    singular = shape == "zero-column" or (shape == "duplicate-row" and n > 1)
+    if shape == "duplicate-row" and n > 1:
+        i, j = draw(st.permutations(range(n)))[:2]
+        rows[i] = list(rows[j])
+    elif shape == "zero-column":
+        c = draw(st.integers(min_value=0, max_value=n - 1))
+        for row in rows:
+            row[c] = 0.0
+    rhs = draw(st.lists(floats, min_size=n, max_size=n))
+    return Matrix.from_rows(rows), rhs, singular
+
+
+@settings(max_examples=80, deadline=None)
+@given(float_cases())
+def test_float_lu_against_exact_lu(case):
+    """FloatLU judged by ExactLU on the same matrix converted exactly.
+
+    det within 1e-10 of the scale (sqrt(n) max|m|)^n of any det of that
+    size; solves with m and m^t with an exact residual within 1e-10 of
+    |m| |x| + |rhs| (backward stability of partial pivoting); Singular
+    with det 0.0 exactly when the factorisation stops.
+    """
+    m, rhs, singular = case
+    n = m.rows
+    exact = Matrix.from_rows([[F(v) for v in row] for row in m.data])
+    lu = FloatLU(m)
+    big = max([1.0] + [abs(v) for row in m.data for v in row])
+    got = lu.det()
+    assert type(got) is float
+    assert abs(F(got) - ExactLU(exact).det()) <= F(1e-10) * F(n ** 0.5 * big) ** n
+    if singular:
+        assert not lu.sign
+    if not lu.sign:
+        assert got == 0.0
+        for solve_ in (lu.solve, lu.solve_transpose):
+            with pytest.raises(Singular) as err:
+                solve_(rhs)
+            assert type(err.value.det) is float and err.value.det == 0.0
+        return
+    norm = max(sum(abs(v) for v in row) for row in m.data)
+    norm_t = max(sum(abs(row[j]) for row in m.data) for j in range(n))
+    for a, size, solve_ in ((exact, norm, lu.solve),
+                            (exact.transpose(), norm_t, lu.solve_transpose)):
+        x = solve_(rhs)
+        residual = [F(b) - v for b, v in zip(rhs, a.matvec([F(v) for v in x]))]
+        bound = 1e-10 * (size * max(abs(v) for v in x) + max(abs(b) for b in rhs))
+        assert max(abs(r) for r in residual) <= F(bound)
 
 
 def test_transpose_matvec():

@@ -114,6 +114,13 @@ def test_zero_index_is_vacuously_normal(duo):
     assert type2(duo, (0, 0)).coeffs == (F(1),)
 
 
+@pytest.mark.parametrize("make", [make_pair_system, make_xsystem])
+def test_float_zero_index_has_a_float_det(make):
+    v = normality(make("float64"), (0, 0))
+    assert v.normal is True
+    assert type(v.det) is float and v.det == 1.0
+
+
 def test_quad_normality_examples(quad):
     assert moment_matrix(quad, (3, 3, 3, 3)).det == 0
     assert not is_normal(quad, (3, 3, 3, 3))
@@ -141,6 +148,8 @@ SYSTEMS = {
     "pair": make_pair_system,
     "quad": lambda: make_product_system().bivariate,
     "x": make_xsystem,
+    "pair-float": lambda: make_pair_system("float64"),
+    "x-float": lambda: make_xsystem("float64"),
 }
 
 
@@ -148,10 +157,13 @@ SYSTEMS = {
     pytest.param("pair", (3, 4), "", id="n0"),
     pytest.param("quad", (3, 3, 3, 3), "", id="n1"),
     pytest.param("x", (3, 4), "uni_", id="uni"),
+    pytest.param("pair-float", (3, 4), "", id="float"),
+    pytest.param("x-float", (3, 4), "uni_", id="uni-float"),
 ])
 @pytest.mark.parametrize("first", ["normality", "type2", "type1"])
 def test_one_moment_matrix_per_exact_index(monkeypatch, system, n, prefix, first):
-    """normality, type2 and type1 of one exact index share one M_n.
+    """normality, type2 and type1 of one index share one M_n, in exact and
+    in float mode.
 
     The univariate entry points (prefix "uni_") run the same solver.
     """
@@ -288,10 +300,60 @@ def test_float_digits_pinned():
     """float.hex() of float Type II/I coefficients, as summed left to right
     (Python's own float sum() compensates from 3.12 on)."""
     sys_ = make_pair_system("float64")
-    assert type2(sys_, (0, 5)).coeffs[0].hex() == "0x1.7c28f5c28f59fp+4"
-    assert type2(sys_, (0, 6)).coeffs[0].hex() == "-0x1.178d4fdf3b6c8p+6"
-    assert type2(sys_, (0, 7)).coeffs[0].hex() == "-0x1.d916872b02163p+5"
+    assert type2(sys_, (0, 5)).coeffs[0].hex() == "0x1.7c28f5c28f587p+4"
+    assert type2(sys_, (0, 6)).coeffs[0].hex() == "-0x1.178d4fdf3b6fdp+6"
+    assert type2(sys_, (0, 7)).coeffs[0].hex() == "-0x1.d916872b02089p+5"
     assert type1(sys_, (0, 4)).polys[1].coeffs[0].hex() == "0x1.000000000002fp-1"
+
+
+def normwise_error(got, want):
+    """max |got - want| / max |want| over one coefficient vector."""
+    return (max(abs(g - float(w)) for g, w in zip(got, want))
+            / max(abs(float(w)) for w in want))
+
+
+def type1_vector(aset, n):
+    """The Type I coefficients of n, block j padded to n_j entries."""
+    out = []
+    for p, nj in zip(aset.polys, n):
+        out += list(p.coeffs) + [0] * (nj - len(p.coeffs))
+    return out
+
+
+def test_pair_float_matches_exact():
+    """Float Type II and Type I of the pair system within 1e-8 normwise of
+    exact at moduli 5-22, a = mod/2 +- 2; an index exact calls not normal
+    raises NotNormal in float too."""
+    exact, approx = make_pair_system(), make_pair_system("float64")
+    for mod in range(5, 23):
+        for a in range(mod // 2 - 2, mod // 2 + 3):
+            n = (a, mod - a)
+            if not normality(exact, n).normal:
+                for call in (type2, type1):
+                    with pytest.raises(NotNormal):
+                        call(approx, n)
+                continue
+            got, want = type2(approx, n).coeffs, type2(exact, n).coeffs
+            assert len(got) == len(want)
+            assert normwise_error(got, want) <= 1e-8
+            got, want = type1_vector(type1(approx, n), n), type1_vector(type1(exact, n), n)
+            assert normwise_error(got, want) <= 1e-8
+
+
+def test_float_type2_raises_where_type1_does():
+    """Type II and Type I come from one float factorisation of M_n, so at
+    moduli 35-40 (a = mod/2 +- 2) one raises NotNormal exactly when the
+    other does."""
+    for mod in range(35, 41):
+        for a in range(mod // 2 - 2, mod // 2 + 3):
+            raised = []
+            for call in (type2, type1):
+                try:
+                    call(make_pair_system("float64"), (a, mod - a))
+                except NotNormal as exc:
+                    assert exc.det == 0.0
+                    raised.append(call)
+            assert raised in ([], [type2, type1])
 
 
 def test_float_normality_can_be_indeterminate(duo_float):

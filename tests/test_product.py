@@ -13,6 +13,7 @@ from bimop import (
     det_factor_check,
     find_v,
     is_normal,
+    normality,
     pair,
     product_poly,
     tilde_v,
@@ -155,6 +156,21 @@ def test_det_factor_check_second_example(psys):
                           x_moments=[(2, 0)], y_moments=[(1, 0), (1, 0)])
     assert not fc.indeterminate
     assert fc.ratio != 0
+
+
+def test_det_factor_check_honours_the_float_tol():
+    """With tol = 1e-3 the last pivot of M_v (about 7e-4 of its largest
+    entry) counts as zero, and that of the x factor (about 2e-3) does not:
+    the check reads the dets normality gives under the system's tol."""
+    from bimop import Laguerre, ProductSystem, UniMeasureSystem
+    from conftest import X_ALPHAS, Y_ALPHAS
+    xs, ys = (UniMeasureSystem(families=tuple(Laguerre(a) for a in alphas),
+                               mode="float64", tol=1e-3) for alphas in (X_ALPHAS, Y_ALPHAS))
+    ps = ProductSystem.build(xs, ys)
+    fc = det_factor_check(ps, (0, 3, 1, 1), x_factors=[(2, 1)])
+    assert fc.numerator == normality(ps.bivariate, (0, 3, 1, 1)).det == 0.0
+    assert fc.denominator == normality(xs, (2, 1)).det != 0.0
+    assert fc.ratio == 0.0 and not fc.indeterminate
 
 
 def test_det_factor_check_indeterminate():
