@@ -7,13 +7,17 @@ unbounded supports are exact.  Exact pairings go through moment rows
 (``moment_rows``): a polynomial's denominators are cleared once, and each
 integer pairing <P, x^{e_l}>_j it needs is computed once, over one
 denominator, however many polynomials it is paired against; ``inner`` and
-``type1_pairing`` are one-shot uses.  Univariate systems run through the
+``type1_pairing`` are one-shot uses.  Exact sums of polynomials go through
+``combine``: every term is cleared onto one denominator at once, and each
+coefficient of the sum is one Fraction.  Univariate systems run through the
 same solver over the power basis (see ``_basis``).
 
 ``_factorise`` runs one factorisation of M_n, ``ExactLU`` or ``FloatLU``, for
 an index's det, verdict, Type I (a solve with M_n) and Type II (with M_n^t).
 Exact solves go by neighbour path (``solve_path``): every M_n on a path is a
-leading block of the last one, so one factorisation solves the whole path.
+leading block of the last one, so one factorisation solves the whole path,
+and a verifier that solves a path a step past its own top (``nnr_type2``)
+leaves the next verifier on that path nothing to factorise.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .errors import (
     PathInvalid,
     TableExhausted,
 )
-from .linalg import ExactLU, FloatLU, Matrix, Scalar, det, format_scalar
+from .linalg import FLOAT_TOL, ExactLU, FloatLU, Matrix, Scalar, det, format_scalar
 from .measures import MeasureSystem, UniMeasureSystem
 
 if TYPE_CHECKING:
@@ -199,16 +203,18 @@ class TypeISet:
 
 @dataclass
 class MomentMatrix:
-    """Block matrix M_n with block j holding n_j columns."""
+    """Block matrix M_n with block j holding n_j columns; a float det is
+    taken under the system's singularity tolerance, as ``normality``'s is."""
 
     index: Tuple[int, ...]
     matrix: Matrix
+    tol: float = FLOAT_TOL
     _det: Optional[Scalar] = None
 
     @property
     def det(self) -> Scalar:
         if self._det is None:
-            self._det = det(self.matrix)
+            self._det = det(self.matrix, self.tol)
         return self._det
 
 
@@ -260,7 +266,7 @@ def moment_matrix(sys: System, n: Sequence[int]) -> MomentMatrix:
                 row[col] = sys.moment(j, kt + lt, ks + ls)
             col += 1
     return MomentMatrix(index=tuple(n), matrix=Matrix.from_rows(rows) if size
-                        else Matrix(0, 0, []))
+                        else Matrix(0, 0, []), tol=sys.tol)
 
 
 class _Solved:
@@ -486,6 +492,45 @@ def inner(sys: MeasureSystem, j: int, p: BiPoly, q: BiPoly) -> Scalar:
     see ``moment_rows``.
     """
     return moment_rows(sys, p)((q,), j)
+
+
+def combine(sys: System, terms: Sequence[Tuple[Scalar, BiPoly]]) -> BiPoly:
+    """The polynomial sum of c * p over the (c, p) pairs of terms.
+
+    Exact mode clears every p onto one denominator in one ``_integer_terms``
+    call and every c onto the lcm of theirs, sums the integers by basis
+    position and makes each coefficient one Fraction.  Float mode goes term
+    by term, p_0 - (-c_1) p_1 - (-c_2) p_2 - ..., as a chain of ``-`` and
+    ``scale`` would, which fixes every digit.
+    """
+    if not terms:
+        return BiPoly.zero()
+    if not sys.exact:
+        c, out = terms[0]
+        if c != 1:
+            out = out.scale(c)
+        for c, p in terms[1:]:
+            out = out - (p if c == -1 else p.scale(-c))
+        return out
+    polys = []
+    size, lcm = 0, 1
+    for c, p in terms:
+        polys.append(p)
+        size = max(size, len(p.coeffs))
+        lcm = math.lcm(lcm, c.denominator)
+    cleared, d = _integer_terms(polys)
+    acc = [0] * size
+    for (c, _), p_terms in zip(terms, cleared):
+        k = c.numerator * (lcm // c.denominator)
+        for z, a in p_terms:
+            acc[z] += k * a
+    while acc and not acc[-1]:
+        acc.pop()
+    den = d * lcm
+    out = []
+    for a in acc:
+        out.append(Fraction(a, den))
+    return BiPoly(tuple(out))
 
 
 def _integer_terms(polys: Sequence[BiPoly]) -> Tuple[List[List[Tuple[int, int]]], int]:

@@ -17,7 +17,7 @@ from . import multiindex as mi
 from .errors import ChainInvalid, EmptyIndex, IndexTooSmall, PathInvalid
 from .linalg import Matrix, Scalar, format_scalar
 from .measures import MeasureSystem
-from .mopcore import BiPoly, moment_rows, solve_path, type1, type1_pairing, type2
+from .mopcore import BiPoly, combine, moment_rows, solve_path, type1, type1_pairing, type2
 
 
 @dataclass(frozen=True)
@@ -224,6 +224,10 @@ def nnr_type2(sys: MeasureSystem, n: Sequence[int], axis: str,
     Coefficients are the pairings <axis * P_n, Q_{m_{i+1}}>; the residual is
     axis*P_n - P_w - sum a_i P_{m_i}, compared to zero coefficientwise.
     Requires every n_j >= d_n + 1 so that v = n - (d_n + 1) stays natural.
+
+    The path is solved, by one factorisation, up to modulus |n| + d_n + 2
+    (the y check's top) when it reaches that far, else up to its own top:
+    the x and y checks of one path then share that factorisation.
     """
     if axis not in ("x", "y"):
         raise PathInvalid(f"axis must be 'x' or 'y', got {axis!r}")
@@ -256,18 +260,20 @@ def nnr_type2(sys: MeasureSystem, n: Sequence[int], axis: str,
     if not mi.leq(n, w_top):
         raise PathInvalid(f"w = {w_top} must dominate n componentwise")
 
-    solve_path(sys, path.steps[:top - path.start_modulus + 1])
+    reach = min(path.end_modulus, p.modulus + d + 2)
+    solve_path(sys, path.steps[:reach - path.start_modulus + 1])
     pn = type2(sys, n)
     xp = pn.mul_x() if axis == "x" else pn.mul_y()
     scale = max(abs(float(c)) for c in xp.coeffs)
     coefficients = []
-    residual = xp - type2(sys, w_top)
+    terms = [(1, xp), (-1, type2(sys, w_top))]
     pair = moment_rows(sys, xp)
     for i in range(path.start_modulus, top):
         a = pair(type1(sys, path.at_modulus(i + 1)).polys)
         coefficients.append((i, a))
         if a != 0:
-            residual = residual - type2(sys, path.at_modulus(i)).scale(a)
+            terms.append((-a, type2(sys, path.at_modulus(i))))
+    residual = combine(sys, terms)
     vanish_below = p.modulus - (d + 1) * r
     vanishing_ok = all(sys.is_zero(a, scale)
                        for i, a in coefficients if i < vanish_below)
@@ -364,12 +370,12 @@ def nnr_type1(sys: MeasureSystem, n: Sequence[int], axis: str,
     # from the orthogonality conditions.
     residuals = []
     for j in range(1, r + 1):
-        res = xa[j - 1]
+        terms = [(1, xa[j - 1])]
         for k in range(1, top + 1):
             a = by_mod[k]
             if a != 0:
-                res = res - type1(sys, full.at_modulus(k)).polys[j - 1].scale(a)
-        residuals.append(res)
+                terms.append((-a, type1(sys, full.at_modulus(k)).polys[j - 1]))
+        residuals.append(combine(sys, terms))
 
     holds = (all(sys.is_zero(c, scale) for rj in residuals for c in rj.coeffs)
              and vanishing_ok)
@@ -453,7 +459,7 @@ def nnr_vector(sys: MeasureSystem, chain: Sequence[Sequence[int]], axis: str,
         xp = pk.mul_x() if axis == "x" else pk.mul_y()
         scale = max(scale, max(abs(float(c)) for c in xp.coeffs))
         row_top = sum(nk) + bump
-        res = xp - type2(sys, gpath.at_modulus(row_top))
+        terms = [(1, xp), (-1, type2(sys, gpath.at_modulus(row_top)))]
         amats[d + 1][k][row_top - base] = sys.one()
         pair = moment_rows(sys, xp)
         for i in range(gpath.start_modulus, gtop):
@@ -465,8 +471,8 @@ def nnr_vector(sys: MeasureSystem, chain: Sequence[Sequence[int]], axis: str,
             if i > row_top and not sys.is_zero(a, scale):
                 leading_ok = False
             if a != 0:
-                res = res - type2(sys, gpath.at_modulus(i)).scale(a)
-        residuals.append(res)
+                terms.append((-a, type2(sys, gpath.at_modulus(i))))
+        residuals.append(combine(sys, terms))
 
     vanishing_ok = all(sys.is_zero(v, scale)
                        for h in range(max(kk - 1, 0))

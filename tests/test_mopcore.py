@@ -18,6 +18,7 @@ from bimop import (
     NoWeightEvaluator,
     NotNormal,
     PathInvalid,
+    ProductSystem,
     TableExhausted,
     TableMeasure,
     TensorMeasure,
@@ -40,7 +41,8 @@ from bimop import (
     unpair,
 )
 from bimop import mopcore
-from conftest import make_pair_system, make_product_system, make_xsystem, make_ysystem
+from conftest import (X_ALPHAS, Y_ALPHAS, make_pair_system, make_product_system, make_xsystem,
+                      make_ysystem)
 
 
 def direct_condition(sys_, j, p, t, s):
@@ -126,6 +128,20 @@ def test_quad_normality_examples(quad):
     assert not is_normal(quad, (3, 3, 3, 3))
     assert moment_matrix(quad, (4, 3, 3, 2)).det != 0
     assert is_normal(quad, (4, 3, 3, 2))
+
+
+def test_moment_matrix_det_honours_the_float_tol():
+    """A float M_n's det is taken under the system's tol, as normality's is:
+    with tol = 1e-3 the last pivot of M_(0,3,1,1) (about 7e-4 of its largest
+    entry) counts as zero, and that of the x factor's M_(2,1) does not."""
+    xs, ys = (UniMeasureSystem(families=tuple(Laguerre(a) for a in alphas),
+                               mode="float64", tol=1e-3) for alphas in (X_ALPHAS, Y_ALPHAS))
+    ps = ProductSystem.build(xs, ys)
+    for sys_, n in ((ps.bivariate, (0, 3, 1, 1)), (xs, (2, 1)), (ps.bivariate, (1, 1, 0, 1))):
+        want = normality(sys_, n).det
+        assert moment_matrix(sys_, n).det.hex() == want.hex()
+    assert moment_matrix(ps.bivariate, (0, 3, 1, 1)).det == 0.0
+    assert moment_matrix(xs, (2, 1)).det != 0.0
 
 
 def test_equivalence_of_solvers_and_det(duo):
@@ -630,6 +646,74 @@ def test_rows_read_no_moment_for_a_zero_coefficient():
     with pytest.raises(TableExhausted):
         pair((q2,))
     assert pair((q1,)) == naive_inner(sys_, 1, p, q1)
+
+
+def solved_poly(sys_, m, k):
+    """Polynomial k of index m: 0 zero, 1 P_m, 2 x*P_m, 3 y*P_m, 3 + j A_{m,j}."""
+    if k == 0:
+        return BiPoly.zero()
+    if k <= 3:
+        p = type2(sys_, m)
+        return (p, p.mul_x(), p.mul_y())[k - 1]
+    return type1(sys_, m).polys[k - 4]
+
+
+def residual_chain(terms):
+    """p_0 - a_1 p_1 - a_2 p_2 - ... for terms (1, p_0), (-a_1, p_1), ...,
+    one BiPoly ``-`` and ``scale`` at a time, the reference for combine's
+    float digits; a unit first weight and a weight of -1 take no scale."""
+    if not terms:
+        return BiPoly.zero()
+    c, out = terms[0]
+    if c != 1:
+        out = out.scale(c)
+    for c, p in terms[1:]:
+        out = out - (p if c == -1 else p.scale(-c))
+    return out
+
+
+COMBINE_WEIGHTS = st.one_of(st.sampled_from([F(1), F(-1), F(0)]),
+                            st.fractions(min_value=-6, max_value=6, max_denominator=40))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_combine_matches_the_residual_chain(duo, quad, data):
+    """combine equals the chain of ``-`` and ``scale``: as Fractions in exact
+    mode, bit for bit (type and float.hex()) in float mode; Type II and
+    Type I polynomials with rational weights, zero polynomials, zero
+    weights and empty sums included."""
+    for sys_, approx in zip((duo, quad), FLOAT_SYSTEMS):
+        picks = data.draw(st.lists(st.tuples(
+            st.sampled_from(PAIRING_INDICES[sys_.r]),
+            st.integers(0, 3 + sys_.r), COMBINE_WEIGHTS), max_size=6))
+        exact_terms = [(c, solved_poly(sys_, m, k)) for m, k, c in picks]
+        got = mopcore.combine(sys_, exact_terms)
+        assert got == residual_chain(exact_terms)
+        assert all(isinstance(c, F) for c in got.coeffs)
+        float_terms = [(float(c), solved_poly(approx, m, k)) for m, k, c in picks]
+        got = mopcore.combine(approx, float_terms)
+        want = residual_chain(float_terms)
+        assert ([(type(c), float(c).hex()) for c in got.coeffs]
+                == [(type(c), float(c).hex()) for c in want.coeffs])
+
+
+def test_combine_clears_every_polynomial_at_once(duo, monkeypatch):
+    """One _integer_terms call for the whole sum, whose value is not zero."""
+    cleared = []
+    clear = mopcore._integer_terms
+
+    def spy(polys):
+        cleared.append(list(polys))
+        return clear(polys)
+
+    monkeypatch.setattr(mopcore, "_integer_terms", spy)
+    terms = [(1, type2(duo, (2, 2)).mul_y()), (F(-3, 7), type2(duo, (3, 2))),
+             (F(5, 2), type1(duo, (2, 3)).polys[1]), (F(1, 3), BiPoly.zero())]
+    got = mopcore.combine(duo, terms)
+    assert cleared == [[p for _, p in terms]]
+    assert got == residual_chain(terms) and not got.is_zero()
+    assert mopcore.combine(duo, []) == BiPoly.zero()
 
 
 @pytest.mark.parametrize("call", [normality, type2, type1, moment_matrix])

@@ -15,6 +15,7 @@ from bimop import (
     assemble_type2_vector,
     biorth,
     biorth_matrix,
+    canonical_path,
     default_vector_chains,
     nnr_type1,
     nnr_type2,
@@ -350,3 +351,39 @@ def test_nnr_type2_clears_xp_denominators_once(monkeypatch):
     rep = nnr_type2(sys_, (6, 8), "x")
     assert rep.holds and len(rep.coefficients) > 10
     assert cleared.count((type2(sys_, (6, 8)).mul_x(),)) == 1
+
+
+def test_nnr_type2_axes_share_one_factorisation(monkeypatch):
+    """On a path through |n| + d_n + 2 the x check solves that far, so the
+    y check after it builds no M; both report what per-index solves report.
+    An x check on a path that ends at its own top builds only that top's M."""
+    n = (6, 8)
+    d = params(n).degree
+    v = tuple(nj - d - 1 for nj in n)
+    long = canonical_path([v, n, (n[0] + d + 2, n[1])])
+    short = canonical_path([v, n, (n[0] + d + 1, n[1])])
+    built = []
+    build = mopcore.moment_matrix
+
+    def spy(system, index):
+        built.append(tuple(index))
+        return build(system, index)
+
+    monkeypatch.setattr(mopcore, "moment_matrix", spy)
+    sys_ = make_pair_system()
+    got = [repr(nnr_type2(sys_, n, axis, path=long)) for axis in "xy"]
+    assert built == [long.steps[-1]]
+    built.clear()
+    assert nnr_type2(make_pair_system(), n, "x", path=short).holds
+    assert built == [short.steps[-1]]
+    monkeypatch.setattr(relations, "solve_path", lambda sys_, steps: None)
+    sys_ = make_pair_system()
+    assert [repr(nnr_type2(sys_, n, axis, path=long)) for axis in "xy"] == got
+
+
+def test_float_residual_digits_pinned():
+    """float.hex() of float residual coefficients, summed term by term in
+    the order the expansion lists them."""
+    sys_ = make_pair_system("float64")
+    assert nnr_vector(sys_, CHAIN_D2, "y").residual[0].coeffs[0].hex() == "0x1.2cb5bfd16269dp-37"
+    assert nnr_type2(sys_, (4, 4), "y").residual.coeffs[2].hex() == "-0x1.240f540000000p-31"
