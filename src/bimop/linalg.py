@@ -5,6 +5,11 @@ and with M^t.  Exact mode clears each row's denominators and runs one
 fraction-free (Bareiss) LU over the integers, ``ExactLU``; float mode runs
 one partial-pivot LU, ``FloatLU``, with a configurable singularity
 tolerance.  ``det`` and ``solve`` pick the kernel by the entries.
+
+An ``ExactLU`` also serves every leading block B_s of M (Gauss-Borel): its
+Type I solution, B_s c = e_{s-1}, is one back pass on U, and its Type II
+solution, B_s^t y = -(row s of M), is one back pass on L^t of the Bareiss
+multipliers the elimination left in row s.
 """
 
 from __future__ import annotations
@@ -79,7 +84,10 @@ class ExactLU:
 
     The transpose of ``lu`` is the same compact factorisation of (P A)^t, so
     one substitution routine solves with both M and M^t.  Every leading
-    block of A shares these factors (``leading``).
+    block B_s, the first s rows of M on the columns order[:s] kept in their
+    order in M, shares these factors: ``det(s)`` is det(B_s), and ``type1(s)``
+    and ``type2(s)`` read B_s's Type I and Type II solutions from them with
+    one back pass each (Gauss-Borel: a column of U^-1, a row of L^-1).
     """
 
     def __init__(self, m: Matrix, order: Optional[Sequence[int]] = None):
@@ -99,10 +107,11 @@ class ExactLU:
             lu.append([v.numerator * (d // v.denominator) for v in row])
         #: row k of P A is row perm[k] of A
         self.perm = list(range(n))
-        #: signs[s]: the sign of the row and column permutations of the
-        #: leading s x s block, for each s the elimination completed
+        #: signs[s]: the sign of the row and column permutations of B_s, or 0
+        #: when B_s is singular
         self.signs = [1]
         sign = prev = 1
+        last = -1
         for k in range(n):
             p = next((i for i in range(k, n) if lu[i][k]), None)
             if p is None:
@@ -114,40 +123,71 @@ class ExactLU:
             # column k of A passes the earlier columns that follow it in M
             if not in_place and sum(map(self.order[k].__lt__, self.order[:k])) % 2:
                 sign = -sign
-            self.signs.append(sign)
+            # B_{k+1} is regular iff its own rows gave the first k + 1 pivots:
+            # the first nonzero entry is searched among them first
+            last = max(last, self.perm[k])
+            self.signs.append(sign if last == k else 0)
             top = lu[k][k + 1:]
             piv = lu[k][k]
             for row in lu[k + 1:]:
                 f = row[k]
                 row[k + 1:] = [(piv * a - f * t) // prev for a, t in zip(row[k + 1:], top)]
             prev = piv
+        self.signs += [0] * (n + 1 - len(self.signs))
         self.lu = lu
+        #: lu^t, the compact factorisation of (P A)^t
+        self.lut = list(zip(*lu))
         #: det(P) times the sign of the column order, or 0 when M is singular
-        self.sign = self.signs[n] if n < len(self.signs) else 0
+        self.sign = self.signs[n]
 
-    def leading(self, s: int) -> "ExactLU":
-        """The factorisation of the first s rows of M on the columns order[:s]."""
-        # The block's factors are the leading s x s block of these unless a
-        # pivot row of the first s steps came from below the block; then,
-        # or when elimination stopped before step s, the block is singular.
-        if s == len(self.lu):
-            return self
-        block = object.__new__(ExactLU)
-        block.lu = [row[:s] for row in self.lu[:s]]
-        block.scale, block.perm = self.scale[:s], self.perm[:s]
-        # the block's columns are solved in the order they have in M: its
-        # order is the ranks of order[:s], the argsort of their argsort
-        cols = sorted(range(s), key=self.order.__getitem__)
-        block.order = sorted(range(s), key=cols.__getitem__)
-        regular = s < len(self.signs) and max(block.perm, default=-1) < s
-        block.sign = self.signs[s] if regular else 0
-        return block
-
-    def det(self) -> Fraction:
-        """det(M) = sign U[n-1][n-1] / prod(D); 0 when singular."""
-        if not self.lu:
+    def det(self, s: Optional[int] = None) -> Fraction:
+        """det(B_s) = signs[s] U[s-1][s-1] / prod(D[:s]), by default det(M)."""
+        s = len(self.lu) if s is None else s
+        if not s:
             return Fraction(1)
-        return Fraction(self.sign * self.lu[-1][-1], math.prod(self.scale))
+        return Fraction(self.signs[s] * self.lu[s - 1][s - 1], math.prod(self.scale[:s]))
+
+    def type1(self, s: int) -> Optional[List[Fraction]]:
+        """c with B_s c = e_{s-1}, for s >= 1; None when B_s is singular.
+
+        P D e_{s-1} is zero but at the position k of row s - 1.  That row,
+        the block's last, moves only when it becomes the pivot of a column
+        in which the block's rows it passes are zero, so the block's
+        multipliers below it in column k are zero and the forward pass only
+        scales its entry, to D[s-1] U[k-1][k-1].  Only the back pass on U
+        runs.
+        """
+        if not self.signs[s]:
+            return None
+        lu = self.lu
+        k = self.perm.index(s - 1)
+        b = [0] * s
+        b[k] = self.scale[s - 1] * (lu[k - 1][k - 1] if k else 1)
+        z, q = _back(lu, b)
+        # z is in the order of A's columns; c in the order of M's
+        c = []
+        for j in sorted(range(s), key=self.order.__getitem__):
+            c.append(Fraction(z[j], q))
+        return c
+
+    def type2(self, s: int) -> Optional[List[Fraction]]:
+        """y with B_s^t y = -(row s of M on B_s's columns), for s < n; None
+        when B_s is singular.
+
+        The forward pass of ``solve_transpose`` replays the elimination on
+        its right-hand side, so on row s of A it gives that row's Bareiss
+        multipliers, which the factorisation keeps in lu: when B_s is
+        regular, row s gave none of its first s pivots.  Only the back pass
+        on L^t runs; y = -D P^t w / D[s].
+        """
+        if not self.signs[s]:
+            return None
+        w, q = _back(self.lut, self.lu[self.perm.index(s)][:s])
+        q *= self.scale[s]
+        y = [Fraction(0)] * s
+        for k, i in enumerate(self.perm[:s]):
+            y[i] = Fraction(-w[k] * self.scale[i], q)
+        return y
 
     def solve(self, rhs: Sequence[Scalar]) -> List[Fraction]:
         """x with M x = rhs, from P A z = P D rhs and x[order] = z."""
@@ -161,7 +201,7 @@ class ExactLU:
     def solve_transpose(self, rhs: Sequence[Scalar]) -> List[Fraction]:
         """y with M^t y = rhs, from (P A)^t w = rhs[order] and y = D P^t w."""
         c, den = self._integers(rhs)
-        w, q = _substitute(list(zip(*self.lu)), list(map(c.__getitem__, self.order)))
+        w, q = _substitute(self.lut, list(map(c.__getitem__, self.order)))
         y = [Fraction(0)] * len(w)
         for k, i in enumerate(self.perm):
             y[i] = Fraction(w[k] * self.scale[i], q * den)
@@ -182,8 +222,7 @@ def _substitute(lu: Sequence[Sequence[int]], b: List[int]) -> Tuple[List[int], i
     """Fraction-free forward and back substitution with a compact factorisation.
 
     Returns integers (x, d) with solution x / d, d the determinant.  The
-    forward pass replays the Bareiss steps on b; the back pass yields
-    d * solution, an integer vector by Cramer's rule.
+    forward pass replays the Bareiss steps on b; ``_back`` does the rest.
     """
     n = len(lu)
     b = list(b)
@@ -193,11 +232,19 @@ def _substitute(lu: Sequence[Sequence[int]], b: List[int]) -> Tuple[List[int], i
         for i in range(k + 1, n):
             b[i] = (piv * b[i] - lu[i][k] * bk) // prev
         prev = piv
-    d = lu[-1][-1] if n else 1
+    return _back(lu, b)
+
+
+def _back(lu: Sequence[Sequence[int]], b: List[int]) -> Tuple[List[int], int]:
+    """Back pass on the leading len(b) block of a compact factorisation,
+    after the forward pass: (x, d), d the block's last pivot and x = d *
+    solution, an integer vector by Cramer's rule."""
+    n = len(b)
+    d = lu[n - 1][n - 1] if n else 1
     x = [0] * n
     for k in range(n - 1, -1, -1):
         row = lu[k]
-        x[k] = (d * b[k] - sum(map(operator.mul, row[k + 1:], x[k + 1:]))) // row[k]
+        x[k] = (d * b[k] - sum(map(operator.mul, row[k + 1:n], x[k + 1:]))) // row[k]
     return x, d
 
 

@@ -17,7 +17,12 @@ an index's det, verdict, Type I (a solve with M_n) and Type II (with M_n^t).
 Exact solves go by neighbour path (``solve_path``): every M_n on a path is a
 leading block of the last one, so one factorisation solves the whole path,
 and a verifier that solves a path a step past its own top (``nnr_type2``)
-leaves the next verifier on that path nothing to factorise.
+leaves the next verifier on that path nothing to factorise.  Each index on
+the path reads its Type I from the path's U and, but for the last index,
+its Type II from the path's L (``ExactLU.type1``/``type2``): row |n| of the
+path's M is that Type II's right-hand side, already eliminated.  The last
+index's Type II row is not in M, so it is read from the moments and solved
+with M^t.
 """
 
 from __future__ import annotations
@@ -308,8 +313,10 @@ def _factorise(sys: System, steps: List[Tuple[int, ...]]) -> None:
     # Each step of a path adds one column and one row to M_n.  With the
     # columns of the last index's M in the order the steps added them, the
     # M of every index on the path is a leading block of it (Gauss-Borel):
-    # one ExactLU, then two substitutions per index fill its cache entry.
-    # A float path has one step: one FloatLU of M_n.
+    # one ExactLU gives every index its det and Type I, and every index but
+    # the last its Type II, whose row of moments is already eliminated
+    # (``ExactLU.type1``/``type2``).  A float path has one step: one FloatLU
+    # of M_n.
     last = steps[-1]
     offsets = [0, *accumulate(last)]
     order = [offsets[j] + l for j, nj in enumerate(steps[0]) for l in range(nj)]
@@ -320,18 +327,20 @@ def _factorise(sys: System, steps: List[Tuple[int, ...]]) -> None:
     for key in steps:
         if key in sys._index_cache:
             continue
-        block = lu if key == last else lu.leading(sum(key))
-        d = block.det()
+        s = sum(key)
+        d = lu.det(s) if sys.exact else lu.det()
         entry = sys._index_cache[key] = _Solved(
             Normality(normal=d != 0 if sys.exact else _float_verdict(d, m), det=d))
-        if not block.sign or not sum(key):
+        if not s or not (d if sys.exact else lu.sign):
             continue
-        entry.type1 = _type1_set(sys, key, block.solve)
+        entry.type1 = _type1_set(sys, key, lu.type1(s) if sys.exact
+                                 else lu.solve([sys.zero()] * (s - 1) + [sys.one()]))
         try:
-            entry.type2 = _type2_poly(sys, key, block.solve_transpose)
+            entry.type2 = _type2_poly(sys, key, lu)
         except TableExhausted as exc:
-            # The Type II right-hand side needs moments of order |n|, which a
-            # table may lack; type2 then raises on request, normality still works.
+            # The last index's right-hand side needs moments of order |n|,
+            # which a table may lack; type2 then raises on request,
+            # normality still works.
             entry.type2 = exc.with_traceback(None)
 
 
@@ -347,20 +356,22 @@ def _float_verdict(d: float, m: Matrix) -> Optional[bool]:
     return None if abs(d) < FLOAT_DET_HIGH * bound else True
 
 
-def _type2_poly(sys: System, n: Tuple[int, ...], solve_t) -> BiPoly:
+def _type2_poly(sys: System, n: Tuple[int, ...], lu) -> BiPoly:
     exponent, poly = _basis(sys)
-    nt, ns = exponent(sum(n))
+    s = sum(n)
+    if s < len(lu.lu):
+        return poly(tuple(lu.type2(s)) + (sys.one(),))
+    nt, ns = exponent(s)
     rhs = []
     for j, nj in enumerate(n, start=1):
         for l in range(nj):
             lt, ls = exponent(l)
             rhs.append(-sys.moment(j, nt + lt, ns + ls))
-    return poly(tuple(solve_t(rhs)) + (sys.one(),))
+    return poly(tuple(lu.solve_transpose(rhs)) + (sys.one(),))
 
 
-def _type1_set(sys: System, n: Tuple[int, ...], solve_) -> TypeISet:
+def _type1_set(sys: System, n: Tuple[int, ...], c: Sequence[Scalar]) -> TypeISet:
     _, poly = _basis(sys)
-    c = solve_([sys.zero()] * (sum(n) - 1) + [sys.one()])
     polys = []
     offset = 0
     for nj in n:

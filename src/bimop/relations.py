@@ -211,6 +211,18 @@ class NNRReport:
         return doc
 
 
+def _term_scale(sys: MeasureSystem, terms: Sequence[Tuple[Scalar, BiPoly]]) -> float:
+    """The largest |c * coefficient| over the (c, p) terms of a residual sum
+    (1 in exact mode): a float residual's round-off grows with its largest
+    term, not with its first."""
+    big = 1.0
+    if not sys.exact:
+        for c, p in terms:
+            for v in p.coeffs:
+                big = max(big, abs(c * v))
+    return big
+
+
 def _as_path(path) -> mi.Path:
     if isinstance(path, mi.Path):
         return path
@@ -277,7 +289,8 @@ def nnr_type2(sys: MeasureSystem, n: Sequence[int], axis: str,
     vanish_below = p.modulus - (d + 1) * r
     vanishing_ok = all(sys.is_zero(a, scale)
                        for i, a in coefficients if i < vanish_below)
-    holds = all(sys.is_zero(c, scale) for c in residual.coeffs) and vanishing_ok
+    big = _term_scale(sys, terms)
+    holds = all(sys.is_zero(c, big) for c in residual.coeffs) and vanishing_ok
     return NNRReport(variant=f"{axis}P", path=path, holds=holds,
                      coefficients=coefficients, residual=residual,
                      vanishing_ok=vanishing_ok)
@@ -369,6 +382,7 @@ def nnr_type1(sys: MeasureSystem, n: Sequence[int], axis: str,
     # it needs the remainder k_n >= 1 (axis x) or >= 2 (axis y) to follow
     # from the orthogonality conditions.
     residuals = []
+    big = scale
     for j in range(1, r + 1):
         terms = [(1, xa[j - 1])]
         for k in range(1, top + 1):
@@ -376,8 +390,9 @@ def nnr_type1(sys: MeasureSystem, n: Sequence[int], axis: str,
             if a != 0:
                 terms.append((-a, type1(sys, full.at_modulus(k)).polys[j - 1]))
         residuals.append(combine(sys, terms))
+        big = max(big, _term_scale(sys, terms))
 
-    holds = (all(sys.is_zero(c, scale) for rj in residuals for c in rj.coeffs)
+    holds = (all(sys.is_zero(c, big) for rj in residuals for c in rj.coeffs)
              and vanishing_ok)
     return NNRReport(variant=f"{axis}Q", path=full, holds=holds,
                      coefficients=coefficients, residual=residuals,
@@ -453,7 +468,7 @@ def nnr_vector(sys: MeasureSystem, chain: Sequence[Sequence[int]], axis: str,
     # unit coefficient and nothing above it; entries below it are genuine
     # expansion data and are reported, not forced to zero.
     leading_ok = True
-    scale = 1.0
+    scale = big = 1.0
     for k, nk in enumerate(chain):
         pk = type2(sys, nk)
         xp = pk.mul_x() if axis == "x" else pk.mul_y()
@@ -473,12 +488,13 @@ def nnr_vector(sys: MeasureSystem, chain: Sequence[Sequence[int]], axis: str,
             if a != 0:
                 terms.append((-a, type2(sys, gpath.at_modulus(i))))
         residuals.append(combine(sys, terms))
+        big = max(big, _term_scale(sys, terms))
 
     vanishing_ok = all(sys.is_zero(v, scale)
                        for h in range(max(kk - 1, 0))
                        for row in amats[h] for v in row)
     holds = (leading_ok and vanishing_ok
-             and all(sys.is_zero(c, scale) for res in residuals for c in res.coeffs))
+             and all(sys.is_zero(c, big) for res in residuals for c in res.coeffs))
     matrices = {h: Matrix.from_rows(amats[h]) for h in range(d + 2)}
     return NNRReport(variant=f"vector-{axis}", path=gpath, holds=holds,
                      residual=residuals, vanishing_ok=vanishing_ok,

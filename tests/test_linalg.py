@@ -100,30 +100,63 @@ def test_solve_satisfies_system(case):
             assert a.matvec(solve(a, rhs)) == list(rhs)
 
 
-@settings(max_examples=60, deadline=None)
+def gauss_jordan(rows, rhs):
+    """x with rows x = rhs by Gauss-Jordan over Fractions, None when singular;
+    shares no code with linalg."""
+    n = len(rows)
+    aug = [list(row) + [v] for row, v in zip(rows, rhs)]
+    for k in range(n):
+        p = next((i for i in range(k, n) if aug[i][k] != 0), None)
+        if p is None:
+            return None
+        aug[k], aug[p] = aug[p], aug[k]
+        aug[k] = [v / aug[k][k] for v in aug[k]]
+        for i in range(n):
+            if i != k and aug[i][k] != 0:
+                f = aug[i][k]
+                aug[i] = [v - f * w for v, w in zip(aug[i], aug[k])]
+    return [row[n] for row in aug]
+
+
+@settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.tuples(square_matrices(st.just(n)), st.permutations(range(n)),
                         st.lists(fractions, min_size=n, max_size=n))))
 def test_leading_blocks_of_one_factorisation(case):
-    """Block s of ExactLU(m, order) is the first s rows of m on the columns
-    order[:s], kept in their order in m: its det, and its solves when the
-    det is nonzero, Singular when it is zero."""
+    """Block B_s of ExactLU(m, order) is the first s rows of m on the columns
+    order[:s], kept in their order in m.  det(s) is det(B_s); type1(s) is
+    the c with B_s c = e_{s-1} and, for s < n, type2(s) the y with
+    B_s^t y = -(row s of m on B_s's columns), as a Gauss-Jordan solve gives
+    them; a singular block yields None.  The solves with m and m^t hold
+    under the column order, and raise Singular when det(m) = 0."""
     m, order, rhs = case
+    n = len(order)
     lu = ExactLU(m, order)
-    for s in range(len(order) + 1):
+    for s in range(n + 1):
         cols = sorted(order[:s])
-        block = Matrix.from_rows([[row[c] for c in cols] for row in m.data[:s]])
-        view = lu.leading(s)
-        assert view.det() == cofactor_det(block)
+        block = [[row[c] for c in cols] for row in m.data[:s]]
+        assert lu.det(s) == cofactor_det(Matrix.from_rows(block))
         if not s:
             continue
-        if view.det():
-            assert block.matvec(view.solve(rhs[:s])) == rhs[:s]
-            assert block.transpose().matvec(view.solve_transpose(rhs[:s])) == rhs[:s]
-        else:
-            for solve_ in (view.solve, view.solve_transpose):
-                with pytest.raises(Singular):
-                    solve_(rhs[:s])
+        regular = lu.det(s) != 0
+        got = lu.type1(s)
+        assert got == gauss_jordan(block, [F(0)] * (s - 1) + [F(1)])
+        assert (got is not None) == regular
+        if s < n:
+            got = lu.type2(s)
+            transposed = [list(col) for col in zip(*block)]
+            assert got == gauss_jordan(transposed, [-m.data[s][c] for c in cols])
+            assert (got is not None) == regular
+        if regular:
+            assert all(type(v) is F for v in got)
+    assert lu.det() == lu.det(n)
+    if lu.det():
+        assert m.matvec(lu.solve(rhs)) == rhs
+        assert m.transpose().matvec(lu.solve_transpose(rhs)) == rhs
+    else:
+        for solve_ in (lu.solve, lu.solve_transpose):
+            with pytest.raises(Singular):
+                solve_(rhs)
 
 
 def test_solve_singular_carries_zero_det():

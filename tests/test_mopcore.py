@@ -40,7 +40,7 @@ from bimop import (
     uni_type2,
     unpair,
 )
-from bimop import mopcore
+from bimop import linalg, mopcore
 from conftest import (X_ALPHAS, Y_ALPHAS, make_pair_system, make_product_system, make_xsystem,
                       make_ysystem)
 
@@ -251,6 +251,111 @@ def test_canonical_path_through_non_normal_indices():
     got = [solved(path_sys, n) for n in steps]
     assert got == [solved(index_sys, n) for n in steps]
     assert [n for n, (d, _, _) in zip(steps, got) if d == 0] == [(20, 8), (20, 9)]
+
+
+def direct_moment_matrix(sys_, n):
+    """M_n straight from sys.moment: row k, column (j, l) is m^{(j)}_{e_k + e_l}."""
+    rows = []
+    for k in range(sum(n)):
+        kt, ks = unpair(k)
+        row = []
+        for j, nj in enumerate(n, start=1):
+            for l in range(nj):
+                lt, ls = unpair(l)
+                row.append(sys_.moment(j, kt + lt, ks + ls))
+        rows.append(row)
+    return rows
+
+
+def fraction_rank(rows):
+    """Rank by Gaussian elimination over Fractions."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for k in range(len(rows[0]) if rows else 0):
+        p = next((i for i in range(rank, len(rows)) if rows[i][k] != 0), None)
+        if p is None:
+            continue
+        rows[rank], rows[p] = rows[p], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][k] / rows[rank][k]
+            rows[i] = [v - f * w for v, w in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def assert_defining_conditions(sys_, n):
+    """Type II of n is monic with <P, x^{e_l}>_j = 0 for l < n_j, and its
+    Type I coefficients c solve M_n c = e_last, both judged from the
+    moments; when n is not normal, M_n is rank-deficient and both raise."""
+    size = sum(n)
+    rows = direct_moment_matrix(sys_, n)
+    if normality(sys_, n).det == 0:
+        assert fraction_rank(rows) < size
+        for call in (type2, type1):
+            with pytest.raises(NotNormal):
+                call(sys_, n)
+        return
+    p = type2(sys_, n)
+    assert len(p.coeffs) == size + 1 and p.coeffs[-1] == 1
+    for j, nj in enumerate(n, start=1):
+        for l in range(nj):
+            assert direct_condition(sys_, j, p, *unpair(l)) == 0
+    if not size:
+        return
+    c = []
+    for nj, a in zip(n, type1(sys_, n).polys):
+        c += list(a.coeffs) + [0] * (nj - len(a.coeffs))
+    assert Matrix.from_rows(rows).matvec(c) == [0] * (size - 1) + [1]
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_path_solutions_meet_their_defining_conditions(data):
+    """Every index a random neighbour path solves has the Type II and Type I
+    its moment conditions define, on the pair and the quad system."""
+    for make, r, reach in ((make_pair_system, 2, 16),
+                           (lambda: make_product_system().bivariate, 4, 8)):
+        steps = data.draw(neighbour_paths(r, reach))
+        sys_ = make()
+        solve_path(sys_, steps)
+        assert set(steps) <= set(sys_._index_cache)
+        for n in steps:
+            assert_defining_conditions(sys_, n)
+
+
+def test_canonical_path_solutions_meet_their_defining_conditions():
+    """The same on (0, 0) -> (20, 22), whose non-normal (20, 8) and (20, 9)
+    make the factorisation swap rows."""
+    steps = canonical_path([(0, 0), (20, 22)]).steps
+    sys_ = make_pair_system()
+    solve_path(sys_, steps)
+    assert set(steps) <= set(sys_._index_cache)
+    for n in steps:
+        assert_defining_conditions(sys_, n)
+
+
+def test_inner_path_indices_run_no_substitution(monkeypatch):
+    """A 17-index path runs one full substitution, for its last index's
+    Type II, whose row of moments is not in M; the inner indices read
+    theirs from the factors and run none."""
+    calls = []
+    substitute = linalg._substitute
+
+    def spy(lu, b):
+        calls.append(len(b))
+        return substitute(lu, b)
+
+    monkeypatch.setattr(linalg, "_substitute", spy)
+    steps = canonical_path([(0, 0), (8, 8)]).steps
+    assert len(steps) == 17
+    solve_path(make_pair_system(), steps)
+    assert len(calls) <= 1
+    sys_ = make_pair_system()
+    type2(sys_, steps[-1])
+    calls.clear()
+    solve_path(sys_, steps)
+    assert set(steps) <= set(sys_._index_cache)
+    assert calls == []
 
 
 def test_normal_path_builds_one_moment_matrix(monkeypatch):

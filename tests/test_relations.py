@@ -387,3 +387,34 @@ def test_float_residual_digits_pinned():
     sys_ = make_pair_system("float64")
     assert nnr_vector(sys_, CHAIN_D2, "y").residual[0].coeffs[0].hex() == "0x1.2cb5bfd16269dp-37"
     assert nnr_type2(sys_, (4, 4), "y").residual.coeffs[2].hex() == "-0x1.240f540000000p-31"
+
+
+def test_float_nnr_type2_holds_where_exact_does():
+    """The float y checks of (6, 8) and (8, 6) hold, as the exact ones do:
+    their residuals sum terms a_i P_{m_i} up to 13 times larger than y P_n,
+    and the tolerance scales with the largest term."""
+    exact, approx = make_pair_system(), make_pair_system("float64")
+    for n in ((6, 8), (8, 6)):
+        assert nnr_type2(exact, n, "y").holds
+        assert nnr_type2(approx, n, "y").holds
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda s: nnr_type2(s, (6, 8), "y"), id="yP"),
+    pytest.param(lambda s: nnr_type1(s, (3, 4), "x"), id="xQ"),
+    pytest.param(lambda s: nnr_vector(s, CHAIN_D2, "y"), id="vector-y"),
+])
+def test_float_residual_off_by_1e_6_of_its_largest_term_fails(monkeypatch, call):
+    """A float residual moved by 1e-6 of its largest |c * coefficient|, a
+    thousand times the tolerance, fails the check that the unmoved one
+    passes."""
+    assert call(make_pair_system("float64")).holds
+    total = relations.combine
+
+    def moved(sys_, terms):
+        coeffs = list(total(sys_, terms).coeffs) or [0.0]
+        coeffs[0] += 1e-6 * max(abs(c * v) for c, p in terms for v in p.coeffs)
+        return mopcore.BiPoly(tuple(coeffs))
+
+    monkeypatch.setattr(relations, "combine", moved)
+    assert not call(make_pair_system("float64")).holds
