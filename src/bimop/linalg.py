@@ -1,10 +1,22 @@
 """Dense matrices over exact rationals or binary64, with determinant and solve.
 
 One factorisation per matrix gives the determinant and the solves with M
-and with M^t.  Exact mode clears each row's denominators and runs one
-fraction-free (Bareiss) LU over the integers, ``ExactLU``; float mode runs
-one partial-pivot LU, ``FloatLU``, with a configurable singularity
-tolerance.  ``det`` and ``solve`` pick the kernel by the entries.
+and with M^t.  Exact mode clears each row's denominators, divides each
+column of the cleared integers by its content (the gcd of its entries) and
+runs one fraction-free (Bareiss) LU over the integers, ``ExactLU``; float
+mode runs one partial-pivot LU, ``FloatLU``, with a configurable
+singularity tolerance.  ``det`` and ``solve`` pick the kernel by the
+entries.
+
+The block moment matrices M_n carry large column contents (a block of
+columns holds one measure's moments), and Bareiss cost grows with the size
+of its integers, so the contents come out before the elimination and go
+back in the read-outs: a determinant gains the product of its columns'
+contents, and the solution of a system with M (Type I, ``solve``) has the
+component of column k divided by column k's content.  A system with M^t
+(``solve_transpose``) has its right-hand side divided by the contents;
+Type II needs no change, because its right-hand side is a row of M on the
+same columns, so the contents cancel.
 
 An ``ExactLU`` also serves every leading block B_s of M (Gauss-Borel): its
 Type I solution, B_s c = e_{s-1}, is one back pass on U, and its Type II
@@ -25,7 +37,7 @@ from .errors import DimensionMismatch, NotSquare, Singular
 
 Scalar = Union[Fraction, float, int]
 
-#: |pivot| <= FLOAT_TOL * max row norm declares a float matrix singular.
+#: |pivot| <= FLOAT_TOL * max(1, max |entry|) declares a float matrix singular.
 FLOAT_TOL = 1e-12
 
 #: Residual tolerance for float-mode verdicts, relative to the largest
@@ -74,13 +86,17 @@ class Matrix:
 class ExactLU:
     """One fraction-free LU factorisation of an exact square matrix M.
 
-    The columns of M are taken in ``order`` (default: as they stand), and
-    row i is scaled by the lcm of its denominators, giving the integer
-    matrix A = D M[:, order].  Bareiss elimination with row pivoting then
-    factors P A in place: on and above the diagonal ``lu`` holds the integer
-    U (row k as it stood when it became the pivot row, so U[k][k] is the
-    leading (k+1)-minor of P A), below it the integer multipliers of L.
-    Every division, in the elimination and in the substitutions, is exact.
+    The columns of M are taken in ``order`` (default: as they stand), row i
+    is scaled by the lcm D[i] of its denominators and column k is divided
+    by its content G[k], the gcd of its cleared entries (1 for a zero
+    column), giving the integer matrix A = D M[:, order] G^-1.  A minor of A
+    is the same minor of D M[:, order] over its columns' contents, so the
+    contents shrink every Bareiss integer and change no pivot choice.
+    Bareiss elimination with row pivoting then factors P A in place: on and
+    above the diagonal ``lu`` holds the integer U (row k as it stood when it
+    became the pivot row, so U[k][k] is the leading (k+1)-minor of P A),
+    below it the integer multipliers of L.  Every division, in the
+    elimination and in the substitutions, is exact.
 
     The transpose of ``lu`` is the same compact factorisation of (P A)^t, so
     one substitution routine solves with both M and M^t.  Every leading
@@ -105,6 +121,10 @@ class ExactLU:
             if not in_place:
                 row = [row[c] for c in self.order]
             lu.append([v.numerator * (d // v.denominator) for v in row])
+        #: content[k]: the gcd of column k of D M[:, order], 1 for a zero column
+        self.content = [math.gcd(*col) or 1 for col in zip(*lu)]
+        if any(g != 1 for g in self.content):
+            lu = [[v // g for v, g in zip(row, self.content)] for row in lu]
         #: row k of P A is row perm[k] of A
         self.perm = list(range(n))
         #: signs[s]: the sign of the row and column permutations of B_s, or 0
@@ -141,11 +161,13 @@ class ExactLU:
         self.sign = self.signs[n]
 
     def det(self, s: Optional[int] = None) -> Fraction:
-        """det(B_s) = signs[s] U[s-1][s-1] / prod(D[:s]), by default det(M)."""
+        """det(B_s) = signs[s] U[s-1][s-1] prod(G[:s]) / prod(D[:s]), by
+        default det(M)."""
         s = len(self.lu) if s is None else s
         if not s:
             return Fraction(1)
-        return Fraction(self.signs[s] * self.lu[s - 1][s - 1], math.prod(self.scale[:s]))
+        return Fraction(self.signs[s] * self.lu[s - 1][s - 1] * math.prod(self.content[:s]),
+                        math.prod(self.scale[:s]))
 
     def type1(self, s: int) -> Optional[List[Fraction]]:
         """c with B_s c = e_{s-1}, for s >= 1; None when B_s is singular.
@@ -155,7 +177,7 @@ class ExactLU:
         in which the block's rows it passes are zero, so the block's
         multipliers below it in column k are zero and the forward pass only
         scales its entry, to D[s-1] U[k-1][k-1].  Only the back pass on U
-        runs.
+        runs, and gives G c (in the order of A's columns) as z / q.
         """
         if not self.signs[s]:
             return None
@@ -167,7 +189,7 @@ class ExactLU:
         # z is in the order of A's columns; c in the order of M's
         c = []
         for j in sorted(range(s), key=self.order.__getitem__):
-            c.append(Fraction(z[j], q))
+            c.append(Fraction(z[j], q * self.content[j]))
         return c
 
     def type2(self, s: int) -> Optional[List[Fraction]]:
@@ -178,7 +200,10 @@ class ExactLU:
         its right-hand side, so on row s of A it gives that row's Bareiss
         multipliers, which the factorisation keeps in lu: when B_s is
         regular, row s gave none of its first s pivots.  Only the back pass
-        on L^t runs; y = -D P^t w / D[s].
+        on L^t runs; y = -D P^t w / D[s].  The contents need no read-out:
+        B_s^t = G_s A_s^t D_s^-1 and row s of M on B_s's columns is (row s
+        of A) G_s / D[s], so G_s cancels and A_s^t (D_s^-1 y) = -(row s of
+        A) / D[s], the system the factors of A solve.
         """
         if not self.signs[s]:
             return None
@@ -190,18 +215,24 @@ class ExactLU:
         return y
 
     def solve(self, rhs: Sequence[Scalar]) -> List[Fraction]:
-        """x with M x = rhs, from P A z = P D rhs and x[order] = z."""
+        """x with M x = rhs, from P A z = P D rhs and x[order] = G^-1 z."""
         c, den = self._integers(rhs)
         z, q = _substitute(self.lu, [c[i] * self.scale[i] for i in self.perm])
         x = [Fraction(0)] * len(z)
         for k, i in enumerate(self.order):
-            x[i] = Fraction(z[k], q * den)
+            x[i] = Fraction(z[k], q * den * self.content[k])
         return x
 
     def solve_transpose(self, rhs: Sequence[Scalar]) -> List[Fraction]:
-        """y with M^t y = rhs, from (P A)^t w = rhs[order] and y = D P^t w."""
+        """y with M^t y = rhs, from (P A)^t w = G^-1 rhs[order] and y = D P^t w.
+
+        G^-1 rhs[order] is brought over the integers as L G^-1 c[order] /
+        (L den), L the lcm of the contents.
+        """
         c, den = self._integers(rhs)
-        w, q = _substitute(self.lut, list(map(c.__getitem__, self.order)))
+        lcm = math.lcm(*self.content)
+        den *= lcm
+        w, q = _substitute(self.lut, [c[i] * (lcm // g) for i, g in zip(self.order, self.content)])
         y = [Fraction(0)] * len(w)
         for k, i in enumerate(self.perm):
             y[i] = Fraction(w[k] * self.scale[i], q * den)

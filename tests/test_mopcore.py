@@ -1,5 +1,6 @@
 """Moment matrices, normality, and the Type I / Type II solvers."""
 
+import math
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
@@ -581,25 +582,47 @@ def test_type1_empty_index(duo):
         type1(duo, (0, 0))
 
 
+class Scaled:
+    """A measure times the constant c: every moment times c."""
+
+    has_weight = False
+
+    def __init__(self, base, c):
+        self.base, self.c = base, c
+
+    def moment(self, t, s):
+        return self.c * self.base.moment(t, s)
+
+
+# Per-measure factors: one measure, both by integers, both by mixed factors.
+SCALINGS = [(F(1), F(7, 3)), (F(6), F(10)), (F(7, 3), F(6))]
+SCALING_INDICES = [(2, 1), (1, 3), (2, 2), (4, 3), (3, 5), (6, 6)]
+# (1, 0) (1, 1) (1, 2) (1, 3) (2, 3) ... (6, 3) (6, 4) (6, 5) (6, 6)
+SCALING_PATH = canonical_path([(1, 0), (1, 3), (6, 3), (6, 6)]).steps
+
+
 def test_scaling_covariance(duo):
-    class Scaled:
-        def __init__(self, base, c):
-            self.base, self.c = base, c
-            self.has_weight = False
-
-        def moment(self, t, s):
-            return self.c * self.base.moment(t, s)
-
-    c = F(7, 3)
-    scaled = MeasureSystem(measures=(duo.measures[0], Scaled(duo.measures[1], c)))
-    for n in [(2, 1), (1, 3), (2, 2)]:
-        assert type2(scaled, n).coeffs == type2(duo, n).coeffs
-        a0, a1 = type1(duo, n).polys
-        b0, b1 = type1(scaled, n).polys
-        assert b0.coeffs == a0.coeffs
-        assert b1.coeffs == a1.scale(1 / c).coeffs
-        p = type2(duo, (1, 1))
-        assert type1_pairing(scaled, p, n) == type1_pairing(duo, p, n)
+    """Scaling measure j by c_j leaves Type II as it is and divides Type I's
+    component j by c_j (the measures module docstring), so the Type I
+    pairing is unchanged; det(M_n), whose n_j columns of measure j are
+    scaled by c_j, gains prod_j c_j^{n_j}.  Checked index by index, and on
+    every index of a neighbour path that ``solve_path`` reads from the
+    leading blocks of one factorisation."""
+    p = type2(duo, (1, 1))
+    for factors in SCALINGS:
+        def scaled():
+            return MeasureSystem(measures=tuple(
+                Scaled(m, c) for m, c in zip(duo.measures, factors)))
+        by_path = scaled()
+        solve_path(by_path, SCALING_PATH)
+        for sys_, indices in ((scaled(), SCALING_INDICES), (by_path, SCALING_PATH)):
+            for n in indices:
+                volume = math.prod(c ** nj for c, nj in zip(factors, n))
+                assert normality(sys_, n).det == normality(duo, n).det * volume
+                assert type2(sys_, n).coeffs == type2(duo, n).coeffs
+                for a, b, c in zip(type1(duo, n).polys, type1(sys_, n).polys, factors):
+                    assert b.coeffs == a.scale(1 / c).coeffs
+                assert type1_pairing(sys_, p, n) == type1_pairing(duo, p, n)
 
 
 # ---------------------------------------------------------------------------
