@@ -8,16 +8,6 @@ mode runs one partial-pivot LU, ``FloatLU``, with a configurable
 singularity tolerance.  ``det`` and ``solve`` pick the kernel by the
 entries.
 
-The block moment matrices M_n carry large column contents (a block of
-columns holds one measure's moments), and Bareiss cost grows with the size
-of its integers, so the contents come out before the elimination and go
-back in the read-outs: a determinant gains the product of its columns'
-contents, and the solution of a system with M (Type I, ``solve``) has the
-component of column k divided by column k's content.  A system with M^t
-(``solve_transpose``) has its right-hand side divided by the contents;
-Type II needs no change, because its right-hand side is a row of M on the
-same columns, so the contents cancel.
-
 An ``ExactLU`` also serves every leading block B_s of M (Gauss-Borel): its
 Type I solution, B_s c = e_{s-1}, is one back pass on U, and its Type II
 solution, B_s^t y = -(row s of M), is one back pass on L^t of the Bareiss
@@ -123,8 +113,7 @@ class ExactLU:
             lu.append([v.numerator * (d // v.denominator) for v in row])
         #: content[k]: the gcd of column k of D M[:, order], 1 for a zero column
         self.content = [math.gcd(*col) or 1 for col in zip(*lu)]
-        if any(g != 1 for g in self.content):
-            lu = [[v // g for v, g in zip(row, self.content)] for row in lu]
+        lu = [[v // g for v, g in zip(row, self.content)] for row in lu]
         #: row k of P A is row perm[k] of A
         self.perm = list(range(n))
         #: signs[s]: the sign of the row and column permutations of B_s, or 0

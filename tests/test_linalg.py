@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bimop import Matrix, NotSquare, Singular, det, format_scalar, parse_scalar, solve
 from bimop.linalg import ExactLU, FloatLU
@@ -241,28 +241,15 @@ def float_cases(draw):
     return Matrix.from_rows(rows), rhs, singular
 
 
-#: The smallest subnormal binary64, the spacing of floats below 2^-1022.
-SUBNORMAL = F(2) ** -1074
-
-
 @settings(max_examples=80, deadline=None)
 @given(float_cases())
-@example((Matrix.from_rows([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [2.0, 0.0, 0.0]]),
-          [0.0, 0.0, 5e-324], False))
 def test_float_lu_against_exact_lu(case):
     """FloatLU judged by ExactLU on the same matrix converted exactly.
 
     det within 1e-10 of the scale (sqrt(n) max|m|)^n of any det of that
     size; solves with m and m^t with an exact residual within 1e-10 of
-    |m| |x| + |rhs| (backward stability of partial pivoting) plus
-    n (|m| + 1) subnormal spacings; Singular with det 0.0 exactly when the
-    factorisation stops.
-
-    The absolute term is gradual underflow's: a product or quotient in the
-    subnormal range is off by up to half a spacing whatever its size, so
-    there a solve has no relative guarantee.  The @example is such a case:
-    x = 5e-324 / 2 is not a float, and either neighbour leaves a residual
-    of one spacing.
+    |m| |x| + |rhs| (backward stability of partial pivoting); Singular
+    with det 0.0 exactly when the factorisation stops.
     """
     m, rhs, singular = case
     n = m.rows
@@ -288,7 +275,7 @@ def test_float_lu_against_exact_lu(case):
         x = solve_(rhs)
         residual = [F(b) - v for b, v in zip(rhs, a.matvec([F(v) for v in x]))]
         bound = 1e-10 * (size * max(abs(v) for v in x) + max(abs(b) for b in rhs))
-        assert max(abs(r) for r in residual) <= F(bound) + n * (F(size) + 1) * SUBNORMAL
+        assert max(abs(r) for r in residual) <= F(bound)
 
 
 def test_transpose_matvec():
