@@ -15,7 +15,7 @@ from . import multiindex as mi
 from . import relations
 from .errors import BimopError, NotNormal, SchemaError
 from .linalg import FLOAT_TOL, format_scalar
-from .measures import FLOAT64, MeasureSystem, parse_config, parse_uni_config
+from .measures import EXACT, FLOAT64, MeasureSystem, _check_mode, parse_config, parse_uni_config
 from .mopcore import (
     BiPoly,
     normality,
@@ -69,7 +69,8 @@ def _load_product_system(args) -> ProductSystem:
             raise SchemaError("$", f"invalid JSON: {exc}")
     if not isinstance(doc, dict) or "x" not in doc or "y" not in doc:
         raise SchemaError("$", "product config needs 'x' and 'y' family lists")
-    mode = FLOAT64 if args.float_mode else doc.get("scalar", "exact")
+    scalar = _check_mode(doc.get("scalar", EXACT))
+    mode = FLOAT64 if args.float_mode else scalar
     xs = parse_uni_config(doc["x"], "$.x", mode, args.tol)
     ys = parse_uni_config(doc["y"], "$.y", mode, args.tol)
     return ProductSystem.build(xs, ys)

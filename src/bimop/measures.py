@@ -132,14 +132,20 @@ if TYPE_CHECKING:
     BivariateMeasure = Union[TensorMeasure, TableMeasure]
 
 
+def _check_mode(mode) -> str:
+    """The one check of a scalar mode, a document's "scalar" or a system's mode."""
+    if mode not in (EXACT, FLOAT64):
+        raise SchemaError("$.scalar", f"expected 'exact' or 'float64', got {mode!r}")
+    return mode
+
+
 class _ScalarMode:
     """Scalar mode shared by the measure systems: exact rationals or float64."""
 
     mode: str
 
     def __post_init__(self):
-        if self.mode not in (EXACT, FLOAT64):
-            raise SchemaError("$.scalar", f"unknown scalar mode {self.mode!r}")
+        _check_mode(self.mode)
 
     @property
     def exact(self) -> bool:
@@ -307,9 +313,7 @@ def parse_config(text: str, mode: Optional[str] = None, tol: float = FLOAT_TOL) 
         raise SchemaError("$", f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected an object")
-    scalar = doc.get("scalar", EXACT)
-    if scalar not in (EXACT, FLOAT64):
-        raise SchemaError("$.scalar", f"expected 'exact' or 'float64', got {scalar!r}")
+    scalar = _check_mode(doc.get("scalar", EXACT))
     measures = doc.get("measures")
     if not isinstance(measures, list) or not measures:
         raise SchemaError("$.measures", "expected a non-empty list")

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
@@ -45,7 +45,7 @@ from .errors import (
     PathInvalid,
     TableExhausted,
 )
-from .linalg import FLOAT_TOL, ExactLU, FloatLU, Matrix, Scalar, det, format_scalar
+from .linalg import ExactLU, FloatLU, Matrix, Scalar, format_scalar
 from .measures import MeasureSystem, UniMeasureSystem
 
 if TYPE_CHECKING:
@@ -208,19 +208,17 @@ class TypeISet:
 
 @dataclass
 class MomentMatrix:
-    """Block matrix M_n with block j holding n_j columns; a float det is
-    taken under the system's singularity tolerance, as ``normality``'s is."""
+    """Block matrix M_n with block j holding n_j columns; its det is taken
+    by the system's kernel, under its tolerance, as ``normality``'s is."""
 
     index: Tuple[int, ...]
     matrix: Matrix
-    tol: float = FLOAT_TOL
-    _det: Optional[Scalar] = None
+    system: System = field(repr=False, compare=False)
 
     @property
     def det(self) -> Scalar:
-        if self._det is None:
-            self._det = det(self.matrix, self.tol)
-        return self._det
+        sys = self.system
+        return (ExactLU(self.matrix) if sys.exact else FloatLU(self.matrix, sys.tol)).det()
 
 
 @dataclass(frozen=True)
@@ -271,7 +269,7 @@ def moment_matrix(sys: System, n: Sequence[int]) -> MomentMatrix:
                 row[col] = sys.moment(j, kt + lt, ks + ls)
             col += 1
     return MomentMatrix(index=tuple(n), matrix=Matrix.from_rows(rows) if size
-                        else Matrix(0, 0, []), tol=sys.tol)
+                        else Matrix(0, 0, []), system=sys)
 
 
 class _Solved:

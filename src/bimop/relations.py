@@ -211,16 +211,45 @@ class NNRReport:
         return doc
 
 
-def _term_scale(sys: MeasureSystem, terms: Sequence[Tuple[Scalar, BiPoly]]) -> float:
-    """The largest |c * coefficient| over the (c, p) terms of a residual sum
-    (1 in exact mode): a float residual's round-off grows with its largest
-    term, not with its first."""
-    big = 1.0
+def _axis(axis: str):
+    """The multiplication of an axis and its top's offset above d_n: the
+    expansion of x*P_n reaches modulus |n| + d_n + 1, that of y*P_n one more."""
+    if axis not in ("x", "y"):
+        raise PathInvalid(f"axis must be 'x' or 'y', got {axis!r}")
+    return (BiPoly.mul_x, 1) if axis == "x" else (BiPoly.mul_y, 2)
+
+
+def _expand(sys: MeasureSystem, xp: BiPoly, path: mi.Path, top: int, stop: int):
+    """Type II expansion of xp along a path up to modulus top.
+
+    Returns the pairings a_i = <xp, Q_{m_{i+1}}> for i from the path's start
+    up to stop - 1, skipping top, and the (c, p) terms of
+    xp - P_{m_top} - sum a_i P_{m_i}.
+    """
+    terms = [(1, xp), (-1, type2(sys, path.at_modulus(top)))]
+    pair = moment_rows(sys, xp)
+    coefficients = []
+    for i in range(path.start_modulus, stop):
+        if i == top:
+            continue
+        a = pair(type1(sys, path.at_modulus(i + 1)).polys)
+        coefficients.append((i, a))
+        if a != 0:
+            terms.append((-a, type2(sys, path.at_modulus(i))))
+    return coefficients, terms
+
+
+def _residuals(sys: MeasureSystem, sums, big: float = 1.0):
+    """Each term list summed by ``combine``, and whether every sum is zero.
+
+    A float sum is zero within FLOAT_RESIDUAL_TOL times the largest
+    |c * coefficient| over all the terms and big: its round-off grows with
+    its largest term, not with its first.
+    """
+    residuals = [combine(sys, terms) for terms in sums]
     if not sys.exact:
-        for c, p in terms:
-            for v in p.coeffs:
-                big = max(big, abs(c * v))
-    return big
+        big = max([big] + [abs(c * v) for terms in sums for c, p in terms for v in p.coeffs])
+    return residuals, all(sys.is_zero(c, big) for res in residuals for c in res.coeffs)
 
 
 def _as_path(path) -> mi.Path:
@@ -236,13 +265,9 @@ def nnr_type2(sys: MeasureSystem, n: Sequence[int], axis: str,
     Coefficients are the pairings <axis * P_n, Q_{m_{i+1}}>; the residual is
     axis*P_n - P_w - sum a_i P_{m_i}, compared to zero coefficientwise.
     Requires every n_j >= d_n + 1 so that v = n - (d_n + 1) stays natural.
-
-    The path is solved, by one factorisation, up to modulus |n| + d_n + 2
-    (the y check's top) when it reaches that far, else up to its own top:
-    the x and y checks of one path then share that factorisation.
+    The whole path is solved by one factorisation.
     """
-    if axis not in ("x", "y"):
-        raise PathInvalid(f"axis must be 'x' or 'y', got {axis!r}")
+    mul, offset = _axis(axis)
     n = tuple(n)
     r = len(n)
     p = mi.params(n)
@@ -250,7 +275,7 @@ def nnr_type2(sys: MeasureSystem, n: Sequence[int], axis: str,
     if any(nj < d + 1 for nj in n):
         raise IndexTooSmall(f"need n_j >= d_n + 1 = {d + 1} for all components of {n}")
     v = tuple(nj - d - 1 for nj in n)
-    bump = d + 1 if axis == "x" else d + 2
+    bump = d + offset
     top = p.modulus + bump
     if path is None:
         if w is None:
@@ -272,26 +297,15 @@ def nnr_type2(sys: MeasureSystem, n: Sequence[int], axis: str,
     if not mi.leq(n, w_top):
         raise PathInvalid(f"w = {w_top} must dominate n componentwise")
 
-    reach = min(path.end_modulus, p.modulus + d + 2)
-    solve_path(sys, path.steps[:reach - path.start_modulus + 1])
-    pn = type2(sys, n)
-    xp = pn.mul_x() if axis == "x" else pn.mul_y()
+    solve_path(sys, path.steps)
+    xp = mul(type2(sys, n))
     scale = max(abs(float(c)) for c in xp.coeffs)
-    coefficients = []
-    terms = [(1, xp), (-1, type2(sys, w_top))]
-    pair = moment_rows(sys, xp)
-    for i in range(path.start_modulus, top):
-        a = pair(type1(sys, path.at_modulus(i + 1)).polys)
-        coefficients.append((i, a))
-        if a != 0:
-            terms.append((-a, type2(sys, path.at_modulus(i))))
-    residual = combine(sys, terms)
+    coefficients, terms = _expand(sys, xp, path, top, top)
+    (residual,), zero = _residuals(sys, [terms])
     vanish_below = p.modulus - (d + 1) * r
     vanishing_ok = all(sys.is_zero(a, scale)
                        for i, a in coefficients if i < vanish_below)
-    big = _term_scale(sys, terms)
-    holds = all(sys.is_zero(c, big) for c in residual.coeffs) and vanishing_ok
-    return NNRReport(variant=f"{axis}P", path=path, holds=holds,
+    return NNRReport(variant=f"{axis}P", path=path, holds=zero and vanishing_ok,
                      coefficients=coefficients, residual=residual,
                      vanishing_ok=vanishing_ok)
 
@@ -319,18 +333,17 @@ def nnr_type1(sys: MeasureSystem, n: Sequence[int], axis: str,
     axis x and >= 2 for axis y, so it does not gate `holds`.  The low term
     is dropped entirely when the low index is the zero index (Q there is 0).
     """
-    if axis not in ("x", "y"):
-        raise PathInvalid(f"axis must be 'x' or 'y', got {axis!r}")
+    mul, offset = _axis(axis)
     n = tuple(n)
     r = len(n)
     p = mi.params(n)
     d = p.degree
     if p.modulus == 0:
         raise EmptyIndex("Type I is undefined for the zero index")
-    low_mod = p.modulus - d if axis == "x" else p.modulus - d - 1
+    bump = d + offset
+    low_mod = p.modulus - bump + 1
     if low_mod < 0:
         raise IndexTooSmall(f"modulus {p.modulus} too small for axis {axis}")
-    bump = d + 1 if axis == "x" else d + 2
     top = p.modulus + bump * r
     end = tuple(nj + bump for nj in n)
     if path is None:
@@ -357,9 +370,7 @@ def nnr_type1(sys: MeasureSystem, n: Sequence[int], axis: str,
     full = mi.Path(steps)
     solve_path(sys, steps[:top + 1])
 
-    a_n = type1(sys, n).polys
-    mul = BiPoly.mul_x if axis == "x" else BiPoly.mul_y
-    xa = [mul(a) for a in a_n]
+    xa = [mul(a) for a in type1(sys, n).polys]
     scale = max([1.0] + [abs(float(c)) for a in xa for c in a.coeffs])
     pairs = [moment_rows(sys, a) for a in xa]
 
@@ -381,20 +392,16 @@ def nnr_type1(sys: MeasureSystem, n: Sequence[int], axis: str,
     # measure; the unit-low-coefficient claim is reported separately because
     # it needs the remainder k_n >= 1 (axis x) or >= 2 (axis y) to follow
     # from the orthogonality conditions.
-    residuals = []
-    big = scale
+    sums = []
     for j in range(1, r + 1):
         terms = [(1, xa[j - 1])]
         for k in range(1, top + 1):
             a = by_mod[k]
             if a != 0:
                 terms.append((-a, type1(sys, full.at_modulus(k)).polys[j - 1]))
-        residuals.append(combine(sys, terms))
-        big = max(big, _term_scale(sys, terms))
-
-    holds = (all(sys.is_zero(c, big) for rj in residuals for c in rj.coeffs)
-             and vanishing_ok)
-    return NNRReport(variant=f"{axis}Q", path=full, holds=holds,
+        sums.append(terms)
+    residuals, zero = _residuals(sys, sums, scale)
+    return NNRReport(variant=f"{axis}Q", path=full, holds=zero and vanishing_ok,
                      coefficients=coefficients, residual=residuals,
                      vanishing_ok=vanishing_ok, low_unit_ok=low_unit_ok)
 
@@ -425,8 +432,7 @@ def nnr_vector(sys: MeasureSystem, chain: Sequence[Sequence[int]], axis: str,
     verifies both the residual and the forced leading selection matrix
     (identity columns into the degree d+1 vector).
     """
-    if axis not in ("x", "y"):
-        raise PathInvalid(f"axis must be 'x' or 'y', got {axis!r}")
+    mul, offset = _axis(axis)
     chain = [tuple(c) for c in chain]
     d = len(chain) - 1
     if not mi.validate_chain(chain, d):
@@ -457,45 +463,36 @@ def nnr_vector(sys: MeasureSystem, chain: Sequence[Sequence[int]], axis: str,
     if cutoff > 0 and all(c >= 0 for c in u) and gpath.at_modulus(sum(u)) != u:
         raise ChainInvalid(f"required waypoint {u} missing from the path")
 
-    zero = sys.zero()
-    bump = d + 1 if axis == "x" else d + 2
+    bump = d + offset
     base = (d + 1) * (d + 2) // 2
     gtop = sum(chain[-1]) + bump
     solve_path(sys, steps[:gtop - gpath.start_modulus + 1])
-    amats = {h: [[zero] * (h + 1) for _ in range(d + 1)] for h in range(d + 2)}
-    residuals = []
+    amats = {h: [[sys.zero()] * (h + 1) for _ in range(d + 1)] for h in range(d + 2)}
+    sums = []
     # Row k must hit entry row_top - base of the degree d+1 vector with a
     # unit coefficient and nothing above it; entries below it are genuine
     # expansion data and are reported, not forced to zero.
     leading_ok = True
-    scale = big = 1.0
+    scale = 1.0
     for k, nk in enumerate(chain):
-        pk = type2(sys, nk)
-        xp = pk.mul_x() if axis == "x" else pk.mul_y()
+        xp = mul(type2(sys, nk))
         scale = max(scale, max(abs(float(c)) for c in xp.coeffs))
         row_top = sum(nk) + bump
-        terms = [(1, xp), (-1, type2(sys, gpath.at_modulus(row_top)))]
         amats[d + 1][k][row_top - base] = sys.one()
-        pair = moment_rows(sys, xp)
-        for i in range(gpath.start_modulus, gtop):
-            if i == row_top:
-                continue
-            a = pair(type1(sys, gpath.at_modulus(i + 1)).polys)
+        coefficients, terms = _expand(sys, xp, gpath, row_top, gtop)
+        for i, a in coefficients:
             lt, ls = mi.unpair(i)
             amats[lt + ls][k][ls] = a
             if i > row_top and not sys.is_zero(a, scale):
                 leading_ok = False
-            if a != 0:
-                terms.append((-a, type2(sys, gpath.at_modulus(i))))
-        residuals.append(combine(sys, terms))
-        big = max(big, _term_scale(sys, terms))
+        sums.append(terms)
+    residuals, zero = _residuals(sys, sums)
 
     vanishing_ok = all(sys.is_zero(v, scale)
                        for h in range(max(kk - 1, 0))
                        for row in amats[h] for v in row)
-    holds = (leading_ok and vanishing_ok
-             and all(sys.is_zero(c, big) for res in residuals for c in res.coeffs))
     matrices = {h: Matrix.from_rows(amats[h]) for h in range(d + 2)}
-    return NNRReport(variant=f"vector-{axis}", path=gpath, holds=holds,
+    return NNRReport(variant=f"vector-{axis}", path=gpath,
+                     holds=leading_ok and vanishing_ok and zero,
                      residual=residuals, vanishing_ok=vanishing_ok,
                      low_unit_ok=leading_ok, matrices=matrices)

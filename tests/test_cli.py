@@ -211,6 +211,23 @@ def test_schema_error_exit(tmp_path):
     assert json.loads(err)["kind"] == "SchemaError"
 
 
+@pytest.mark.parametrize("command, doc, argv", [
+    pytest.param("normal", DUO_CONFIG, ["--index", "1,0"], id="normal"),
+    pytest.param("product", PRODUCT_CONFIG, ["--n", "0,1", "--m", "1,0"], id="product"),
+])
+@pytest.mark.parametrize("flags", [[], ["--float"]], ids=["exact", "float"])
+def test_unknown_scalar_is_a_schema_error(tmp_path, command, doc, argv, flags):
+    """A config's "scalar" is checked, with one message, also when --float
+    replaces it."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(doc, scalar="exakt")))
+    code, out, err = invoke([command, "--config", str(bad)] + flags + argv)
+    assert (code, out) == (EXIT_INVALID, "")
+    assert json.loads(err) == {
+        "error": "$.scalar: expected 'exact' or 'float64', got 'exakt'",
+        "kind": "SchemaError"}
+
+
 def test_missing_config_file():
     code, _, err = invoke(["normal", "--config", "/nonexistent/cfg.json",
                            "--index", "1,0"])

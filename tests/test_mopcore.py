@@ -124,6 +124,19 @@ def test_float_zero_index_has_a_float_det(make):
     assert type(v.det) is float and v.det == 1.0
 
 
+@pytest.mark.parametrize("mode", ["exact", "float64"])
+@pytest.mark.parametrize("make", [make_pair_system, make_xsystem])
+def test_moment_matrix_det_is_normality_det(make, mode):
+    """moment_matrix(s, n).det takes the system's kernel, so it equals
+    normality's det in value and type, the empty M of the zero index too."""
+    for total in range(5):
+        for a in range(total + 1):
+            n = (a, total - a)
+            want = normality(make(mode), n).det
+            got = moment_matrix(make(mode), n).det
+            assert (got, type(got)) == (want, type(want)), n
+
+
 def test_quad_normality_examples(quad):
     assert moment_matrix(quad, (3, 3, 3, 3)).det == 0
     assert not is_normal(quad, (3, 3, 3, 3))

@@ -1,0 +1,36 @@
+"""The README's examples print what their comments say."""
+
+import io
+import re
+import shlex
+from contextlib import redirect_stdout
+from pathlib import Path
+
+from bimop.cli import EXIT_OK, run
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _commented(lines):
+    """(code, comment) of each line that ends in a two-space `# comment`."""
+    return [tuple(part.strip() for part in line.split("  # ", 1))
+            for line in lines if "  # " in line]
+
+
+def test_python_example_prints_its_comments():
+    block = re.search(r"```python\n(.*?)```", README, re.S).group(1)
+    want = [comment for _, comment in _commented(block.splitlines())]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(block, {})
+    assert want and out.getvalue().splitlines() == want
+
+
+def test_cli_pair_example_prints_its_comment():
+    lines = [line for line in README.splitlines() if line.startswith("bimop pair ")]
+    ((command, comment),) = _commented(lines)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = run(shlex.split(command)[1:])
+    assert code == EXIT_OK
+    assert out.getvalue().strip() == comment

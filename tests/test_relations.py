@@ -1,6 +1,8 @@
 """Biorthogonality, polynomial vectors, and the recurrence checks."""
 
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -291,6 +293,8 @@ def _report(call, sys_):
     pytest.param(lambda s: nnr_type2(s, (6, 8), "x"), id="xP"),
     pytest.param(lambda s: nnr_type2(s, (6, 8), "y"), id="yP"),
     pytest.param(lambda s: nnr_type2(s, (10, 6), "x"), id="xP-through-(10,5)"),
+    pytest.param(lambda s: nnr_type2(s, (6, 8), "x", path=canonical_path([(1, 3), (6, 8), (14, 8)])),
+                 id="xP-two-past-the-y-top"),
     pytest.param(lambda s: nnr_type1(s, (3, 4), "x"), id="xQ"),
     pytest.param(lambda s: nnr_type1(s, (2, 3), "y"), id="yQ"),
     pytest.param(lambda s: nnr_vector(s, CHAIN_D2, "y"), id="vector-y"),
@@ -303,7 +307,8 @@ def test_verifiers_solve_their_path_once(monkeypatch, call):
     solves report.
 
     The default path of (10, 6) on axis x passes the non-normal (10, 5),
-    so both routes raise the same NotNormal.
+    so both routes raise the same NotNormal.  A path running two steps past
+    the y check's top is solved whole, with one M_n as well.
     """
     built = []
     build = mopcore.moment_matrix
@@ -387,6 +392,23 @@ def test_float_residual_digits_pinned():
     sys_ = make_pair_system("float64")
     assert nnr_vector(sys_, CHAIN_D2, "y").residual[0].coeffs[0].hex() == "0x1.2cb5bfd16269dp-37"
     assert nnr_type2(sys_, (4, 4), "y").residual.coeffs[2].hex() == "-0x1.240f540000000p-31"
+
+
+FLOAT_REPORTS = json.loads(
+    (Path(__file__).parent / "data" / "float_nnr_reports.json").read_text())
+
+
+@pytest.mark.parametrize("axis", "xy")
+@pytest.mark.parametrize("name, call", [
+    pytest.param("nnr_type2 (6, 8)", lambda s, a: nnr_type2(s, (6, 8), a), id="type2"),
+    pytest.param("nnr_type1 (3, 4)", lambda s, a: nnr_type1(s, (3, 4), a), id="type1"),
+    pytest.param("nnr_vector CHAIN_D2", lambda s, a: nnr_vector(s, CHAIN_D2, a), id="vector"),
+])
+def test_float_report_pinned(name, call, axis):
+    """The whole JSON of a float report: path, coefficients, matrices and
+    every residual digit, as JSON text (floats round-trip through it)."""
+    doc = call(make_pair_system("float64"), axis).to_json()
+    assert json.dumps(doc) == json.dumps(FLOAT_REPORTS[f"{name} {axis}"])
 
 
 def test_float_nnr_type2_holds_where_exact_does():
