@@ -1,17 +1,19 @@
 """Dense matrices over exact rationals or binary64, with determinant and solve.
 
-One factorisation per matrix gives the determinant and the solves with M
-and with M^t.  Exact mode clears each row's denominators, divides each
-column of the cleared integers by its content (the gcd of its entries) and
-runs one fraction-free (Bareiss) LU over the integers, ``ExactLU``; float
-mode runs one partial-pivot LU, ``FloatLU``, with a configurable
-singularity tolerance.  ``det`` and ``solve`` pick the kernel by the
-entries.
+Exact mode clears each row's denominators, divides each column of the
+cleared integers by its content (the gcd of its entries) and runs one
+fraction-free (Bareiss) LU over the integers, ``ExactLU``; float mode runs
+one partial-pivot LU, ``FloatLU``, with a configurable singularity
+tolerance, which solves with M and with M^t.  ``det`` and ``solve`` pick
+the kernel by the entries.
 
-An ``ExactLU`` also serves every leading block B_s of M (Gauss-Borel): its
-Type I solution, B_s c = e_{s-1}, is one back pass on U, and its Type II
+An exact right-hand side rides the elimination: ``ExactLU`` takes M with
+one extra row or one extra column, eliminated with M but never a pivot.
+The factors serve every leading block B_s of M (Gauss-Borel): its Type I
+solution, B_s c = e_{s-1}, is one back pass on U, and its Type II
 solution, B_s^t y = -(row s of M), is one back pass on L^t of the Bareiss
-multipliers the elimination left in row s.
+multipliers the elimination left in row s, the rider row for s = n.  The
+solve with M is one back pass on the rider column.
 """
 
 from __future__ import annotations
@@ -68,39 +70,40 @@ class Matrix:
     def is_exact(self) -> bool:
         return not any(isinstance(v, float) for row in self.data for v in row)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
-
 
 class ExactLU:
-    """One fraction-free LU factorisation of an exact square matrix M.
+    """One fraction-free LU factorisation of an exact square matrix M, and
+    of at most one rider: an extra row or an extra column of M, eliminated
+    with it but never a pivot.
 
-    The columns of M are taken in ``order`` (default: as they stand), row i
-    is scaled by the lcm D[i] of its denominators and column k is divided
-    by its content G[k], the gcd of its cleared entries (1 for a zero
-    column), giving the integer matrix A = D M[:, order] G^-1.  A minor of A
-    is the same minor of D M[:, order] over its columns' contents, so the
-    contents shrink every Bareiss integer and change no pivot choice.
-    Bareiss elimination with row pivoting then factors P A in place: on and
-    above the diagonal ``lu`` holds the integer U (row k as it stood when it
-    became the pivot row, so U[k][k] is the leading (k+1)-minor of P A),
-    below it the integer multipliers of L.  Every division, in the
-    elimination and in the substitutions, is exact.
+    The columns of M are taken in ``order`` (default: as they stand), a
+    rider column after them; row i is scaled by the lcm D[i] of its
+    denominators and column k is divided by its content G[k], the gcd of
+    its cleared entries over every row (1 for a zero column), giving the
+    integer matrix A = D M[:, order] G^-1.  A minor of A is the same minor
+    of D M[:, order] over its columns' contents, so the contents shrink
+    every Bareiss integer and change no pivot choice.  Bareiss elimination
+    with row pivoting then factors P A in place, its pivots taken from the
+    square part: on and above the diagonal ``lu`` holds the integer U (row
+    k as it stood when it became the pivot row, so U[k][k] is the leading
+    (k+1)-minor of P A), below it the integer multipliers of L.  Every
+    division, in the elimination and in the back passes, is exact.
 
-    The transpose of ``lu`` is the same compact factorisation of (P A)^t, so
-    one substitution routine solves with both M and M^t.  Every leading
-    block B_s, the first s rows of M on the columns order[:s] kept in their
-    order in M, shares these factors: ``det(s)`` is det(B_s), and ``type1(s)``
-    and ``type2(s)`` read B_s's Type I and Type II solutions from them with
-    one back pass each (Gauss-Borel: a column of U^-1, a row of L^-1).
+    Every leading block B_s, the first s rows of M on the columns order[:s]
+    kept in their order in M, shares these factors: ``det(s)`` is
+    det(B_s), and ``type1(s)`` and ``type2(s)`` read B_s's Type I and Type
+    II solutions from them with one back pass each (Gauss-Borel: a column
+    of U^-1, a row of L^-1); the Type II of B_n reads the rider row.
+    ``solve()`` reads the rider column, already eliminated, with one back
+    pass.  ``det()``, ``sign`` and ``signs`` describe the square part.
     """
 
     def __init__(self, m: Matrix, order: Optional[Sequence[int]] = None):
-        n = m.rows
+        n = min(m.rows, m.cols)
         #: column k of A is column order[k] of M
         self.order = list(range(n)) if order is None else list(order)
         in_place = self.order == sorted(self.order)
+        cols = self.order + list(range(n, m.cols))
         self.scale: List[int] = []
         lu = []
         for row in m.data:
@@ -109,13 +112,13 @@ class ExactLU:
             d = math.lcm(*[v.denominator for v in row])
             self.scale.append(d)
             if not in_place:
-                row = [row[c] for c in self.order]
+                row = [row[c] for c in cols]
             lu.append([v.numerator * (d // v.denominator) for v in row])
         #: content[k]: the gcd of column k of D M[:, order], 1 for a zero column
         self.content = [math.gcd(*col) or 1 for col in zip(*lu)]
         lu = [[v // g for v, g in zip(row, self.content)] for row in lu]
         #: row k of P A is row perm[k] of A
-        self.perm = list(range(n))
+        self.perm = list(range(m.rows))
         #: signs[s]: the sign of the row and column permutations of B_s, or 0
         #: when B_s is singular
         self.signs = [1]
@@ -152,7 +155,7 @@ class ExactLU:
     def det(self, s: Optional[int] = None) -> Fraction:
         """det(B_s) = signs[s] U[s-1][s-1] prod(G[:s]) / prod(D[:s]), by
         default det(M)."""
-        s = len(self.lu) if s is None else s
+        s = len(self.order) if s is None else s
         if not s:
             return Fraction(1)
         return Fraction(self.signs[s] * self.lu[s - 1][s - 1] * math.prod(self.content[:s]),
@@ -182,17 +185,18 @@ class ExactLU:
         return c
 
     def type2(self, s: int) -> Optional[List[Fraction]]:
-        """y with B_s^t y = -(row s of M on B_s's columns), for s < n; None
-        when B_s is singular.
+        """y with B_s^t y = -(row s of M on B_s's columns), for s < n or,
+        with a rider row, s = n; None when B_s is singular.
 
-        The forward pass of ``solve_transpose`` replays the elimination on
-        its right-hand side, so on row s of A it gives that row's Bareiss
-        multipliers, which the factorisation keeps in lu: when B_s is
-        regular, row s gave none of its first s pivots.  Only the back pass
-        on L^t runs; y = -D P^t w / D[s].  The contents need no read-out:
-        B_s^t = G_s A_s^t D_s^-1 and row s of M on B_s's columns is (row s
-        of A) G_s / D[s], so G_s cancels and A_s^t (D_s^-1 y) = -(row s of
-        A) / D[s], the system the factors of A solve.
+        The forward pass of a solve with A_s^t would replay the
+        elimination on row s of A; the elimination already did, and left
+        that row's Bareiss multipliers in lu: when B_s is regular, row s
+        gave none of its first s pivots (a rider row gives none at all).
+        Only the back pass on L^t runs; y = -D P^t w / D[s].  The contents
+        need no read-out: B_s^t = G_s A_s^t D_s^-1 and row s of M on B_s's
+        columns is (row s of A) G_s / D[s], so G_s cancels and
+        A_s^t (D_s^-1 y) = -(row s of A) / D[s], the system the factors of A
+        solve.
         """
         if not self.signs[s]:
             return None
@@ -203,56 +207,21 @@ class ExactLU:
             y[i] = Fraction(-w[k] * self.scale[i], q)
         return y
 
-    def solve(self, rhs: Sequence[Scalar]) -> List[Fraction]:
-        """x with M x = rhs, from P A z = P D rhs and x[order] = G^-1 z."""
-        c, den = self._integers(rhs)
-        z, q = _substitute(self.lu, [c[i] * self.scale[i] for i in self.perm])
-        x = [Fraction(0)] * len(z)
-        for k, i in enumerate(self.order):
-            x[i] = Fraction(z[k], q * den * self.content[k])
-        return x
+    def solve(self) -> List[Fraction]:
+        """x with M x = b, b the rider column; Singular when M is singular.
 
-    def solve_transpose(self, rhs: Sequence[Scalar]) -> List[Fraction]:
-        """y with M^t y = rhs, from (P A)^t w = G^-1 rhs[order] and y = D P^t w.
-
-        G^-1 rhs[order] is brought over the integers as L G^-1 c[order] /
-        (L den), L the lcm of the contents.
+        The elimination left P A z = P D b / g_b on the rider column, g_b
+        its content, so one back pass gives z / q and x[order[k]] =
+        g_b z[k] / (q G[k]).
         """
-        c, den = self._integers(rhs)
-        lcm = math.lcm(*self.content)
-        den *= lcm
-        w, q = _substitute(self.lut, [c[i] * (lcm // g) for i, g in zip(self.order, self.content)])
-        y = [Fraction(0)] * len(w)
-        for k, i in enumerate(self.perm):
-            y[i] = Fraction(w[k] * self.scale[i], q * den)
-        return y
-
-    def _integers(self, rhs: Sequence[Scalar]) -> Tuple[List[int], int]:
-        """Integers c and their common denominator: rhs = c / den."""
-        if len(rhs) != len(self.lu):
-            raise DimensionMismatch(f"rhs length {len(rhs)} != {len(self.lu)}")
         if not self.sign:
             raise Singular(Fraction(0))
-        rhs = [Fraction(v) for v in rhs]
-        den = math.lcm(*[v.denominator for v in rhs])
-        return [v.numerator * (den // v.denominator) for v in rhs], den
-
-
-def _substitute(lu: Sequence[Sequence[int]], b: List[int]) -> Tuple[List[int], int]:
-    """Fraction-free forward and back substitution with a compact factorisation.
-
-    Returns integers (x, d) with solution x / d, d the determinant.  The
-    forward pass replays the Bareiss steps on b; ``_back`` does the rest.
-    """
-    n = len(lu)
-    b = list(b)
-    prev = 1
-    for k in range(n - 1):
-        piv, bk = lu[k][k], b[k]
-        for i in range(k + 1, n):
-            b[i] = (piv * b[i] - lu[i][k] * bk) // prev
-        prev = piv
-    return _back(lu, b)
+        n = len(self.order)
+        z, q = _back(self.lu, [row[n] for row in self.lu])
+        x = [Fraction(0)] * n
+        for k, i in enumerate(self.order):
+            x[i] = Fraction(self.content[n] * z[k], q * self.content[k])
+        return x
 
 
 def _back(lu: Sequence[Sequence[int]], b: List[int]) -> Tuple[List[int], int]:
@@ -340,24 +309,30 @@ class FloatLU:
         return len(self.lu)
 
 
-def _kernel(m: Matrix, tol: float):
+def _check_square(m: Matrix) -> None:
     if m.rows != m.cols:
         raise NotSquare(f"{m.rows}x{m.cols}")
-    return ExactLU(m) if m.is_exact() else FloatLU(m, tol)
 
 
 def det(m: Matrix, tol: float = FLOAT_TOL) -> Scalar:
     """Determinant by ``ExactLU`` or ``FloatLU``; the 0x0 matrix has det 1."""
-    return _kernel(m, tol).det()
+    _check_square(m)
+    return (ExactLU(m) if m.is_exact() else FloatLU(m, tol)).det()
 
 
 def solve(m: Matrix, rhs: Sequence[Scalar], tol: float = FLOAT_TOL) -> List[Scalar]:
-    """Solve m x = rhs; exact in rational mode.
+    """Solve m x = rhs; exact in rational mode, by ``ExactLU`` of [m | rhs].
 
     Raises Singular (carrying the determinant value) when no unique
     solution exists.
     """
-    return _kernel(m, tol).solve(rhs)
+    _check_square(m)
+    if len(rhs) != m.rows:
+        raise DimensionMismatch(f"rhs length {len(rhs)} != {m.rows}")
+    if not m.is_exact():
+        return FloatLU(m, tol).solve(rhs)
+    return ExactLU(Matrix(m.rows, m.cols + 1,
+                          [row + [Fraction(v)] for row, v in zip(m.data, rhs)])).solve()
 
 
 def format_scalar(v: Scalar) -> Union[str, float]:

@@ -140,12 +140,16 @@ def _check_mode(mode) -> str:
 
 
 class _ScalarMode:
-    """Scalar mode shared by the measure systems: exact rationals or float64."""
+    """Scalar mode shared by the measure systems: exact rationals or float64,
+    and the float singularity tolerance, a number >= 0."""
 
     mode: str
+    tol: float
 
     def __post_init__(self):
         _check_mode(self.mode)
+        if not self.tol >= 0:
+            raise SchemaError("tol", f"expected a number >= 0, got {self.tol!r}")
 
     @property
     def exact(self) -> bool:

@@ -18,11 +18,11 @@ Exact solves go by neighbour path (``solve_path``): every M_n on a path is a
 leading block of the last one, so one factorisation solves the whole path,
 and a verifier that solves a path a step past its own top (``nnr_type2``)
 leaves the next verifier on that path nothing to factorise.  Each index on
-the path reads its Type I from the path's U and, but for the last index,
-its Type II from the path's L (``ExactLU.type1``/``type2``): row |n| of the
-path's M is that Type II's right-hand side, already eliminated.  The last
-index's Type II row is not in M, so it is read from the moments and solved
-with M^t.
+the path reads its Type I from the path's U and its Type II from the path's
+L (``ExactLU.type1``/``type2``): row |n| of the path's M is that Type II's
+right-hand side, already eliminated.  For the last index that row lies
+outside M, so it is read from the moments and rides the elimination as
+M's extra row.
 """
 
 from __future__ import annotations
@@ -311,17 +311,28 @@ def _factorise(sys: System, steps: List[Tuple[int, ...]]) -> None:
     # Each step of a path adds one column and one row to M_n.  With the
     # columns of the last index's M in the order the steps added them, the
     # M of every index on the path is a leading block of it (Gauss-Borel):
-    # one ExactLU gives every index its det and Type I, and every index but
-    # the last its Type II, whose row of moments is already eliminated
-    # (``ExactLU.type1``/``type2``).  A float path has one step: one FloatLU
-    # of M_n.
+    # one ExactLU gives every index its det, Type I and Type II, whose row
+    # of moments is already eliminated (``ExactLU.type1``/``type2``); the
+    # last index's row rides the elimination as an extra row.  A float path
+    # has one step: one FloatLU of M_n, and a solve with M_n^t.
     last = steps[-1]
     offsets = [0, *accumulate(last)]
     order = [offsets[j] + l for j, nj in enumerate(steps[0]) for l in range(nj)]
     order += [offsets[j] + a[j] for a, b in zip(steps, steps[1:])
               for j in range(len(a)) if a[j] != b[j]]
     m = moment_matrix(sys, last).matrix
-    lu = ExactLU(m, order) if sys.exact else FloatLU(m, sys.tol)
+    try:
+        rider = _type2_row(sys, last)
+    except TableExhausted as exc:
+        # The last index's row needs moments of order |n|, which a table
+        # may lack; its type2 then raises on request, normality still works.
+        rider = exc.with_traceback(None)
+    short = isinstance(rider, TableExhausted)
+    if not sys.exact:
+        lu = FloatLU(m, sys.tol)
+    else:
+        lu = ExactLU(m if short else Matrix(m.rows + 1, m.cols, m.data + [rider]), order)
+    poly = _basis(sys)[1]
     for key in steps:
         if key in sys._index_cache:
             continue
@@ -333,13 +344,11 @@ def _factorise(sys: System, steps: List[Tuple[int, ...]]) -> None:
             continue
         entry.type1 = _type1_set(sys, key, lu.type1(s) if sys.exact
                                  else lu.solve([sys.zero()] * (s - 1) + [sys.one()]))
-        try:
-            entry.type2 = _type2_poly(sys, key, lu)
-        except TableExhausted as exc:
-            # The last index's right-hand side needs moments of order |n|,
-            # which a table may lack; type2 then raises on request,
-            # normality still works.
-            entry.type2 = exc.with_traceback(None)
+        if key == last and short:
+            entry.type2 = rider
+        else:
+            y = lu.type2(s) if sys.exact else lu.solve_transpose([-v for v in rider])
+            entry.type2 = poly(tuple(y) + (sys.one(),))
 
 
 def _float_verdict(d: float, m: Matrix) -> Optional[bool]:
@@ -354,18 +363,17 @@ def _float_verdict(d: float, m: Matrix) -> Optional[bool]:
     return None if abs(d) < FLOAT_DET_HIGH * bound else True
 
 
-def _type2_poly(sys: System, n: Tuple[int, ...], lu) -> BiPoly:
-    exponent, poly = _basis(sys)
-    s = sum(n)
-    if s < len(lu.lu):
-        return poly(tuple(lu.type2(s)) + (sys.one(),))
-    nt, ns = exponent(s)
-    rhs = []
+def _type2_row(sys: System, n: Tuple[int, ...]) -> List[Scalar]:
+    """Row |n| of the moments on M_n's columns: minus the right-hand side
+    of n's Type II system."""
+    exponent, _ = _basis(sys)
+    nt, ns = exponent(sum(n))
+    row = []
     for j, nj in enumerate(n, start=1):
         for l in range(nj):
             lt, ls = exponent(l)
-            rhs.append(-sys.moment(j, nt + lt, ns + ls))
-    return poly(tuple(lu.solve_transpose(rhs)) + (sys.one(),))
+            row.append(sys.moment(j, nt + lt, ns + ls))
+    return row
 
 
 def _type1_set(sys: System, n: Tuple[int, ...], c: Sequence[Scalar]) -> TypeISet:

@@ -228,6 +228,31 @@ def test_unknown_scalar_is_a_schema_error(tmp_path, command, doc, argv, flags):
         "kind": "SchemaError"}
 
 
+TWIN_CONFIG = {
+    "scalar": "exact",
+    "measures": [{"kind": "tensor", "x": {"family": "laguerre", "alpha": 1},
+                  "y": {"family": "laguerre", "alpha": 1}}] * 2,
+}
+
+
+@pytest.mark.parametrize("tol, want", [("-1", EXIT_INVALID), ("nan", EXIT_INVALID),
+                                       ("0", EXIT_NOT_NORMAL), ("inf", EXIT_NOT_NORMAL)])
+def test_tol_must_be_a_number_at_least_zero(tmp_path, tol, want):
+    """Two equal measures make M_(1,1) singular.  A negative or NaN --tol is
+    invalid input, named in the error; 0 and inf judge the index."""
+    path = tmp_path / "twin.json"
+    path.write_text(json.dumps(TWIN_CONFIG))
+    code, out, err = invoke(["normal", "--float", "--tol", tol, "--config", str(path),
+                             "--index", "1,1"])
+    assert code == want
+    if want == EXIT_INVALID:
+        assert out == ""
+        assert json.loads(err) == {"error": f"tol: expected a number >= 0, got {float(tol)!r}",
+                                   "kind": "SchemaError"}
+    else:
+        assert json.loads(out)["normal"] is False
+
+
 def test_missing_config_file():
     code, _, err = invoke(["normal", "--config", "/nonexistent/cfg.json",
                            "--index", "1,0"])

@@ -126,35 +126,40 @@ def check_factorisation(m, order, rhs):
     order[:s], kept in their order in m.  det(s) is det(B_s); type1(s) is
     the c with B_s c = e_{s-1} and, for s < n, type2(s) the y with
     B_s^t y = -(row s of m on B_s's columns), as a Gauss-Jordan solve gives
-    them; a singular block yields None.  The solves with m and m^t hold
-    under the column order, and raise Singular when det(m) = 0."""
+    them; a singular block yields None.  With rhs as a rider row, the same
+    factors give the same dets and type2(n) is the y with m^t y = -rhs.
+    ``solve`` with m and m^t holds, and raises Singular when det(m) = 0."""
     n = len(order)
     lu = ExactLU(m, order)
+    ridden = ExactLU(Matrix.from_rows(m.data + [rhs]), order)
     for s in range(n + 1):
         cols = sorted(order[:s])
         block = [[row[c] for c in cols] for row in m.data[:s]]
         assert lu.det(s) == cofactor_det(Matrix.from_rows(block))
+        assert ridden.det(s) == lu.det(s)
         if not s:
             continue
         regular = lu.det(s) != 0
         got = lu.type1(s)
         assert got == gauss_jordan(block, [F(0)] * (s - 1) + [F(1)])
         assert (got is not None) == regular
+        transposed = [list(col) for col in zip(*block)]
+        below = m.data[s] if s < n else rhs
+        got = ridden.type2(s)
+        assert got == gauss_jordan(transposed, [-below[c] for c in cols])
+        assert (got is not None) == regular
         if s < n:
-            got = lu.type2(s)
-            transposed = [list(col) for col in zip(*block)]
-            assert got == gauss_jordan(transposed, [-m.data[s][c] for c in cols])
-            assert (got is not None) == regular
+            assert lu.type2(s) == got
         if regular:
             assert all(type(v) is F for v in got)
-    assert lu.det() == lu.det(n)
-    if lu.det():
-        assert m.matvec(lu.solve(rhs)) == rhs
-        assert m.transpose().matvec(lu.solve_transpose(rhs)) == rhs
-    else:
-        for solve_ in (lu.solve, lu.solve_transpose):
-            with pytest.raises(Singular):
-                solve_(rhs)
+    assert lu.det() == lu.det(n) == ridden.det()
+    for a in (m, m.transpose()):
+        if lu.det():
+            assert a.matvec(solve(a, rhs)) == rhs
+        else:
+            with pytest.raises(Singular) as err:
+                solve(a, rhs)
+            assert err.value.det == 0
 
 
 @settings(max_examples=80, deadline=None)
@@ -169,15 +174,18 @@ def test_leading_blocks_of_one_factorisation(case):
 def contented_cases(draw):
     """A square_matrices matrix with column j multiplied by an integer in
     1..12 and, sometimes, one column zeroed, so that the columns of its
-    cleared integers have a content above 1; a column order and a rhs."""
+    cleared integers have a content above 1; a column order and a rhs
+    multiplied by an integer in 1..12, so that as a rider column it has a
+    content above 1 too."""
     n = draw(st.integers(min_value=1, max_value=6))
     m = draw(square_matrices(st.just(n)))
     factors = draw(st.lists(st.integers(min_value=1, max_value=12), min_size=n, max_size=n))
     if draw(st.booleans()):
         factors[draw(st.integers(min_value=0, max_value=n - 1))] = 0
     rows = [[v * f for v, f in zip(row, factors)] for row in m.data]
+    g = draw(st.integers(min_value=1, max_value=12))
     return (Matrix.from_rows(rows), draw(st.permutations(range(n))),
-            draw(st.lists(fractions, min_size=n, max_size=n)))
+            [g * v for v in draw(st.lists(fractions, min_size=n, max_size=n))])
 
 
 @settings(max_examples=80, deadline=None)

@@ -184,6 +184,16 @@ def test_systems_reject_an_unknown_scalar_mode():
         assert err.value.path == "$.scalar"
 
 
+@pytest.mark.parametrize("tol", [-1.0, float("nan")])
+def test_systems_reject_a_negative_or_nan_tol(tol):
+    for make in (lambda: MeasureSystem(measures=(TensorMeasure(Laguerre(1), Laguerre(1)),),
+                                       mode="float64", tol=tol),
+                 lambda: UniMeasureSystem(families=(Laguerre(1),), mode="float64", tol=tol)):
+        with pytest.raises(SchemaError) as err:
+            make()
+        assert err.value.path == "tol"
+
+
 REIMPORT = """
 import gc, importlib, sys, weakref
 old = weakref.ref(importlib.import_module("bimop.measures").Laguerre)

@@ -349,27 +349,37 @@ def test_canonical_path_solutions_meet_their_defining_conditions():
 
 
 def test_inner_path_indices_run_no_substitution(monkeypatch):
-    """A 17-index path runs one full substitution, for its last index's
-    Type II, whose row of moments is not in M; the inner indices read
-    theirs from the factors and run none."""
-    calls = []
-    substitute = linalg._substitute
+    """No index of a 17-index path, its last included, runs a substitution:
+    every nonzero index reads its Type I and its Type II with one back pass
+    each on the path's one factorisation (32 passes), since the last
+    index's Type II row rides the elimination as M_(8,8)'s 17th row.  With the last index solved
+    alone first, the path reads the other 15 (30 passes)."""
+    calls, built = [], []
+    back, factor = linalg._back, mopcore.ExactLU
 
     def spy(lu, b):
         calls.append(len(b))
-        return substitute(lu, b)
+        return back(lu, b)
 
-    monkeypatch.setattr(linalg, "_substitute", spy)
+    def factor_spy(m, order=None):
+        built.append((m.rows, m.cols))
+        return factor(m, order)
+
+    monkeypatch.setattr(linalg, "_back", spy)
+    monkeypatch.setattr(mopcore, "ExactLU", factor_spy)
     steps = canonical_path([(0, 0), (8, 8)]).steps
     assert len(steps) == 17
     solve_path(make_pair_system(), steps)
-    assert len(calls) <= 1
+    assert built == [(17, 16)]
+    assert len(calls) == 32
+    assert sorted(calls) == sorted(2 * [sum(n) for n in steps[1:]])
     sys_ = make_pair_system()
     type2(sys_, steps[-1])
     calls.clear()
     solve_path(sys_, steps)
     assert set(steps) <= set(sys_._index_cache)
-    assert calls == []
+    assert len(calls) == 30
+    assert sorted(calls) == sorted(2 * [sum(n) for n in steps[1:-1]])
 
 
 def test_normal_path_builds_one_moment_matrix(monkeypatch):

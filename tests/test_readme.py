@@ -3,7 +3,7 @@
 import io
 import re
 import shlex
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from bimop.cli import EXIT_OK, run
@@ -34,3 +34,17 @@ def test_cli_pair_example_prints_its_comment():
         code = run(shlex.split(command)[1:])
     assert code == EXIT_OK
     assert out.getvalue().strip() == comment
+
+
+def test_cli_config_examples_exit_ok(tmp_path, monkeypatch):
+    """Every `bimop ... --config sys.json` line of the CLI block runs on the
+    README's measure config and exits 0."""
+    (tmp_path / "sys.json").write_text(re.search(r"```json\n(.*?)```", README, re.S).group(1))
+    monkeypatch.chdir(tmp_path)
+    block = re.search(r"```sh\n(bimop .*?)```", README, re.S).group(1)
+    commands = [line for line in block.splitlines() if "--config sys.json" in line]
+    assert len(commands) == 8
+    for command in commands:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            code = run(shlex.split(command, comments=True)[1:])
+        assert code == EXIT_OK, (command, err.getvalue())
