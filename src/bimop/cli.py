@@ -23,7 +23,7 @@ from .mopcore import (
     type1,
     type2,
 )
-from .product import ProductSystem, candidate_vs, find_v, product_poly, tilde_v, verify_product
+from .product import ProductSystem, find_v, product_poly, tilde_v, verify_product
 
 EXIT_OK = 0
 EXIT_NOT_NORMAL = 2
@@ -51,22 +51,27 @@ def _natural(value: int, name: str) -> int:
     return value
 
 
-def _load_system(args) -> MeasureSystem:
+def _read_config(args) -> str:
+    """The text of the --config file, which JSON requires to be UTF-8."""
     if not args.config:
         raise SchemaError("--config", "a measure config is required for this command")
-    with open(args.config) as fh:
-        return parse_config(fh.read(), mode=FLOAT64 if args.float_mode else None,
-                            tol=args.tol)
+    with open(args.config, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError("$", f"not UTF-8: {exc}") from None
+
+
+def _load_system(args) -> MeasureSystem:
+    return parse_config(_read_config(args), mode=FLOAT64 if args.float_mode else None,
+                        tol=args.tol)
 
 
 def _load_product_system(args) -> ProductSystem:
-    if not args.config:
-        raise SchemaError("--config", "a measure config is required for this command")
-    with open(args.config) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("$", f"invalid JSON: {exc}")
+    try:
+        doc = json.loads(_read_config(args))
+    except json.JSONDecodeError as exc:
+        raise SchemaError("$", f"invalid JSON: {exc}")
     if not isinstance(doc, dict) or "x" not in doc or "y" not in doc:
         raise SchemaError("$", "product config needs 'x' and 'y' family lists")
     scalar = _check_mode(doc.get("scalar", EXACT))

@@ -4,16 +4,17 @@ Exact mode clears each row's denominators, divides each column of the
 cleared integers by its content (the gcd of its entries) and runs one
 fraction-free (Bareiss) LU over the integers, ``ExactLU``; float mode runs
 one partial-pivot LU, ``FloatLU``, with a configurable singularity
-tolerance, which solves with M and with M^t.  ``det`` and ``solve`` pick
-the kernel by the entries.
+tolerance.  ``det`` and ``solve`` pick the kernel by the entries.
 
-An exact right-hand side rides the elimination: ``ExactLU`` takes M with
-one extra row or one extra column, eliminated with M but never a pivot.
-The factors serve every leading block B_s of M (Gauss-Borel): its Type I
-solution, B_s c = e_{s-1}, is one back pass on U, and its Type II
-solution, B_s^t y = -(row s of M), is one back pass on L^t of the Bareiss
-multipliers the elimination left in row s, the rider row for s = n.  The
-solve with M is one back pass on the rider column.
+Both kernels take M with at most one rider, an extra row or an extra
+column that is never a pivot, and answer the same questions: ``det``,
+``normal``, ``type1`` (M c = e_{n-1}), ``type2`` (M^t y = -(the rider
+row)) and ``solve`` (M x = the rider column).  ``ExactLU`` eliminates the
+rider with M, and its factors serve every leading block B_s of M
+(Gauss-Borel): B_s's Type I solution is one back pass on U, and its Type
+II solution, B_s^t y = -(row s of M), is one back pass on L^t of the
+Bareiss multipliers the elimination left in row s, the rider row for s =
+n.  ``FloatLU`` factors M alone, so it serves M only.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ Scalar = Union[Fraction, float, int]
 
 #: |pivot| <= FLOAT_TOL * max(1, max |entry|) declares a float matrix singular.
 FLOAT_TOL = 1e-12
+
+#: Float normality is indeterminate when |det| / Hadamard bound falls inside
+#: this band; below it the matrix is declared singular, above it regular.
+FLOAT_DET_LOW = 1e-12
+FLOAT_DET_HIGH = 1e-6
 
 #: Residual tolerance for float-mode verdicts, relative to the largest
 #: coefficient involved.
@@ -161,6 +167,10 @@ class ExactLU:
         return Fraction(self.signs[s] * self.lu[s - 1][s - 1] * math.prod(self.content[:s]),
                         math.prod(self.scale[:s]))
 
+    def normal(self, s: int) -> bool:
+        """Whether B_s is regular."""
+        return self.signs[s] != 0
+
     def type1(self, s: int) -> Optional[List[Fraction]]:
         """c with B_s c = e_{s-1}, for s >= 1; None when B_s is singular.
 
@@ -238,18 +248,34 @@ def _back(lu: Sequence[Sequence[int]], b: List[int]) -> Tuple[List[int], int]:
 
 
 class FloatLU:
-    """One partial-pivot LU factorisation P M = L U of a square binary64 M.
+    """One partial-pivot LU factorisation P M = L U of a square binary64 M,
+    and of at most one rider: an extra row or an extra column of M, split
+    off before the factorisation.
 
     Step k pivots on the first largest |entry| of column k and stops, M
     singular, when it is at most tol * max(1, max |entry of M|).  ``lu`` holds
-    U and, below it, L's multipliers; row k of P M is row perm[k] of M.  Sums
-    run left to right (``reduce``: ``sum()`` compensates from Python 3.12 on).
+    U and, below it, L's multipliers; row k of P M is row perm[k] of M.  The
+    pivot search, that threshold and the Hadamard bound of ``normal`` read
+    M's own entries, never the rider's.  Sums run left to right (``reduce``:
+    ``sum()`` compensates from Python 3.12 on).
+
+    The read-outs are ``ExactLU``'s.  A pivot may come from below a leading
+    block, so the factors are M's and not its leading blocks': s, where a
+    read-out takes it, is n, the size of M.  ``type1(s)`` solves M c =
+    e_{n-1}, ``type2(s)`` M^t y = -(the rider row), and ``solve()`` M x =
+    the rider column.
     """
 
     def __init__(self, m: Matrix, tol: float = FLOAT_TOL):
-        n = m.rows
+        n = min(m.rows, m.cols)
         a = [[float(v) for v in row] for row in m.data]
+        #: the rider row or column, or None
+        self.rider = a.pop() if m.rows > n else [row.pop() for row in a] if m.cols > n else None
         scale = max([1.0] + [abs(v) for row in a for v in row])
+        #: the Hadamard bound of M, prod_i max(1, |row i|)
+        self.bound = 1.0
+        for row in a:
+            self.bound *= max(1.0, reduce(operator.add, (v * v for v in row), 0.0) ** 0.5)
         self.perm = list(range(n))
         #: det(P), or 0 when M is singular
         self.sign = 1
@@ -268,16 +294,56 @@ class FloatLU:
                     a[i][j] -= f * a[k][j]
         self.lu = a
 
-    def det(self) -> float:
+    def det(self, s: Optional[int] = None) -> float:
         """det(P) times the pivots' product, taken left to right; 0.0 when singular."""
         if not self.sign:
             return 0.0
         return self.sign * reduce(operator.mul, [row[k] for k, row in enumerate(self.lu)], 1.0)
 
-    def solve(self, rhs: Sequence[Scalar]) -> List[float]:
-        """x with M x = rhs: L y = P rhs, then U x = y."""
-        lu, n = self.lu, self._check(rhs)
-        b = [float(rhs[i]) for i in self.perm]
+    def normal(self, s: int) -> Optional[bool]:
+        """False, None (indeterminate) or True as |det| falls below
+        FLOAT_DET_LOW, between it and FLOAT_DET_HIGH, or above, times the
+        Hadamard bound of M."""
+        d = abs(self.det())
+        if d <= FLOAT_DET_LOW * self.bound:
+            return False
+        return None if d < FLOAT_DET_HIGH * self.bound else True
+
+    def type1(self, s: int) -> Optional[List[float]]:
+        """c with M c = e_{n-1}; None when the factorisation stopped."""
+        if not self.sign:
+            return None
+        b = [0.0] * len(self.lu)
+        b[self.perm.index(len(b) - 1)] = 1.0
+        return self._solve(b)
+
+    def type2(self, s: int) -> Optional[List[float]]:
+        """y with M^t y = -(the rider row): U^t z = -rider, L^t w = z, then
+        y = P^t w; None when the factorisation stopped."""
+        if not self.sign:
+            return None
+        lu, n = self.lu, len(self.lu)
+        z = [0.0] * n
+        for k in range(n):
+            z[k] = (-self.rider[k] - reduce(operator.add, (lu[j][k] * z[j] for j in range(k)),
+                                            0.0)) / lu[k][k]
+        for k in range(n - 1, -1, -1):
+            z[k] -= reduce(operator.add, (lu[j][k] * z[j] for j in range(k + 1, n)), 0.0)
+        y = [0.0] * n
+        for k, i in enumerate(self.perm):
+            y[i] = z[k]
+        return y
+
+    def solve(self) -> List[float]:
+        """x with M x = b, b the rider column; Singular when the
+        factorisation stopped."""
+        if not self.sign:
+            raise Singular(0.0)
+        return self._solve([self.rider[i] for i in self.perm])
+
+    def _solve(self, b: List[float]) -> List[float]:
+        """x with M x = P^t b: L y = b, then U x = y."""
+        lu, n = self.lu, len(b)
         for k in range(n):
             for i in range(k + 1, n):
                 b[i] -= lu[i][k] * b[k]
@@ -286,27 +352,6 @@ class FloatLU:
             x[k] = (b[k] - reduce(operator.add, (lu[k][j] * x[j] for j in range(k + 1, n)),
                                   0.0)) / lu[k][k]
         return x
-
-    def solve_transpose(self, rhs: Sequence[Scalar]) -> List[float]:
-        """y with M^t y = rhs: U^t z = rhs, L^t w = z, then y = P^t w."""
-        lu, n = self.lu, self._check(rhs)
-        z = [0.0] * n
-        for k in range(n):
-            z[k] = (float(rhs[k]) - reduce(operator.add, (lu[j][k] * z[j] for j in range(k)),
-                                           0.0)) / lu[k][k]
-        for k in range(n - 1, -1, -1):
-            z[k] -= reduce(operator.add, (lu[j][k] * z[j] for j in range(k + 1, n)), 0.0)
-        y = [0.0] * n
-        for k, i in enumerate(self.perm):
-            y[i] = z[k]
-        return y
-
-    def _check(self, rhs: Sequence[Scalar]) -> int:
-        if len(rhs) != len(self.lu):
-            raise DimensionMismatch(f"rhs length {len(rhs)} != {len(self.lu)}")
-        if not self.sign:
-            raise Singular(0.0)
-        return len(self.lu)
 
 
 def _check_square(m: Matrix) -> None:
@@ -321,7 +366,8 @@ def det(m: Matrix, tol: float = FLOAT_TOL) -> Scalar:
 
 
 def solve(m: Matrix, rhs: Sequence[Scalar], tol: float = FLOAT_TOL) -> List[Scalar]:
-    """Solve m x = rhs; exact in rational mode, by ``ExactLU`` of [m | rhs].
+    """Solve m x = rhs by the kernel of m's entries, ``ExactLU`` or
+    ``FloatLU``, factoring [m | rhs]; exact in rational mode.
 
     Raises Singular (carrying the determinant value) when no unique
     solution exists.
@@ -329,10 +375,10 @@ def solve(m: Matrix, rhs: Sequence[Scalar], tol: float = FLOAT_TOL) -> List[Scal
     _check_square(m)
     if len(rhs) != m.rows:
         raise DimensionMismatch(f"rhs length {len(rhs)} != {m.rows}")
-    if not m.is_exact():
-        return FloatLU(m, tol).solve(rhs)
-    return ExactLU(Matrix(m.rows, m.cols + 1,
-                          [row + [Fraction(v)] for row, v in zip(m.data, rhs)])).solve()
+    exact = m.is_exact()
+    aug = Matrix(m.rows, m.cols + 1,
+                 [row + [Fraction(v) if exact else v] for row, v in zip(m.data, rhs)])
+    return (ExactLU(aug) if exact else FloatLU(aug, tol)).solve()
 
 
 def format_scalar(v: Scalar) -> Union[str, float]:

@@ -162,6 +162,12 @@ class _ScalarMode:
             return value == 0
         return abs(float(value)) <= FLOAT_RESIDUAL_TOL * max(1.0, abs(float(scale)))
 
+    def magnitude(self, polys) -> Scalar:
+        """The scale ``is_zero`` judges a sum of polys' coefficients by: in
+        float mode max(1, their largest |coefficient|), in exact mode 1,
+        which it ignores, so no coefficient is ever converted to float."""
+        return 1 if self.exact else max([1.0] + [abs(c) for p in polys for c in p.coeffs])
+
     def zero(self) -> Scalar:
         return Fraction(0) if self.exact else 0.0
 
@@ -298,7 +304,7 @@ def _parse_measure(obj, path: str) -> BivariateMeasure:
             epath = f"{path}.moments[{i}]"
             if not isinstance(e, dict) or not {"t", "s", "value"} <= set(e):
                 raise SchemaError(epath, "expected {t, s, value}")
-            if not isinstance(e["t"], int) or not isinstance(e["s"], int):
+            if not all(type(e[k]) is int and e[k] >= 0 for k in "ts"):
                 raise SchemaError(epath, "t and s must be naturals")
             table[(e["t"], e["s"])] = _parse_exponent(e["value"], epath + ".value")
         return TableMeasure(table)

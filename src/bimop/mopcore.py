@@ -12,26 +12,25 @@ denominator, however many polynomials it is paired against; ``inner`` and
 coefficient of the sum is one Fraction.  Univariate systems run through the
 same solver over the power basis (see ``_basis``).
 
-``_factorise`` runs one factorisation of M_n, ``ExactLU`` or ``FloatLU``, for
-an index's det, verdict, Type I (a solve with M_n) and Type II (with M_n^t).
+``_factorise`` runs one factorisation of M_n, ``ExactLU`` or ``FloatLU``,
+and reads each index's det, verdict, Type I and Type II from it with the
+same four calls in both scalar modes (``normal``, ``det``, ``type1``,
+``type2``).  Row |n| of the moments, the right-hand side of n's Type II
+system, lies outside M_n, so it rides the factorisation as M's rider row.
 Exact solves go by neighbour path (``solve_path``): every M_n on a path is a
 leading block of the last one, so one factorisation solves the whole path,
 and a verifier that solves a path a step past its own top (``nnr_type2``)
 leaves the next verifier on that path nothing to factorise.  Each index on
 the path reads its Type I from the path's U and its Type II from the path's
-L (``ExactLU.type1``/``type2``): row |n| of the path's M is that Type II's
-right-hand side, already eliminated.  For the last index that row lies
-outside M, so it is read from the moments and rides the elimination as
-M's extra row.
+L: row |n| of the path's M is that Type II's right-hand side, already
+eliminated.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Type, Union
 
@@ -50,11 +49,6 @@ from .measures import MeasureSystem, UniMeasureSystem
 
 if TYPE_CHECKING:
     System = Union[MeasureSystem, UniMeasureSystem]
-
-#: Float-mode normality is indeterminate when |det| / hadamard_bound falls
-#: inside this band; below it the index is declared non-normal, above normal.
-FLOAT_DET_LOW = 1e-12
-FLOAT_DET_HIGH = 1e-6
 
 
 class _Dense:
@@ -313,8 +307,8 @@ def _factorise(sys: System, steps: List[Tuple[int, ...]]) -> None:
     # M of every index on the path is a leading block of it (Gauss-Borel):
     # one ExactLU gives every index its det, Type I and Type II, whose row
     # of moments is already eliminated (``ExactLU.type1``/``type2``); the
-    # last index's row rides the elimination as an extra row.  A float path
-    # has one step: one FloatLU of M_n, and a solve with M_n^t.
+    # last index's row rides the factorisation as M's rider row.  A float
+    # path has one step, so its one FloatLU serves M_n alone.
     last = steps[-1]
     offsets = [0, *accumulate(last)]
     order = [offsets[j] + l for j, nj in enumerate(steps[0]) for l in range(nj)]
@@ -323,44 +317,24 @@ def _factorise(sys: System, steps: List[Tuple[int, ...]]) -> None:
     m = moment_matrix(sys, last).matrix
     try:
         rider = _type2_row(sys, last)
+        m = Matrix(m.rows + 1, m.cols, m.data + [rider])
     except TableExhausted as exc:
         # The last index's row needs moments of order |n|, which a table
         # may lack; its type2 then raises on request, normality still works.
         rider = exc.with_traceback(None)
-    short = isinstance(rider, TableExhausted)
-    if not sys.exact:
-        lu = FloatLU(m, sys.tol)
-    else:
-        lu = ExactLU(m if short else Matrix(m.rows + 1, m.cols, m.data + [rider]), order)
+    lu = ExactLU(m, order) if sys.exact else FloatLU(m, sys.tol)
     poly = _basis(sys)[1]
     for key in steps:
         if key in sys._index_cache:
             continue
         s = sum(key)
-        d = lu.det(s) if sys.exact else lu.det()
-        entry = sys._index_cache[key] = _Solved(
-            Normality(normal=d != 0 if sys.exact else _float_verdict(d, m), det=d))
-        if not s or not (d if sys.exact else lu.sign):
+        entry = sys._index_cache[key] = _Solved(Normality(lu.normal(s), lu.det(s)))
+        c = lu.type1(s) if s else None
+        if c is None:
             continue
-        entry.type1 = _type1_set(sys, key, lu.type1(s) if sys.exact
-                                 else lu.solve([sys.zero()] * (s - 1) + [sys.one()]))
-        if key == last and short:
-            entry.type2 = rider
-        else:
-            y = lu.type2(s) if sys.exact else lu.solve_transpose([-v for v in rider])
-            entry.type2 = poly(tuple(y) + (sys.one(),))
-
-
-def _float_verdict(d: float, m: Matrix) -> Optional[bool]:
-    """False, None (indeterminate) or True as |d| falls below FLOAT_DET_LOW,
-    between it and FLOAT_DET_HIGH, or above, times the Hadamard bound of m."""
-    bound = 1.0
-    for row in m.data:
-        # reduce, not sum(): the same digits on every Python version
-        bound *= max(1.0, reduce(operator.add, (v * v for v in row), 0.0) ** 0.5)
-    if abs(d) <= FLOAT_DET_LOW * bound:
-        return False
-    return None if abs(d) < FLOAT_DET_HIGH * bound else True
+        entry.type1 = _type1_set(sys, key, c)
+        entry.type2 = (rider if key == last and isinstance(rider, TableExhausted)
+                       else poly(tuple(lu.type2(s)) + (sys.one(),)))
 
 
 def _type2_row(sys: System, n: Tuple[int, ...]) -> List[Scalar]:
@@ -391,7 +365,8 @@ def normality(sys: System, n: Sequence[int]) -> Normality:
 
     The 0x0 matrix has det 1, so the zero index is vacuously normal.  In
     float mode the verdict is indeterminate (None) when |det| falls between
-    FLOAT_DET_LOW and FLOAT_DET_HIGH times the Hadamard bound of the matrix.
+    FLOAT_DET_LOW and FLOAT_DET_HIGH times the Hadamard bound of the matrix
+    (``FloatLU.normal``).
     """
     return _solved(sys, _index(sys, n)).verdict
 

@@ -105,7 +105,7 @@ def verify_product(ps: ProductSystem, n: Sequence[int], m: Sequence[int],
     if sum(v) != mi.pair(sum(n), sum(m)):
         raise BadV(f"|v| = {sum(v)} != pair(|n|, |m|) = {mi.pair(sum(n), sum(m))}")
     pv = type2(ps.bivariate, v)
-    scale = max(abs(c) for c in pv.coeffs)
+    scale = ps.bivariate.magnitude([pv])
     return all(ps.bivariate.is_zero(c, scale) for c in (pv - product_poly(ps, n, m)).coeffs)
 
 

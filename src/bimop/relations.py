@@ -10,7 +10,6 @@ identity is compared to zero coefficientwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import multiindex as mi
@@ -239,16 +238,15 @@ def _expand(sys: MeasureSystem, xp: BiPoly, path: mi.Path, top: int, stop: int):
     return coefficients, terms
 
 
-def _residuals(sys: MeasureSystem, sums, big: float = 1.0):
+def _residuals(sys: MeasureSystem, sums):
     """Each term list summed by ``combine``, and whether every sum is zero.
 
     A float sum is zero within FLOAT_RESIDUAL_TOL times the largest
-    |c * coefficient| over all the terms and big: its round-off grows with
-    its largest term, not with its first.
+    |c * coefficient| over all the terms: its round-off grows with its
+    largest term, not with its first.
     """
     residuals = [combine(sys, terms) for terms in sums]
-    if not sys.exact:
-        big = max([big] + [abs(c * v) for terms in sums for c, p in terms for v in p.coeffs])
+    big = sys.magnitude(p.scale(c) for terms in sums for c, p in terms)
     return residuals, all(sys.is_zero(c, big) for res in residuals for c in res.coeffs)
 
 
@@ -294,12 +292,10 @@ def nnr_type2(sys: MeasureSystem, n: Sequence[int], axis: str,
     w_top = path.at_modulus(top)
     if w is not None and tuple(w) != w_top:
         raise PathInvalid(f"path entry of modulus {top} is {w_top}, expected {tuple(w)}")
-    if not mi.leq(n, w_top):
-        raise PathInvalid(f"w = {w_top} must dominate n componentwise")
 
     solve_path(sys, path.steps)
     xp = mul(type2(sys, n))
-    scale = max(abs(float(c)) for c in xp.coeffs)
+    scale = sys.magnitude([xp])
     coefficients, terms = _expand(sys, xp, path, top, top)
     (residual,), zero = _residuals(sys, [terms])
     vanish_below = p.modulus - (d + 1) * r
@@ -371,7 +367,7 @@ def nnr_type1(sys: MeasureSystem, n: Sequence[int], axis: str,
     solve_path(sys, steps[:top + 1])
 
     xa = [mul(a) for a in type1(sys, n).polys]
-    scale = max([1.0] + [abs(float(c)) for a in xa for c in a.coeffs])
+    scale = sys.magnitude(xa)
     pairs = [moment_rows(sys, a) for a in xa]
 
     coefficients = []
@@ -400,7 +396,7 @@ def nnr_type1(sys: MeasureSystem, n: Sequence[int], axis: str,
             if a != 0:
                 terms.append((-a, type1(sys, full.at_modulus(k)).polys[j - 1]))
         sums.append(terms)
-    residuals, zero = _residuals(sys, sums, scale)
+    residuals, zero = _residuals(sys, sums)
     return NNRReport(variant=f"{axis}Q", path=full, holds=zero and vanishing_ok,
                      coefficients=coefficients, residual=residuals,
                      vanishing_ok=vanishing_ok, low_unit_ok=low_unit_ok)
@@ -476,7 +472,7 @@ def nnr_vector(sys: MeasureSystem, chain: Sequence[Sequence[int]], axis: str,
     scale = 1.0
     for k, nk in enumerate(chain):
         xp = mul(type2(sys, nk))
-        scale = max(scale, max(abs(float(c)) for c in xp.coeffs))
+        scale = max(scale, sys.magnitude([xp]))
         row_top = sum(nk) + bump
         amats[d + 1][k][row_top - base] = sys.one()
         coefficients, terms = _expand(sys, xp, gpath, row_top, gtop)

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -148,6 +151,13 @@ def test_nnr_q_holds(configs):
     assert json.loads(out)["holds"] is True
 
 
+def test_nnr_q_rejects_a_bad_path(configs):
+    code, out, err = invoke(["nnr-q", "--config", configs["duo"], "--index", "2,2",
+                             "--axis", "x", "--path", "1,1;3,1;4,1"])
+    assert (code, out) == (EXIT_INVALID, "")
+    assert json.loads(err) == {"error": "not a neighbour path", "kind": "PathInvalid"}
+
+
 def test_vector_holds(configs):
     code, out, _ = invoke(["vector", "--config", configs["duo"],
                            "--chain", "1,2;1,3;2,3", "--axis", "y"])
@@ -253,6 +263,40 @@ def test_tol_must_be_a_number_at_least_zero(tmp_path, tol, want):
         assert json.loads(out)["normal"] is False
 
 
+def test_missing_config_flag():
+    code, out, err = invoke(["normal", "--index", "1,0"])
+    assert (code, out) == (EXIT_INVALID, "")
+    assert json.loads(err) == {
+        "error": "--config: a measure config is required for this command",
+        "kind": "SchemaError"}
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["normal", "--index", "1,0"], id="normal"),
+    pytest.param(["product", "--n", "0,1", "--m", "1,0"], id="product"),
+])
+def test_config_that_is_not_utf8_is_a_schema_error(tmp_path, argv):
+    """JSON is UTF-8; other bytes are invalid input, whatever the locale."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, out, err = invoke([argv[0], "--config", str(bad)] + argv[1:])
+    assert (code, out) == (EXIT_INVALID, "")
+    doc = json.loads(err)
+    assert doc["kind"] == "SchemaError" and doc["error"].startswith("$: not UTF-8")
+
+
+@pytest.mark.parametrize("text, error", [
+    pytest.param("{", "$: invalid JSON", id="invalid-json"),
+    pytest.param('{"x": []}', "$: product config needs 'x' and 'y'", id="no-y"),
+])
+def test_product_config_schema_errors(tmp_path, text, error):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, err = invoke(["product", "--config", str(bad), "--n", "0,1", "--m", "1,0"])
+    assert (code, out) == (EXIT_INVALID, "")
+    assert json.loads(err)["error"].startswith(error)
+
+
 def test_missing_config_file():
     code, _, err = invoke(["normal", "--config", "/nonexistent/cfg.json",
                            "--index", "1,0"])
@@ -302,3 +346,45 @@ def test_float_mode(configs):
                            "--float", "--index", "2,2"])
     assert code == EXIT_OK
     assert json.loads(out)["normal"] is True
+
+
+E = 10 ** 120
+# Laguerre exponents near 10^120: Type II coefficients pass 1.8e308.
+HUGE_CONFIG = {
+    "scalar": "exact",
+    "measures": [
+        {"kind": "tensor", "x": {"family": "laguerre", "alpha": str(E)},
+         "y": {"family": "laguerre", "alpha": f"{5 * E + 1}/5"}},
+        {"kind": "tensor", "x": {"family": "laguerre", "alpha": f"{3 * E + 1}/3"},
+         "y": {"family": "laguerre", "alpha": f"{7 * E + 1}/7"}},
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["nnr", "--index", "4,4", "--axis", "x"], id="nnr"),
+    pytest.param(["vector", "--chain", "3,3;3,4;4,4;4,5", "--axis", "x"], id="vector"),
+    pytest.param(["check"], id="check"),
+])
+def test_exact_checks_hold_past_the_float_range(tmp_path, argv):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(HUGE_CONFIG))
+    code, out, err = invoke([argv[0], "--config", str(path)] + argv[1:])
+    assert (code, err) == (EXIT_OK, "")
+    doc = json.loads(out)
+    assert doc.get("holds", doc.get("ok")) is True
+
+
+@pytest.mark.parametrize("argv, want", [
+    pytest.param(["pair", "1", "2"], EXIT_OK, id="ok"),
+    pytest.param(["params", "--index", "1,x"], EXIT_INVALID, id="invalid"),
+])
+def test_module_entry_point_exits_with_the_run_code(argv, want):
+    """``python -m bimop.cli`` runs ``main()``, which exits with run's code."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "bimop.cli"] + argv, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == want
+    if want == EXIT_OK:
+        assert json.loads(done.stdout) == {"pi": 8}

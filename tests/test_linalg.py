@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bimop import Matrix, NotSquare, Singular, det, format_scalar, parse_scalar, solve
+from bimop import (DimensionMismatch, Matrix, NotSquare, Singular, det, format_scalar,
+                   parse_scalar, solve)
 from bimop.linalg import ExactLU, FloatLU
 from bimop.mopcore import moment_matrix
 
@@ -224,6 +225,19 @@ def test_float_singular_detection():
         solve(m, [1.0, 1.0])
 
 
+@pytest.mark.parametrize("one", [F(1), 1.0], ids=["exact", "float"])
+def test_solve_checks_shapes_before_the_kernel(one):
+    """NotSquare, then DimensionMismatch, then Singular with a det of m's
+    scalar type."""
+    with pytest.raises(NotSquare):
+        solve(Matrix.from_rows([[one, one]]), [one, one, one])
+    with pytest.raises(DimensionMismatch):
+        solve(Matrix.from_rows([[one, one], [one, one]]), [one])
+    with pytest.raises(Singular) as err:
+        solve(Matrix.from_rows([[one, one], [one, one]]), [one, one])
+    assert err.value.det == 0 and type(err.value.det) is type(one)
+
+
 floats = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 
 
@@ -255,32 +269,38 @@ def test_float_lu_against_exact_lu(case):
     """FloatLU judged by ExactLU on the same matrix converted exactly.
 
     det within 1e-10 of the scale (sqrt(n) max|m|)^n of any det of that
-    size; solves with m and m^t with an exact residual within 1e-10 of
-    |m| |x| + |rhs| (backward stability of partial pivoting); Singular
-    with det 0.0 exactly when the factorisation stops.
+    size; solves with m (rhs as the rider column, ``solve()``) and m^t
+    (-rhs as the rider row, ``type2``) with an exact residual within 1e-10
+    of |m| |x| + |rhs| (backward stability of partial pivoting); Singular
+    with det 0.0, and no Type II, exactly when the factorisation stops.  A
+    rider changes neither the factorisation nor its det.
     """
     m, rhs, singular = case
     n = m.rows
     exact = Matrix.from_rows([[F(v) for v in row] for row in m.data])
     lu = FloatLU(m)
+    by_col = FloatLU(Matrix(n, n + 1, [row + [b] for row, b in zip(m.data, rhs)]))
+    by_row = FloatLU(Matrix(n + 1, n, m.data + [[-b for b in rhs]]))
     big = max([1.0] + [abs(v) for row in m.data for v in row])
     got = lu.det()
     assert type(got) is float
     assert abs(F(got) - ExactLU(exact).det()) <= F(1e-10) * F(n ** 0.5 * big) ** n
+    for rode in (by_col, by_row):
+        assert (rode.lu, rode.perm, rode.det()) == (lu.lu, lu.perm, got)
     if singular:
         assert not lu.sign
     if not lu.sign:
         assert got == 0.0
-        for solve_ in (lu.solve, lu.solve_transpose):
-            with pytest.raises(Singular) as err:
-                solve_(rhs)
-            assert type(err.value.det) is float and err.value.det == 0.0
+        with pytest.raises(Singular) as err:
+            by_col.solve()
+        assert type(err.value.det) is float and err.value.det == 0.0
+        assert by_row.type2(n) is None
         return
     norm = max(sum(abs(v) for v in row) for row in m.data)
     norm_t = max(sum(abs(row[j]) for row in m.data) for j in range(n))
-    for a, size, solve_ in ((exact, norm, lu.solve),
-                            (exact.transpose(), norm_t, lu.solve_transpose)):
-        x = solve_(rhs)
+    for a, size, solve_ in ((exact, norm, by_col.solve),
+                            (exact.transpose(), norm_t, lambda: by_row.type2(n))):
+        x = solve_()
         residual = [F(b) - v for b, v in zip(rhs, a.matvec([F(v) for v in x]))]
         bound = 1e-10 * (size * max(abs(v) for v in x) + max(abs(b) for b in rhs))
         assert max(abs(r) for r in residual) <= F(bound)

@@ -1,5 +1,6 @@
 """Moment providers: built-in families, tables, tensors, and config parsing."""
 
+import json
 import os
 import subprocess
 import sys
@@ -153,6 +154,63 @@ def test_parse_config_error_paths():
     with pytest.raises(SchemaError) as err:
         parse_config('{"measures": [{"kind": "mystery"}]}')
     assert err.value.path == "$.measures[0].kind"
+
+
+def test_parse_config_table_family():
+    text = """{"measures": [{"kind": "tensor",
+      "x": {"family": "table", "moments": [1, "1/2", "0.25"]},
+      "y": {"family": "jacobi", "a": 0}}]}"""
+    sys_ = parse_config(text)
+    assert sys_.moment(1, 2, 1) == F(1, 4) * F(1, 2)
+    with pytest.raises(TableExhausted):
+        sys_.moment(1, 3, 0)
+
+
+LAGUERRE = {"family": "laguerre", "alpha": 1}
+
+
+def one_measure(measure):
+    return json.dumps({"measures": [measure]})
+
+
+@pytest.mark.parametrize("text, path", [
+    pytest.param("[]", "$", id="document-not-an-object"),
+    pytest.param('{"measures": {}}', "$.measures", id="measures-not-a-list"),
+    pytest.param(one_measure([]), "$.measures[0]", id="measure-not-an-object"),
+    pytest.param(one_measure({"kind": "tensor", "x": LAGUERRE}), "$.measures[0]",
+                 id="tensor-without-y"),
+    pytest.param(one_measure({"kind": "table", "moments": []}), "$.measures[0].moments",
+                 id="table-without-moments"),
+    pytest.param(one_measure({"kind": "table", "moments": [{"t": 0, "value": 1}]}),
+                 "$.measures[0].moments[0]", id="table-entry-without-s"),
+    pytest.param(one_measure({"kind": "table", "moments": [{"t": 0, "s": 0, "value": "x"}]}),
+                 "$.measures[0].moments[0].value", id="table-value-not-rational"),
+    pytest.param(one_measure({"kind": "tensor", "x": 1, "y": LAGUERRE}), "$.measures[0].x",
+                 id="family-not-an-object"),
+    pytest.param(one_measure({"kind": "tensor", "x": LAGUERRE, "y": {"family": "laguerre"}}),
+                 "$.measures[0].y.alpha", id="laguerre-without-alpha"),
+    pytest.param(one_measure({"kind": "tensor", "x": {"family": "jacobi"}, "y": LAGUERRE}),
+                 "$.measures[0].x.a", id="jacobi-without-a"),
+    pytest.param(one_measure({"kind": "tensor", "x": {"family": "table", "moments": []},
+                              "y": LAGUERRE}), "$.measures[0].x.moments",
+                 id="family-table-without-moments"),
+    pytest.param(one_measure({"kind": "tensor", "x": {"family": "hermite"}, "y": LAGUERRE}),
+                 "$.measures[0].x.family", id="unknown-family"),
+    pytest.param(one_measure({"kind": "tensor", "x": {"family": "laguerre", "alpha": "1/0"},
+                              "y": LAGUERRE}), "$.measures[0].x.alpha", id="zero-denominator"),
+])
+def test_parse_config_schema_errors(text, path):
+    with pytest.raises(SchemaError) as err:
+        parse_config(text)
+    assert err.value.path == path
+
+
+@pytest.mark.parametrize("t, s", [(-1, 0), (0, -2), (True, 0), (0, False), (1.0, 0)])
+def test_table_measure_exponents_must_be_naturals(t, s):
+    text = one_measure({"kind": "table", "moments": [{"t": t, "s": s, "value": 1}]})
+    with pytest.raises(SchemaError, match="t and s must be naturals") as err:
+        parse_config(text)
+    assert err.value.path == "$.measures[0].moments[0]"
 
 
 def test_parse_uni_config():

@@ -501,6 +501,23 @@ def test_float_type2_raises_where_type1_does():
             assert raised in ([], [type2, type1])
 
 
+def test_float_normality_is_the_band_rule_of_the_square_matrix(duo_float):
+    """The float verdict compares |det M_n| with 1e-12 and 1e-6 times the
+    Hadamard bound of M_n, computed here from M_n's own entries: the row of
+    moments that rides M_n's factorisation for the Type II solve enters
+    neither the det nor the bound."""
+    for mod in range(15):
+        for i in range(mod + 1):
+            n = (i, mod - i)
+            mm = moment_matrix(duo_float, n)
+            bound = math.prod(max(1.0, math.hypot(*row)) for row in mm.matrix.data)
+            got = normality(duo_float, n)
+            assert got.det == mm.det
+            d = abs(got.det)
+            want = False if d <= 1e-12 * bound else None if d < 1e-6 * bound else True
+            assert got.normal is want, n
+
+
 def test_float_normality_can_be_indeterminate(duo_float):
     verdicts = {normality(duo_float, (i, j)).normal
                 for i in range(7) for j in range(7)}

@@ -10,9 +10,12 @@ from bimop import (
     ChainInvalid,
     EmptyIndex,
     IndexTooSmall,
+    Laguerre,
     Matrix,
+    MeasureSystem,
     NotNormal,
     PathInvalid,
+    TensorMeasure,
     assemble_type1_vectors,
     assemble_type2_vector,
     biorth,
@@ -99,6 +102,8 @@ def test_biorth_matrix_far_degree(duo):
 def test_biorth_matrix_rejects_bad_chain(duo):
     with pytest.raises(ChainInvalid):
         biorth_matrix(duo, [(1, 2), (3, 2)], CHAIN_D2)
+    with pytest.raises(ChainInvalid, match="second chain"):
+        biorth_matrix(duo, CHAIN_D2, [(1, 2), (3, 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +120,12 @@ def test_assemble_type2_vector(duo):
     g = mv.g_matrix(2)
     assert [g.data[k][k] for k in range(3)] == [1, 1, 1]
     assert all(g.data[k][i] == 0 for k in range(3) for i in range(k + 1, 3))
+
+
+@pytest.mark.parametrize("assemble", [assemble_type2_vector, assemble_type1_vectors])
+def test_assemble_rejects_bad_chain(duo, assemble):
+    with pytest.raises(ChainInvalid, match="degree-1 chain"):
+        assemble(duo, [(1, 2), (3, 2)])
 
 
 def test_assemble_type2_vector_degree_zero(duo):
@@ -179,6 +190,22 @@ def test_nnr_type2_rejects_gap_path(duo):
         nnr_type2(duo, (4, 4), "x", path=bad, w=(6, 4))
 
 
+@pytest.mark.parametrize("path, w, message", [
+    pytest.param(canonical_path([(1, 3), (6, 8), (10, 8)]).steps, None,
+                 "must span moduli 4..19", id="span"),
+    pytest.param(canonical_path([(2, 2), (6, 8), (11, 8)]).steps, None,
+                 r"modulus 4 must be v = \(1, 3\)", id="v"),
+    pytest.param(canonical_path([(1, 3), (7, 7), (11, 8)]).steps, None,
+                 r"modulus 14 must be \(6, 8\)", id="n"),
+    pytest.param(canonical_path([(1, 3), (6, 8), (11, 8)]).steps, (10, 9),
+                 r"modulus 19 is \(11, 8\), expected \(10, 9\)", id="w"),
+])
+def test_nnr_type2_rejects_a_path_off_its_entries(duo, path, w, message):
+    """(6, 8) on axis x: d = 4, v = (1, 3), top modulus 14 + 5 = 19."""
+    with pytest.raises(PathInvalid, match=message):
+        nnr_type2(duo, (6, 8), "x", path=path, w=w)
+
+
 def test_nnr_type2_coefficient_alignment(duo):
     # a_{i} = <x P_n, Q_{m_{i+1}}> along the default path
     n = (4, 4)
@@ -214,6 +241,21 @@ def test_nnr_type1_zero_index_convention(duo):
 def test_nnr_type1_empty_index(duo):
     with pytest.raises(EmptyIndex):
         nnr_type1(duo, (0, 0), "x")
+
+
+@pytest.mark.parametrize("path, message", [
+    pytest.param([(1, 1), (3, 1), (4, 1)], "not a neighbour path", id="gap"),
+    pytest.param(canonical_path([(2, 1), (2, 2), (5, 5)]).steps, "must span moduli 2..10",
+                 id="span"),
+    pytest.param(canonical_path([(1, 1), (3, 1), (5, 5)]).steps,
+                 r"modulus 4 must be \(2, 2\)", id="n"),
+    pytest.param(canonical_path([(1, 1), (2, 2), (6, 4)]).steps,
+                 r"modulus 10 must be \(5, 5\)", id="end"),
+])
+def test_nnr_type1_rejects_a_bad_path(duo, path, message):
+    """(2, 2) on axis x: the expansion runs from modulus 2 to 10, at (5, 5)."""
+    with pytest.raises(PathInvalid, match=message):
+        nnr_type1(duo, (2, 2), "x", path=path)
 
 
 def test_nnr_type1_too_small_for_y(duo):
@@ -268,6 +310,31 @@ def test_nnr_vector_rows_match_scalar_expansion(duo):
 def test_nnr_vector_rejects_bad_chain(duo):
     with pytest.raises(ChainInvalid):
         nnr_vector(duo, [(1, 1), (2, 1), (2, 2)], "x")
+
+
+# A degree-5 chain, long enough for the waypoint u = n_0 - 6 = (2, 1) to
+# bind, and lower chains that pass (3, 0) instead.
+CHAIN_D5 = [(8, 7), (9, 7), (9, 8), (10, 8), (10, 9), (11, 9)]
+ASCENT = canonical_path([(0, 0), (3, 0), (7, 7)]).steps
+
+
+@pytest.mark.parametrize("chain, lower, upper, message", [
+    pytest.param(CHAIN_D2, [[(0, 0)]], None, "need lower chains for degrees 0..1",
+                 id="lower-count"),
+    pytest.param(CHAIN_D2, [[(0, 0)], [(1, 0), (0, 2)]], None,
+                 "lower chain 1 is not a valid degree-1 chain", id="lower-chain"),
+    pytest.param(CHAIN_D2, None, [(3, 3), (4, 3), (5, 3)],
+                 "upper chain is not a valid degree-3 chain", id="upper-chain"),
+    pytest.param(CHAIN_D2, [[(0, 0)], [(1, 0), (2, 0)]], None,
+                 "do not concatenate", id="concatenation"),
+    pytest.param(CHAIN_D5, [list(ASCENT[h * (h + 1) // 2:h * (h + 1) // 2 + h + 1])
+                            for h in range(5)],
+                 [(12, 9), (13, 9), (14, 9), (15, 9), (16, 9), (17, 9), (18, 9)],
+                 r"waypoint \(2, 1\) missing", id="waypoint"),
+])
+def test_nnr_vector_rejects_bad_chains(duo, chain, lower, upper, message):
+    with pytest.raises(ChainInvalid, match=message):
+        nnr_vector(duo, chain, "x", lower=lower, upper=upper)
 
 
 def test_default_vector_chains_shape():
@@ -440,3 +507,29 @@ def test_float_residual_off_by_1e_6_of_its_largest_term_fails(monkeypatch, call)
 
     monkeypatch.setattr(relations, "combine", moved)
     assert not call(make_pair_system("float64")).holds
+
+
+def make_huge_system():
+    """Laguerre exponents near 10^120: the Type II coefficients of (4, 4)
+    already pass the largest float, 1.8e308."""
+    e = 10 ** 120
+    return MeasureSystem(measures=(
+        TensorMeasure(Laguerre(F(e)), Laguerre(F(5 * e + 1, 5))),
+        TensorMeasure(Laguerre(F(3 * e + 1, 3)), Laguerre(F(7 * e + 1, 7)))))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda s: nnr_type2(s, (4, 4), "x"), id="xP"),
+    pytest.param(lambda s: nnr_type2(s, (4, 4), "y"), id="yP"),
+    pytest.param(lambda s: nnr_type2(s, (6, 8), "x"), id="xP-6-8"),
+    pytest.param(lambda s: nnr_type1(s, (3, 3), "x"), id="xQ"),
+    pytest.param(lambda s: nnr_vector(s, [(3, 3), (3, 4), (4, 4), (4, 5)], "x"),
+                 id="vector"),
+])
+def test_exact_verifiers_never_convert_a_coefficient_to_float(call):
+    """Exact mode judges zero by == 0 alone, so no coefficient, however
+    large, is converted to float for a scale."""
+    sys_ = make_huge_system()
+    assert max(abs(c) for c in type2(sys_, (4, 4)).coeffs) > 10 ** 309
+    rep = call(sys_)
+    assert rep.holds and rep.vanishing_ok
