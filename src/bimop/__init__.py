@@ -91,6 +91,7 @@ from .relations import (
     assemble_type2_vector,
     biorth,
     biorth_matrix,
+    biorth_row,
     default_vector_chains,
     nnr_type1,
     nnr_type2,

@@ -1,12 +1,16 @@
 """Command-line front end with JSON output.
 
-Exit codes: 0 success, 2 not-normal index, 3 validation error, 4 a
-verification command whose check does not hold.
+Exit codes: 0 success, 2 not-normal index, 3 validation error (a usage
+error included), 4 a verification command whose check does not hold.
+
+The argument parser is built once per process, at the first ``run``, so
+in-process callers that run many commands pay for it once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -194,14 +198,11 @@ def cmd_check(args) -> int:
     orth_ok = all(relations.gram_pattern_holds(sys_, n, type2(sys_, n)) for n in normal)
     checks.append(("type2-orthogonality", orth_ok))
 
+    ms = [m for m in normal if sum(m)]
     bi_ok = True
     for n in normal:
-        for m in normal:
-            if sum(m) == 0:
-                continue
-            res = relations.biorth(sys_, n, m)
-            if res.matches is False:
-                bi_ok = False
+        if any(res.matches is False for res in relations.biorth_row(sys_, n, ms)):
+            bi_ok = False
     checks.append(("biorthogonality-grid", bi_ok))
 
     if r <= 2:
@@ -230,9 +231,23 @@ def _indices_up_to(r: int, bound: int) -> list:
     return [t for t in out if sum(t) <= bound]
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are invalid input (exit 3).
+
+    Subparsers share the class, so an error in any command's arguments
+    raises a SchemaError that names the argument where argparse does.
+    """
+
+    def error(self, message):
+        head, sep, rest = message.partition(": ")
+        if sep and head.startswith("argument "):
+            raise SchemaError(head[len("argument "):], rest)
+        raise SchemaError(self.prog, message)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="bimop",
-                                 description="Bivariate multiple orthogonal polynomials")
+    ap = _Parser(prog="bimop", description="Bivariate multiple orthogonal polynomials")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, config=True):
@@ -318,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except NotNormal as exc:
         print(json.dumps({"error": str(exc), "det": format_scalar(exc.det)}),

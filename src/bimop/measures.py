@@ -20,6 +20,7 @@ from .errors import (
     NegativeAlpha,
     SchemaError,
     TableExhausted,
+    ValidationError,
 )
 from .linalg import FLOAT_RESIDUAL_TOL, FLOAT_TOL, parse_scalar
 
@@ -174,6 +175,16 @@ class _ScalarMode:
     def one(self) -> Scalar:
         return Fraction(1) if self.exact else 1.0
 
+    @staticmethod
+    def _float_moment(value: Fraction, j: int, order) -> float:
+        """An exact moment as a float64.  One past the float range is invalid
+        input that names its measure and order."""
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValidationError(f"measure {j}: the moment of order {order} exceeds "
+                                  "the float64 range; use exact mode") from None
+
 
 @dataclass(frozen=True)
 class MeasureSystem(_ScalarMode):
@@ -211,7 +222,7 @@ class MeasureSystem(_ScalarMode):
             raise IndexOutOfRange(f"measure index {j} not in 1..{self.r}")
         value = self.measures[j - 1].moment(t, s)
         if not self.exact:
-            value = float(value)
+            value = self._float_moment(value, j, (t, s))
         self._moment_cache[j, t, s] = value
         return value
 
@@ -249,7 +260,7 @@ class UniMeasureSystem(_ScalarMode):
             raise IndexOutOfRange(f"univariate measures have no moment of y^{s}")
         value = self.families[j - 1].moment(k)
         if not self.exact:
-            value = float(value)
+            value = self._float_moment(value, j, k)
         self._moment_cache[j, k, s] = value
         return value
 

@@ -35,17 +35,34 @@ class BiorthResult:
 
 def biorth(sys: MeasureSystem, n: Sequence[int], m: Sequence[int]) -> BiorthResult:
     """Pairing <P_n, Q_m> plus the predicted case of the biorthogonality law."""
-    n, m = tuple(n), tuple(m)
-    value = type1_pairing(sys, type2(sys, n), m)
-    if mi.leq(m, n):
-        expected, label = 0, "m<=n"
-    elif sum(n) <= sum(m) - 2:
-        expected, label = 0, "|n|<=|m|-2"
-    elif sum(n) == sum(m) - 1:
-        expected, label = 1, "|n|=|m|-1"
-    else:
-        return BiorthResult(value, None, "unconstrained", None)
-    return BiorthResult(value, expected, label, sys.is_zero(value - expected))
+    return biorth_row(sys, n, [m])[0]
+
+
+def biorth_row(sys: MeasureSystem, n: Sequence[int],
+               ms: Sequence[Sequence[int]]) -> List[BiorthResult]:
+    """``biorth(sys, n, m)`` for each m of ms, P_n's moment rows built once.
+
+    P_n is read before the first Q_m, as one ``biorth`` call would read
+    them; an empty ms reads nothing.
+    """
+    n, ms = tuple(n), [tuple(m) for m in ms]
+    if not ms:
+        return []
+    pair = moment_rows(sys, type2(sys, n))
+    out = []
+    for m in ms:
+        value = pair(type1(sys, m).polys)
+        if mi.leq(m, n):
+            expected, label = 0, "m<=n"
+        elif sum(n) <= sum(m) - 2:
+            expected, label = 0, "|n|<=|m|-2"
+        elif sum(n) == sum(m) - 1:
+            expected, label = 1, "|n|=|m|-1"
+        else:
+            expected, label = None, "unconstrained"
+        matches = None if expected is None else sys.is_zero(value - expected)
+        out.append(BiorthResult(value, expected, label, matches))
+    return out
 
 
 @dataclass(frozen=True)

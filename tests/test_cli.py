@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from bimop.cli import EXIT_FAILED, EXIT_INVALID, EXIT_NOT_NORMAL, EXIT_OK, run
+from bimop.cli import EXIT_INVALID, EXIT_NOT_NORMAL, EXIT_OK, run
 
 DUO_CONFIG = {
     "scalar": "exact",
@@ -378,13 +378,88 @@ def test_exact_checks_hold_past_the_float_range(tmp_path, argv):
 @pytest.mark.parametrize("argv, want", [
     pytest.param(["pair", "1", "2"], EXIT_OK, id="ok"),
     pytest.param(["params", "--index", "1,x"], EXIT_INVALID, id="invalid"),
+    pytest.param(["params"], EXIT_INVALID, id="usage"),
+    pytest.param(["--help"], EXIT_OK, id="help"),
 ])
 def test_module_entry_point_exits_with_the_run_code(argv, want):
-    """``python -m bimop.cli`` runs ``main()``, which exits with run's code."""
+    """``python -m bimop.cli`` runs ``main()``, which exits with run's code
+    and prints what an in-process ``run`` prints."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-m", "bimop.cli"] + argv, env=env,
                           capture_output=True, text=True)
     assert done.returncode == want
-    if want == EXIT_OK:
-        assert json.loads(done.stdout) == {"pi": 8}
+    if argv == ["--help"]:
+        assert done.stdout.startswith("usage: bimop")
+    else:
+        assert (done.returncode, done.stdout, done.stderr) == invoke(argv)
+
+
+@pytest.mark.parametrize("argv, name", [
+    pytest.param(["params"], "--index", id="missing-index"),
+    pytest.param(["nnr", "--index", "6,8"], "--axis", id="missing-axis"),
+    pytest.param(["frob"], "command", id="unknown-command"),
+    pytest.param(["pair", "x", "1"], "t", id="pair-text"),
+    pytest.param(["nnr", "--index", "6,8", "--axis", "z"], "--axis", id="bad-choice"),
+    pytest.param(["pair", "1", "2", "--float"], "--float", id="unknown-flag"),
+    pytest.param([], "command", id="no-command"),
+])
+def test_usage_errors_are_invalid_input(argv, name):
+    """A usage error exits 3 with a JSON SchemaError that names the
+    argument, not argparse's exit 2, which is the not-normal code."""
+    code, out, err = invoke(argv)
+    assert (code, out) == (EXIT_INVALID, "")
+    doc = json.loads(err)
+    assert doc["kind"] == "SchemaError" and name in doc["error"]
+
+
+def test_help_exits_zero():
+    with pytest.raises(SystemExit) as done:
+        invoke(["normal", "--help"])
+    assert done.value.code == EXIT_OK
+
+
+def test_exact_call_after_a_float_one_is_exact(configs):
+    """The parser is built once per process; no flag of one call leaks into
+    the next."""
+    argv = ["normal", "--config", configs["duo"], "--index", "2,2"]
+    exact = invoke(argv)
+    code, out, _ = invoke(argv + ["--float"])
+    assert code == EXIT_OK and type(json.loads(out)["det"]) is float
+    assert invoke(argv) == exact
+    det = json.loads(exact[1])["det"]
+    assert type(det) is str and "." not in det
+
+
+@pytest.mark.parametrize("config, flags, checks", [
+    pytest.param("duo", [], ["pairing-roundtrip", "type2-orthogonality",
+                             "biorthogonality-grid", "nnr-x-4,4"], id="duo-exact"),
+    pytest.param("duo", ["--float"], ["pairing-roundtrip", "type2-orthogonality",
+                                      "biorthogonality-grid"], id="duo-float"),
+    pytest.param("quad", [], ["pairing-roundtrip", "type2-orthogonality",
+                              "biorthogonality-grid"], id="quad-exact"),
+    pytest.param("quad", ["--float"], ["pairing-roundtrip", "type2-orthogonality",
+                                       "biorthogonality-grid"], id="quad-float"),
+])
+def test_check_documents_are_pinned(configs, config, flags, checks):
+    code, out, err = invoke(["check", "--config", configs[config]] + flags)
+    assert (code, err) == (EXIT_OK, "")
+    assert out == json.dumps({"checks": [{"name": name, "pass": True} for name in checks],
+                              "ok": True}) + "\n"
+
+
+def test_float_moment_past_the_float_range_is_invalid_input(tmp_path):
+    """A float64 moment that overflows is invalid input naming the measure
+    and the moment order; exact mode answers the same question."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(HUGE_CONFIG))
+    argv = ["normal", "--config", str(path), "--index", "2,2"]
+    code, out, err = invoke(argv + ["--float"])
+    assert (code, out) == (EXIT_INVALID, "")
+    assert json.loads(err) == {
+        "error": "measure 1: the moment of order (3, 0) exceeds the float64 range; "
+                 "use exact mode",
+        "kind": "ValidationError"}
+    code, out, err = invoke(argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["normal"] is True

@@ -20,6 +20,7 @@ from bimop import (
     TableMeasure,
     TensorMeasure,
     UniMeasureSystem,
+    ValidationError,
     parse_config,
     parse_uni_config,
 )
@@ -252,9 +253,30 @@ def test_systems_reject_a_negative_or_nan_tol(tol):
         assert err.value.path == "tol"
 
 
+def test_float_moment_past_the_float_range_names_measure_and_order():
+    """Float mode converts each moment once, on a cache miss; one past the
+    float range is a ValidationError, and nothing is cached for it."""
+    huge = Laguerre(10 ** 120)
+    bi = MeasureSystem(measures=(TensorMeasure(Laguerre(1), Laguerre(1)),
+                                 TensorMeasure(Laguerre(1), huge)), mode="float64")
+    uni = UniMeasureSystem(families=(Laguerre(1), huge), mode="float64")
+    for sys_, fits, past, order in [(bi, (2, 0, 2), (2, 0, 3), "(0, 3)"),
+                                    (uni, (2, 2), (2, 3), "3")]:
+        assert type(sys_.moment(*fits)) is float
+        with pytest.raises(ValidationError) as err:
+            sys_.moment(*past)
+        assert str(err.value) == (f"measure 2: the moment of order {order} exceeds "
+                                  "the float64 range; use exact mode")
+        assert len(sys_._moment_cache) == 1
+    exact = UniMeasureSystem(families=(huge,))
+    assert exact.moment(1, 3) == (10 ** 120 + 1) * (10 ** 120 + 2) * (10 ** 120 + 3)
+
+
 REIMPORT = """
-import gc, importlib, sys, weakref
+import contextlib, gc, importlib, io, sys, weakref
 old = weakref.ref(importlib.import_module("bimop.measures").Laguerre)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert importlib.import_module("bimop.cli").run(["pair", "1", "2"]) == 0
 for name in [m for m in sys.modules if m == "bimop" or m.startswith("bimop.")]:
     del sys.modules[name]
 importlib.import_module("bimop")
@@ -264,7 +286,8 @@ sys.exit(0 if old() is None else 1)
 
 
 def test_reimport_releases_previous_measures_module():
-    """Nothing outside bimop (such as typing's cache) keeps an old copy alive."""
+    """Nothing outside bimop (such as typing's cache, or the CLI parser built
+    by a first ``cli.run``) keeps an old copy alive."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", REIMPORT], env=env).returncode == 0

@@ -12,7 +12,6 @@ from bimop import (
     candidate_vs,
     det_factor_check,
     find_v,
-    is_normal,
     normality,
     pair,
     product_poly,

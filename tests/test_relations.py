@@ -11,7 +11,6 @@ from bimop import (
     EmptyIndex,
     IndexTooSmall,
     Laguerre,
-    Matrix,
     MeasureSystem,
     NotNormal,
     PathInvalid,
@@ -20,13 +19,15 @@ from bimop import (
     assemble_type2_vector,
     biorth,
     biorth_matrix,
+    biorth_row,
     canonical_path,
     default_vector_chains,
     nnr_type1,
     nnr_type2,
     nnr_vector,
-    pair,
+    normality,
     params,
+    type1,
     type1_pairing,
     type2,
     unpair,
@@ -61,6 +62,55 @@ def test_biorth_grid(duo):
                         continue
                     res = biorth(duo, (i, j), (a, b))
                     assert res.matches is not False
+
+
+def _pairing(sys_, p, qs):
+    """sum_j <p, qs[j-1]>_j as one Fraction, term by term from sys.moment."""
+    total = F(0)
+    for j, q in enumerate(qs, start=1):
+        for u, cu in enumerate(p.coeffs):
+            for v, cv in enumerate(q.coeffs):
+                (ut, us), (vt, vs) = unpair(u), unpair(v)
+                total += F(cu) * F(cv) * sys_.moment(j, ut + vt, us + vs)
+    return total
+
+
+def _normal_indices(sys_, bound):
+    out = [()]
+    for _ in range(sys_.r):
+        out = [t + (c,) for t in out for c in range(bound + 1)]
+    return [n for n in out if sum(n) <= bound and normality(sys_, n).normal]
+
+
+@pytest.mark.parametrize("system, bound", [("duo", 4), ("quad", 3)])
+def test_biorth_row_against_a_direct_fraction_pairing(system, bound, request):
+    """Each row value is <P_n, Q_m> summed from the moments, and its law holds."""
+    sys_ = request.getfixturevalue(system)
+    normal = _normal_indices(sys_, bound)
+    ms = [m for m in normal if sum(m)]
+    assert len(ms) >= 10
+    for n in normal:
+        row = biorth_row(sys_, n, ms)
+        assert len(row) == len(ms)
+        p = type2(sys_, n)
+        for m, res in zip(ms, row):
+            assert res.value == _pairing(sys_, p, type1(sys_, m).polys), (n, m)
+            if res.label == "unconstrained":
+                assert (res.expected, res.matches) == (None, None)
+            else:
+                assert res.matches is True and res.value == res.expected
+
+
+def test_biorth_row_reads_p_n_first_and_nothing_for_no_m(quad):
+    """P_n is read before any Q_m, so a non-normal n raises first; an empty
+    row reads nothing, not even a non-normal P_n."""
+    with pytest.raises(NotNormal) as err:
+        biorth_row(quad, (3, 3, 3, 3), [(1, 0, 0, 0), (3, 3, 3, 3)])
+    assert err.value.index == (3, 3, 3, 3)
+    with pytest.raises(NotNormal) as err:
+        biorth_row(quad, (1, 0, 0, 0), [(1, 0, 0, 0), (3, 3, 3, 3)])
+    assert err.value.index == (3, 3, 3, 3)
+    assert biorth_row(quad, (3, 3, 3, 3), []) == []
 
 
 def test_biorth_float_matches_within_tolerance(duo_float):
