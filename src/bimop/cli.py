@@ -19,7 +19,8 @@ from . import multiindex as mi
 from . import relations
 from .errors import BimopError, NotNormal, SchemaError
 from .linalg import FLOAT_TOL, format_scalar
-from .measures import EXACT, FLOAT64, MeasureSystem, _check_mode, parse_config, parse_uni_config
+from .measures import (EXACT, FLOAT64, MeasureSystem, _check_mode, parse_config,
+                       parse_uni_config, read_json)
 from .mopcore import (
     BiPoly,
     normality,
@@ -72,10 +73,7 @@ def _load_system(args) -> MeasureSystem:
 
 
 def _load_product_system(args) -> ProductSystem:
-    try:
-        doc = json.loads(_read_config(args))
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"invalid JSON: {exc}")
+    doc = read_json(_read_config(args))
     if not isinstance(doc, dict) or "x" not in doc or "y" not in doc:
         raise SchemaError("$", "product config needs 'x' and 'y' family lists")
     scalar = _check_mode(doc.get("scalar", EXACT))

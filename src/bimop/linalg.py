@@ -6,21 +6,25 @@ fraction-free (Bareiss) LU over the integers, ``ExactLU``; float mode runs
 one partial-pivot LU, ``FloatLU``, with a configurable singularity
 tolerance.  ``det`` and ``solve`` pick the kernel by the entries.
 
-Both kernels take M with at most one rider, an extra row or an extra
-column that is never a pivot, and answer the same questions: ``det``,
-``normal``, ``type1`` (M c = e_{n-1}), ``type2`` (M^t y = -(the rider
-row)) and ``solve`` (M x = the rider column).  ``ExactLU`` eliminates the
-rider with M, and its factors serve every leading block B_s of M
+Both kernels take M with at most one rider row, an extra row that is never
+a pivot, and answer the same questions: ``det``, ``normal``, ``type1`` (M c
+= e_{n-1}) and ``type2`` (M^t y = -(the rider row)).  ``ExactLU`` eliminates
+the rider with M, and its factors serve every leading block B_s of M
 (Gauss-Borel): B_s's Type I solution is one back pass on U, and its Type
 II solution, B_s^t y = -(row s of M), is one back pass on L^t of the
 Bareiss multipliers the elimination left in row s, the rider row for s =
 n.  ``FloatLU`` factors M alone, so it serves M only.
+
+Decimal conversion of integers (``int_to_decimal``, ``int_from_decimal``)
+splits by powers 10^(2^k), so numbers of any size print and parse without
+Python's limit on int/str conversion and without changing it.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -42,6 +46,12 @@ FLOAT_DET_HIGH = 1e-6
 #: coefficient involved.
 FLOAT_RESIDUAL_TOL = 1e-9
 
+#: Integers that str() and int() convert directly under any setting of
+#: Python's int/str digit limit (640 digits at the lowest).
+_DIRECT_DIGITS = 600
+_DIRECT_BITS = 1990
+_RATIONAL = re.compile(r"\s*([-+]?[0-9]+)(?:/([0-9]+))?\s*")
+
 
 @dataclass
 class Matrix:
@@ -59,19 +69,9 @@ class Matrix:
             raise DimensionMismatch("ragged rows")
         return cls(rows=len(data), cols=ncols, data=data)
 
-    @classmethod
-    def identity(cls, n: int, exact: bool = True) -> "Matrix":
-        one, zero = (Fraction(1), Fraction(0)) if exact else (1.0, 0.0)
-        return cls(n, n, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows,
                       [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
-    def matvec(self, x: Sequence[Scalar]) -> List[Scalar]:
-        if len(x) != self.cols:
-            raise DimensionMismatch(f"vector length {len(x)} != cols {self.cols}")
-        return [sum(a * b for a, b in zip(row, x)) for row in self.data]
 
     def is_exact(self) -> bool:
         return not any(isinstance(v, float) for row in self.data for v in row)
@@ -79,11 +79,11 @@ class Matrix:
 
 class ExactLU:
     """One fraction-free LU factorisation of an exact square matrix M, and
-    of at most one rider: an extra row or an extra column of M, eliminated
-    with it but never a pivot.
+    of at most one rider row: an extra row of M, eliminated with it but
+    never a pivot.
 
-    The columns of M are taken in ``order`` (default: as they stand), a
-    rider column after them; row i is scaled by the lcm D[i] of its
+    The columns of M are taken in ``order`` (default: as they stand);
+    row i is scaled by the lcm D[i] of its
     denominators and column k is divided by its content G[k], the gcd of
     its cleared entries over every row (1 for a zero column), giving the
     integer matrix A = D M[:, order] G^-1.  A minor of A is the same minor
@@ -100,16 +100,14 @@ class ExactLU:
     det(B_s), and ``type1(s)`` and ``type2(s)`` read B_s's Type I and Type
     II solutions from them with one back pass each (Gauss-Borel: a column
     of U^-1, a row of L^-1); the Type II of B_n reads the rider row.
-    ``solve()`` reads the rider column, already eliminated, with one back
-    pass.  ``det()``, ``sign`` and ``signs`` describe the square part.
+    ``det()`` and ``signs`` describe the square part.
     """
 
     def __init__(self, m: Matrix, order: Optional[Sequence[int]] = None):
-        n = min(m.rows, m.cols)
+        n = m.cols
         #: column k of A is column order[k] of M
         self.order = list(range(n)) if order is None else list(order)
         in_place = self.order == sorted(self.order)
-        cols = self.order + list(range(n, m.cols))
         self.scale: List[int] = []
         lu = []
         for row in m.data:
@@ -118,7 +116,7 @@ class ExactLU:
             d = math.lcm(*[v.denominator for v in row])
             self.scale.append(d)
             if not in_place:
-                row = [row[c] for c in cols]
+                row = [row[c] for c in self.order]
             lu.append([v.numerator * (d // v.denominator) for v in row])
         #: content[k]: the gcd of column k of D M[:, order], 1 for a zero column
         self.content = [math.gcd(*col) or 1 for col in zip(*lu)]
@@ -155,8 +153,6 @@ class ExactLU:
         self.lu = lu
         #: lu^t, the compact factorisation of (P A)^t
         self.lut = list(zip(*lu))
-        #: det(P) times the sign of the column order, or 0 when M is singular
-        self.sign = self.signs[n]
 
     def det(self, s: Optional[int] = None) -> Fraction:
         """det(B_s) = signs[s] U[s-1][s-1] prod(G[:s]) / prod(D[:s]), by
@@ -217,22 +213,6 @@ class ExactLU:
             y[i] = Fraction(-w[k] * self.scale[i], q)
         return y
 
-    def solve(self) -> List[Fraction]:
-        """x with M x = b, b the rider column; Singular when M is singular.
-
-        The elimination left P A z = P D b / g_b on the rider column, g_b
-        its content, so one back pass gives z / q and x[order[k]] =
-        g_b z[k] / (q G[k]).
-        """
-        if not self.sign:
-            raise Singular(Fraction(0))
-        n = len(self.order)
-        z, q = _back(self.lu, [row[n] for row in self.lu])
-        x = [Fraction(0)] * n
-        for k, i in enumerate(self.order):
-            x[i] = Fraction(self.content[n] * z[k], q * self.content[k])
-        return x
-
 
 def _back(lu: Sequence[Sequence[int]], b: List[int]) -> Tuple[List[int], int]:
     """Back pass on the leading len(b) block of a compact factorisation,
@@ -249,8 +229,8 @@ def _back(lu: Sequence[Sequence[int]], b: List[int]) -> Tuple[List[int], int]:
 
 class FloatLU:
     """One partial-pivot LU factorisation P M = L U of a square binary64 M,
-    and of at most one rider: an extra row or an extra column of M, split
-    off before the factorisation.
+    and of at most one rider row, an extra row of M split off before the
+    factorisation.
 
     Step k pivots on the first largest |entry| of column k and stops, M
     singular, when it is at most tol * max(1, max |entry of M|).  ``lu`` holds
@@ -262,15 +242,14 @@ class FloatLU:
     The read-outs are ``ExactLU``'s.  A pivot may come from below a leading
     block, so the factors are M's and not its leading blocks': s, where a
     read-out takes it, is n, the size of M.  ``type1(s)`` solves M c =
-    e_{n-1}, ``type2(s)`` M^t y = -(the rider row), and ``solve()`` M x =
-    the rider column.
+    e_{n-1} and ``type2(s)`` M^t y = -(the rider row).
     """
 
     def __init__(self, m: Matrix, tol: float = FLOAT_TOL):
-        n = min(m.rows, m.cols)
+        n = m.cols
         a = [[float(v) for v in row] for row in m.data]
-        #: the rider row or column, or None
-        self.rider = a.pop() if m.rows > n else [row.pop() for row in a] if m.cols > n else None
+        #: the rider row, or None
+        self.rider = a.pop() if m.rows > n else None
         scale = max([1.0] + [abs(v) for row in a for v in row])
         #: the Hadamard bound of M, prod_i max(1, |row i|)
         self.bound = 1.0
@@ -334,13 +313,6 @@ class FloatLU:
             y[i] = z[k]
         return y
 
-    def solve(self) -> List[float]:
-        """x with M x = b, b the rider column; Singular when the
-        factorisation stopped."""
-        if not self.sign:
-            raise Singular(0.0)
-        return self._solve([self.rider[i] for i in self.perm])
-
     def _solve(self, b: List[float]) -> List[float]:
         """x with M x = P^t b: L y = b, then U x = y."""
         lu, n = self.lu, len(b)
@@ -359,26 +331,60 @@ def _check_square(m: Matrix) -> None:
         raise NotSquare(f"{m.rows}x{m.cols}")
 
 
-def det(m: Matrix, tol: float = FLOAT_TOL) -> Scalar:
+def det(m: Matrix) -> Scalar:
     """Determinant by ``ExactLU`` or ``FloatLU``; the 0x0 matrix has det 1."""
     _check_square(m)
-    return (ExactLU(m) if m.is_exact() else FloatLU(m, tol)).det()
+    return (ExactLU(m) if m.is_exact() else FloatLU(m)).det()
 
 
-def solve(m: Matrix, rhs: Sequence[Scalar], tol: float = FLOAT_TOL) -> List[Scalar]:
-    """Solve m x = rhs by the kernel of m's entries, ``ExactLU`` or
-    ``FloatLU``, factoring [m | rhs]; exact in rational mode.
+def solve(m: Matrix, rhs: Sequence[Scalar]) -> List[Scalar]:
+    """Solve m x = rhs by the kernel of m's entries; exact in rational mode.
 
-    Raises Singular (carrying the determinant value) when no unique
-    solution exists.
+    Exact mode reads x as the Type II solution of m^t with -rhs as the
+    rider row; float mode factors m and substitutes the permuted rhs.
+    Raises Singular (carrying the determinant value, 0 of m's scalar type)
+    when no unique solution exists.
     """
     _check_square(m)
     if len(rhs) != m.rows:
         raise DimensionMismatch(f"rhs length {len(rhs)} != {m.rows}")
-    exact = m.is_exact()
-    aug = Matrix(m.rows, m.cols + 1,
-                 [row + [Fraction(v) if exact else v] for row, v in zip(m.data, rhs)])
-    return (ExactLU(aug) if exact else FloatLU(aug, tol)).solve()
+    if m.is_exact():
+        rider = [-Fraction(v) for v in rhs]
+        x = ExactLU(Matrix(m.rows + 1, m.cols, m.transpose().data + [rider])).type2(m.rows)
+        if x is None:
+            raise Singular(Fraction(0))
+        return x
+    lu = FloatLU(m)
+    if not lu.sign:
+        raise Singular(0.0)
+    return lu._solve([float(rhs[i]) for i in lu.perm])
+
+
+def int_to_decimal(v: int) -> str:
+    """str(v) for an int of any size: v = hi 10^(2^k) + lo, with 10^(2^k) <=
+    |v|, down to pieces that str() converts."""
+    if v.bit_length() <= _DIRECT_BITS:
+        return str(v)
+    if v < 0:
+        return "-" + int_to_decimal(-v)
+    # 10^(2^k) <= 10^((bits - 1) * 3 // 10) <= 2^(bits - 1) <= v, so hi >= 1
+    k = ((v.bit_length() - 1) * 3 // 10).bit_length() - 1
+    hi, lo = divmod(v, 10 ** (1 << k))
+    return int_to_decimal(hi) + int_to_decimal(lo).zfill(1 << k)
+
+
+def int_from_decimal(text: str) -> int:
+    """int(text) for a signed decimal integer of any length: the last 2^k
+    digits and the rest, 2^k < their number, down to pieces that int()
+    converts."""
+    if len(text) <= _DIRECT_DIGITS:
+        return int(text)
+    digits = text[1:] if text[0] in "+-" else text
+    if not digits.isdecimal():
+        raise ValueError(f"not a decimal integer: {text[:20]}... ({len(text)} characters)")
+    k = (len(digits) - 1).bit_length() - 1
+    v = int_from_decimal(digits[:-(1 << k)]) * 10 ** (1 << k) + int_from_decimal(digits[-(1 << k):])
+    return -v if text[0] == "-" else v
 
 
 def format_scalar(v: Scalar) -> Union[str, float]:
@@ -386,9 +392,20 @@ def format_scalar(v: Scalar) -> Union[str, float]:
     if isinstance(v, float):
         return v
     f = Fraction(v)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    p = int_to_decimal(f.numerator)
+    return p if f.denominator == 1 else f"{p}/{int_to_decimal(f.denominator)}"
 
 
-def parse_scalar(text: str) -> Fraction:
-    """Exact parse of "p/q", integer, or decimal strings like "2.2" -> 11/5."""
-    return Fraction(str(text))
+def parse_scalar(text: Union[str, int]) -> Fraction:
+    """Exact parse of an int, or of "p/q", integer, or decimal strings like
+    "2.2" -> 11/5; integers and "p/q" parse at any length."""
+    if type(text) is int:
+        return Fraction(text)
+    try:
+        return Fraction(str(text))
+    except ValueError:
+        match = _RATIONAL.fullmatch(str(text))
+        if match is None:
+            raise
+        p, q = match.groups()
+        return Fraction(int_from_decimal(p), int_from_decimal(q or "1"))

@@ -22,7 +22,7 @@ from .errors import (
     TableExhausted,
     ValidationError,
 )
-from .linalg import FLOAT_RESIDUAL_TOL, FLOAT_TOL, parse_scalar
+from .linalg import FLOAT_RESIDUAL_TOL, FLOAT_TOL, format_scalar, int_from_decimal, parse_scalar
 
 Scalar = Union[Fraction, float]
 
@@ -39,7 +39,7 @@ class Laguerre:
     def __init__(self, alpha):
         alpha = Fraction(alpha)
         if alpha < 0:
-            raise NegativeAlpha(f"laguerre alpha must be >= 0, got {alpha}")
+            raise NegativeAlpha(f"laguerre alpha must be >= 0, got {format_scalar(alpha)}")
         self.alpha = alpha
 
     def moment(self, k: int) -> Fraction:
@@ -61,7 +61,7 @@ class Jacobi:
     def __init__(self, a):
         a = Fraction(a)
         if a <= -1:
-            raise NegativeAlpha(f"jacobi exponent must be > -1, got {a}")
+            raise NegativeAlpha(f"jacobi exponent must be > -1, got {format_scalar(a)}")
         self.a = a
 
     def moment(self, k: int) -> Fraction:
@@ -322,16 +322,21 @@ def _parse_measure(obj, path: str) -> BivariateMeasure:
     raise SchemaError(path + ".kind", f"unknown measure kind {kind!r}")
 
 
+def read_json(text: str):
+    """The JSON document of a config, its integers of any size."""
+    try:
+        return json.loads(text, parse_int=int_from_decimal)
+    except json.JSONDecodeError as exc:
+        raise SchemaError("$", f"invalid JSON: {exc}") from None
+
+
 def parse_config(text: str, mode: Optional[str] = None, tol: float = FLOAT_TOL) -> MeasureSystem:
     """Build a MeasureSystem from a JSON config document.
 
     mode, when given, replaces the document's "scalar" mode; tol is the
     float singularity tolerance.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"invalid JSON: {exc}") from None
+    doc = read_json(text)
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected an object")
     scalar = _check_mode(doc.get("scalar", EXACT))

@@ -29,7 +29,7 @@ eliminated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Type, Union
@@ -202,17 +202,11 @@ class TypeISet:
 
 @dataclass
 class MomentMatrix:
-    """Block matrix M_n with block j holding n_j columns; its det is taken
-    by the system's kernel, under its tolerance, as ``normality``'s is."""
+    """Block matrix M_n with block j holding n_j columns; ``normality``
+    gives its det."""
 
     index: Tuple[int, ...]
     matrix: Matrix
-    system: System = field(repr=False, compare=False)
-
-    @property
-    def det(self) -> Scalar:
-        sys = self.system
-        return (ExactLU(self.matrix) if sys.exact else FloatLU(self.matrix, sys.tol)).det()
 
 
 @dataclass(frozen=True)
@@ -263,7 +257,7 @@ def moment_matrix(sys: System, n: Sequence[int]) -> MomentMatrix:
                 row[col] = sys.moment(j, kt + lt, ks + ls)
             col += 1
     return MomentMatrix(index=tuple(n), matrix=Matrix.from_rows(rows) if size
-                        else Matrix(0, 0, []), system=sys)
+                        else Matrix(0, 0, []))
 
 
 class _Solved:

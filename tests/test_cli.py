@@ -9,6 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from bimop import normality, parse_config, parse_scalar
 from bimop.cli import EXIT_INVALID, EXIT_NOT_NORMAL, EXIT_OK, run
 
 DUO_CONFIG = {
@@ -373,6 +374,31 @@ def test_exact_checks_hold_past_the_float_range(tmp_path, argv):
     assert (code, err) == (EXIT_OK, "")
     doc = json.loads(out)
     assert doc.get("holds", doc.get("ok")) is True
+
+
+def test_a_det_past_the_digit_limit_prints_and_parses_back(tmp_path):
+    """det(M_(12,12)) of HUGE_CONFIG has more than Python's 4300-digit
+    int/str limit; it prints, and parses back to the det normality holds."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(HUGE_CONFIG))
+    code, out, err = invoke(["normal", "--config", str(path), "--index", "12,12"])
+    assert (code, err) == (EXIT_OK, "")
+    doc = json.loads(out)
+    want = normality(parse_config(json.dumps(HUGE_CONFIG)), (12, 12)).det
+    assert doc["normal"] is True and len(doc["det"]) > 4300
+    assert parse_scalar(doc["det"]) == want
+
+
+def test_a_product_config_reads_a_5000_digit_integer(tmp_path):
+    """Product configs go through the same JSON reader as measure configs,
+    so an integer past the 4300-digit limit parses."""
+    doc = dict(PRODUCT_CONFIG, x=[{"family": "laguerre", "alpha": 1},
+                                  {"family": "jacobi", "a": 0}])
+    path = tmp_path / "prod.json"
+    path.write_text(json.dumps(doc).replace('"a": 0', '"a": ' + "1" * 5000))
+    code, out, err = invoke(["product", "--config", str(path), "--n", "0,1", "--m", "1,0"])
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["match"] is True
 
 
 @pytest.mark.parametrize("argv, want", [

@@ -1,5 +1,6 @@
 """Exact and floating determinants and linear solves."""
 
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from bimop import (DimensionMismatch, Matrix, NotSquare, Singular, det, format_scalar,
                    parse_scalar, solve)
-from bimop.linalg import ExactLU, FloatLU
+from bimop.linalg import ExactLU, FloatLU, int_from_decimal
 from bimop.mopcore import moment_matrix
 
 
@@ -26,8 +27,14 @@ def cofactor_det(m):
     return total
 
 
+def matvec(m, x):
+    """m x; shares no code with linalg."""
+    return [sum(a * b for a, b in zip(row, x)) for row in m.data]
+
+
 def test_det_identity():
-    assert det(Matrix.identity(3)) == 1
+    identity = Matrix.from_rows([[F(int(i == j)) for j in range(3)] for i in range(3)])
+    assert det(identity) == 1
 
 
 def test_det_rank_deficient():
@@ -99,7 +106,7 @@ def test_solve_satisfies_system(case):
                 solve(a, rhs)
             assert err.value.det == 0
         else:
-            assert a.matvec(solve(a, rhs)) == list(rhs)
+            assert matvec(a, solve(a, rhs)) == list(rhs)
 
 
 def gauss_jordan(rows, rhs):
@@ -156,7 +163,7 @@ def check_factorisation(m, order, rhs):
     assert lu.det() == lu.det(n) == ridden.det()
     for a in (m, m.transpose()):
         if lu.det():
-            assert a.matvec(solve(a, rhs)) == rhs
+            assert matvec(a, solve(a, rhs)) == rhs
         else:
             with pytest.raises(Singular) as err:
                 solve(a, rhs)
@@ -176,8 +183,7 @@ def contented_cases(draw):
     """A square_matrices matrix with column j multiplied by an integer in
     1..12 and, sometimes, one column zeroed, so that the columns of its
     cleared integers have a content above 1; a column order and a rhs
-    multiplied by an integer in 1..12, so that as a rider column it has a
-    content above 1 too."""
+    multiplied by an integer in 1..12."""
     n = draw(st.integers(min_value=1, max_value=6))
     m = draw(square_matrices(st.just(n)))
     factors = draw(st.lists(st.integers(min_value=1, max_value=12), min_size=n, max_size=n))
@@ -269,47 +275,46 @@ def test_float_lu_against_exact_lu(case):
     """FloatLU judged by ExactLU on the same matrix converted exactly.
 
     det within 1e-10 of the scale (sqrt(n) max|m|)^n of any det of that
-    size; solves with m (rhs as the rider column, ``solve()``) and m^t
-    (-rhs as the rider row, ``type2``) with an exact residual within 1e-10
-    of |m| |x| + |rhs| (backward stability of partial pivoting); Singular
-    with det 0.0, and no Type II, exactly when the factorisation stops.  A
-    rider changes neither the factorisation nor its det.
+    size; solves with m (``linalg.solve``) and m^t (-rhs as the rider row,
+    ``type2``) with an exact residual within 1e-10 of |m| |x| + |rhs|
+    (backward stability of partial pivoting); Singular with det 0.0, and no
+    Type II, exactly when the factorisation stops.  A rider changes neither
+    the factorisation nor its det.
     """
     m, rhs, singular = case
     n = m.rows
     exact = Matrix.from_rows([[F(v) for v in row] for row in m.data])
     lu = FloatLU(m)
-    by_col = FloatLU(Matrix(n, n + 1, [row + [b] for row, b in zip(m.data, rhs)]))
     by_row = FloatLU(Matrix(n + 1, n, m.data + [[-b for b in rhs]]))
     big = max([1.0] + [abs(v) for row in m.data for v in row])
     got = lu.det()
     assert type(got) is float
     assert abs(F(got) - ExactLU(exact).det()) <= F(1e-10) * F(n ** 0.5 * big) ** n
-    for rode in (by_col, by_row):
-        assert (rode.lu, rode.perm, rode.det()) == (lu.lu, lu.perm, got)
+    assert (by_row.lu, by_row.perm, by_row.det()) == (lu.lu, lu.perm, got)
     if singular:
         assert not lu.sign
     if not lu.sign:
         assert got == 0.0
         with pytest.raises(Singular) as err:
-            by_col.solve()
+            solve(m, rhs)
         assert type(err.value.det) is float and err.value.det == 0.0
         assert by_row.type2(n) is None
         return
     norm = max(sum(abs(v) for v in row) for row in m.data)
     norm_t = max(sum(abs(row[j]) for row in m.data) for j in range(n))
-    for a, size, solve_ in ((exact, norm, by_col.solve),
+    for a, size, solve_ in ((exact, norm, lambda: solve(m, rhs)),
                             (exact.transpose(), norm_t, lambda: by_row.type2(n))):
         x = solve_()
-        residual = [F(b) - v for b, v in zip(rhs, a.matvec([F(v) for v in x]))]
+        residual = [F(b) - v for b, v in zip(rhs, matvec(a, [F(v) for v in x]))]
         bound = 1e-10 * (size * max(abs(v) for v in x) + max(abs(b) for b in rhs))
         assert max(abs(r) for r in residual) <= F(bound)
 
 
 def test_transpose_matvec():
+    """transpose, and the matvec the solve tests judge by."""
     m = Matrix.from_rows([[F(1), F(2)], [F(3), F(4)]])
     assert m.transpose().data == [[F(1), F(3)], [F(2), F(4)]]
-    assert m.matvec([F(1), F(1)]) == [F(3), F(7)]
+    assert matvec(m, [F(1), F(1)]) == [F(3), F(7)]
 
 
 def test_format_scalar():
@@ -322,3 +327,28 @@ def test_parse_scalar_decimal_exact():
     assert parse_scalar("2.2") == F(11, 5)
     assert parse_scalar("-3/4") == F(-3, 4)
     assert parse_scalar(7) == F(7)
+
+
+@pytest.mark.parametrize("digits", [1, 599, 600, 601, 4300, 4301, 9000])
+def test_numbers_of_any_size_print_and_parse(digits):
+    """format_scalar and parse_scalar convert integers and "p/q" of any
+    length, past Python's int/str digit limit (4300 by default), without
+    changing that limit; the expected strings are built without str()."""
+    limit = sys.get_int_max_str_digits()
+    sevens = (10 ** digits - 1) // 9 * 7
+    text = "7" * digits
+    power = f"1{'0' * (digits - 1)}1"
+    assert format_scalar(F(-sevens)) == "-" + text
+    assert format_scalar(F(10 ** digits)) == "1" + "0" * digits
+    assert format_scalar(F(sevens, 10 ** digits + 1)) == f"{text}/{power}"
+    assert parse_scalar(text) == parse_scalar(sevens) == sevens
+    assert parse_scalar(f" -{text}/{power} ") == F(-sevens, 10 ** digits + 1)
+    assert int_from_decimal("-" + text) == -sevens
+    assert int_from_decimal("0" * digits + "1") == 1
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("text", ["1" * 5000 + "x", "1." + "1" * 5000, "", "True"])
+def test_parse_scalar_rejects_what_is_no_literal(text):
+    with pytest.raises(ValueError):
+        parse_scalar(text)

@@ -157,6 +157,22 @@ def test_parse_config_error_paths():
     assert err.value.path == "$.measures[0].kind"
 
 
+def test_a_5000_digit_alpha_parses_as_an_integer_and_as_a_string():
+    """Past Python's 4300-digit int/str limit, a JSON integer and the same
+    digits as a string give the same system; a negative one is reported."""
+    digits = "1" * 5000
+    alpha = (10 ** 5000 - 1) // 9
+    doc = ('{"measures": [{"kind": "tensor", "x": {"family": "laguerre", "alpha": %s},'
+           ' "y": {"family": "jacobi", "a": %s}}]}')
+    systems = [parse_config(doc % (a, a)) for a in (digits, f'"{digits}"', f'"{digits}/1"')]
+    for sys_ in systems:
+        tensor = sys_.measures[0]
+        assert (tensor.x.alpha, tensor.y.a) == (alpha, alpha)
+        assert sys_.moment(1, 2, 1) == (alpha + 1) ** 2
+    with pytest.raises(NegativeAlpha):
+        parse_config(doc % ("-" + digits, 1))
+
+
 def test_parse_config_table_family():
     text = """{"measures": [{"kind": "tensor",
       "x": {"family": "table", "moments": [1, "1/2", "0.25"]},
