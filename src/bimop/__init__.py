@@ -41,7 +41,6 @@ from .measures import (
 )
 from .mopcore import (
     BiPoly,
-    MomentMatrix,
     Normality,
     TypeISet,
     UniPoly,

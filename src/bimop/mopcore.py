@@ -200,15 +200,6 @@ class TypeISet:
     polys: Tuple[BiPoly, ...]
 
 
-@dataclass
-class MomentMatrix:
-    """Block matrix M_n with block j holding n_j columns; ``normality``
-    gives its det."""
-
-    index: Tuple[int, ...]
-    matrix: Matrix
-
-
 @dataclass(frozen=True)
 class Normality:
     """Normality verdict; normal is None when float mode cannot decide."""
@@ -242,22 +233,27 @@ def _index(sys: System, n: Sequence[int]) -> Tuple[int, ...]:
     return key
 
 
-def moment_matrix(sys: System, n: Sequence[int]) -> MomentMatrix:
-    """Assemble M_n: entry (k, l) of block j is m^{(j)}_{e_k+e_l}, e_k = exponent(k)."""
+def moment_matrix(sys: System, n: Sequence[int]) -> Matrix:
+    """M_n: entry (k, l) of block j is m^{(j)}_{e_k+e_l}, e_k = exponent(k);
+    ``normality`` gives its det."""
     n = _index(sys, n)
-    size = sum(n)
+    return Matrix.from_rows(_moment_rows(sys, n, range(sum(n))))
+
+
+def _moment_rows(sys: System, n: Tuple[int, ...], ks: Sequence[int]) -> List[List[Scalar]]:
+    """Rows ks of the moments on M_n's columns; row |n| is minus the
+    right-hand side of n's Type II system.  Moments are read column by
+    column, block 1 first, so a short table names the first moment missing
+    in that order."""
     exponent, _ = _basis(sys)
-    exponents = [exponent(k) for k in range(size)]
-    rows = [[sys.zero()] * size for _ in range(size)]
-    col = 0
+    exponents = [exponent(k) for k in ks]
+    rows: List[List[Scalar]] = [[] for _ in exponents]
     for j, nj in enumerate(n, start=1):
         for l in range(nj):
-            lt, ls = exponents[l]
-            for row, (kt, ks) in zip(rows, exponents):
-                row[col] = sys.moment(j, kt + lt, ks + ls)
-            col += 1
-    return MomentMatrix(index=tuple(n), matrix=Matrix.from_rows(rows) if size
-                        else Matrix(0, 0, []))
+            lt, ls = exponent(l)
+            for row, (rt, rs) in zip(rows, exponents):
+                row.append(sys.moment(j, rt + lt, rs + ls))
+    return rows
 
 
 class _Solved:
@@ -308,9 +304,9 @@ def _factorise(sys: System, steps: List[Tuple[int, ...]]) -> None:
     order = [offsets[j] + l for j, nj in enumerate(steps[0]) for l in range(nj)]
     order += [offsets[j] + a[j] for a, b in zip(steps, steps[1:])
               for j in range(len(a)) if a[j] != b[j]]
-    m = moment_matrix(sys, last).matrix
+    m = moment_matrix(sys, last)
     try:
-        rider = _type2_row(sys, last)
+        rider, = _moment_rows(sys, last, [sum(last)])
         m = Matrix(m.rows + 1, m.cols, m.data + [rider])
     except TableExhausted as exc:
         # The last index's row needs moments of order |n|, which a table
@@ -329,19 +325,6 @@ def _factorise(sys: System, steps: List[Tuple[int, ...]]) -> None:
         entry.type1 = _type1_set(sys, key, c)
         entry.type2 = (rider if key == last and isinstance(rider, TableExhausted)
                        else poly(tuple(lu.type2(s)) + (sys.one(),)))
-
-
-def _type2_row(sys: System, n: Tuple[int, ...]) -> List[Scalar]:
-    """Row |n| of the moments on M_n's columns: minus the right-hand side
-    of n's Type II system."""
-    exponent, _ = _basis(sys)
-    nt, ns = exponent(sum(n))
-    row = []
-    for j, nj in enumerate(n, start=1):
-        for l in range(nj):
-            lt, ls = exponent(l)
-            row.append(sys.moment(j, nt + lt, ns + ls))
-    return row
 
 
 def _type1_set(sys: System, n: Tuple[int, ...], c: Sequence[Scalar]) -> TypeISet:
@@ -575,7 +558,7 @@ def eval_q(sys: MeasureSystem, aset: TypeISet, x: float, y: float) -> float:
 
 def uni_moment_matrix(sys1d: UniMeasureSystem, n: Sequence[int]) -> Matrix:
     """Univariate block matrix M_n^t: block j has rows m^{(j)}_{k+l}, k < n_j."""
-    return moment_matrix(sys1d, n).matrix.transpose()
+    return moment_matrix(sys1d, n).transpose()
 
 
 def uni_type2(sys1d: UniMeasureSystem, n: Sequence[int]) -> UniPoly:

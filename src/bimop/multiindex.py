@@ -129,10 +129,10 @@ def canonical_path(waypoints: Sequence[Sequence[int]]) -> Path:
 def validate_chain(indices: Sequence[Sequence[int]], d: int) -> bool:
     """True iff the indices form a valid degree-d chain.
 
-    Requires d+1 indices with |n_k| = d(d+1)/2 + k and consecutive
+    Requires d+1 >= 1 indices with |n_k| = d(d+1)/2 + k and consecutive
     neighbour steps.
     """
-    if len(indices) != d + 1:
+    if not indices or len(indices) != d + 1:
         return False
     base = d * (d + 1) // 2
     if any(modulus(n) != base + k for k, n in enumerate(indices)):

@@ -72,17 +72,24 @@ class BiorthMatrixResult:
     matches: Optional[bool]
 
 
+def _chain(chain: Sequence[Sequence[int]], name: str = "") -> Tuple[List[Tuple[int, ...]], int]:
+    """The chain's indices as tuples and its degree d, one less than their
+    number; ChainInvalid unless they form a valid degree-d chain."""
+    chain = [tuple(c) for c in chain]
+    d = len(chain) - 1
+    if not chain:
+        raise ChainInvalid(f"{name}not a valid chain: it has no index")
+    if not mi.validate_chain(chain, d):
+        raise ChainInvalid(f"{name}not a valid degree-{d} chain")
+    return chain, d
+
+
 def biorth_matrix(sys: MeasureSystem,
                   chain_n: Sequence[Sequence[int]],
                   chain_m: Sequence[Sequence[int]]) -> BiorthMatrixResult:
     """The (d+1) x (h+1) pairing matrix of two chains with its pattern verdict."""
-    chain_n = [tuple(c) for c in chain_n]
-    chain_m = [tuple(c) for c in chain_m]
-    d, h = len(chain_n) - 1, len(chain_m) - 1
-    if not mi.validate_chain(chain_n, d):
-        raise ChainInvalid(f"first chain is not a valid degree-{d} chain")
-    if not mi.validate_chain(chain_m, h):
-        raise ChainInvalid(f"second chain is not a valid degree-{h} chain")
+    chain_n, d = _chain(chain_n, "first chain is ")
+    chain_m, h = _chain(chain_m, "second chain is ")
     # Chains that join are solved as one neighbour path, others as one path
     # each.  chain_m is solved once P_{n_0} is read, so a bad index in it
     # raises after P_{n_0}'s own errors, in pairing order.
@@ -150,10 +157,7 @@ def assemble_type2_vector(sys: MeasureSystem, chain: Sequence[Sequence[int]]) ->
     Row k of the Gram matrix against the ordered monomials must open with
     n_{k,j} zeros for measure j.
     """
-    chain = [tuple(c) for c in chain]
-    d = len(chain) - 1
-    if not mi.validate_chain(chain, d):
-        raise ChainInvalid(f"not a valid degree-{d} chain")
+    chain, d = _chain(chain)
     polys = tuple(type2(sys, n) for n in chain)
     ok = all(gram_pattern_holds(sys, n, p) for n, p in zip(chain, polys))
     return MOPV(degree=d, chain=tuple(chain), polys=polys, pattern_ok=ok)
@@ -169,10 +173,7 @@ def gram_pattern_holds(sys: MeasureSystem, n: Sequence[int], p: BiPoly) -> bool:
 
 def assemble_type1_vectors(sys: MeasureSystem, chain: Sequence[Sequence[int]]) -> TypeIMOPV:
     """Solve the chain's Type I sets and verify the 0...0,1 row pattern."""
-    chain = [tuple(c) for c in chain]
-    d = len(chain) - 1
-    if not mi.validate_chain(chain, d):
-        raise ChainInvalid(f"not a valid degree-{d} chain")
+    chain, d = _chain(chain)
     sets = [type1(sys, n) for n in chain]
     r = sys.r
     ok = True
@@ -422,6 +423,8 @@ def nnr_type1(sys: MeasureSystem, n: Sequence[int], axis: str,
 def default_vector_chains(chain: Sequence[Sequence[int]]):
     """Deterministic lower (degrees 0..d-1) and upper (degree d+1) chains."""
     chain = [tuple(c) for c in chain]
+    if not chain:
+        raise ChainInvalid("not a valid chain: it has no index")
     d = len(chain) - 1
     r = len(chain[0])
     n0, nd = chain[0], chain[-1]
@@ -446,10 +449,7 @@ def nnr_vector(sys: MeasureSystem, chain: Sequence[Sequence[int]], axis: str,
     (identity columns into the degree d+1 vector).
     """
     mul, offset = _axis(axis)
-    chain = [tuple(c) for c in chain]
-    d = len(chain) - 1
-    if not mi.validate_chain(chain, d):
-        raise ChainInvalid(f"not a valid degree-{d} chain")
+    chain, d = _chain(chain)
     r = len(chain[0])
     if lower is None or upper is None:
         dflt_lower, dflt_upper = default_vector_chains(chain)

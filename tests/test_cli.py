@@ -333,6 +333,20 @@ def test_negative_components_rejected(configs, argv, flag):
     assert doc["error"].startswith(f"{flag}: ")
 
 
+@pytest.mark.parametrize("config, argv, kind", [
+    pytest.param("duo", ["normal", "--index", "1,2,3"], "DimensionMismatch", id="index-length"),
+    pytest.param("product", ["product", "--n", "2,2", "--m", "0"], "SurplusNegative",
+                 id="surplus"),
+    pytest.param("duo", ["vector", "--chain", "", "--axis", "x"], "ChainInvalid",
+                 id="empty-chain"),
+])
+def test_invalid_library_input_exits_invalid(configs, config, argv, kind):
+    """Input the library rejects exits 3 with the error's kind on stderr."""
+    code, out, err = invoke([argv[0], "--config", configs[config]] + argv[1:])
+    assert (code, out) == (EXIT_INVALID, "")
+    assert json.loads(err)["kind"] == kind
+
+
 def test_float_zero_index_det_is_a_float(configs):
     code, out, _ = invoke(["normal", "--config", configs["duo"], "--float",
                            "--index", "0,0"])

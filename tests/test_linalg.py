@@ -57,6 +57,11 @@ def test_det_requires_square():
         det(Matrix.from_rows([[F(1), F(2)]]))
 
 
+def test_from_rows_rejects_ragged_rows():
+    with pytest.raises(DimensionMismatch, match="ragged rows"):
+        Matrix.from_rows([[F(1)], [F(1), F(2)]])
+
+
 fractions = st.builds(F, st.integers(min_value=-9, max_value=9),
                       st.integers(min_value=1, max_value=9))
 
@@ -207,7 +212,7 @@ def test_column_content_is_divided_out_and_read_back(case):
 def test_column_content_shrinks_the_pivots_of_the_pair_system(duo):
     """The content pass is what keeps the last pivot of M_(20,20) small: 648
     bits with it, 1500 bits without."""
-    lu = ExactLU(moment_matrix(duo, (20, 20)).matrix)
+    lu = ExactLU(moment_matrix(duo, (20, 20)))
     assert lu.lu[-1][-1].bit_length() < 1000
 
 

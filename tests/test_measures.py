@@ -259,6 +259,13 @@ def test_systems_reject_an_unknown_scalar_mode():
         assert err.value.path == "$.scalar"
 
 
+def test_systems_need_a_measure():
+    for make in (lambda: MeasureSystem(measures=()), lambda: UniMeasureSystem(families=())):
+        with pytest.raises(SchemaError, match="at least one measure required") as err:
+            make()
+        assert err.value.path == "$.measures"
+
+
 @pytest.mark.parametrize("tol", [-1.0, float("nan")])
 def test_systems_reject_a_negative_or_nan_tol(tol):
     for make in (lambda: MeasureSystem(measures=(TensorMeasure(Laguerre(1), Laguerre(1)),),

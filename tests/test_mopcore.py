@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from bimop import (
     BiPoly,
+    DimensionMismatch,
     EmptyIndex,
     IndexOutOfRange,
     Laguerre,
@@ -35,6 +36,7 @@ from bimop import (
     type1,
     type1_pairing,
     type2,
+    uni_moment_matrix,
     uni_normality,
     uni_type1,
     uni_type2,
@@ -58,7 +60,7 @@ def direct_condition(sys_, j, p, t, s):
 
 def kernel_det(sys_, n):
     """det(M_n) by the system's kernel on M_n alone, with no rider row."""
-    m = moment_matrix(sys_, n).matrix
+    m = moment_matrix(sys_, n)
     return (linalg.ExactLU(m) if sys_.exact else linalg.FloatLU(m, sys_.tol)).det()
 
 
@@ -105,14 +107,51 @@ def test_shift_moves_top_position(coeffs):
 
 def test_moment_matrix_block_shapes(duo):
     mm = moment_matrix(duo, (1, 2))
-    assert (mm.matrix.rows, mm.matrix.cols) == (3, 3)
+    assert (mm.rows, mm.cols) == (3, 3)
     # block 1 is column 0; block 2 is columns 1..2
     for k in range(3):
         t, s = unpair(k)
-        assert mm.matrix.data[k][0] == duo.moment(1, t, s)
+        assert mm.data[k][0] == duo.moment(1, t, s)
         for l in range(2):
             lt, ls = unpair(l)
-            assert mm.matrix.data[k][1 + l] == duo.moment(2, t + lt, s + ls)
+            assert mm.data[k][1 + l] == duo.moment(2, t + lt, s + ls)
+
+
+def short_table_system():
+    """The pair system's moments of total degree <= 4 for measure 1 and
+    <= 3 for measure 2, as tables."""
+    pair_ = make_pair_system()
+    return MeasureSystem(measures=tuple(
+        TableMeasure({(t, s): pair_.moment(j, t, s) for t in range(top + 1)
+                      for s in range(top + 1 - t)}) for j, top in ((1, 4), (2, 3))))
+
+
+def table_message(call, sys_, n):
+    with pytest.raises(TableExhausted) as err:
+        call(sys_, n)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("call", [normality, moment_matrix])
+def test_m_n_reads_its_moments_column_by_column(call):
+    """M_(4,4) lacks (4, 0) of measure 2 at row 3 (e_3 + e_3, block 2) and
+    (5, 0) of measure 1 at row 6 (e_6 + e_3, block 1).  Columns are read
+    one by one, block 1 first, so the first missing moment is (5, 0)."""
+    assert table_message(call, short_table_system(), (4, 4)) == \
+        "no moment for (t, s) = (5, 0)"
+
+
+def test_type2_reads_the_rider_row_after_m_n():
+    """M_(3,3) fits the table; row 6 does not, and its first missing moment
+    on M's columns is (4, 0) = e_6 + e_1 of measure 2, before (3, 1) =
+    e_6 + e_2.  normality answers and type2 names that moment, whichever
+    runs first."""
+    for first in (normality, type2):
+        sys_ = short_table_system()
+        if first is type2:
+            assert table_message(type2, sys_, (3, 3)) == "no moment for (t, s) = (4, 0)"
+        assert normality(sys_, (3, 3)).normal
+        assert table_message(type2, sys_, (3, 3)) == "no moment for (t, s) = (4, 0)"
 
 
 def test_zero_index_is_vacuously_normal(duo):
@@ -132,7 +171,7 @@ def test_float_zero_index_has_a_float_det(make):
 @pytest.mark.parametrize("mode", ["exact", "float64"])
 @pytest.mark.parametrize("make", [make_pair_system, make_xsystem])
 def test_moment_matrix_det_is_normality_det(make, mode):
-    """The system's kernel run on moment_matrix(s, n).matrix alone gives
+    """The system's kernel run on moment_matrix(s, n) alone gives
     normality's det, whose factorisation carried the Type II row as a
     rider: the rider changes the det in neither value nor type, the empty M
     of the zero index included."""
@@ -520,9 +559,9 @@ def test_float_normality_is_the_band_rule_of_the_square_matrix(duo_float):
         for i in range(mod + 1):
             n = (i, mod - i)
             mm = moment_matrix(duo_float, n)
-            bound = math.prod(max(1.0, math.hypot(*row)) for row in mm.matrix.data)
+            bound = math.prod(max(1.0, math.hypot(*row)) for row in mm.data)
             got = normality(duo_float, n)
-            assert got.det == linalg.FloatLU(mm.matrix, duo_float.tol).det()
+            assert got.det == linalg.FloatLU(mm, duo_float.tol).det()
             d = abs(got.det)
             want = False if d <= 1e-12 * bound else None if d < 1e-6 * bound else True
             assert got.normal is want, n
@@ -577,7 +616,7 @@ def test_type2_uniqueness_under_permuted_elimination(duo):
                 lt, ls = unpair(l)
                 rhs.append(duo.moment(j, top[0] + lt, top[1] + ls))
         aug = [list(r) + [-rhs[k]] for k, r in
-               enumerate(mm.matrix.transpose().data)]
+               enumerate(mm.transpose().data)]
         order = list(range(size))
         rng.shuffle(order)
         # Gaussian elimination with the shuffled pivot preference
@@ -902,6 +941,14 @@ def test_negative_index_component_is_out_of_range(duo, duo_float, call, n):
             call(sys_, n)
 
 
+@pytest.mark.parametrize("call", [normality, type2, type1, moment_matrix])
+@pytest.mark.parametrize("n", [(1, 2, 3), (4,)])
+def test_index_of_the_wrong_length_is_a_dimension_mismatch(duo, duo_float, call, n):
+    for sys_ in (duo, duo_float):
+        with pytest.raises(DimensionMismatch, match=f"index length {len(n)} != r = 2"):
+            call(sys_, n)
+
+
 def test_eval_q_weighted_sum(duo):
     aset = type1(duo, (1, 1))
     got = eval_q(duo, aset, 0.7, 1.3)
@@ -948,6 +995,16 @@ def test_uni_type1_conditions():
             total = sum(sum(c * xs.moment(j, i + k) for i, c in enumerate(a.coeffs))
                         for j, a in enumerate(polys, start=1))
             assert total == (1 if k == size - 1 else 0)
+
+
+def test_uni_moment_matrix_is_the_transpose_of_m_n():
+    """Block j of M_n^t has rows m^{(j)}_{k+l}, k < n_j, l < |n|."""
+    xs = make_xsystem()
+    for n in ((0, 0), (2, 0), (1, 3), (3, 2)):
+        got = uni_moment_matrix(xs, n)
+        assert got.data == moment_matrix(xs, n).transpose().data
+        assert got.data == [[xs.moment(j, k + l) for l in range(sum(n))]
+                            for j, nj in enumerate(n, start=1) for k in range(nj)]
 
 
 def test_uni_normality():

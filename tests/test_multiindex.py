@@ -95,6 +95,8 @@ def test_canonical_path_through_waypoints():
 def test_canonical_path_incomparable_waypoints():
     with pytest.raises(NotComparable):
         canonical_path([(2, 0), (1, 3)])
+    with pytest.raises(NotComparable, match="at least one waypoint"):
+        canonical_path([])
 
 
 def test_validate_chain():
@@ -102,6 +104,9 @@ def test_validate_chain():
     assert validate_chain([(1, 2), (1, 3), (2, 3)], 2)
     assert not validate_chain([(1, 2), (2, 3)], 2)
     assert not validate_chain([(1, 2), (3, 1), (3, 2)], 2)
+    # a chain has at least one index
+    assert not validate_chain([], -1)
+    assert validate_chain([(0, 0)], 0)
 
 
 @given(st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=8))

@@ -9,6 +9,7 @@ from bimop import (
     BadV,
     DivisionByZeroFactor,
     NotNormal,
+    SurplusNegative,
     candidate_vs,
     det_factor_check,
     find_v,
@@ -39,6 +40,8 @@ def test_find_v_examples():
     v = find_v((0, 1), (1, 0))
     assert v == (2, 0, 1, 1)
     assert sum(v) == pair(1, 1) == 4
+    with pytest.raises(SurplusNegative):
+        find_v((2, 2), (0,))
 
 
 @settings(max_examples=60, deadline=None)

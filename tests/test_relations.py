@@ -178,6 +178,23 @@ def test_assemble_rejects_bad_chain(duo, assemble):
         assemble(duo, [(1, 2), (3, 2)])
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(assemble_type2_vector, "not a valid chain", id="assemble_type2_vector"),
+    pytest.param(assemble_type1_vectors, "not a valid chain", id="assemble_type1_vectors"),
+    pytest.param(lambda s, ch: nnr_vector(s, ch, "x"), "not a valid chain", id="nnr_vector"),
+    pytest.param(lambda s, ch: default_vector_chains(ch), "not a valid chain",
+                 id="default_vector_chains"),
+    pytest.param(lambda s, ch: biorth_matrix(s, ch, CHAIN_D2), "first chain is not",
+                 id="biorth_matrix-first"),
+    pytest.param(lambda s, ch: biorth_matrix(s, CHAIN_D2, ch), "second chain is not",
+                 id="biorth_matrix-second"),
+])
+def test_an_empty_chain_is_invalid(duo, call, message):
+    """A chain has at least one index: there is no degree -1 chain."""
+    with pytest.raises(ChainInvalid, match=f"^{message}.*: it has no index$"):
+        call(duo, [])
+
+
 def test_assemble_type2_vector_degree_zero(duo):
     mv = assemble_type2_vector(duo, [(0, 0)])
     assert mv.polys[0].coeffs == (F(1),)
@@ -232,6 +249,11 @@ def test_nnr_type2_path_independence(duo):
 def test_nnr_type2_precondition(duo):
     with pytest.raises(IndexTooSmall):
         nnr_type2(duo, (2, 2), "x")
+
+
+def test_nnr_type2_rejects_an_unknown_axis(duo):
+    with pytest.raises(PathInvalid, match="axis must be 'x' or 'y', got 'z'"):
+        nnr_type2(duo, (6, 8), "z")
 
 
 def test_nnr_type2_rejects_gap_path(duo):
@@ -393,6 +415,20 @@ def test_default_vector_chains_shape():
     assert len(upper) == 4
     assert lower[0][0] == (0, 0)
     assert upper[0] == (3, 3)
+
+
+@pytest.mark.parametrize("chain", [[(5, 5), (5, 6), (6, 6), (6, 7), (7, 7)], CHAIN_D5],
+                         ids=["d4", "d5"])
+def test_default_lower_chains_pass_the_waypoint(duo, chain):
+    """For d >= 2r the default lower chains pass u = n_0 - (d + 1), which
+    nnr_vector requires, and the recurrence holds on both axes.  For CHAIN_D5
+    u = (2, 1), off the path that raises x first."""
+    d = len(chain) - 1
+    u = tuple(c - (d + 1) for c in chain[0])
+    lower, _ = default_vector_chains(chain)
+    assert u in [x for ch in lower for x in ch]
+    for axis in "xy":
+        assert nnr_vector(duo, chain, axis).holds
 
 
 # ---------------------------------------------------------------------------
