@@ -16,7 +16,6 @@ from .errors import (
     IndexOutOfRange,
     IndexTooSmall,
     NegativeAlpha,
-    NoWeightEvaluator,
     NotComparable,
     NotNormal,
     NotSquare,
@@ -44,7 +43,6 @@ from .mopcore import (
     Normality,
     TypeISet,
     UniPoly,
-    eval_q,
     inner,
     is_normal,
     moment_matrix,

@@ -74,10 +74,6 @@ class IndexTooSmall(ValidationError):
     """Some component of the multi-index is too small for the recurrence."""
 
 
-class NoWeightEvaluator(ValidationError):
-    """A measure without a pointwise weight was asked to evaluate one."""
-
-
 class SurplusNegative(BimopError):
     """The componentwise bound has smaller modulus than the target."""
 

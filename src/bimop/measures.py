@@ -10,7 +10,6 @@ substance depends on this normalization.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple, Union
@@ -48,9 +47,6 @@ class Laguerre:
             m *= self.alpha + i
         return m
 
-    def weight(self, x: float) -> float:
-        return x ** float(self.alpha) * math.exp(-x)
-
 
 class Jacobi:
     """Jacobi-type weight x^a on [0, 1], a > -1 rational.
@@ -67,14 +63,9 @@ class Jacobi:
     def moment(self, k: int) -> Fraction:
         return (self.a + 1) / (self.a + k + 1)
 
-    def weight(self, x: float) -> float:
-        if not 0.0 <= x <= 1.0:
-            return 0.0
-        return x ** float(self.a)
-
 
 class MomentTable:
-    """Explicit univariate moment sequence; no pointwise weight."""
+    """Explicit univariate moment sequence."""
 
     def __init__(self, moments: Sequence):
         self.moments = [Fraction(m) for m in moments]
@@ -83,8 +74,6 @@ class MomentTable:
         if k >= len(self.moments):
             raise TableExhausted(f"moment table of length {len(self.moments)} has no order {k}")
         return self.moments[k]
-
-    weight = None
 
 
 if TYPE_CHECKING:
@@ -103,13 +92,6 @@ class TensorMeasure:
     def moment(self, t: int, s: int) -> Fraction:
         return self.x.moment(t) * self.y.moment(s)
 
-    @property
-    def has_weight(self) -> bool:
-        return self.x.weight is not None and self.y.weight is not None
-
-    def weight(self, x: float, y: float) -> float:
-        return self.x.weight(x) * self.y.weight(y)
-
 
 class TableMeasure:
     """Bivariate measure given by a raw (t, s) -> moment map."""
@@ -122,11 +104,6 @@ class TableMeasure:
             return self.moments[(t, s)]
         except KeyError:
             raise TableExhausted(f"no moment for (t, s) = ({t}, {s})") from None
-
-    has_weight = False
-
-    def weight(self, x, y):
-        raise TableExhausted("table measures carry no weight")
 
 
 if TYPE_CHECKING:

@@ -40,7 +40,6 @@ from .errors import (
     EmptyIndex,
     IndexOutOfRange,
     NotNormal,
-    NoWeightEvaluator,
     PathInvalid,
     TableExhausted,
 )
@@ -137,14 +136,6 @@ class BiPoly(_Dense):
             if c != 0:
                 out[shift(*mi.unpair(z))] = c
         return BiPoly.from_coeffs(out)
-
-    def eval(self, x: Scalar, y: Scalar) -> Scalar:
-        total: Scalar = 0
-        for z, c in enumerate(self.coeffs):
-            if c != 0:
-                t, s = mi.unpair(z)
-                total += c * x ** t * y ** s
-        return total
 
     def terms(self) -> List[Tuple[int, int, Scalar]]:
         """Nonzero (t, s, coefficient) triples, descending Cantor position."""
@@ -540,20 +531,6 @@ def type1_pairing(sys: MeasureSystem, p: BiPoly, m: Sequence[int]) -> Scalar:
     Computed purely from moments; weights are never evaluated.
     """
     return moment_rows(sys, p)(type1(sys, m).polys)
-
-
-def eval_q(sys: MeasureSystem, aset: TypeISet, x: float, y: float) -> float:
-    """Pointwise Type I function value sum_j A_j(x, y) w_j(x, y).
-
-    Requires every measure to carry a weight evaluator; the result is a
-    float even for exact systems, since weights are transcendental.
-    """
-    if any(not m.has_weight for m in sys.measures):
-        raise NoWeightEvaluator("every measure needs a pointwise weight")
-    total = 0.0
-    for measure, a in zip(sys.measures, aset.polys):
-        total += float(a.eval(x, y)) * measure.weight(x, y)
-    return total
 
 
 def uni_moment_matrix(sys1d: UniMeasureSystem, n: Sequence[int]) -> Matrix:

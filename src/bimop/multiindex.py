@@ -81,9 +81,6 @@ class Path:
     def is_valid(self) -> bool:
         if not self.steps:
             return False
-        r = len(self.steps[0])
-        if any(len(step) != r for step in self.steps):
-            return False
         return all(
             is_neighbour_step(a, b) for a, b in zip(self.steps, self.steps[1:])
         )

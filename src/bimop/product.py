@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import multiindex as mi
-from .errors import BadV, DivisionByZeroFactor, SurplusNegative
+from .errors import BadV, DivisionByZeroFactor, SchemaError, SurplusNegative
 from .linalg import Scalar
 from .measures import MeasureSystem, TensorMeasure, UniMeasureSystem
 from .mopcore import BiPoly, normality, type2, uni_type2
@@ -28,6 +28,12 @@ class ProductSystem:
 
     @classmethod
     def build(cls, xsystem: UniMeasureSystem, ysystem: UniMeasureSystem) -> "ProductSystem":
+        """The product of two systems of one scalar mode and one tol."""
+        for name in ("mode", "tol"):
+            x, y = getattr(xsystem, name), getattr(ysystem, name)
+            if x != y:
+                raise SchemaError(name, f"x system {x!r} != y system {y!r}; "
+                                        f"a product system needs one {name}")
         measures = tuple(TensorMeasure(fx, fy)
                          for fx in xsystem.families for fy in ysystem.families)
         biv = MeasureSystem(measures=measures, mode=xsystem.mode, tol=xsystem.tol)

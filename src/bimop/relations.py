@@ -422,10 +422,7 @@ def nnr_type1(sys: MeasureSystem, n: Sequence[int], axis: str,
 
 def default_vector_chains(chain: Sequence[Sequence[int]]):
     """Deterministic lower (degrees 0..d-1) and upper (degree d+1) chains."""
-    chain = [tuple(c) for c in chain]
-    if not chain:
-        raise ChainInvalid("not a valid chain: it has no index")
-    d = len(chain) - 1
+    chain, d = _chain(chain)
     r = len(chain[0])
     n0, nd = chain[0], chain[-1]
     u = tuple(c - (d + 1) for c in n0)

@@ -9,8 +9,8 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from bimop import normality, parse_config, parse_scalar
-from bimop.cli import EXIT_INVALID, EXIT_NOT_NORMAL, EXIT_OK, run
+from bimop import Laguerre, normality, parse_config, parse_scalar
+from bimop.cli import EXIT_FAILED, EXIT_INVALID, EXIT_NOT_NORMAL, EXIT_OK, run
 
 DUO_CONFIG = {
     "scalar": "exact",
@@ -40,12 +40,22 @@ PRODUCT_CONFIG = {
 }
 
 
+def cut_to_tables(doc, k):
+    """doc with each Laguerre family replaced by a table of its first k moments."""
+    def cut(family):
+        lag = Laguerre(parse_scalar(str(family["alpha"])))
+        return {"family": "table", "moments": [str(lag.moment(i)) for i in range(k)]}
+    return dict(doc, measures=[dict(m, x=cut(m["x"]), y=cut(m["y"])) for m in doc["measures"]])
+
+
 @pytest.fixture(scope="module")
 def configs(tmp_path_factory):
     root = tmp_path_factory.mktemp("configs")
     paths = {}
     for name, doc in [("duo", DUO_CONFIG), ("quad", QUAD_CONFIG),
-                      ("product", PRODUCT_CONFIG)]:
+                      ("product", PRODUCT_CONFIG),
+                      ("duo-table6", cut_to_tables(DUO_CONFIG, 6)),
+                      ("duo-table8", cut_to_tables(DUO_CONFIG, 8))]:
         path = root / f"{name}.json"
         path.write_text(json.dumps(doc))
         paths[name] = str(path)
@@ -471,21 +481,29 @@ def test_exact_call_after_a_float_one_is_exact(configs):
     assert type(det) is str and "." not in det
 
 
-@pytest.mark.parametrize("config, flags, checks", [
+@pytest.mark.parametrize("config, flags, checks, failed", [
     pytest.param("duo", [], ["pairing-roundtrip", "type2-orthogonality",
-                             "biorthogonality-grid", "nnr-x-4,4"], id="duo-exact"),
+                             "biorthogonality-grid", "nnr-x-4,4"], [], id="duo-exact"),
     pytest.param("duo", ["--float"], ["pairing-roundtrip", "type2-orthogonality",
-                                      "biorthogonality-grid"], id="duo-float"),
+                                      "biorthogonality-grid"], [], id="duo-float"),
     pytest.param("quad", [], ["pairing-roundtrip", "type2-orthogonality",
-                              "biorthogonality-grid"], id="quad-exact"),
+                              "biorthogonality-grid"], [], id="quad-exact"),
     pytest.param("quad", ["--float"], ["pairing-roundtrip", "type2-orthogonality",
-                                       "biorthogonality-grid"], id="quad-float"),
+                                       "biorthogonality-grid"], [], id="quad-float"),
+    # Six moments are too few for the recurrence at (4, 4), eight are enough.
+    pytest.param("duo-table6", [], ["pairing-roundtrip", "type2-orthogonality",
+                                    "biorthogonality-grid", "nnr-sample"], ["nnr-sample"],
+                 id="duo-table6"),
+    pytest.param("duo-table8", [], ["pairing-roundtrip", "type2-orthogonality",
+                                    "biorthogonality-grid", "nnr-x-4,4"], [],
+                 id="duo-table8"),
 ])
-def test_check_documents_are_pinned(configs, config, flags, checks):
+def test_check_documents_are_pinned(configs, config, flags, checks, failed):
     code, out, err = invoke(["check", "--config", configs[config]] + flags)
-    assert (code, err) == (EXIT_OK, "")
-    assert out == json.dumps({"checks": [{"name": name, "pass": True} for name in checks],
-                              "ok": True}) + "\n"
+    assert (code, err) == (EXIT_FAILED if failed else EXIT_OK, "")
+    assert out == json.dumps({"checks": [{"name": name, "pass": name not in failed}
+                                         for name in checks],
+                              "ok": not failed}) + "\n"
 
 
 def test_float_moment_past_the_float_range_is_invalid_input(tmp_path):

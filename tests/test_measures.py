@@ -41,11 +41,6 @@ def test_laguerre_rejects_negative_alpha():
         Laguerre(F(-1, 2))
 
 
-def test_laguerre_weight():
-    lag = Laguerre(F(1))
-    assert lag.weight(2.0) == pytest.approx(2.0 * pow(2.718281828459045, -2.0))
-
-
 def test_jacobi_moments():
     # on [0, 1] with weight x^a: m_k = (a+1)/(a+k+1)
     jac = Jacobi(F(0))
@@ -69,9 +64,6 @@ def test_moment_table_exhaustion():
 def test_tensor_measure_factors():
     t = TensorMeasure(Laguerre(F(1)), Laguerre(F(2)))
     assert t.moment(2, 1) == Laguerre(F(1)).moment(2) * Laguerre(F(2)).moment(1)
-    assert t.has_weight
-    assert t.weight(1.0, 1.0) == pytest.approx(
-        Laguerre(F(1)).weight(1.0) * Laguerre(F(2)).weight(1.0))
 
 
 def test_table_measure():
@@ -79,7 +71,6 @@ def test_table_measure():
     assert t.moment(1, 0) == 3
     with pytest.raises(TableExhausted):
         t.moment(0, 1)
-    assert not t.has_weight
 
 
 def test_system_moment_lookup_and_cache(duo):

@@ -16,7 +16,6 @@ from bimop import (
     Laguerre,
     MeasureSystem,
     MomentTable,
-    NoWeightEvaluator,
     NotNormal,
     PathInvalid,
     ProductSystem,
@@ -24,8 +23,8 @@ from bimop import (
     TableMeasure,
     TensorMeasure,
     UniMeasureSystem,
+    UniPoly,
     canonical_path,
-    eval_q,
     inner,
     is_normal,
     moment_matrix,
@@ -79,15 +78,23 @@ def test_bipoly_trim_and_top():
 def test_bipoly_arithmetic_and_eval():
     p = BiPoly.monomial(1, 1) + BiPoly.monomial(0, 0, F(3))
     q = p - BiPoly.monomial(0, 0, F(1))
-    assert q.eval(F(2), F(5)) == 12
-    assert (-q).eval(F(2), F(5)) == -12
-    assert q.scale(F(1, 2)).eval(F(2), F(5)) == 6
+    assert q.coeffs == (2, 0, 0, 0, 1)
+    assert (-q).coeffs == (-2, 0, 0, 0, -1)
+    assert q.scale(F(1, 2)).coeffs == (1, 0, 0, 0, F(1, 2))
 
 
 def test_bipoly_pretty():
     p = (BiPoly.monomial(2, 1) + BiPoly.monomial(1, 0, F(-3, 2))
          + BiPoly.monomial(0, 0, F(1)))
     assert p.pretty() == "x^2*y - 3/2*x + 1"
+    assert BiPoly.zero().pretty() == "0"
+
+
+def test_the_zero_polynomial_has_no_degree():
+    with pytest.raises(ValueError, match="no leading monomial"):
+        BiPoly.zero().top_position
+    with pytest.raises(ValueError, match="no degree"):
+        UniPoly(()).deg
 
 
 @settings(max_examples=50, deadline=None)
@@ -674,8 +681,6 @@ def test_type1_empty_index(duo):
 class Scaled:
     """A measure times the constant c: every moment times c."""
 
-    has_weight = False
-
     def __init__(self, base, c):
         self.base, self.c = base, c
 
@@ -947,21 +952,6 @@ def test_index_of_the_wrong_length_is_a_dimension_mismatch(duo, duo_float, call,
     for sys_ in (duo, duo_float):
         with pytest.raises(DimensionMismatch, match=f"index length {len(n)} != r = 2"):
             call(sys_, n)
-
-
-def test_eval_q_weighted_sum(duo):
-    aset = type1(duo, (1, 1))
-    got = eval_q(duo, aset, 0.7, 1.3)
-    want = sum(float(a.eval(F(7, 10), F(13, 10))) * m.weight(0.7, 1.3)
-               for a, m in zip(aset.polys, duo.measures))
-    assert got == pytest.approx(want)
-
-
-def test_eval_q_requires_weights():
-    sys_ = MeasureSystem(measures=(TableMeasure({(0, 0): F(1)}),))
-    aset = type1(sys_, (1,))
-    with pytest.raises(NoWeightEvaluator):
-        eval_q(sys_, aset, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,7 @@ def test_neighbour_step():
     assert is_neighbour_step((1, 2), (1, 3))
     assert not is_neighbour_step((1, 2), (2, 3))
     assert not is_neighbour_step((1, 3), (1, 2))
+    assert not is_neighbour_step((1,), (1, 1))
 
 
 def test_path_validity_and_lookup():
@@ -77,6 +78,8 @@ def test_path_validity_and_lookup():
 def test_path_with_gap_is_invalid():
     assert not Path(((0, 0), (2, 0))).is_valid()
     assert not Path(((1, 1), (1, 0))).is_valid()
+    assert not Path(()).is_valid()
+    assert not Path(((0, 0), (0, 0, 1))).is_valid()
 
 
 def test_canonical_path_raises_first_component_first():

@@ -1,5 +1,6 @@
 """Products of univariate Type II polynomials as bivariate polynomials."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -8,8 +9,13 @@ from hypothesis import given, settings, strategies as st
 from bimop import (
     BadV,
     DivisionByZeroFactor,
+    Laguerre,
+    MomentTable,
     NotNormal,
+    ProductSystem,
+    SchemaError,
     SurplusNegative,
+    UniMeasureSystem,
     candidate_vs,
     det_factor_check,
     find_v,
@@ -21,6 +27,7 @@ from bimop import (
     unpair,
     verify_product,
 )
+from conftest import make_xsystem, make_ysystem
 
 
 def test_tilde_v_examples():
@@ -74,6 +81,32 @@ def test_product_poly_example(psys):
 
 def test_product_poly_trivial(psys):
     assert product_poly(psys, (0, 0), (0, 0)).coeffs == (F(1),)
+
+
+def test_product_poly_with_a_zero_coefficient():
+    """The moments of dx/2 on [-1, 1] give P_2 = x^2 - 1/3, whose x term
+    is zero: R = (x^2 - 1/3)(y - 2) has no x term either."""
+    xs = UniMeasureSystem(families=(MomentTable([1, 0, F(1, 3), 0, F(1, 5), 0, F(1, 7),
+                                                 0, F(1, 9)]),))
+    ps = ProductSystem.build(xs, UniMeasureSystem(families=(Laguerre(1),)))
+    r = product_poly(ps, (2,), (1,))
+    assert r.terms() == [(2, 1, 1), (2, 0, -2), (0, 1, F(-1, 3)), (0, 0, F(2, 3))]
+    assert verify_product(ps, (2,), (1,), find_v((2,), (1,)))
+
+
+@pytest.mark.parametrize("ysystem, message", [
+    pytest.param(lambda: make_ysystem("float64"),
+                 "mode: x system 'exact' != y system 'float64'; "
+                 "a product system needs one mode", id="mode"),
+    pytest.param(lambda: UniMeasureSystem(families=make_ysystem().families, tol=1e-9),
+                 "tol: x system 1e-12 != y system 1e-09; a product system needs one tol",
+                 id="tol"),
+])
+def test_build_needs_one_mode_and_one_tol(ysystem, message):
+    """The bivariate system has one scalar mode and one tol, so the two
+    univariate systems must share theirs."""
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        ProductSystem.build(make_xsystem(), ysystem())
 
 
 @settings(max_examples=30, deadline=None)

@@ -149,6 +149,14 @@ def test_biorth_matrix_far_degree(duo):
     assert res.matches
 
 
+def test_biorth_matrix_unconstrained(duo):
+    """A second chain of lower degree whose top, (0, 2), is not <= the first
+    chain's bottom, (2, 1), matches no law: no entry has an expected value."""
+    res = biorth_matrix(duo, [(2, 1), (2, 2), (3, 2)], [(0, 1), (0, 2)])
+    assert res.case == "unconstrained"
+    assert res.matches is None
+
+
 def test_biorth_matrix_rejects_bad_chain(duo):
     with pytest.raises(ChainInvalid):
         biorth_matrix(duo, [(1, 2), (3, 2)], CHAIN_D2)
@@ -193,6 +201,17 @@ def test_an_empty_chain_is_invalid(duo, call, message):
     """A chain has at least one index: there is no degree -1 chain."""
     with pytest.raises(ChainInvalid, match=f"^{message}.*: it has no index$"):
         call(duo, [])
+
+
+@pytest.mark.parametrize("chain, message", [
+    pytest.param([(1, 2), (3, 2)], "not a valid degree-1 chain", id="gap"),
+    pytest.param([(9, 9)], "not a valid degree-0 chain", id="degree-0"),
+])
+def test_default_vector_chains_rejects_a_non_chain(chain, message):
+    """The input is checked as a chain before lower and upper chains are
+    drawn from it."""
+    with pytest.raises(ChainInvalid, match=f"^{message}$"):
+        default_vector_chains(chain)
 
 
 def test_assemble_type2_vector_degree_zero(duo):
