@@ -72,13 +72,15 @@ class BiorthMatrixResult:
     matches: Optional[bool]
 
 
-def _chain(chain: Sequence[Sequence[int]], name: str = "") -> Tuple[List[Tuple[int, ...]], int]:
+def _chain(chain: Sequence[Sequence[int]], name: str = "",
+           d: Optional[int] = None) -> Tuple[List[Tuple[int, ...]], int]:
     """The chain's indices as tuples and its degree d, one less than their
-    number; ChainInvalid unless they form a valid degree-d chain."""
+    number unless d is given; ChainInvalid unless they form a valid
+    degree-d chain."""
     chain = [tuple(c) for c in chain]
-    d = len(chain) - 1
-    if not chain:
+    if d is None and not chain:
         raise ChainInvalid(f"{name}not a valid chain: it has no index")
+    d = len(chain) - 1 if d is None else d
     if not mi.validate_chain(chain, d):
         raise ChainInvalid(f"{name}not a valid degree-{d} chain")
     return chain, d
@@ -87,7 +89,12 @@ def _chain(chain: Sequence[Sequence[int]], name: str = "") -> Tuple[List[Tuple[i
 def biorth_matrix(sys: MeasureSystem,
                   chain_n: Sequence[Sequence[int]],
                   chain_m: Sequence[Sequence[int]]) -> BiorthMatrixResult:
-    """The (d+1) x (h+1) pairing matrix of two chains with its pattern verdict."""
+    """The (d+1) x (h+1) pairing matrix of two chains with its pattern verdict.
+
+    Row k is ``biorth_row(sys, n_k, chain_m)``, so every entry is judged by
+    the biorthogonality law; in each constrained case the law fixes every
+    entry, and matches says whether all of them hold.
+    """
     chain_n, d = _chain(chain_n, "first chain is ")
     chain_m, h = _chain(chain_m, "second chain is ")
     # Chains that join are solved as one neighbour path, others as one path
@@ -95,34 +102,22 @@ def biorth_matrix(sys: MeasureSystem,
     # raises after P_{n_0}'s own errors, in pairing order.
     joined = chain_n + chain_m
     solve_path(sys, joined if mi.Path(tuple(joined)).is_valid() else chain_n)
-    data = []
-    for n in chain_n:
-        pair = moment_rows(sys, type2(sys, n))
-        if not data:
-            solve_path(sys, chain_m)
-        data.append([pair(type1(sys, m).polys) for m in chain_m])
-    b = Matrix.from_rows(data)
+    type2(sys, chain_n[0])
+    solve_path(sys, chain_m)
+    rows = [biorth_row(sys, n, chain_m) for n in chain_n]
 
-    expected = None
     if mi.leq(chain_m[-1], chain_n[0]):
         case = "zero (m_h <= n_0)"
-        expected = [[0] * (h + 1) for _ in range(d + 1)]
     elif chain_m == chain_n:
         case = "shifted identity"
-        expected = [[1 if i == k + 1 else 0 for i in range(d + 1)] for k in range(d + 1)]
     elif h == d + 1:
         case = "unit bottom-left"
-        expected = [[1 if (k, i) == (d, 0) else 0 for i in range(h + 1)] for k in range(d + 1)]
     elif h >= d + 2:
         case = "zero (h >= d+2)"
-        expected = [[0] * (h + 1) for _ in range(d + 1)]
     else:
         case = "unconstrained"
-
-    matches = None
-    if expected is not None:
-        matches = all(sys.is_zero(data[k][i] - expected[k][i])
-                      for k in range(d + 1) for i in range(h + 1))
+    matches = None if case == "unconstrained" else all(res.matches for row in rows for res in row)
+    b = Matrix.from_rows([[res.value for res in row] for row in rows])
     return BiorthMatrixResult(matrix=b, case=case, matches=matches)
 
 
@@ -324,17 +319,6 @@ def nnr_type2(sys: MeasureSystem, n: Sequence[int], axis: str,
                      vanishing_ok=vanishing_ok)
 
 
-def _default_descent(n: Tuple[int, ...], drop: int) -> Tuple[int, ...]:
-    # Deterministic index of modulus |n| - drop below n: shrink the last
-    # components first (mirror of canonical_path's ascent order).
-    low = list(n)
-    for j in range(len(low) - 1, -1, -1):
-        take = min(low[j], drop)
-        low[j] -= take
-        drop -= take
-    return tuple(low)
-
-
 def nnr_type1(sys: MeasureSystem, n: Sequence[int], axis: str,
               path=None) -> NNRReport:
     """Check x*Q_n (or y*Q_n) against its nearest-neighbour expansion.
@@ -361,8 +345,7 @@ def nnr_type1(sys: MeasureSystem, n: Sequence[int], axis: str,
     top = p.modulus + bump * r
     end = tuple(nj + bump for nj in n)
     if path is None:
-        low = _default_descent(n, p.modulus - low_mod)
-        path = mi.canonical_path([low, n, end])
+        path = mi.canonical_path([(0,) * r, n, end])
     else:
         path = _as_path(path)
     if not path.is_valid():
@@ -452,15 +435,11 @@ def nnr_vector(sys: MeasureSystem, chain: Sequence[Sequence[int]], axis: str,
         dflt_lower, dflt_upper = default_vector_chains(chain)
         lower = dflt_lower if lower is None else lower
         upper = dflt_upper if upper is None else upper
-    lower = [[tuple(x) for x in ch] for ch in lower]
-    upper = [tuple(x) for x in upper]
+    lower = list(lower)
     if len(lower) != d:
         raise ChainInvalid(f"need lower chains for degrees 0..{d - 1}")
-    for h, ch in enumerate(lower):
-        if not mi.validate_chain(ch, h):
-            raise ChainInvalid(f"lower chain {h} is not a valid degree-{h} chain")
-    if not mi.validate_chain(upper, d + 1):
-        raise ChainInvalid(f"upper chain is not a valid degree-{d + 1} chain")
+    lower = [_chain(ch, f"lower chain {h} is ", h)[0] for h, ch in enumerate(lower)]
+    upper, _ = _chain(upper, "upper chain is ", d + 1)
     steps = tuple(x for ch in lower for x in ch) + tuple(chain) + tuple(upper)
     gpath = mi.Path(steps)
     if not gpath.is_valid():

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON output, determinism."""
 
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from bimop import Laguerre, normality, parse_config, parse_scalar
-from bimop.cli import EXIT_FAILED, EXIT_INVALID, EXIT_NOT_NORMAL, EXIT_OK, run
+from bimop.cli import (EXIT_FAILED, EXIT_INVALID, EXIT_NOT_NORMAL, EXIT_OK,
+                       _indices_up_to, run)
 
 DUO_CONFIG = {
     "scalar": "exact",
@@ -481,29 +483,44 @@ def test_exact_call_after_a_float_one_is_exact(configs):
     assert type(det) is str and "." not in det
 
 
-@pytest.mark.parametrize("config, flags, checks, failed", [
-    pytest.param("duo", [], ["pairing-roundtrip", "type2-orthogonality",
-                             "biorthogonality-grid", "nnr-x-4,4"], [], id="duo-exact"),
-    pytest.param("duo", ["--float"], ["pairing-roundtrip", "type2-orthogonality",
-                                      "biorthogonality-grid"], [], id="duo-float"),
-    pytest.param("quad", [], ["pairing-roundtrip", "type2-orthogonality",
-                              "biorthogonality-grid"], [], id="quad-exact"),
-    pytest.param("quad", ["--float"], ["pairing-roundtrip", "type2-orthogonality",
-                                       "biorthogonality-grid"], [], id="quad-float"),
+def _battery(checks, failed=()):
+    """check's exit code, stdout and stderr for a battery that ran."""
+    doc = {"checks": [{"name": name, "pass": name not in failed} for name in checks],
+           "ok": not failed}
+    return EXIT_FAILED if failed else EXIT_OK, json.dumps(doc) + "\n", ""
+
+
+@pytest.mark.parametrize("config, flags, want", [
+    pytest.param("duo", [], _battery(["pairing-roundtrip", "type2-orthogonality",
+                                      "biorthogonality-grid", "nnr-x-4,4"]), id="duo-exact"),
+    pytest.param("duo", ["--float"], _battery(["pairing-roundtrip", "type2-orthogonality",
+                                               "biorthogonality-grid"]), id="duo-float"),
+    pytest.param("quad", [], _battery(["pairing-roundtrip", "type2-orthogonality",
+                                       "biorthogonality-grid"]), id="quad-exact"),
+    pytest.param("quad", ["--float"], _battery(["pairing-roundtrip", "type2-orthogonality",
+                                                "biorthogonality-grid"]), id="quad-float"),
     # Six moments are too few for the recurrence at (4, 4), eight are enough.
-    pytest.param("duo-table6", [], ["pairing-roundtrip", "type2-orthogonality",
-                                    "biorthogonality-grid", "nnr-sample"], ["nnr-sample"],
+    # A table too short for the sample is invalid input, not a failed check.
+    pytest.param("duo-table6", [], (EXIT_INVALID, "", json.dumps(
+        {"error": "moment table of length 6 has no order 6", "kind": "TableExhausted"}) + "\n"),
                  id="duo-table6"),
-    pytest.param("duo-table8", [], ["pairing-roundtrip", "type2-orthogonality",
-                                    "biorthogonality-grid", "nnr-x-4,4"], [],
+    pytest.param("duo-table8", [], _battery(["pairing-roundtrip", "type2-orthogonality",
+                                             "biorthogonality-grid", "nnr-x-4,4"]),
                  id="duo-table8"),
 ])
-def test_check_documents_are_pinned(configs, config, flags, checks, failed):
-    code, out, err = invoke(["check", "--config", configs[config]] + flags)
-    assert (code, err) == (EXIT_FAILED if failed else EXIT_OK, "")
-    assert out == json.dumps({"checks": [{"name": name, "pass": name not in failed}
-                                         for name in checks],
-                              "ok": not failed}) + "\n"
+def test_check_documents_are_pinned(configs, config, flags, want):
+    assert invoke(["check", "--config", configs[config]] + flags) == want
+
+
+def test_check_indices_are_the_filtered_product_in_order():
+    """check's grid holds every r-index of modulus <= bound, in the order of
+    the full product, without building the product."""
+    for r in range(1, 7):
+        for bound in range(6):
+            want = [t for t in itertools.product(range(bound + 1), repeat=r)
+                    if sum(t) <= bound]
+            assert _indices_up_to(r, bound) == want
+    assert len(_indices_up_to(24, 3)) == 2925
 
 
 def test_float_moment_past_the_float_range_is_invalid_input(tmp_path):

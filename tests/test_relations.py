@@ -157,6 +157,46 @@ def test_biorth_matrix_unconstrained(duo):
     assert res.matches is None
 
 
+def _chains(d):
+    """Every degree-d chain of two-component indices."""
+    base = d * (d + 1) // 2
+    out = [[(base - s, s)] for s in range(base + 1)]
+    for _ in range(d):
+        out = [c + [step] for c in out
+               for step in ((c[-1][0] + 1, c[-1][1]), (c[-1][0], c[-1][1] + 1))]
+    return out
+
+
+def _pattern(case, d, h):
+    """The (d+1) x (h+1) matrix of a constrained case, written out."""
+    if case == "shifted identity":
+        return [[1 if i == k + 1 else 0 for i in range(h + 1)] for k in range(d + 1)]
+    if case == "unit bottom-left":
+        return [[1 if (k, i) == (d, 0) else 0 for i in range(h + 1)] for k in range(d + 1)]
+    assert case in ("zero (m_h <= n_0)", "zero (h >= d+2)")
+    return [[0] * (h + 1) for _ in range(d + 1)]
+
+
+def test_biorth_matrix_constrained_cases_hold_their_patterns():
+    """Every pair of a chain of degree <= 2 and one of degree 1 to 3: a
+    constrained case equals its pattern entry by entry, and the
+    unconstrained case judges nothing."""
+    sys_ = make_pair_system()
+    calls = 0
+    for d in range(3):
+        for h in range(1, 4):
+            for chain_n in _chains(d):
+                for chain_m in _chains(h):
+                    res = biorth_matrix(sys_, chain_n, chain_m)
+                    calls += 1
+                    if res.case == "unconstrained":
+                        assert res.matches is None
+                    else:
+                        assert res.matches is True
+                        assert res.matrix.data == _pattern(res.case, d, h)
+    assert calls == 1596
+
+
 def test_biorth_matrix_rejects_bad_chain(duo):
     with pytest.raises(ChainInvalid):
         biorth_matrix(duo, [(1, 2), (3, 2)], CHAIN_D2)
@@ -323,6 +363,19 @@ def test_nnr_type1_holds(duo):
     assert rep.holds and rep.vanishing_ok and rep.low_unit_ok
 
 
+def test_nnr_type1_default_path_starts_at_the_zero_index(duo):
+    for modulus in range(1, 6):
+        for n in [(a, modulus - a) for a in range(modulus + 1)]:
+            d = params(n).degree
+            for axis, offset in (("x", 1), ("y", 2)):
+                end = tuple(c + d + offset for c in n)
+                try:
+                    rep = nnr_type1(duo, n, axis)
+                except IndexTooSmall:
+                    continue
+                assert rep.path == canonical_path([(0, 0), n, end])
+
+
 def test_nnr_type1_zero_index_convention(duo):
     # low modulus 0 is the zero index where Q vanishes; term is dropped
     rep = nnr_type1(duo, (1, 0), "x")
@@ -416,6 +469,10 @@ ASCENT = canonical_path([(0, 0), (3, 0), (7, 7)]).steps
                  "lower chain 1 is not a valid degree-1 chain", id="lower-chain"),
     pytest.param(CHAIN_D2, None, [(3, 3), (4, 3), (5, 3)],
                  "upper chain is not a valid degree-3 chain", id="upper-chain"),
+    pytest.param(CHAIN_D2, [[(0, 0)], []], None,
+                 "lower chain 1 is not a valid degree-1 chain", id="empty-lower-chain"),
+    pytest.param(CHAIN_D2, None, [], "upper chain is not a valid degree-3 chain",
+                 id="empty-upper-chain"),
     pytest.param(CHAIN_D2, [[(0, 0)], [(1, 0), (2, 0)]], None,
                  "do not concatenate", id="concatenation"),
     pytest.param(CHAIN_D5, [list(ASCENT[h * (h + 1) // 2:h * (h + 1) // 2 + h + 1])
