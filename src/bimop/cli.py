@@ -94,6 +94,12 @@ def _poly_doc(p: BiPoly, pretty: bool) -> dict:
     return doc
 
 
+def _report(report: relations.NNRReport) -> int:
+    """Emit a recurrence report's document; exit 0 if it holds, else 4."""
+    _emit(report.to_json())
+    return EXIT_OK if report.holds else EXIT_FAILED
+
+
 def cmd_pair(args) -> int:
     _emit({"pi": mi.pair(_natural(args.t, "t"), _natural(args.s, "s"))})
     return EXIT_OK
@@ -148,25 +154,19 @@ def cmd_nnr(args) -> int:
     sys_ = _load_system(args)
     path = _parse_chain(args.path, "--path") if args.path else None
     w = _parse_index(args.w, "--w") if args.w else None
-    report = relations.nnr_type2(sys_, _parse_index(args.index), args.axis,
-                                 path=path, w=w)
-    _emit(report.to_json())
-    return EXIT_OK if report.holds else EXIT_FAILED
+    return _report(relations.nnr_type2(sys_, _parse_index(args.index), args.axis,
+                                       path=path, w=w))
 
 
 def cmd_nnr_q(args) -> int:
     sys_ = _load_system(args)
     path = _parse_chain(args.path, "--path") if args.path else None
-    report = relations.nnr_type1(sys_, _parse_index(args.index), args.axis, path=path)
-    _emit(report.to_json())
-    return EXIT_OK if report.holds else EXIT_FAILED
+    return _report(relations.nnr_type1(sys_, _parse_index(args.index), args.axis, path=path))
 
 
 def cmd_vector(args) -> int:
     sys_ = _load_system(args)
-    report = relations.nnr_vector(sys_, _parse_chain(args.chain, "--chain"), args.axis)
-    _emit(report.to_json())
-    return EXIT_OK if report.holds else EXIT_FAILED
+    return _report(relations.nnr_vector(sys_, _parse_chain(args.chain, "--chain"), args.axis))
 
 
 def cmd_product(args) -> int:

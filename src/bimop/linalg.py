@@ -107,7 +107,6 @@ class ExactLU:
         n = m.cols
         #: column k of A is column order[k] of M
         self.order = list(range(n)) if order is None else list(order)
-        in_place = self.order == sorted(self.order)
         self.scale: List[int] = []
         lu = []
         for row in m.data:
@@ -115,9 +114,7 @@ class ExactLU:
             # is resized, and the resized tuples pile up on the free lists.
             d = math.lcm(*[v.denominator for v in row])
             self.scale.append(d)
-            if not in_place:
-                row = [row[c] for c in self.order]
-            lu.append([v.numerator * (d // v.denominator) for v in row])
+            lu.append([row[c].numerator * (d // row[c].denominator) for c in self.order])
         #: content[k]: the gcd of column k of D M[:, order], 1 for a zero column
         self.content = [math.gcd(*col) or 1 for col in zip(*lu)]
         lu = [[v // g for v, g in zip(row, self.content)] for row in lu]
@@ -137,7 +134,7 @@ class ExactLU:
                 self.perm[k], self.perm[p] = self.perm[p], self.perm[k]
                 sign = -sign
             # column k of A passes the earlier columns that follow it in M
-            if not in_place and sum(map(self.order[k].__lt__, self.order[:k])) % 2:
+            if sum(map(self.order[k].__lt__, self.order[:k])) % 2:
                 sign = -sign
             # B_{k+1} is regular iff its own rows gave the first k + 1 pivots:
             # the first nonzero entry is searched among them first

@@ -21,9 +21,8 @@ from .errors import (
     TableExhausted,
     ValidationError,
 )
-from .linalg import FLOAT_RESIDUAL_TOL, FLOAT_TOL, format_scalar, int_from_decimal, parse_scalar
-
-Scalar = Union[Fraction, float]
+from .linalg import (FLOAT_RESIDUAL_TOL, FLOAT_TOL, Scalar, format_scalar, int_from_decimal,
+                     parse_scalar)
 
 EXACT = "exact"
 FLOAT64 = "float64"
@@ -119,12 +118,15 @@ def _check_mode(mode) -> str:
 
 class _ScalarMode:
     """Scalar mode shared by the measure systems: exact rationals or float64,
-    and the float singularity tolerance, a number >= 0."""
+    and the float singularity tolerance, a number >= 0.  A system needs at
+    least one measure; ``r`` counts them."""
 
     mode: str
     tol: float
 
     def __post_init__(self):
+        if not self.r:
+            raise SchemaError("$.measures", "at least one measure required")
         _check_mode(self.mode)
         if not self.tol >= 0:
             raise SchemaError("tol", f"expected a number >= 0, got {self.tol!r}")
@@ -178,11 +180,6 @@ class MeasureSystem(_ScalarMode):
     _moment_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _index_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def __post_init__(self):
-        if not self.measures:
-            raise SchemaError("$.measures", "at least one measure required")
-        super().__post_init__()
-
     @property
     def r(self) -> int:
         return len(self.measures)
@@ -213,11 +210,6 @@ class UniMeasureSystem(_ScalarMode):
     tol: float = FLOAT_TOL
     _moment_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _index_cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self.families:
-            raise SchemaError("$.measures", "at least one measure required")
-        super().__post_init__()
 
     @property
     def r(self) -> int:

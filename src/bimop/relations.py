@@ -263,10 +263,24 @@ def _residuals(sys: MeasureSystem, sums):
     return residuals, all(sys.is_zero(c, big) for res in residuals for c in res.coeffs)
 
 
-def _as_path(path) -> mi.Path:
-    if isinstance(path, mi.Path):
-        return path
-    return mi.Path(tuple(tuple(step) for step in path))
+def _checked_path(path, waypoints, low: int, top: int,
+                  entries: Sequence[Tuple[str, Tuple[int, ...]]]) -> mi.Path:
+    """The caller's path, a Path or a sequence of indices, or by default the
+    canonical path through waypoints; PathInvalid unless it is a neighbour
+    path spanning moduli low..top whose entry of modulus |index| is index,
+    for each (label, index) of entries."""
+    if path is None:
+        path = mi.canonical_path(waypoints)
+    elif not isinstance(path, mi.Path):
+        path = mi.Path(tuple(tuple(step) for step in path))
+    if not path.is_valid():
+        raise PathInvalid("not a neighbour path")
+    if path.start_modulus > low or path.end_modulus < top:
+        raise PathInvalid(f"path must span moduli {low}..{top}")
+    for label, index in entries:
+        if path.at_modulus(sum(index)) != index:
+            raise PathInvalid(f"path entry of modulus {sum(index)} must be {label}{index}")
+    return path
 
 
 def nnr_type2(sys: MeasureSystem, n: Sequence[int], axis: str,
@@ -288,20 +302,9 @@ def nnr_type2(sys: MeasureSystem, n: Sequence[int], axis: str,
     v = tuple(nj - d - 1 for nj in n)
     bump = d + offset
     top = p.modulus + bump
-    if path is None:
-        if w is None:
-            w = (n[0] + bump,) + n[1:]
-        path = mi.canonical_path([v, n, tuple(w)])
-    else:
-        path = _as_path(path)
-    if not path.is_valid():
-        raise PathInvalid("not a neighbour path")
-    if path.start_modulus > sum(v) or path.end_modulus < top:
-        raise PathInvalid(f"path must span moduli {sum(v)}..{top}")
-    if path.at_modulus(sum(v)) != v:
-        raise PathInvalid(f"path entry of modulus {sum(v)} must be v = {v}")
-    if path.at_modulus(p.modulus) != n:
-        raise PathInvalid(f"path entry of modulus {p.modulus} must be {n}")
+    if path is None and w is None:
+        w = (n[0] + bump,) + n[1:]
+    path = _checked_path(path, [v, n, w], sum(v), top, [("v = ", v), ("", n)])
     w_top = path.at_modulus(top)
     if w is not None and tuple(w) != w_top:
         raise PathInvalid(f"path entry of modulus {top} is {w_top}, expected {tuple(w)}")
@@ -344,26 +347,15 @@ def nnr_type1(sys: MeasureSystem, n: Sequence[int], axis: str,
         raise IndexTooSmall(f"modulus {p.modulus} too small for axis {axis}")
     top = p.modulus + bump * r
     end = tuple(nj + bump for nj in n)
-    if path is None:
-        path = mi.canonical_path([(0,) * r, n, end])
-    else:
-        path = _as_path(path)
-    if not path.is_valid():
-        raise PathInvalid("not a neighbour path")
-    if path.start_modulus > low_mod or path.end_modulus < top:
-        raise PathInvalid(f"path must span moduli {low_mod}..{top}")
-    if path.at_modulus(p.modulus) != n:
-        raise PathInvalid(f"path entry of modulus {p.modulus} must be {n}")
-    if path.at_modulus(top) != end:
-        raise PathInvalid(f"path entry of modulus {top} must be {end}")
+    path = _checked_path(path, [(0,) * r, n, end], low_mod, top, [("", n), ("", end)])
 
     # Extend below the theorem's range down to the zero index; the extension
     # only feeds the vanishing and unit-coefficient checks, whose values are
-    # path-independent.
+    # path-independent.  A path that starts at modulus 0 is not extended, so
+    # a negative component there is reported by the solve.
     steps = path.steps
     if path.start_modulus > 0:
-        ext = mi.canonical_path([(0,) * r, steps[0]]).steps[:-1]
-        steps = ext + steps
+        steps = mi.canonical_path([(0,) * r, steps[0]]).steps + steps[1:]
     full = mi.Path(steps)
     solve_path(sys, steps[:top + 1])
 

@@ -251,7 +251,10 @@ def test_systems_reject_an_unknown_scalar_mode():
 
 
 def test_systems_need_a_measure():
-    for make in (lambda: MeasureSystem(measures=()), lambda: UniMeasureSystem(families=())):
+    """The missing measure is reported first, before a bad mode."""
+    for make in (lambda: MeasureSystem(measures=()), lambda: UniMeasureSystem(families=()),
+                 lambda: MeasureSystem(measures=(), mode="exakt"),
+                 lambda: UniMeasureSystem(families=(), mode="exakt")):
         with pytest.raises(SchemaError, match="at least one measure required") as err:
             make()
         assert err.value.path == "$.measures"

@@ -317,7 +317,7 @@ def test_nnr_type2_rejects_an_unknown_axis(duo):
 
 def test_nnr_type2_rejects_gap_path(duo):
     bad = [(1, 1), (3, 1), (4, 4), (5, 4), (6, 4)]
-    with pytest.raises(PathInvalid):
+    with pytest.raises(PathInvalid, match="not a neighbour path"):
         nnr_type2(duo, (4, 4), "x", path=bad, w=(6, 4))
 
 
