@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bimop import (DimensionMismatch, Matrix, NotSquare, Singular, det, format_scalar,
                    parse_scalar, solve)
@@ -276,13 +276,16 @@ def float_cases(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(float_cases())
+# 5e-324 / 2 rounds to 0.0: the residual is the underflow, not a pivoting error
+@example((Matrix.from_rows([[2.0]]), [5e-324], False))
 def test_float_lu_against_exact_lu(case):
     """FloatLU judged by ExactLU on the same matrix converted exactly.
 
     det within 1e-10 of the scale (sqrt(n) max|m|)^n of any det of that
     size; solves with m (``linalg.solve``) and m^t (-rhs as the rider row,
     ``type2``) with an exact residual within 1e-10 of |m| |x| + |rhs|
-    (backward stability of partial pivoting); Singular with det 0.0, and no
+    (backward stability of partial pivoting), plus n |m| times the least
+    subnormal for results that underflow; Singular with det 0.0, and no
     Type II, exactly when the factorisation stops.  A rider changes neither
     the factorisation nor its det.
     """
@@ -311,8 +314,10 @@ def test_float_lu_against_exact_lu(case):
                             (exact.transpose(), norm_t, lambda: by_row.type2(n))):
         x = solve_()
         residual = [F(b) - v for b, v in zip(rhs, matvec(a, [F(v) for v in x]))]
-        bound = 1e-10 * (size * max(abs(v) for v in x) + max(abs(b) for b in rhs))
-        assert max(abs(r) for r in residual) <= F(bound)
+        # exact, so that a bound near the underflow range is not rounded to 0
+        bound = (F(1e-10) * (F(size) * max(abs(F(v)) for v in x) + max(abs(F(b)) for b in rhs))
+                 + n * F(size) * F(2) ** -1074)
+        assert max(abs(r) for r in residual) <= bound
 
 
 def test_transpose_matvec():
