@@ -36,6 +36,7 @@ from .measures import (
     TensorMeasure,
     UniMeasureSystem,
     parse_config,
+    parse_product_config,
     parse_uni_config,
 )
 from .mopcore import (

@@ -3,8 +3,11 @@
 Exit codes: 0 success, 2 not-normal index, 3 validation error (a usage
 error included), 4 a verification command whose check does not hold.
 
-The argument parser is built once per process, at the first ``run``, so
-in-process callers that run many commands pay for it once.
+Each command is stated once, in ``COMMANDS``.  ``run`` parses the
+arguments, loads the command's config, calls the command for its JSON
+document and exit code, and prints the document.  The argument parser is
+built once per process, at the first ``run``, so in-process callers that
+run many commands pay for it once.
 """
 
 from __future__ import annotations
@@ -13,14 +16,13 @@ import argparse
 import functools
 import json
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import multiindex as mi
 from . import relations
 from .errors import BimopError, NotNormal, SchemaError
 from .linalg import FLOAT_TOL, format_scalar
-from .measures import (EXACT, FLOAT64, MeasureSystem, _check_mode, parse_config,
-                       parse_uni_config, read_json)
+from .measures import FLOAT64, MeasureSystem, parse_config, parse_product_config
 from .mopcore import (
     BiPoly,
     normality,
@@ -67,24 +69,16 @@ def _read_config(args) -> str:
             raise SchemaError("$", f"not UTF-8: {exc}") from None
 
 
+def _mode(args) -> Optional[str]:
+    return FLOAT64 if args.float_mode else None
+
+
 def _load_system(args) -> MeasureSystem:
-    return parse_config(_read_config(args), mode=FLOAT64 if args.float_mode else None,
-                        tol=args.tol)
+    return parse_config(_read_config(args), _mode(args), args.tol)
 
 
 def _load_product_system(args) -> ProductSystem:
-    doc = read_json(_read_config(args))
-    if not isinstance(doc, dict) or "x" not in doc or "y" not in doc:
-        raise SchemaError("$", "product config needs 'x' and 'y' family lists")
-    scalar = _check_mode(doc.get("scalar", EXACT))
-    mode = FLOAT64 if args.float_mode else scalar
-    xs = parse_uni_config(doc["x"], "$.x", mode, args.tol)
-    ys = parse_uni_config(doc["y"], "$.y", mode, args.tol)
-    return ProductSystem.build(xs, ys)
-
-
-def _emit(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=False))
+    return ProductSystem.build(*parse_product_config(_read_config(args), _mode(args), args.tol))
 
 
 def _poly_doc(p: BiPoly, pretty: bool) -> dict:
@@ -94,96 +88,77 @@ def _poly_doc(p: BiPoly, pretty: bool) -> dict:
     return doc
 
 
-def _report(report: relations.NNRReport) -> int:
-    """Emit a recurrence report's document; exit 0 if it holds, else 4."""
-    _emit(report.to_json())
-    return EXIT_OK if report.holds else EXIT_FAILED
+def _report(report: relations.NNRReport) -> Tuple[dict, int]:
+    """A recurrence report's document; exit 0 if it holds, else 4."""
+    return report.to_json(), EXIT_OK if report.holds else EXIT_FAILED
 
 
-def cmd_pair(args) -> int:
-    _emit({"pi": mi.pair(_natural(args.t, "t"), _natural(args.s, "s"))})
-    return EXIT_OK
+def cmd_pair(args, _) -> Tuple[dict, int]:
+    return {"pi": mi.pair(_natural(args.t, "t"), _natural(args.s, "s"))}, EXIT_OK
 
 
-def cmd_unpair(args) -> int:
+def cmd_unpair(args, _) -> Tuple[dict, int]:
     t, s = mi.unpair(_natural(args.z, "z"))
-    _emit({"t": t, "s": s})
-    return EXIT_OK
+    return {"t": t, "s": s}, EXIT_OK
 
 
-def cmd_params(args) -> int:
+def cmd_params(args, _) -> Tuple[dict, int]:
     p = mi.params(_parse_index(args.index))
-    _emit({"modulus": p.modulus, "multidegree": list(p.multidegree),
-           "degree": p.degree, "remainder": p.remainder})
-    return EXIT_OK
+    return {"modulus": p.modulus, "multidegree": list(p.multidegree),
+            "degree": p.degree, "remainder": p.remainder}, EXIT_OK
 
 
-def cmd_normal(args) -> int:
-    sys_ = _load_system(args)
+def cmd_normal(args, sys_: MeasureSystem) -> Tuple[dict, int]:
     v = normality(sys_, _parse_index(args.index))
-    _emit({"normal": v.normal, "det": format_scalar(v.det)})
-    return EXIT_OK if v.normal else EXIT_NOT_NORMAL
+    return ({"normal": v.normal, "det": format_scalar(v.det)},
+            EXIT_OK if v.normal else EXIT_NOT_NORMAL)
 
 
-def cmd_type2(args) -> int:
-    sys_ = _load_system(args)
-    p = type2(sys_, _parse_index(args.index))
-    _emit(_poly_doc(p, args.pretty))
-    return EXIT_OK
+def cmd_type2(args, sys_: MeasureSystem) -> Tuple[dict, int]:
+    return _poly_doc(type2(sys_, _parse_index(args.index)), args.pretty), EXIT_OK
 
 
-def cmd_type1(args) -> int:
-    sys_ = _load_system(args)
+def cmd_type1(args, sys_: MeasureSystem) -> Tuple[dict, int]:
     aset = type1(sys_, _parse_index(args.index))
-    _emit({"polys": [_poly_doc(a, args.pretty) for a in aset.polys]})
-    return EXIT_OK
+    return {"polys": [_poly_doc(a, args.pretty) for a in aset.polys]}, EXIT_OK
 
 
-def cmd_biorth(args) -> int:
-    sys_ = _load_system(args)
+def cmd_biorth(args, sys_: MeasureSystem) -> Tuple[dict, int]:
     res = relations.biorth(sys_, _parse_index(args.n, "--n"),
                            _parse_index(args.m, "--m"))
-    _emit({"value": format_scalar(res.value), "label": res.label,
-           "expected": res.expected, "matches": res.matches})
-    if res.matches is False:
-        return EXIT_FAILED
-    return EXIT_OK
+    return ({"value": format_scalar(res.value), "label": res.label,
+             "expected": res.expected, "matches": res.matches},
+            EXIT_FAILED if res.matches is False else EXIT_OK)
 
 
-def cmd_nnr(args) -> int:
-    sys_ = _load_system(args)
+def cmd_nnr(args, sys_: MeasureSystem) -> Tuple[dict, int]:
     path = _parse_chain(args.path, "--path") if args.path else None
     w = _parse_index(args.w, "--w") if args.w else None
     return _report(relations.nnr_type2(sys_, _parse_index(args.index), args.axis,
                                        path=path, w=w))
 
 
-def cmd_nnr_q(args) -> int:
-    sys_ = _load_system(args)
+def cmd_nnr_q(args, sys_: MeasureSystem) -> Tuple[dict, int]:
     path = _parse_chain(args.path, "--path") if args.path else None
     return _report(relations.nnr_type1(sys_, _parse_index(args.index), args.axis, path=path))
 
 
-def cmd_vector(args) -> int:
-    sys_ = _load_system(args)
+def cmd_vector(args, sys_: MeasureSystem) -> Tuple[dict, int]:
     return _report(relations.nnr_vector(sys_, _parse_chain(args.chain, "--chain"), args.axis))
 
 
-def cmd_product(args) -> int:
-    ps = _load_product_system(args)
+def cmd_product(args, ps: ProductSystem) -> Tuple[dict, int]:
     n = _parse_index(args.n, "--n")
     m = _parse_index(args.m, "--m")
     tv = tilde_v(n, m)
     v = _parse_index(args.v, "--v") if args.v else find_v(n, m)
     match = verify_product(ps, n, m, v)
-    doc = {"tilde_v": list(tv), "v": list(v), "match": match,
-           "poly": _poly_doc(product_poly(ps, n, m), args.pretty)}
-    _emit(doc)
-    return EXIT_OK if match else EXIT_FAILED
+    return ({"tilde_v": list(tv), "v": list(v), "match": match,
+             "poly": _poly_doc(product_poly(ps, n, m), args.pretty)},
+            EXIT_OK if match else EXIT_FAILED)
 
 
-def cmd_check(args) -> int:
-    sys_ = _load_system(args)
+def cmd_check(args, sys_: MeasureSystem) -> Tuple[dict, int]:
     checks = []
 
     ok = all(mi.pair(*mi.unpair(z)) == z for z in range(2000))
@@ -214,9 +189,9 @@ def cmd_check(args) -> int:
             rep = relations.nnr_type2(sys_, sample, "x")
             checks.append((f"nnr-x-{','.join(map(str, sample))}", rep.holds))
 
-    _emit({"checks": [{"name": name, "pass": ok} for name, ok in checks],
-           "ok": all(ok for _, ok in checks)})
-    return EXIT_OK if all(ok for _, ok in checks) else EXIT_FAILED
+    holds = all(ok for _, ok in checks)
+    return ({"checks": [{"name": name, "pass": ok} for name, ok in checks], "ok": holds},
+            EXIT_OK if holds else EXIT_FAILED)
 
 
 def _indices_up_to(r: int, bound: int) -> list:
@@ -225,6 +200,42 @@ def _indices_up_to(r: int, bound: int) -> list:
     for _ in range(r):
         out = [t + (c,) for t in out for c in range(bound - sum(t) + 1)]
     return out
+
+
+# Arguments are (name, add_argument keywords).  Every command takes
+# --pretty; a command with a config loader also takes _CONFIG.
+_INT = {"type": int}
+_REQUIRED = {"required": True}
+_INDEX = ("--index", _REQUIRED)
+_N_M = (("--n", _REQUIRED), ("--m", _REQUIRED))
+_AXIS = ("--axis", {"choices": ["x", "y"], "required": True})
+_PATH = ("--path", {"help": "semicolon-separated multi-indices"})
+_CONFIG = (("--config", {"help": "measure config JSON file"}),
+           ("--float", {"dest": "float_mode", "action": "store_true",
+                        "help": "switch to float64 scalar mode"}),
+           ("--tol", {"type": float, "default": FLOAT_TOL,
+                      "help": "float singularity tolerance override"}))
+_PRETTY = ("--pretty", {"action": "store_true", "help": "add human-readable polynomial strings"})
+
+# name, function, help, config loader, arguments
+COMMANDS = (
+    ("pair", cmd_pair, "Cantor pairing of (t, s)", None, (("t", _INT), ("s", _INT))),
+    ("unpair", cmd_unpair, "inverse Cantor pairing", None, (("z", _INT),)),
+    ("params", cmd_params, "modulus/multidegree/degree/remainder", None, (_INDEX,)),
+    ("normal", cmd_normal, "normality test det(M_n) != 0", _load_system, (_INDEX,)),
+    ("type2", cmd_type2, "bivariate Type II polynomial", _load_system, (_INDEX,)),
+    ("type1", cmd_type1, "bivariate Type I polynomials", _load_system, (_INDEX,)),
+    ("biorth", cmd_biorth, "biorthogonality pairing <P_n, Q_m>", _load_system, _N_M),
+    ("nnr", cmd_nnr, "nearest-neighbour recurrence for x*P or y*P", _load_system,
+     (_INDEX, _AXIS, _PATH, ("--w", {"help": "target multi-index"}))),
+    ("nnr-q", cmd_nnr_q, "nearest-neighbour recurrence for x*Q or y*Q", _load_system,
+     (_INDEX, _AXIS, _PATH)),
+    ("vector", cmd_vector, "vector nearest-neighbour recurrence", _load_system,
+     (("--chain", {"required": True, "help": "semicolon-separated chain"}), _AXIS)),
+    ("product", cmd_product, "product of univariate Type II polynomials", _load_product_system,
+     _N_M + (("--v", {"help": "candidate bivariate multi-index"}),)),
+    ("check", cmd_check, "run the verification battery", _load_system, ()),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -245,93 +256,21 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="bimop", description="Bivariate multiple orthogonal polynomials")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", help="measure config JSON file")
-            p.add_argument("--float", dest="float_mode", action="store_true",
-                           help="switch to float64 scalar mode")
-            p.add_argument("--tol", type=float, default=FLOAT_TOL,
-                           help="float singularity tolerance override")
-        p.add_argument("--pretty", action="store_true",
-                       help="add human-readable polynomial strings")
-
-    p = sub.add_parser("pair", help="Cantor pairing of (t, s)")
-    p.add_argument("t", type=int)
-    p.add_argument("s", type=int)
-    common(p, config=False)
-    p.set_defaults(func=cmd_pair)
-
-    p = sub.add_parser("unpair", help="inverse Cantor pairing")
-    p.add_argument("z", type=int)
-    common(p, config=False)
-    p.set_defaults(func=cmd_unpair)
-
-    p = sub.add_parser("params", help="modulus/multidegree/degree/remainder")
-    p.add_argument("--index", required=True)
-    common(p, config=False)
-    p.set_defaults(func=cmd_params)
-
-    p = sub.add_parser("normal", help="normality test det(M_n) != 0")
-    p.add_argument("--index", required=True)
-    common(p)
-    p.set_defaults(func=cmd_normal)
-
-    p = sub.add_parser("type2", help="bivariate Type II polynomial")
-    p.add_argument("--index", required=True)
-    common(p)
-    p.set_defaults(func=cmd_type2)
-
-    p = sub.add_parser("type1", help="bivariate Type I polynomials")
-    p.add_argument("--index", required=True)
-    common(p)
-    p.set_defaults(func=cmd_type1)
-
-    p = sub.add_parser("biorth", help="biorthogonality pairing <P_n, Q_m>")
-    p.add_argument("--n", required=True)
-    p.add_argument("--m", required=True)
-    common(p)
-    p.set_defaults(func=cmd_biorth)
-
-    p = sub.add_parser("nnr", help="nearest-neighbour recurrence for x*P or y*P")
-    p.add_argument("--index", required=True)
-    p.add_argument("--axis", choices=["x", "y"], required=True)
-    p.add_argument("--path", help="semicolon-separated multi-indices")
-    p.add_argument("--w", help="target multi-index")
-    common(p)
-    p.set_defaults(func=cmd_nnr)
-
-    p = sub.add_parser("nnr-q", help="nearest-neighbour recurrence for x*Q or y*Q")
-    p.add_argument("--index", required=True)
-    p.add_argument("--axis", choices=["x", "y"], required=True)
-    p.add_argument("--path", help="semicolon-separated multi-indices")
-    common(p)
-    p.set_defaults(func=cmd_nnr_q)
-
-    p = sub.add_parser("vector", help="vector nearest-neighbour recurrence")
-    p.add_argument("--chain", required=True, help="semicolon-separated chain")
-    p.add_argument("--axis", choices=["x", "y"], required=True)
-    common(p)
-    p.set_defaults(func=cmd_vector)
-
-    p = sub.add_parser("product", help="product of univariate Type II polynomials")
-    p.add_argument("--n", required=True)
-    p.add_argument("--m", required=True)
-    p.add_argument("--v", help="candidate bivariate multi-index")
-    common(p)
-    p.set_defaults(func=cmd_product)
-
-    p = sub.add_parser("check", help="run the verification battery")
-    common(p)
-    p.set_defaults(func=cmd_check)
-
+    for name, func, help_, loader, arguments in COMMANDS:
+        p = sub.add_parser(name, help=help_)
+        for flag, options in arguments + (_CONFIG if loader else ()) + (_PRETTY,):
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func, loader=loader)
     return ap
 
 
 def run(argv: Optional[List[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        system = args.loader(args) if args.loader else None
+        doc, code = args.func(args, system)
+        print(json.dumps(doc))
+        return code
     except NotNormal as exc:
         print(json.dumps({"error": str(exc), "det": format_scalar(exc.det)}),
               file=sys.stderr)

@@ -299,6 +299,12 @@ def read_json(text: str):
         raise SchemaError("$", f"invalid JSON: {exc}") from None
 
 
+def _config_mode(doc: dict, mode: Optional[str]) -> str:
+    """mode when given, else the document's "scalar", which is checked either way."""
+    scalar = _check_mode(doc.get("scalar", EXACT))
+    return mode or scalar
+
+
 def parse_config(text: str, mode: Optional[str] = None, tol: float = FLOAT_TOL) -> MeasureSystem:
     """Build a MeasureSystem from a JSON config document.
 
@@ -308,12 +314,25 @@ def parse_config(text: str, mode: Optional[str] = None, tol: float = FLOAT_TOL) 
     doc = read_json(text)
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected an object")
-    scalar = _check_mode(doc.get("scalar", EXACT))
+    mode = _config_mode(doc, mode)
     measures = doc.get("measures")
     if not isinstance(measures, list) or not measures:
         raise SchemaError("$.measures", "expected a non-empty list")
     parsed = tuple(_parse_measure(m, f"$.measures[{i}]") for i, m in enumerate(measures))
-    return MeasureSystem(measures=parsed, mode=mode or scalar, tol=tol)
+    return MeasureSystem(measures=parsed, mode=mode, tol=tol)
+
+
+def parse_product_config(text: str, mode: Optional[str] = None, tol: float = FLOAT_TOL
+                         ) -> Tuple[UniMeasureSystem, UniMeasureSystem]:
+    """The x and y univariate systems of a product config document
+    ``{"scalar": ..., "x": [families], "y": [families]}``; mode and tol as
+    for parse_config."""
+    doc = read_json(text)
+    if not isinstance(doc, dict) or "x" not in doc or "y" not in doc:
+        raise SchemaError("$", "product config needs 'x' and 'y' family lists")
+    mode = _config_mode(doc, mode)
+    return (parse_uni_config(doc["x"], "$.x", mode, tol),
+            parse_uni_config(doc["y"], "$.y", mode, tol))
 
 
 def parse_uni_config(doc, path: str = "$", mode: str = EXACT,

@@ -38,7 +38,6 @@ from . import multiindex as mi
 from .errors import (
     DimensionMismatch,
     EmptyIndex,
-    IndexOutOfRange,
     NotNormal,
     PathInvalid,
     TableExhausted,
@@ -219,9 +218,7 @@ def _index(sys: System, n: Sequence[int]) -> Tuple[int, ...]:
     key = tuple(n)
     if len(key) != sys.r:
         raise DimensionMismatch(f"index length {len(key)} != r = {sys.r}")
-    if key and min(key) < 0:
-        raise IndexOutOfRange(f"index {key} has a negative component")
-    return key
+    return mi.natural_index(key)
 
 
 def moment_matrix(sys: System, n: Sequence[int]) -> Matrix:

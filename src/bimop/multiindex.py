@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from .errors import NotComparable, PathInvalid
+from .errors import IndexOutOfRange, NotComparable, PathInvalid
 
 MultiIndex = Tuple[int, ...]
 
@@ -42,9 +42,17 @@ class IndexParams:
     remainder: int
 
 
+def natural_index(n: Sequence[int]) -> MultiIndex:
+    """n as a tuple, after checking it has no negative component."""
+    key = tuple(n)
+    if key and min(key) < 0:
+        raise IndexOutOfRange(f"index {key} has a negative component")
+    return key
+
+
 def params(n: Sequence[int]) -> IndexParams:
     """Degree/remainder decomposition |n| = d(d+1)/2 + k, with mdeg = (d-k, k)."""
-    mod = sum(n)
+    mod = sum(natural_index(n))
     l, m = unpair(mod)
     return IndexParams(modulus=mod, multidegree=(l, m), degree=l + m, remainder=m)
 

@@ -12,7 +12,7 @@ import pytest
 
 from bimop import Laguerre, normality, parse_config, parse_scalar
 from bimop.cli import (EXIT_FAILED, EXIT_INVALID, EXIT_NOT_NORMAL, EXIT_OK,
-                       _indices_up_to, run)
+                       _indices_up_to, build_parser, run)
 
 DUO_CONFIG = {
     "scalar": "exact",
@@ -277,11 +277,14 @@ def test_tol_must_be_a_number_at_least_zero(tmp_path, tol, want):
 
 
 def test_missing_config_flag():
-    code, out, err = invoke(["normal", "--index", "1,0"])
-    assert (code, out) == (EXIT_INVALID, "")
-    assert json.loads(err) == {
-        "error": "--config: a measure config is required for this command",
-        "kind": "SchemaError"}
+    """A missing --config is reported before the indices are read."""
+    for argv in (["normal", "--index", "1,0"], ["normal", "--index", "1,x"],
+                 ["product", "--n", "x", "--m", "1,0"]):
+        code, out, err = invoke(argv)
+        assert (code, out) == (EXIT_INVALID, "")
+        assert json.loads(err) == {
+            "error": "--config: a measure config is required for this command",
+            "kind": "SchemaError"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -445,6 +448,50 @@ def test_module_entry_point_exits_with_the_run_code(argv, want):
         assert done.stdout.startswith("usage: bimop")
     else:
         assert (done.returncode, done.stdout, done.stderr) == invoke(argv)
+
+
+# Each argument: option strings (or dest), required, choices, default, type
+# name and help.
+INDEX = (("--index",), True, None, None, None, None)
+AXIS = (("--axis",), True, ["x", "y"], None, None, None)
+PATH = (("--path",), False, None, None, None, "semicolon-separated multi-indices")
+N_M = [(("--n",), True, None, None, None, None), (("--m",), True, None, None, None, None)]
+CONFIG = [(("--config",), False, None, None, None, "measure config JSON file"),
+          (("--float",), False, None, False, None, "switch to float64 scalar mode"),
+          (("--tol",), False, None, 1e-12, "float", "float singularity tolerance override")]
+PRETTY = (("--pretty",), False, None, False, None, "add human-readable polynomial strings")
+PARSER = [
+    ("pair", "Cantor pairing of (t, s)",
+     [("t", True, None, None, "int", None), ("s", True, None, None, "int", None), PRETTY]),
+    ("unpair", "inverse Cantor pairing", [("z", True, None, None, "int", None), PRETTY]),
+    ("params", "modulus/multidegree/degree/remainder", [INDEX, PRETTY]),
+    ("normal", "normality test det(M_n) != 0", [INDEX, *CONFIG, PRETTY]),
+    ("type2", "bivariate Type II polynomial", [INDEX, *CONFIG, PRETTY]),
+    ("type1", "bivariate Type I polynomials", [INDEX, *CONFIG, PRETTY]),
+    ("biorth", "biorthogonality pairing <P_n, Q_m>", [*N_M, *CONFIG, PRETTY]),
+    ("nnr", "nearest-neighbour recurrence for x*P or y*P",
+     [INDEX, AXIS, PATH, (("--w",), False, None, None, None, "target multi-index"),
+      *CONFIG, PRETTY]),
+    ("nnr-q", "nearest-neighbour recurrence for x*Q or y*Q", [INDEX, AXIS, PATH, *CONFIG, PRETTY]),
+    ("vector", "vector nearest-neighbour recurrence",
+     [(("--chain",), True, None, None, None, "semicolon-separated chain"), AXIS,
+      *CONFIG, PRETTY]),
+    ("product", "product of univariate Type II polynomials",
+     [*N_M, (("--v",), False, None, None, None, "candidate bivariate multi-index"),
+      *CONFIG, PRETTY]),
+    ("check", "run the verification battery", [*CONFIG, PRETTY]),
+]
+
+
+def test_the_parser_is_pinned():
+    """Each command's name and help, and each of its arguments, in order;
+    read from the parser, since --help wraps differently across Pythons."""
+    (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
+    got = [(c.dest, c.help, [(tuple(a.option_strings) or a.dest, a.required, a.choices,
+                              a.default, a.type and a.type.__name__, a.help)
+                             for a in commands.choices[c.dest]._actions if a.dest != "help"])
+           for c in commands._choices_actions]
+    assert got == PARSER
 
 
 @pytest.mark.parametrize("argv, name", [

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
@@ -28,8 +29,11 @@ from bimop import (
     inner,
     is_normal,
     moment_matrix,
+    nnr_type1,
+    nnr_type2,
     normality,
     pair,
+    params,
     poly_to_json,
     solve_path,
     type1,
@@ -938,11 +942,16 @@ def test_combine_clears_every_polynomial_at_once(duo, monkeypatch):
     assert mopcore.combine(duo, []) == BiPoly.zero()
 
 
-@pytest.mark.parametrize("call", [normality, type2, type1, moment_matrix])
-@pytest.mark.parametrize("n", [(3, -1), (1, -1)])
+@pytest.mark.parametrize("call", [
+    normality, type2, type1, moment_matrix,
+    pytest.param(lambda sys_, n: params(n), id="params"),
+    pytest.param(lambda sys_, n: nnr_type2(sys_, n, "x"), id="nnr_type2"),
+    pytest.param(lambda sys_, n: nnr_type1(sys_, n, "x"), id="nnr_type1"),
+])
+@pytest.mark.parametrize("n", [(3, -1), (1, -1), (-3, 1), (-9, 1)])
 def test_negative_index_component_is_out_of_range(duo, duo_float, call, n):
     for sys_ in (duo, duo_float):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(IndexOutOfRange, match=re.escape(f"index {n} has a negative")):
             call(sys_, n)
 
 

@@ -30,14 +30,18 @@ def test_python_example_prints_its_comments():
     assert want and out.getvalue().splitlines() == want
 
 
-def test_cli_pair_example_prints_its_comment():
-    lines = [line for line in README.splitlines() if line.startswith("bimop pair ")]
-    ((command, comment),) = _commented(lines)
-    out = io.StringIO()
-    with redirect_stdout(out):
-        code = run(shlex.split(command)[1:])
-    assert code == EXIT_OK
-    assert out.getvalue().strip() == comment
+def test_cli_examples_print_their_json_comments():
+    """Each CLI line whose comment is a JSON document prints that document."""
+    block = re.search(r"```sh\n(bimop .*?)```", README, re.S).group(1)
+    examples = [(command, comment) for command, comment in _commented(block.splitlines())
+                if comment.startswith("{")]
+    assert len(examples) == 2
+    for command, comment in examples:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = run(shlex.split(command)[1:])
+        assert code == EXIT_OK
+        assert out.getvalue().strip() == comment
 
 
 def test_cli_config_examples_exit_ok(tmp_path, monkeypatch):
@@ -67,7 +71,7 @@ def test_cli_lines_in_one_process_match_fresh_processes(tmp_path, monkeypatch):
     block = re.search(r"```sh\n(bimop .*?)```", README, re.S).group(1)
     argvs = [shlex.split(line, comments=True)[1:] + flags
              for line in block.splitlines() for flags in ([], ["--float"], ["--pretty"])]
-    assert len(argvs) == 33
+    assert len(argvs) == 36
 
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     fresh = {}

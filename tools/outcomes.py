@@ -16,7 +16,13 @@ fresh systems and runs in both scalar modes:
   and ``biorth_matrix`` on every pair of chains of degree <= 2;
 - system construction with no measure, a bad mode, and both;
 - every CLI line of README.md, plain, with ``--float`` and with
-  ``--pretty``, run in-process: exit code, stdout and stderr.
+  ``--pretty``, run in-process: exit code, stdout and stderr;
+- the CLI's error paths, run the same way: each config command with no
+  ``--config``, a missing config file, a config that is not JSON and a bad
+  index text; each command that solves the index it is given on
+  (0, 0, 1, 1), which is not normal for the four-measure product of the
+  README families; and a product config without ``"y"``.  Argparse's own
+  usage messages are left out: their wording moves between Python releases.
 
     python3 tools/outcomes.py          # print the listing
     python3 tools/outcomes.py --pin    # write tests/data/outcomes.txt
@@ -199,6 +205,61 @@ def _cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+# Each config command with good arguments for the README configs, and the
+# flag of its first index (None: it takes none).
+CONFIG_COMMANDS = [
+    (["normal", "--index", "4,3"], "--index"),
+    (["type2", "--index", "2,3"], "--index"),
+    (["type1", "--index", "1,2"], "--index"),
+    (["biorth", "--n", "2,2", "--m", "2,3"], "--n"),
+    (["nnr", "--index", "6,8", "--axis", "x"], "--index"),
+    (["nnr-q", "--index", "2,2", "--axis", "x"], "--index"),
+    (["vector", "--chain", "1,2;1,3;2,3", "--axis", "y"], "--chain"),
+    (["product", "--n", "0,1", "--m", "1,0"], "--n"),
+    (["check"], None),
+]
+# (0, 0, 1, 1) is not normal for the four-measure product of the README
+# families; nnr is left out, as it takes no index this small.
+NOT_NORMAL = [
+    ["normal", "--index", "0,0,1,1"],
+    ["type2", "--index", "0,0,1,1"],
+    ["type1", "--index", "0,0,1,1"],
+    ["biorth", "--n", "0,0,1,1", "--m", "1,0,1,1"],
+    ["nnr-q", "--index", "0,0,1,1", "--axis", "x"],
+    ["vector", "--chain", "0,0,0,1;0,0,1,1", "--axis", "x"],
+]
+
+
+def _with_config(argv, config):
+    return argv[:1] + ["--config", config] + argv[1:]
+
+
+def _cli_errors():
+    """Error paths of the CLI, for the files _cli_files writes in the cwd."""
+    for argv, flag in CONFIG_COMMANDS:
+        yield argv
+        yield _with_config(argv, "missing.json")
+        yield _with_config(argv, "text.json")
+        if flag:
+            bad = list(argv)
+            bad[bad.index(flag) + 1] = "1,x"
+            yield _with_config(bad, "prod.json" if argv[0] == "product" else "sys.json")
+    for argv in NOT_NORMAL:
+        yield _with_config(argv, "quad.json")
+    yield _with_config(["product", "--n", "0,1", "--m", "1,0"], "x-only.json")
+
+
+def _cli_files(doc):
+    """The configs the CLI sections read, from the README's measure config."""
+    xs, ys = [m["x"] for m in doc["measures"]], [m["y"] for m in doc["measures"]]
+    quad = [{"kind": "tensor", "x": x, "y": y} for x in xs for y in ys]
+    return {"sys.json": json.dumps(doc),
+            "prod.json": json.dumps({"scalar": "exact", "x": xs, "y": ys}),
+            "quad.json": json.dumps({"scalar": "exact", "measures": quad}),
+            "text.json": "not json",
+            "x-only.json": json.dumps({"x": []})}
+
+
 def outcomes():
     """Every (label, outcome) of the listing, in order.
 
@@ -221,13 +282,11 @@ def outcomes():
     doc = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        Path(tmp, "sys.json").write_text(json.dumps(doc))
-        Path(tmp, "prod.json").write_text(json.dumps({
-            "scalar": "exact", "x": [m["x"] for m in doc["measures"]],
-            "y": [m["y"] for m in doc["measures"]]}))
+        for name, text in _cli_files(doc).items():
+            Path(tmp, name).write_text(text)
         os.chdir(tmp)
         try:
-            for argv in _cli_lines(readme):
+            for argv in _cli_lines(readme) + list(_cli_errors()):
                 yield "cli " + " ".join(argv), outcome(lambda: _cli(argv))
         finally:
             os.chdir(cwd)
