@@ -5,6 +5,10 @@ class BimopError(Exception):
     """Base class for all bimop errors."""
 
 
+class FrozenInstanceError(AttributeError):
+    """Assignment to, or deletion of, an attribute of a frozen record."""
+
+
 class ValidationError(BimopError):
     """Bad input: shapes, schemas, paths, preconditions."""
 

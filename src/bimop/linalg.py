@@ -25,12 +25,12 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import DimensionMismatch, NotSquare, Singular
+from .record import Record
 
 Scalar = Union[Fraction, float, int]
 
@@ -53,8 +53,7 @@ _DIRECT_BITS = 1990
 _RATIONAL = re.compile(r"\s*([-+]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
-@dataclass
-class Matrix:
+class Matrix(Record):
     """Dense row-major matrix."""
 
     rows: int

@@ -10,7 +10,6 @@ substance depends on this normalization.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple, Union
 
@@ -23,6 +22,7 @@ from .errors import (
 )
 from .linalg import (FLOAT_RESIDUAL_TOL, FLOAT_TOL, Scalar, format_scalar, int_from_decimal,
                      parse_scalar)
+from .record import Record
 
 EXACT = "exact"
 FLOAT64 = "float64"
@@ -31,7 +31,10 @@ FLOAT64 = "float64"
 class Laguerre:
     """Laguerre-type weight x^alpha e^{-x} on [0, inf), alpha >= 0 rational.
 
-    Relative moments m_k = prod_{i=1..k} (alpha + i), so m_0 = 1.
+    Relative moments m_k = prod_{i=1..k} (alpha + i), so m_0 = 1.  The
+    instance keeps the prefix m_0, m_1, ... it has computed, and extends it
+    by m_k = m_{k-1} (alpha + k) as far as a read needs, so every moment
+    costs one product once, in any order of reads.
     """
 
     def __init__(self, alpha):
@@ -39,12 +42,14 @@ class Laguerre:
         if alpha < 0:
             raise NegativeAlpha(f"laguerre alpha must be >= 0, got {format_scalar(alpha)}")
         self.alpha = alpha
+        self._moments = [Fraction(1)]
 
     def moment(self, k: int) -> Fraction:
-        m = Fraction(1)
-        for i in range(1, k + 1):
-            m *= self.alpha + i
-        return m
+        moments = self._moments
+        while len(moments) <= k:
+            moments.append(moments[-1] * (self.alpha + len(moments)))
+        # A negative order is the empty product, m_0.
+        return moments[max(k, 0)]
 
 
 class Jacobi:
@@ -165,20 +170,20 @@ class _ScalarMode:
                                   "the float64 range; use exact mode") from None
 
 
-@dataclass(frozen=True)
-class MeasureSystem(_ScalarMode):
+class MeasureSystem(_ScalarMode, Record):
     """A system of r bivariate measures sharing one scalar mode.
 
     The system is frozen.  Moments are cached; the mopcore module caches
     each index's determinant, Type II and Type I polynomials in
-    ``_index_cache``.
+    ``_index_cache``.  Each instance has its own caches, outside ``repr``,
+    ``==`` and ``hash``.
     """
 
     measures: Tuple[BivariateMeasure, ...]
     mode: str = EXACT
     tol: float = FLOAT_TOL
-    _moment_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _index_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _moment_cache: dict = {}
+    _index_cache: dict = {}
 
     @property
     def r(self) -> int:
@@ -201,15 +206,14 @@ class MeasureSystem(_ScalarMode):
         return value
 
 
-@dataclass(frozen=True)
-class UniMeasureSystem(_ScalarMode):
+class UniMeasureSystem(_ScalarMode, Record):
     """A system of r univariate measures, used by the product construction."""
 
     families: Tuple[UnivariateFamily, ...]
     mode: str = EXACT
     tol: float = FLOAT_TOL
-    _moment_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _index_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _moment_cache: dict = {}
+    _index_cache: dict = {}
 
     @property
     def r(self) -> int:

@@ -29,7 +29,6 @@ eliminated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Type, Union
@@ -44,6 +43,7 @@ from .errors import (
 )
 from .linalg import ExactLU, FloatLU, Matrix, Scalar, format_scalar
 from .measures import MeasureSystem, UniMeasureSystem
+from .record import Record
 
 if TYPE_CHECKING:
     System = Union[MeasureSystem, UniMeasureSystem]
@@ -52,7 +52,7 @@ if TYPE_CHECKING:
 class _Dense:
     """Dense coefficients by basis position, as the solver returns them.
 
-    A field-less base: each frozen dataclass below declares ``coeffs``.
+    A field-less base: each record below declares ``coeffs``.
     """
 
     @classmethod
@@ -64,8 +64,7 @@ class _Dense:
         return cls(tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class BiPoly(_Dense):
+class BiPoly(_Dense, Record):
     """Bivariate polynomial, dense by Cantor position."""
 
     coeffs: Tuple[Scalar, ...]
@@ -170,8 +169,7 @@ def _power(var: str, e: int) -> str:
     return var if e == 1 else f"{var}^{e}"
 
 
-@dataclass(frozen=True)
-class UniPoly(_Dense):
+class UniPoly(_Dense, Record):
     """Univariate polynomial, coefficients by ascending power."""
 
     coeffs: Tuple[Scalar, ...]
@@ -183,15 +181,13 @@ class UniPoly(_Dense):
         return len(self.coeffs) - 1
 
 
-@dataclass(frozen=True)
-class TypeISet:
+class TypeISet(Record):
     """The r Type I polynomials (A_{n,1}, ..., A_{n,r}) of one multi-index."""
 
     polys: Tuple[BiPoly, ...]
 
 
-@dataclass(frozen=True)
-class Normality:
+class Normality(Record):
     """Normality verdict; normal is None when float mode cannot decide."""
 
     normal: Optional[bool]

@@ -8,10 +8,10 @@ monomial x^t y^s with pair(t, s) = z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .errors import IndexOutOfRange, NotComparable, PathInvalid
+from .record import Record
 
 MultiIndex = Tuple[int, ...]
 
@@ -32,8 +32,7 @@ def modulus(n: Sequence[int]) -> int:
     return sum(n)
 
 
-@dataclass(frozen=True)
-class IndexParams:
+class IndexParams(Record):
     """Modulus, multidegree, degree and remainder of a multi-index."""
 
     modulus: int
@@ -80,8 +79,7 @@ def is_neighbour_step(a: Sequence[int], b: Sequence[int]) -> bool:
     return sum(diffs) == 1 and all(d in (0, 1) for d in diffs)
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Record):
     """A sequence of neighbour multi-indices with modulus increasing by one."""
 
     steps: Tuple[MultiIndex, ...]

@@ -8,7 +8,6 @@ of any admissible multi-index v <= v~ with |v| = pair(|n|, |m|).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import multiindex as mi
@@ -16,10 +15,10 @@ from .errors import BadV, DivisionByZeroFactor, SchemaError, SurplusNegative
 from .linalg import Scalar
 from .measures import MeasureSystem, TensorMeasure, UniMeasureSystem
 from .mopcore import BiPoly, normality, type2, uni_type2
+from .record import Record
 
 
-@dataclass(frozen=True)
-class ProductSystem:
+class ProductSystem(Record):
     """Two univariate systems plus their induced bivariate tensor system."""
 
     xsystem: UniMeasureSystem
@@ -115,8 +114,7 @@ def verify_product(ps: ProductSystem, n: Sequence[int], m: Sequence[int],
     return all(ps.bivariate.is_zero(c, scale) for c in (pv - product_poly(ps, n, m)).coeffs)
 
 
-@dataclass(frozen=True)
-class FactorCheck:
+class FactorCheck(Record):
     """Ratio det(M_v) / (product of univariate determinants and moments)."""
 
     ratio: Optional[Scalar]

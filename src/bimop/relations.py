@@ -9,7 +9,6 @@ identity is compared to zero coefficientwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import multiindex as mi
@@ -17,10 +16,10 @@ from .errors import ChainInvalid, EmptyIndex, IndexTooSmall, PathInvalid
 from .linalg import Matrix, Scalar, format_scalar
 from .measures import MeasureSystem
 from .mopcore import BiPoly, combine, moment_rows, solve_path, type1, type1_pairing, type2
+from .record import Record
 
 
-@dataclass(frozen=True)
-class BiorthResult:
+class BiorthResult(Record):
     """One pairing <P_n, Q_m> with the branch of the biorthogonality law.
 
     matches is None on the unconstrained branch; in float mode the value
@@ -65,8 +64,7 @@ def biorth_row(sys: MeasureSystem, n: Sequence[int],
     return out
 
 
-@dataclass(frozen=True)
-class BiorthMatrixResult:
+class BiorthMatrixResult(Record):
     matrix: Matrix
     case: str
     matches: Optional[bool]
@@ -121,8 +119,7 @@ def biorth_matrix(sys: MeasureSystem,
     return BiorthMatrixResult(matrix=b, case=case, matches=matches)
 
 
-@dataclass(frozen=True)
-class MOPV:
+class MOPV(Record):
     """Type II polynomial vector of one total degree with its index chain."""
 
     degree: int
@@ -136,8 +133,7 @@ class MOPV:
         return Matrix.from_rows([[p[base + m] for m in range(k + 1)] for p in self.polys])
 
 
-@dataclass(frozen=True)
-class TypeIMOPV:
+class TypeIMOPV(Record):
     """Per-measure stacks of Type I polynomials along one index chain."""
 
     degree: int
@@ -183,8 +179,7 @@ def assemble_type1_vectors(sys: MeasureSystem, chain: Sequence[Sequence[int]]) -
     return TypeIMOPV(degree=d, chain=tuple(chain), rows=rows, pattern_ok=ok)
 
 
-@dataclass
-class NNRReport:
+class NNRReport(Record):
     """Outcome of one recurrence check.
 
     coefficients holds (modulus, value) pairs; for the vector variants the
@@ -195,7 +190,7 @@ class NNRReport:
     variant: str
     path: mi.Path
     holds: bool
-    coefficients: List[Tuple[int, Scalar]] = field(default_factory=list)
+    coefficients: List[Tuple[int, Scalar]] = []
     residual: object = None
     vanishing_ok: Optional[bool] = None
     low_unit_ok: Optional[bool] = None

@@ -1,10 +1,14 @@
-"""Every imported name in src/ and tests/ is used in its module.
+"""Every imported name in src/ and tests/ is used in its module, and
+importing bimop does not load ``dataclasses`` or ``inspect``.
 
 Package ``__init__.py`` files are skipped (their imports are re-exports),
 and so are ``from __future__`` imports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +40,22 @@ def test_no_unused_imports(path):
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("import os\nfrom typing import List, Optional\nx: Optional[int] = os.sep\n")
     assert _unused_imports(tree) == [(2, "List")]
+
+
+def _loaded(imports: str) -> list:
+    """Which of dataclasses and inspect a fresh interpreter (no site
+    packages) holds after running the import statement."""
+    code = (f"import sys; {imports}; "
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    return ast.literal_eval(out)
+
+
+def test_importing_bimop_loads_neither_dataclasses_nor_inspect():
+    assert _loaded("import bimop, bimop.cli") == []
+
+
+def test_the_guard_sees_dataclasses():
+    assert _loaded("import bimop, bimop.cli, dataclasses") == ["dataclasses", "inspect"]

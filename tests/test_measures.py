@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -34,6 +35,42 @@ def test_laguerre_relative_moments():
     lag = Laguerre(F(11, 5))
     assert lag.moment(1) == F(16, 5)
     assert lag.moment(2) == F(16, 5) * F(21, 5)
+
+
+def _product_moments(alpha, top):
+    """m_0..m_top as prod_{i<=k} (alpha + i), each product formed afresh."""
+    out = []
+    for k in range(top + 1):
+        m = F(1)
+        for i in range(1, k + 1):
+            m *= alpha + i
+        out.append(m)
+    return out
+
+
+@pytest.mark.parametrize("alpha", [F(0), F(1), F(23, 10), F(10 ** 120)])
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_laguerre_moments_in_any_read_order(alpha, order):
+    want = _product_moments(alpha, 60)
+    ks = list(range(61))
+    if order == "descending":
+        ks.reverse()
+    elif order == "shuffled":
+        random.Random(str(alpha)).shuffle(ks)
+    lag = Laguerre(alpha)
+    assert [(k, lag.moment(k)) for k in ks] == [(k, want[k]) for k in ks]
+    # Reading again, in the other direction, answers the same.
+    assert [lag.moment(k) for k in reversed(ks)] == [want[k] for k in reversed(ks)]
+
+
+def test_laguerre_instances_share_no_list():
+    a, b = Laguerre(F(23, 10)), Laguerre(F(23, 10))
+    a.moment(40)
+    b.moment(3)
+    lists = [[v for v in vars(lag).values() if isinstance(v, list)] for lag in (a, b)]
+    assert lists[0] and lists[1]
+    assert not any(x is y for x in lists[0] for y in lists[1])
+    assert b.moment(40) == a.moment(40) == _product_moments(F(23, 10), 40)[40]
 
 
 def test_laguerre_rejects_negative_alpha():

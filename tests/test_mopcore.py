@@ -3,7 +3,6 @@
 import math
 import random
 import re
-from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
@@ -46,6 +45,7 @@ from bimop import (
     unpair,
 )
 from bimop import linalg, mopcore
+from bimop.errors import FrozenInstanceError
 from conftest import (X_ALPHAS, Y_ALPHAS, make_pair_system, make_product_system, make_xsystem,
                       make_ysystem)
 
