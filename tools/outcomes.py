@@ -8,6 +8,8 @@ fresh systems and runs in both scalar modes:
   for every index <= (8, 8), on the four-measure product system for every
   index with entries <= 3, and on a one-measure moment table of 6 x 6
   moments for (k,), k < 12;
+- ``uni_normality``, ``uni_type2`` and ``uni_type1`` on the univariate
+  Laguerre(1), Jacobi(1/2) system for every index <= (6, 6);
 - ``nnr_type2`` (default path, and w = n + 9 e_1) and ``nnr_type1`` for
   components 1-8 on both axes, as ``to_json()``; five or six bad paths for
   each of them, and one good path passed as a ``Path`` and as a list;
@@ -52,6 +54,7 @@ PIN = ROOT / "tests" / "data" / "outcomes.txt"
 sys.path.insert(0, str(ROOT / "src"))
 
 from bimop import (  # noqa: E402
+    Jacobi,
     Laguerre,
     MeasureSystem,
     ProductSystem,
@@ -66,6 +69,9 @@ from bimop import (  # noqa: E402
     normality,
     type1,
     type2,
+    uni_normality,
+    uni_type1,
+    uni_type2,
 )
 from bimop.cli import run  # noqa: E402
 
@@ -91,6 +97,10 @@ def table_system(mode):
         {(t, s): F(1, (t + 1) * (s + 1)) for t in range(6) for s in range(6)}),), mode=mode)
 
 
+def uni_system(mode):
+    return UniMeasureSystem(families=(Laguerre(1), Jacobi(F(1, 2))), mode=mode)
+
+
 def outcome(call) -> str:
     """repr of call(), or "ErrorClass: message" when it raises."""
     try:
@@ -103,9 +113,9 @@ def _text(n) -> str:
     return ",".join(map(str, n))
 
 
-def _constructions(name, sys_, indices):
+def _constructions(name, sys_, indices, fns=(normality, type2, type1)):
     for n in indices:
-        for fn in (normality, type2, type1):
+        for fn in fns:
             yield f"{name}.{fn.__name__}.{_text(n)}", lambda: fn(sys_, n)
 
 
@@ -272,6 +282,10 @@ def outcomes():
         for name, sys_, indices in sections:
             for label, call in _constructions(name, sys_, indices):
                 yield f"{mode}.{label}", outcome(call)
+        uni = _constructions("uni", uni_system(mode), itertools.product(range(7), repeat=2),
+                             (uni_normality, uni_type2, uni_type1))
+        for label, call in uni:
+            yield f"{mode}.{label}", outcome(call)
         for section in (_recurrences, _paths, _vectors):
             for label, call in section(pair_system(mode)):
                 yield f"{mode}.{label}", outcome(call)
