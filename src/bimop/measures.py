@@ -190,7 +190,7 @@ class MeasureSystem(_ScalarMode, Record):
         return len(self.measures)
 
     def moment(self, j: int, t: int, s: int) -> Scalar:
-        """Moment m^{(j)}_{(t,s)}; j is 1-based."""
+        """Moment m^{(j)}_{(t,s)}; j is 1-based, t and s natural."""
         # The cache is read first; the arguments are checked on a miss only,
         # and a bad one is never cached.
         try:
@@ -199,6 +199,8 @@ class MeasureSystem(_ScalarMode, Record):
             pass
         if not 1 <= j <= self.r:
             raise IndexOutOfRange(f"measure index {j} not in 1..{self.r}")
+        if t < 0 or s < 0:
+            raise IndexOutOfRange(f"moment order ({t}, {s}) has a negative component")
         value = self.measures[j - 1].moment(t, s)
         if not self.exact:
             value = self._float_moment(value, j, (t, s))
@@ -220,7 +222,7 @@ class UniMeasureSystem(_ScalarMode, Record):
         return len(self.families)
 
     def moment(self, j: int, k: int, s: int = 0) -> Scalar:
-        """Moment m^{(j)}_k; j is 1-based.  The power of y, s, must be 0."""
+        """Moment m^{(j)}_k; j is 1-based, k natural.  The power of y, s, must be 0."""
         # The cache is read first; the arguments are checked on a miss only,
         # and a bad one is never cached.
         try:
@@ -229,6 +231,8 @@ class UniMeasureSystem(_ScalarMode, Record):
             pass
         if not 1 <= j <= self.r:
             raise IndexOutOfRange(f"measure index {j} not in 1..{self.r}")
+        if k < 0:
+            raise IndexOutOfRange(f"moment order {k} is negative")
         if s:
             raise IndexOutOfRange(f"univariate measures have no moment of y^{s}")
         value = self.families[j - 1].moment(k)

@@ -136,6 +136,26 @@ def test_bad_measure_index_raises_with_warm_cache(duo):
             xs.moment(j, 0, s)
 
 
+@pytest.mark.parametrize("mode", ["exact", "float64"])
+def test_negative_moment_order_raises_and_is_not_cached(mode):
+    """A system answers no negative order, whatever its family would give
+    (a table's last moment, or a Laguerre family's m_0), and caches nothing
+    for it; the measure index is still checked first."""
+    table = UniMeasureSystem((MomentTable([1, 2, 3]),), mode=mode)
+    lag = UniMeasureSystem((Laguerre(1),), mode=mode)
+    pair = MeasureSystem((TensorMeasure(Laguerre(1), Laguerre(F(23, 10))),), mode=mode)
+    cases = [(table, (1, -1), "moment order -1 is negative"),
+             (lag, (1, -2), "moment order -2 is negative"),
+             (pair, (1, -1, 2), r"moment order \(-1, 2\) has a negative component"),
+             (pair, (1, 2, -1), r"moment order \(2, -1\) has a negative component"),
+             (pair, (2, -1, 0), "measure index 2 not in 1..1")]
+    for sys_, args, message in cases:
+        sys_.moment(1, 0, 0)
+        with pytest.raises(IndexOutOfRange, match=message):
+            sys_.moment(*args)
+        assert list(sys_._moment_cache) == [(1, 0, 0)]
+
+
 def test_float_mode_moments():
     sys_ = MeasureSystem(
         measures=(TensorMeasure(Laguerre(F(1)), Laguerre(F(1))),), mode="float64")
