@@ -8,7 +8,8 @@ tolerance.  ``det`` and ``solve`` pick the kernel by the entries.
 
 Both kernels take M with at most one rider row, an extra row that is never
 a pivot, and answer the same questions: ``det``, ``normal``, ``type1`` (M c
-= e_{n-1}) and ``type2`` (M^t y = -(the rider row)).  ``ExactLU`` eliminates
+= e_{n-1}) and ``type2`` (M^t y = -(the rider row)), exact solutions as
+integers over one denominator (``_cleared``).  ``ExactLU`` eliminates
 the rider with M, and its factors serve every leading block B_s of M
 (Gauss-Borel): B_s's Type I solution is one back pass on U, and its Type
 II solution, B_s^t y = -(row s of M), is one back pass on L^t of the
@@ -163,8 +164,9 @@ class ExactLU:
         """Whether B_s is regular."""
         return self.signs[s] != 0
 
-    def type1(self, s: int) -> Optional[List[Fraction]]:
-        """c with B_s c = e_{s-1}, for s >= 1; None when B_s is singular.
+    def type1(self, s: int) -> Optional[Tuple[List[int], int]]:
+        """c with B_s c = e_{s-1}, for s >= 1, as its cleared form
+        (``_cleared``); None when B_s is singular.
 
         P D e_{s-1} is zero but at the position k of row s - 1.  That row,
         the block's last, moves only when it becomes the pivot of a column
@@ -180,15 +182,17 @@ class ExactLU:
         b = [0] * s
         b[k] = self.scale[s - 1] * (lu[k - 1][k - 1] if k else 1)
         z, q = _back(lu, b)
+        g = math.lcm(*self.content[:s])
         # z is in the order of A's columns; c in the order of M's
         c = []
         for j in sorted(range(s), key=self.order.__getitem__):
-            c.append(Fraction(z[j], q * self.content[j]))
-        return c
+            c.append(z[j] * (g // self.content[j]))
+        return _cleared(c, q * g)
 
-    def type2(self, s: int) -> Optional[List[Fraction]]:
+    def type2(self, s: int) -> Optional[Tuple[List[int], int]]:
         """y with B_s^t y = -(row s of M on B_s's columns), for s < n or,
-        with a rider row, s = n; None when B_s is singular.
+        with a rider row, s = n, as its cleared form (``_cleared``); None
+        when B_s is singular.
 
         The forward pass of a solve with A_s^t would replay the
         elimination on row s of A; the elimination already did, and left
@@ -203,11 +207,21 @@ class ExactLU:
         if not self.signs[s]:
             return None
         w, q = _back(self.lut, self.lu[self.perm.index(s)][:s])
-        q *= self.scale[s]
-        y = [Fraction(0)] * s
+        y = [0] * s
         for k, i in enumerate(self.perm[:s]):
-            y[i] = Fraction(-w[k] * self.scale[i], q)
-        return y
+            y[i] = -w[k] * self.scale[i]
+        return _cleared(y, q * self.scale[s])
+
+
+def _cleared(nums: List[int], den: int) -> Tuple[List[int], int]:
+    """nums / den, den != 0, cleared: (numerators, d) over the least d > 0,
+    so gcd(d, *numerators) = 1."""
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    for i, v in enumerate(nums):
+        nums[i] = v // g
+    return nums, den // g
 
 
 def _back(lu: Sequence[Sequence[int]], b: List[int]) -> Tuple[List[int], int]:
@@ -349,7 +363,8 @@ def solve(m: Matrix, rhs: Sequence[Scalar]) -> List[Scalar]:
         x = ExactLU(Matrix(m.rows + 1, m.cols, m.transpose().data + [rider])).type2(m.rows)
         if x is None:
             raise Singular(Fraction(0))
-        return x
+        nums, d = x
+        return [Fraction(v, d) for v in nums]
     lu = FloatLU(m)
     if not lu.sign:
         raise Singular(0.0)

@@ -3,13 +3,17 @@
 Bivariate polynomials are dense coefficient sequences indexed by Cantor
 position: coeffs[z] multiplies x^t y^s with pair(t, s) = z.  Inner products
 are bilinear extensions through moments; quadrature is never used, so
-unbounded supports are exact.  Exact pairings go through moment rows
-(``moment_rows``): a polynomial's denominators are cleared once, and each
-integer pairing <P, x^{e_l}>_j it needs is computed once, over one
-denominator, however many polynomials it is paired against; ``inner`` and
-``type1_pairing`` are one-shot uses.  Exact sums of polynomials go through
-``combine``: every term is cleared onto one denominator at once, and each
-coefficient of the sum is one Fraction.  Univariate systems run through the
+unbounded supports are exact.  Exact pairings and sums run on cleared
+polynomials, integers over one denominator.  Exact Type I and Type II leave
+the kernel in that form and are cached in it (``type2_form``,
+``type1_form``); ``type2``/``type1`` make Fractions of them on request.
+Any other polynomial is cleared by ``_integer_terms``, once per pairing set
+or sum.  Pairings go
+through moment rows (``moment_rows``): each integer pairing
+<P, x^{e_l}>_j a polynomial needs is computed once, over one denominator,
+however many polynomials it is paired against; ``inner`` and
+``type1_pairing`` are one-shot uses.  Sums go through ``combine``, which
+makes each coefficient one Fraction.  Univariate systems run through the
 same solver over the power basis (see ``_basis``).
 
 ``_factorise`` runs one factorisation of M_n, ``ExactLU`` or ``FloatLU``,
@@ -240,9 +244,14 @@ def _moment_rows(sys: System, n: Tuple[int, ...], ks: Sequence[int]) -> List[Lis
     return rows
 
 
+#: The cleared form of 1, the zero index's Type II.
+_ONE = ([[1]], 1)
+
+
 class _Solved:
     """Cached results of one index: type2 and type1 are None when M_n is
-    singular, type2 the TableExhausted its right-hand side raised."""
+    singular, type2 the TableExhausted its right-hand side raised, else
+    what ``type2_form`` and ``type1_form`` return."""
 
     __slots__ = ("verdict", "type2", "type1")
 
@@ -306,19 +315,38 @@ def _factorise(sys: System, steps: List[Tuple[int, ...]]) -> None:
         c = lu.type1(s) if s else None
         if c is None:
             continue
-        entry.type1 = _type1_set(sys, key, c)
-        entry.type2 = (rider if key == last and isinstance(rider, TableExhausted)
-                       else poly(tuple(lu.type2(s)) + (sys.one(),)))
+        if key == last and isinstance(rider, TableExhausted):
+            entry.type2 = rider
+        elif sys.exact:
+            y, d = lu.type2(s)
+            entry.type2 = [y + [d]], d
+        else:
+            entry.type2 = poly(tuple(lu.type2(s)) + (sys.one(),))
+        if sys.exact:
+            c, d = c
+            entry.type1 = _blocks(c, key), d
+        else:
+            entry.type1 = tuple([poly(tuple(b)) for b in _blocks(c, key)])
 
 
-def _type1_set(sys: System, n: Tuple[int, ...], c: Sequence[Scalar]) -> TypeISet:
-    _, poly = _basis(sys)
-    polys = []
-    offset = 0
+def _blocks(c: Sequence[Scalar], n: Tuple[int, ...]) -> List[List[Scalar]]:
+    """c cut into blocks of the sizes n, each without trailing zeros."""
+    out, i = [], 0
     for nj in n:
-        polys.append(poly.from_coeffs(c[offset:offset + nj]))
-        offset += nj
-    return TypeISet(polys=tuple(polys))
+        block = list(c[i:i + nj])
+        while block and not block[-1]:
+            block.pop()
+        out.append(block)
+        i += nj
+    return out
+
+
+def _dense(poly: Type, coeffs: Sequence[int], d: int):
+    """The polynomial of the cleared coefficients coeffs / d."""
+    out = []
+    for a in coeffs:
+        out.append(Fraction(a, d))
+    return poly(tuple(out))
 
 
 def normality(sys: System, n: Sequence[int]) -> Normality:
@@ -337,21 +365,46 @@ def is_normal(sys: MeasureSystem, n: Sequence[int]) -> bool:
     return bool(v.normal)
 
 
-def type2(sys: System, n: Sequence[int]) -> BiPoly:
-    """Monic Type II polynomial of the multi-index n.
-
-    Solves M_n^t c = -b for the lower coefficients; the leading coefficient
-    sits at position |n|.
-    """
+def type2_form(sys: System, n: Sequence[int]):
+    """n's Type II as the verifiers read it: cleared, ([coefficients], d),
+    in exact mode."""
     key = _index(sys, n)
     if not sum(key):
-        return _basis(sys)[1]((sys.one(),))
+        return _ONE if sys.exact else _basis(sys)[1]((sys.one(),))
     entry = _solved(sys, key)
     if entry.type2 is None:
         raise NotNormal(key, entry.verdict.det)
     if isinstance(entry.type2, TableExhausted):
         raise TableExhausted(*entry.type2.args)
     return entry.type2
+
+
+def type2(sys: System, n: Sequence[int]) -> BiPoly:
+    """Monic Type II polynomial of the multi-index n.
+
+    Solves M_n^t c = -b for the lower coefficients; the leading coefficient
+    sits at position |n|.
+    """
+    p = type2_form(sys, n)
+    if sys.exact:
+        (coeffs,), d = p
+        p = _dense(_basis(sys)[1], coeffs, d)
+    return p
+
+
+def type1_form(sys: System, n: Sequence[int], j: Optional[int] = None):
+    """n's Type I polynomials as the verifiers read them: cleared,
+    ([coefficients, ...], d), in exact mode; with j, A_{n,j} alone."""
+    key = _index(sys, n)
+    if not sum(key):
+        raise EmptyIndex("Type I polynomials are undefined for the zero index")
+    entry = _solved(sys, key)
+    form = entry.type1
+    if form is None:
+        raise NotNormal(key, entry.verdict.det)
+    if j is None:
+        return form
+    return ([form[0][j - 1]], form[1]) if sys.exact else form[j - 1]
 
 
 def type1(sys: System, n: Sequence[int]) -> TypeISet:
@@ -361,13 +414,13 @@ def type1(sys: System, n: Sequence[int]) -> TypeISet:
     coefficients of A_{n,j} at positions 0..n_j - 1.  Components with
     n_j = 0 yield the zero polynomial.
     """
-    key = _index(sys, n)
-    if not sum(key):
-        raise EmptyIndex("Type I polynomials are undefined for the zero index")
-    entry = _solved(sys, key)
-    if entry.type1 is None:
-        raise NotNormal(key, entry.verdict.det)
-    return entry.type1
+    polys = type1_form(sys, n)
+    if sys.exact:
+        blocks, d = polys
+        polys = []
+        for coeffs in blocks:
+            polys.append(_dense(_basis(sys)[1], coeffs, d))
+    return TypeISet(tuple(polys))
 
 
 def moment_rows(sys: MeasureSystem, p: BiPoly) -> Callable[..., Scalar]:
@@ -377,16 +430,18 @@ def moment_rows(sys: MeasureSystem, p: BiPoly) -> Callable[..., Scalar]:
     basis position l to the integer <P, x^{e_l}>_j * L, where L is one
     denominator shared by every row.  A pairing fills the positions its
     polynomials need and no other, then takes dot products with their
-    integer coefficients and returns one fraction over all j.  Float mode
-    sums pair by pair (``_inner_float``).
+    integer coefficients and returns one fraction over all j.  p and qs may
+    come cleared (``type2_form``, ``type1_form``).  Float mode sums pair by
+    pair (``_inner_float``).
     """
     rows: dict = {}
     scale = 1
     if sys.exact:
-        (terms,), dp = _integer_terms((p,))
+        (coeffs,), dp = p if _is_cleared(p) else _integer_terms((p,))
         p_terms = []
-        for u, a in terms:
-            p_terms.append((*mi.unpair(u), a))
+        for u, a in enumerate(coeffs):
+            if a:
+                p_terms.append((*mi.unpair(u), a))
 
     def pair(qs, j=1):
         nonlocal scale
@@ -396,13 +451,13 @@ def moment_rows(sys: MeasureSystem, p: BiPoly) -> Callable[..., Scalar]:
                 total += _inner_float(sys, j, p, q)
                 j += 1
             return total
-        q_terms, dq = _integer_terms(qs)
+        q_terms, dq = qs if _is_cleared(qs) else _integer_terms(qs)
         total = 0
-        for terms in q_terms:
+        for coeffs in q_terms:
             row = rows.setdefault(j, {})
             need = []
-            for l, _ in terms:
-                if l not in row:
+            for l, b in enumerate(coeffs):
+                if b and l not in row:
                     need.append(l)
             if need:
                 # Every moment is read before any row changes, in the order
@@ -431,8 +486,9 @@ def moment_rows(sys: MeasureSystem, p: BiPoly) -> Callable[..., Scalar]:
                     for l in need:
                         m = next(reads)
                         row[l] += a * m.numerator * (lcm // m.denominator)
-            for l, b in terms:
-                total += b * row[l]
+            for l, b in enumerate(coeffs):
+                if b:
+                    total += b * row[l]
             j += 1
         return Fraction(total, dp * dq * scale)
     return pair
@@ -450,11 +506,13 @@ def inner(sys: MeasureSystem, j: int, p: BiPoly, q: BiPoly) -> Scalar:
 def combine(sys: System, terms: Sequence[Tuple[Scalar, BiPoly]]) -> BiPoly:
     """The polynomial sum of c * p over the (c, p) pairs of terms.
 
-    Exact mode clears every p onto one denominator in one ``_integer_terms``
-    call and every c onto the lcm of theirs, sums the integers by basis
-    position and makes each coefficient one Fraction.  Float mode goes term
-    by term, p_0 - (-c_1) p_1 - (-c_2) p_2 - ..., as a chain of ``-`` and
-    ``scale`` would, which fixes every digit.
+    Exact mode clears every polynomial p onto one denominator in one
+    ``_integer_terms`` call (a p may come cleared: ``type2_form``,
+    ``type1_form``), puts all p over the lcm of their denominators and every
+    c over the lcm of theirs, sums the integers by basis position and makes
+    each coefficient one Fraction.  Float mode goes term by term, p_0 -
+    (-c_1) p_1 - (-c_2) p_2 - ..., as a chain of ``-`` and ``scale`` would,
+    which fixes every digit.
     """
     if not terms:
         return BiPoly.zero()
@@ -465,41 +523,49 @@ def combine(sys: System, terms: Sequence[Tuple[Scalar, BiPoly]]) -> BiPoly:
         for c, p in terms[1:]:
             out = out - (p if c == -1 else p.scale(-c))
         return out
-    polys = []
-    size, lcm = 0, 1
+    cleared, d = _integer_terms([p for _, p in terms if not _is_cleared(p)])
+    records = iter(cleared)
+    forms = []
+    lcm = den = 1
+    size = 0
     for c, p in terms:
-        polys.append(p)
-        size = max(size, len(p.coeffs))
+        form = p if _is_cleared(p) else ([next(records)], d)
+        forms.append(form)
+        (coeffs,), dp = form
         lcm = math.lcm(lcm, c.denominator)
-    cleared, d = _integer_terms(polys)
+        den = math.lcm(den, dp)
+        size = max(size, len(coeffs))
     acc = [0] * size
-    for (c, _), p_terms in zip(terms, cleared):
-        k = c.numerator * (lcm // c.denominator)
-        for z, a in p_terms:
+    for (c, _), ((coeffs,), dp) in zip(terms, forms):
+        k = c.numerator * (lcm // c.denominator) * (den // dp)
+        for z, a in enumerate(coeffs):
             acc[z] += k * a
     while acc and not acc[-1]:
         acc.pop()
-    den = d * lcm
+    den *= lcm
     out = []
     for a in acc:
         out.append(Fraction(a, den))
     return BiPoly(tuple(out))
 
 
-def _integer_terms(polys: Sequence[BiPoly]) -> Tuple[List[List[Tuple[int, int]]], int]:
-    """Nonzero terms (z, N) of each polynomial and one d with
-    polys[i] = sum N x^{e_z} / d, N and d integer."""
+def _is_cleared(x) -> bool:
+    """Whether x is cleared, ([coefficients, ...], d), not polynomials."""
+    return isinstance(x, tuple) and len(x) == 2 and type(x[1]) is int
+
+
+def _integer_terms(polys: Sequence[BiPoly]) -> Tuple[List[List[int]], int]:
+    """The coefficients of each polynomial as integers N over one d:
+    polys[i] = sum_z N_z x^{e_z} / d.  Their cleared form."""
     d = 1
     for q in polys:
         for c in q.coeffs:
-            if c:
-                d = math.lcm(d, c.denominator)
+            d = math.lcm(d, c.denominator)
     out = []
     for q in polys:
-        out.append(terms := [])
-        for z, c in enumerate(q.coeffs):
-            if c:
-                terms.append((z, c.numerator * (d // c.denominator)))
+        out.append(coeffs := [])
+        for c in q.coeffs:
+            coeffs.append(c.numerator * (d // c.denominator))
     return out, d
 
 
@@ -523,7 +589,7 @@ def type1_pairing(sys: MeasureSystem, p: BiPoly, m: Sequence[int]) -> Scalar:
 
     Computed purely from moments; weights are never evaluated.
     """
-    return moment_rows(sys, p)(type1(sys, m).polys)
+    return moment_rows(sys, p)(type1_form(sys, m))
 
 
 def uni_moment_matrix(sys1d: UniMeasureSystem, n: Sequence[int]) -> Matrix:

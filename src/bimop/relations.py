@@ -15,7 +15,8 @@ from . import multiindex as mi
 from .errors import ChainInvalid, EmptyIndex, IndexTooSmall, PathInvalid
 from .linalg import Matrix, Scalar, format_scalar
 from .measures import MeasureSystem
-from .mopcore import BiPoly, combine, moment_rows, solve_path, type1, type1_pairing, type2
+from .mopcore import (BiPoly, combine, moment_rows, solve_path, type1, type1_form,
+                      type1_pairing, type2, type2_form)
 from .record import Record
 
 
@@ -42,15 +43,16 @@ def biorth_row(sys: MeasureSystem, n: Sequence[int],
     """``biorth(sys, n, m)`` for each m of ms, P_n's moment rows built once.
 
     P_n is read before the first Q_m, as one ``biorth`` call would read
-    them; an empty ms reads nothing.
+    them; an empty ms reads nothing.  Both are read in the form the
+    pairing takes (``type2_form``, ``type1_form``).
     """
     n, ms = tuple(n), [tuple(m) for m in ms]
     if not ms:
         return []
-    pair = moment_rows(sys, type2(sys, n))
+    pair = moment_rows(sys, type2_form(sys, n))
     out = []
     for m in ms:
-        value = pair(type1(sys, m).polys)
+        value = pair(type1_form(sys, m))
         if mi.leq(m, n):
             expected, label = 0, "m<=n"
         elif sum(n) <= sum(m) - 2:
@@ -100,7 +102,7 @@ def biorth_matrix(sys: MeasureSystem,
     # raises after P_{n_0}'s own errors, in pairing order.
     joined = chain_n + chain_m
     solve_path(sys, joined if mi.Path(tuple(joined)).is_valid() else chain_n)
-    type2(sys, chain_n[0])
+    type2_form(sys, chain_n[0])
     solve_path(sys, chain_m)
     rows = [biorth_row(sys, n, chain_m) for n in chain_n]
 
@@ -231,18 +233,18 @@ def _expand(sys: MeasureSystem, xp: BiPoly, path: mi.Path, top: int, stop: int):
 
     Returns the pairings a_i = <xp, Q_{m_{i+1}}> for i from the path's start
     up to stop - 1, skipping top, and the (c, p) terms of
-    xp - P_{m_top} - sum a_i P_{m_i}.
+    xp - P_{m_top} - sum a_i P_{m_i}, each P in the form ``combine`` takes.
     """
-    terms = [(1, xp), (-1, type2(sys, path.at_modulus(top)))]
+    terms = [(1, xp), (-1, type2_form(sys, path.at_modulus(top)))]
     pair = moment_rows(sys, xp)
     coefficients = []
     for i in range(path.start_modulus, stop):
         if i == top:
             continue
-        a = pair(type1(sys, path.at_modulus(i + 1)).polys)
+        a = pair(type1_form(sys, path.at_modulus(i + 1)))
         coefficients.append((i, a))
         if a != 0:
-            terms.append((-a, type2(sys, path.at_modulus(i))))
+            terms.append((-a, type2_form(sys, path.at_modulus(i))))
     return coefficients, terms
 
 
@@ -267,7 +269,9 @@ def _checked_path(path, waypoints, low: int, top: int,
     if path is None:
         path = mi.canonical_path(waypoints)
     elif not isinstance(path, mi.Path):
-        path = mi.Path(tuple(tuple(step) for step in path))
+        # tuple() of a list, not of a generator: a tuple built from a
+        # generator is resized, and the resized tuples pile up on the free lists
+        path = mi.Path(tuple([tuple(step) for step in path]))
     if not path.is_valid():
         raise PathInvalid("not a neighbour path")
     if path.start_modulus > low or path.end_modulus < top:
@@ -294,7 +298,7 @@ def nnr_type2(sys: MeasureSystem, n: Sequence[int], axis: str,
     d = p.degree
     if any(nj < d + 1 for nj in n):
         raise IndexTooSmall(f"need n_j >= d_n + 1 = {d + 1} for all components of {n}")
-    v = tuple(nj - d - 1 for nj in n)
+    v = tuple([nj - d - 1 for nj in n])
     bump = d + offset
     top = p.modulus + bump
     if path is None and w is None:
@@ -341,7 +345,7 @@ def nnr_type1(sys: MeasureSystem, n: Sequence[int], axis: str,
     if low_mod < 0:
         raise IndexTooSmall(f"modulus {p.modulus} too small for axis {axis}")
     top = p.modulus + bump * r
-    end = tuple(nj + bump for nj in n)
+    end = tuple([nj + bump for nj in n])
     path = _checked_path(path, [(0,) * r, n, end], low_mod, top, [("", n), ("", end)])
 
     # Extend below the theorem's range down to the zero index; the extension
@@ -360,7 +364,9 @@ def nnr_type1(sys: MeasureSystem, n: Sequence[int], axis: str,
 
     coefficients = []
     for k in range(1, top + 1):
-        pk = (type2(sys, full.at_modulus(k - 1)),)
+        # exact mode's cleared P is also the cleared form of the one-term (P,)
+        pk = type2_form(sys, full.at_modulus(k - 1))
+        pk = pk if sys.exact else (pk,)
         value = sys.zero()
         for j in range(1, r + 1):
             value += pairs[j - 1](pk, j)
@@ -382,7 +388,7 @@ def nnr_type1(sys: MeasureSystem, n: Sequence[int], axis: str,
         for k in range(1, top + 1):
             a = by_mod[k]
             if a != 0:
-                terms.append((-a, type1(sys, full.at_modulus(k)).polys[j - 1]))
+                terms.append((-a, type1_form(sys, full.at_modulus(k), j)))
         sums.append(terms)
     residuals, zero = _residuals(sys, sums)
     return NNRReport(variant=f"{axis}Q", path=full, holds=zero and vanishing_ok,
@@ -395,7 +401,7 @@ def default_vector_chains(chain: Sequence[Sequence[int]]):
     chain, d = _chain(chain)
     r = len(chain[0])
     n0, nd = chain[0], chain[-1]
-    u = tuple(c - (d + 1) for c in n0)
+    u = tuple([c - (d + 1) for c in n0])
     waypoints = [(0,) * r]
     if all(c >= 0 for c in u):
         waypoints.append(u)
@@ -427,7 +433,7 @@ def nnr_vector(sys: MeasureSystem, chain: Sequence[Sequence[int]], axis: str,
         raise ChainInvalid(f"need lower chains for degrees 0..{d - 1}")
     lower = [_chain(ch, f"lower chain {h} is ", h)[0] for h, ch in enumerate(lower)]
     upper, _ = _chain(upper, "upper chain is ", d + 1)
-    steps = tuple(x for ch in lower for x in ch) + tuple(chain) + tuple(upper)
+    steps = tuple([x for ch in lower for x in ch]) + tuple(chain) + tuple(upper)
     gpath = mi.Path(steps)
     if not gpath.is_valid():
         raise ChainInvalid("chains do not concatenate into a neighbour path")
@@ -435,7 +441,7 @@ def nnr_vector(sys: MeasureSystem, chain: Sequence[Sequence[int]], axis: str,
     n0 = chain[0]
     cutoff = sum(n0) - (d + 1) * r
     kk = max((h for h in range(d) if h * (h + 1) // 2 < cutoff), default=0)
-    u = tuple(c - (d + 1) for c in n0)
+    u = tuple([c - (d + 1) for c in n0])
     if cutoff > 0 and all(c >= 0 for c in u) and gpath.at_modulus(sum(u)) != u:
         raise ChainInvalid(f"required waypoint {u} missing from the path")
 

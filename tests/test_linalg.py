@@ -1,5 +1,6 @@
 """Exact and floating determinants and linear solves."""
 
+import math
 import sys
 from fractions import Fraction as F
 
@@ -132,6 +133,19 @@ def gauss_jordan(rows, rhs):
     return [row[n] for row in aug]
 
 
+def denoted(form):
+    """The rationals a read-out (numerators, denominator) denotes, after
+    checking that it is cleared: integers over a denominator > 0 with
+    gcd(denominator, *numerators) = 1.  None stays None."""
+    if form is None:
+        return None
+    nums, den = form
+    assert all(type(v) is int for v in nums) and type(den) is int
+    assert den > 0
+    assert math.gcd(den, *nums) == 1
+    return [F(v, den) for v in nums]
+
+
 def check_factorisation(m, order, rhs):
     """ExactLU(m, order) against cofactor expansion and Gauss-Jordan.
 
@@ -139,9 +153,10 @@ def check_factorisation(m, order, rhs):
     order[:s], kept in their order in m.  det(s) is det(B_s); type1(s) is
     the c with B_s c = e_{s-1} and, for s < n, type2(s) the y with
     B_s^t y = -(row s of m on B_s's columns), as a Gauss-Jordan solve gives
-    them; a singular block yields None.  With rhs as a rider row, the same
-    factors give the same dets and type2(n) is the y with m^t y = -rhs.
-    ``solve`` with m and m^t holds, and raises Singular when det(m) = 0."""
+    them, each as its cleared form (``denoted``); a singular block yields
+    None.  With rhs as a rider row, the same factors give the same dets and
+    type2(n) is the y with m^t y = -rhs.  ``solve`` with m and m^t holds,
+    returns Fractions, and raises Singular when det(m) = 0."""
     n = len(order)
     lu = ExactLU(m, order)
     ridden = ExactLU(Matrix.from_rows(m.data + [rhs]), order)
@@ -153,22 +168,22 @@ def check_factorisation(m, order, rhs):
         if not s:
             continue
         regular = lu.det(s) != 0
-        got = lu.type1(s)
+        got = denoted(lu.type1(s))
         assert got == gauss_jordan(block, [F(0)] * (s - 1) + [F(1)])
         assert (got is not None) == regular
         transposed = [list(col) for col in zip(*block)]
         below = m.data[s] if s < n else rhs
-        got = ridden.type2(s)
+        got = denoted(ridden.type2(s))
         assert got == gauss_jordan(transposed, [-below[c] for c in cols])
         assert (got is not None) == regular
         if s < n:
-            assert lu.type2(s) == got
-        if regular:
-            assert all(type(v) is F for v in got)
+            assert denoted(lu.type2(s)) == got
     assert lu.det() == lu.det(n) == ridden.det()
     for a in (m, m.transpose()):
         if lu.det():
-            assert matvec(a, solve(a, rhs)) == rhs
+            x = solve(a, rhs)
+            assert matvec(a, x) == rhs
+            assert all(type(v) is F for v in x)
         else:
             with pytest.raises(Singular) as err:
                 solve(a, rhs)

@@ -1,5 +1,6 @@
 """Moment matrices, normality, and the Type I / Type II solvers."""
 
+import itertools
 import math
 import random
 import re
@@ -13,6 +14,7 @@ from bimop import (
     DimensionMismatch,
     EmptyIndex,
     IndexOutOfRange,
+    Jacobi,
     Laguerre,
     MeasureSystem,
     MomentTable,
@@ -24,6 +26,7 @@ from bimop import (
     TensorMeasure,
     UniMeasureSystem,
     UniPoly,
+    biorth,
     canonical_path,
     inner,
     is_normal,
@@ -839,6 +842,7 @@ def test_one_row_set_matches_pairwise_sums(duo, quad, p, qs, data):
                 got = pair(type1(sys_, m).polys)
                 assert isinstance(got, F)
                 assert got == naive_pairing(sys_, pp, m)
+                assert repr(pair(mopcore.type1_form(sys_, m))) == repr(got)
             got = pair(qs[:sys_.r])
             assert isinstance(got, F)
             assert got == sum(naive_inner(sys_, j, pp, q)
@@ -884,6 +888,16 @@ def solved_poly(sys_, m, k):
     return type1(sys_, m).polys[k - 4]
 
 
+def solved_form(sys_, m, k):
+    """solved_poly's polynomial k as the verifiers read it: P_m and A_{m,j}
+    by their cached forms, the others as polynomials."""
+    if k == 1:
+        return mopcore.type2_form(sys_, m)
+    if k > 3:
+        return mopcore.type1_form(sys_, m, k - 3)
+    return solved_poly(sys_, m, k)
+
+
 def residual_chain(terms):
     """p_0 - a_1 p_1 - a_2 p_2 - ... for terms (1, p_0), (-a_1, p_1), ...,
     one BiPoly ``-`` and ``scale`` at a time, the reference for combine's
@@ -908,7 +922,8 @@ def test_combine_matches_the_residual_chain(duo, quad, data):
     """combine equals the chain of ``-`` and ``scale``: as Fractions in exact
     mode, bit for bit (type and float.hex()) in float mode; Type II and
     Type I polynomials with rational weights, zero polynomials, zero
-    weights and empty sums included."""
+    weights and empty sums included.  Cached forms in place of P_m and
+    A_{m,j} give the same sum, to the repr."""
     for sys_, approx in zip((duo, quad), FLOAT_SYSTEMS):
         picks = data.draw(st.lists(st.tuples(
             st.sampled_from(PAIRING_INDICES[sys_.r]),
@@ -917,11 +932,15 @@ def test_combine_matches_the_residual_chain(duo, quad, data):
         got = mopcore.combine(sys_, exact_terms)
         assert got == residual_chain(exact_terms)
         assert all(isinstance(c, F) for c in got.coeffs)
+        form_terms = [(c, solved_form(sys_, m, k)) for m, k, c in picks]
+        assert repr(mopcore.combine(sys_, form_terms)) == repr(got)
         float_terms = [(float(c), solved_poly(approx, m, k)) for m, k, c in picks]
         got = mopcore.combine(approx, float_terms)
         want = residual_chain(float_terms)
         assert ([(type(c), float(c).hex()) for c in got.coeffs]
                 == [(type(c), float(c).hex()) for c in want.coeffs])
+        form_terms = [(float(c), solved_form(approx, m, k)) for m, k, c in picks]
+        assert repr(mopcore.combine(approx, form_terms)) == repr(got)
 
 
 def test_combine_clears_every_polynomial_at_once(duo, monkeypatch):
@@ -940,6 +959,69 @@ def test_combine_clears_every_polynomial_at_once(duo, monkeypatch):
     assert cleared == [[p for _, p in terms]]
     assert got == residual_chain(terms) and not got.is_zero()
     assert mopcore.combine(duo, []) == BiPoly.zero()
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _table_system():
+    """The moments 1 / ((t + 1)(s + 1)) of the unit square, t, s < 6."""
+    return MeasureSystem(measures=(TableMeasure(
+        {(t, s): F(1, (t + 1) * (s + 1)) for t in range(6) for s in range(6)}),))
+
+
+CLEARED_GRIDS = [
+    pytest.param(make_pair_system, list(itertools.product(range(9), repeat=2)), id="pair"),
+    pytest.param(lambda: make_product_system().bivariate,
+                 list(itertools.product(range(4), repeat=4)), id="quad"),
+    pytest.param(lambda: UniMeasureSystem(families=(Laguerre(1), Jacobi(F(1, 2)))),
+                 list(itertools.product(range(7), repeat=2)), id="uni"),
+    pytest.param(_table_system, [(k,) for k in range(12)], id="table"),
+]
+
+
+@pytest.mark.parametrize("make, indices", CLEARED_GRIDS)
+def test_cached_forms_are_the_cleared_public_polynomials(make, indices):
+    """On a fresh exact system, each index's cached Type II and Type I
+    equal ``_integer_terms`` of the public polynomials, which leave the
+    cache as it was: one cleared form per polynomial.  Where the public
+    call raises (NotNormal, a rider's TableExhausted, EmptyIndex for the
+    zero index's Type I), the form raises the same error.  The grids hold
+    the zero index and indices with n_j = 0."""
+    sys_ = make()
+    for n in indices:
+        forms = [_outcome(lambda: mopcore.type2_form(sys_, n)),
+                 _outcome(lambda: mopcore.type1_form(sys_, n))]
+        entry = sys_._index_cache.get(n)
+        held = entry and (entry.type2, entry.type1)
+        cleared = [_outcome(lambda: mopcore._integer_terms((type2(sys_, n),))),
+                   _outcome(lambda: mopcore._integer_terms(type1(sys_, n).polys))]
+        assert forms == cleared, n
+        if entry:
+            assert entry.type2 is held[0] and entry.type1 is held[1]
+
+
+def test_verifiers_raise_what_the_public_reads_raise(quad):
+    """A verifier that reads a cached form raises what ``type2`` or
+    ``type1`` raises for that index, at the same point: NotNormal for a
+    singular M_n, a rider's TableExhausted and EmptyIndex."""
+    pair = make_pair_system()
+    short = MeasureSystem(measures=(TableMeasure(
+        {(t, s): pair.moment(1, t, s) for t in range(5) for s in range(5 - t)}),))
+    cases = [(quad, (0, 0, 1, 1), (1, 0, 1, 1), type2, (0, 0, 1, 1)),
+             (quad, (1, 0, 0, 0), (0, 0, 1, 1), type1, (0, 0, 1, 1)),
+             (pair, (1, 1), (0, 0), type1, (0, 0)),
+             (short, (6,), (1,), type2, (6,))]
+    for sys_, n, m, call, bad in cases:
+        fresh = MeasureSystem(measures=sys_.measures)
+        want = _outcome(lambda: call(fresh, bad))
+        assert want.split(":")[0] in ("NotNormal", "TableExhausted", "EmptyIndex")
+        got = _outcome(lambda: biorth(MeasureSystem(measures=sys_.measures), n, m))
+        assert got == want, (n, m)
 
 
 @pytest.mark.parametrize("call", [

@@ -572,7 +572,11 @@ def test_biorth_matrix_solves_each_chain_once(monkeypatch):
 
 
 def test_nnr_type2_clears_xp_denominators_once(monkeypatch):
-    """x*P_n is put over one denominator once per call, not once per pairing."""
+    """x*P_n is put over one denominator once per call, not once per pairing,
+    and the path's polynomials not at all: on both axes of a fresh exact
+    system, ``_integer_terms`` receives x*P_n or y*P_n only, never a path
+    index's Type I or Type II, which the pairings and the residual read in
+    their cached cleared form."""
     cleared = []
     clear = mopcore._integer_terms
 
@@ -582,9 +586,39 @@ def test_nnr_type2_clears_xp_denominators_once(monkeypatch):
 
     monkeypatch.setattr(mopcore, "_integer_terms", spy)
     sys_ = make_pair_system()
-    rep = nnr_type2(sys_, (6, 8), "x")
-    assert rep.holds and len(rep.coefficients) > 10
-    assert cleared.count((type2(sys_, (6, 8)).mul_x(),)) == 1
+    reps = [nnr_type2(sys_, (6, 8), axis) for axis in "xy"]
+    assert all(rep.holds and len(rep.coefficients) > 10 for rep in reps)
+    p = type2(sys_, (6, 8))
+    assert cleared.count((p.mul_x(),)) == 1
+    assert cleared.count((p.mul_y(),)) == 1
+    assert cleared and all(q in (p.mul_x(), p.mul_y()) for polys in cleared for q in polys)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float64"])
+def test_records_read_after_the_verifiers_equal_fresh_ones(mode):
+    """type2 and type1 read after nnr_type2 (both axes), nnr_type1 and
+    biorth_matrix have the reprs, or raise the errors, of the same reads
+    made first on a fresh system."""
+    far = [(3, 7), (4, 7), (4, 8), (5, 8), (5, 9)]
+    sys_ = make_pair_system(mode)
+    for axis in "xy":
+        nnr_type2(sys_, (6, 8), axis)
+        nnr_type1(sys_, (2, 2), axis)
+    biorth_matrix(sys_, CHAIN_D2, far)
+    fresh = make_pair_system(mode)
+    keys = list(sys_._index_cache)
+    assert len(keys) > 20
+    for call in (type2, type1):
+        got = [_outcome(lambda: call(sys_, n)) for n in keys]
+        want = [_outcome(lambda: call(fresh, n)) for n in keys]
+        assert got == want
+
+
+def _outcome(call):
+    try:
+        return repr(call())
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def test_nnr_type2_axes_share_one_factorisation(monkeypatch):
