@@ -10,6 +10,9 @@ fresh systems and runs in both scalar modes:
   moments for (k,), k < 12;
 - ``uni_normality``, ``uni_type2`` and ``uni_type1`` on the univariate
   Laguerre(1), Jacobi(1/2) system for every index <= (6, 6);
+- ``normality``, ``type2`` and ``type1`` for every index <= (5, 5) on the
+  tensor measures Jacobi(-1/2) x Laguerre(1/7) and a moment table (with
+  negative moments) x Jacobi(3/2), one system over every family kind;
 - ``nnr_type2`` (default path, and w = n + 9 e_1) and ``nnr_type1`` for
   components 1-8 on both axes, as ``to_json()``; five or six bad paths for
   each of them, and one good path passed as a ``Path`` and as a list;
@@ -57,6 +60,7 @@ from bimop import (  # noqa: E402
     Jacobi,
     Laguerre,
     MeasureSystem,
+    MomentTable,
     ProductSystem,
     TableMeasure,
     TensorMeasure,
@@ -95,6 +99,15 @@ def table_system(mode):
     """The moments 1 / ((t + 1)(s + 1)) of the unit square, t, s < 6."""
     return MeasureSystem(measures=(TableMeasure(
         {(t, s): F(1, (t + 1) * (s + 1)) for t in range(6) for s in range(6)}),), mode=mode)
+
+
+def mixed_system(mode):
+    """Tensor measures over every family kind.  The table holds the moments
+    of the uniform measure on [-1, 1/2], whose odd moments are negative."""
+    table = MomentTable([(F(1, 2) ** (k + 1) - (-1) ** (k + 1)) / ((k + 1) * F(3, 2))
+                         for k in range(16)])
+    return MeasureSystem(measures=(TensorMeasure(Jacobi(F(-1, 2)), Laguerre(F(1, 7))),
+                                   TensorMeasure(table, Jacobi(F(3, 2)))), mode=mode)
 
 
 def uni_system(mode):
@@ -278,7 +291,8 @@ def outcomes():
     for mode in MODES:
         sections = [("pair", pair_system(mode), itertools.product(range(9), repeat=2)),
                     ("quad", quad_system(mode), itertools.product(range(4), repeat=4)),
-                    ("table", table_system(mode), ((k,) for k in range(12)))]
+                    ("table", table_system(mode), ((k,) for k in range(12))),
+                    ("mixed", mixed_system(mode), itertools.product(range(6), repeat=2))]
         for name, sys_, indices in sections:
             for label, call in _constructions(name, sys_, indices):
                 yield f"{mode}.{label}", outcome(call)
