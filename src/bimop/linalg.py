@@ -269,10 +269,12 @@ class FloatLU:
         #: det(P), or 0 when M is singular
         self.sign = 1
         for k in range(n):
-            p = max(range(k, n), key=lambda i: abs(a[i][k]))
-            if abs(a[p][k]) <= tol * scale:
+            column = [abs(row[k]) for row in a[k:]]
+            big = max(column)
+            if big <= tol * scale:
                 self.sign = 0
                 break
+            p = k + column.index(big)
             if p != k:
                 a[k], a[p] = a[p], a[k]
                 self.perm[k], self.perm[p] = self.perm[p], self.perm[k]

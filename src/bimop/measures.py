@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple, Union
 
 from .errors import (
     IndexOutOfRange,
@@ -31,10 +31,12 @@ FLOAT64 = "float64"
 class Laguerre:
     """Laguerre-type weight x^alpha e^{-x} on [0, inf), alpha >= 0 rational.
 
-    Relative moments m_k = prod_{i=1..k} (alpha + i), so m_0 = 1.  The
-    instance keeps the prefix m_0, m_1, ... it has computed, and extends it
-    by m_k = m_{k-1} (alpha + k) as far as a read needs, so every moment
-    costs one product once, in any order of reads.
+    Relative moments m_k = prod_{i=1..k} (alpha + i), so m_0 = 1.  With
+    alpha = p/q in lowest terms, m_k = N_k / q^k, N_k = N_{k-1} (p + k q),
+    in lowest terms too: each p + k q is prime to q.  The instance keeps the
+    prefix (N_0, 1), (N_1, q), ... it has computed and extends it as far as
+    a read needs, so every moment costs two integer products once, in any
+    order of reads.
     """
 
     def __init__(self, alpha):
@@ -42,14 +44,22 @@ class Laguerre:
         if alpha < 0:
             raise NegativeAlpha(f"laguerre alpha must be >= 0, got {format_scalar(alpha)}")
         self.alpha = alpha
-        self._moments = [Fraction(1)]
+        self._step = alpha.numerator, alpha.denominator
+        self._parts = [(1, 1)]
 
     def moment(self, k: int) -> Fraction:
-        moments = self._moments
-        while len(moments) <= k:
-            moments.append(moments[-1] * (self.alpha + len(moments)))
+        return Fraction(*self.parts(k))
+
+    def parts(self, k: int) -> Tuple[int, int]:
+        parts = self._parts
+        if len(parts) <= k:
+            p, q = self._step
+            n, d = parts[-1]
+            for i in range(len(parts), k + 1):
+                n, d = n * (p + i * q), d * q
+                parts.append((n, d))
         # A negative order is the empty product, m_0.
-        return moments[max(k, 0)]
+        return parts[max(k, 0)]
 
 
 class Jacobi:
@@ -65,7 +75,12 @@ class Jacobi:
         self.a = a
 
     def moment(self, k: int) -> Fraction:
-        return (self.a + 1) / (self.a + k + 1)
+        return Fraction(*self.parts(k))
+
+    def parts(self, k: int) -> Tuple[int, int]:
+        # a = p/q: (a + 1) / (a + k + 1) = (p + q) / (p + (k + 1) q).
+        p, q = self.a.numerator, self.a.denominator
+        return p + q, p + (k + 1) * q
 
 
 class MomentTable:
@@ -73,11 +88,15 @@ class MomentTable:
 
     def __init__(self, moments: Sequence):
         self.moments = [Fraction(m) for m in moments]
+        self._parts = [(m.numerator, m.denominator) for m in self.moments]
 
     def moment(self, k: int) -> Fraction:
-        if k >= len(self.moments):
-            raise TableExhausted(f"moment table of length {len(self.moments)} has no order {k}")
-        return self.moments[k]
+        return Fraction(*self.parts(k))
+
+    def parts(self, k: int) -> Tuple[int, int]:
+        if k >= len(self._parts):
+            raise TableExhausted(f"moment table of length {len(self._parts)} has no order {k}")
+        return self._parts[k]
 
 
 if TYPE_CHECKING:
@@ -92,9 +111,15 @@ class TensorMeasure:
     def __init__(self, x: UnivariateFamily, y: UnivariateFamily):
         self.x = x
         self.y = y
+        self._x, self._y = _reader(x), _reader(y)
 
     def moment(self, t: int, s: int) -> Fraction:
-        return self.x.moment(t) * self.y.moment(s)
+        return Fraction(*self.parts(t, s))
+
+    def parts(self, t: int, s: int) -> Tuple[int, int]:
+        a, b = self._x(t)
+        c, d = self._y(s)
+        return a * c, b * d
 
 
 class TableMeasure:
@@ -102,16 +127,33 @@ class TableMeasure:
 
     def __init__(self, moments: Dict[Tuple[int, int], Fraction]):
         self.moments = {k: Fraction(v) for k, v in moments.items()}
+        self._parts = {k: (v.numerator, v.denominator) for k, v in self.moments.items()}
 
     def moment(self, t: int, s: int) -> Fraction:
+        return Fraction(*self.parts(t, s))
+
+    def parts(self, t: int, s: int) -> Tuple[int, int]:
         try:
-            return self.moments[(t, s)]
+            return self._parts[t, s]
         except KeyError:
             raise TableExhausted(f"no moment for (t, s) = ({t}, {s})") from None
 
 
 if TYPE_CHECKING:
     BivariateMeasure = Union[TensorMeasure, TableMeasure]
+
+
+def _reader(source) -> Callable[..., Tuple[int, int]]:
+    """How the systems and tensor measures read a family's or measure's
+    moments, as (numerator, denominator) integers: its ``parts``, or, for a
+    source that gives only ``moment``, its moments split."""
+    try:
+        return source.parts
+    except AttributeError:
+        def parts(*order):
+            m = Fraction(source.moment(*order))
+            return m.numerator, m.denominator
+        return parts
 
 
 def _check_mode(mode) -> str:
@@ -159,12 +201,16 @@ class _ScalarMode:
     def one(self) -> Scalar:
         return Fraction(1) if self.exact else 1.0
 
-    @staticmethod
-    def _float_moment(value: Fraction, j: int, order) -> float:
-        """An exact moment as a float64.  One past the float range is invalid
-        input that names its measure and order."""
+    def _scalar(self, parts: Tuple[int, int], j: int, order) -> Scalar:
+        """A moment's integer parts a, b as one Fraction, or as the float64
+        a / b: int division rounds correctly, so it is float(Fraction(a, b))
+        to the bit.  One past the float range is invalid input that names
+        its measure and order."""
+        a, b = parts
+        if self.exact:
+            return Fraction(a, b)
         try:
-            return float(value)
+            return a / b
         except OverflowError:
             raise ValidationError(f"measure {j}: the moment of order {order} exceeds "
                                   "the float64 range; use exact mode") from None
@@ -201,10 +247,8 @@ class MeasureSystem(_ScalarMode, Record):
             raise IndexOutOfRange(f"measure index {j} not in 1..{self.r}")
         if t < 0 or s < 0:
             raise IndexOutOfRange(f"moment order ({t}, {s}) has a negative component")
-        value = self.measures[j - 1].moment(t, s)
-        if not self.exact:
-            value = self._float_moment(value, j, (t, s))
-        self._moment_cache[j, t, s] = value
+        value = self._moment_cache[j, t, s] = self._scalar(
+            _reader(self.measures[j - 1])(t, s), j, (t, s))
         return value
 
 
@@ -235,10 +279,8 @@ class UniMeasureSystem(_ScalarMode, Record):
             raise IndexOutOfRange(f"moment order {k} is negative")
         if s:
             raise IndexOutOfRange(f"univariate measures have no moment of y^{s}")
-        value = self.families[j - 1].moment(k)
-        if not self.exact:
-            value = self._float_moment(value, j, k)
-        self._moment_cache[j, k, s] = value
+        value = self._moment_cache[j, k, s] = self._scalar(
+            _reader(self.families[j - 1])(k), j, k)
         return value
 
 

@@ -335,6 +335,60 @@ def test_float_lu_against_exact_lu(case):
         assert max(abs(r) for r in residual) <= bound
 
 
+def test_float_lu_pivots_on_the_first_of_tied_magnitudes():
+    """Column (2, -2) pivots on row 0, and so does (-2, 2); a tie (3, -3)
+    in rows 1 and 2 pivots on row 1, at step 0 and at step 1."""
+    for rows in ([[2.0, 1.0], [-2.0, 3.0]], [[-2.0, 1.0], [2.0, 3.0]]):
+        lu = FloatLU(Matrix.from_rows(rows))
+        assert (lu.perm, lu.sign) == ([0, 1], 1)
+    lu = FloatLU(Matrix.from_rows([[1.0, 0.0, 0.0], [3.0, 1.0, 0.0], [-3.0, 0.0, 2.0]]))
+    assert (lu.perm[0], lu.sign) == (1, 1)
+    lu = FloatLU(Matrix.from_rows([[4.0, 0.0, 0.0], [0.0, 3.0, 1.0], [0.0, -3.0, 2.0]]))
+    assert (lu.perm, lu.sign) == ([0, 1, 2], 1)
+
+
+def test_float_lu_stops_on_an_all_zero_column():
+    for rows in ([[0.0, 1.0], [0.0, 2.0]], [[1.0, 2.0, 0.0], [2.0, 4.0, 1.0], [3.0, 6.0, 2.0]]):
+        lu = FloatLU(Matrix.from_rows(rows))
+        assert lu.sign == 0
+        assert lu.det() == 0.0
+
+
+def reference_float_lu(rows, tol):
+    """Partial pivoting written out: the first row of largest |entry| in
+    column k, strictly larger replacing it; (lu, perm, sign)."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    scale = max([1.0] + [abs(v) for row in a for v in row])
+    perm, sign = list(range(n)), 1
+    for k in range(n):
+        p = k
+        for i in range(k + 1, n):
+            if abs(a[i][k]) > abs(a[p][k]):
+                p = i
+        if abs(a[p][k]) <= tol * scale:
+            return a, perm, 0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            perm[k], perm[p] = perm[p], perm[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            f = a[i][k] = a[i][k] / a[k][k]
+            for j in range(k + 1, n):
+                a[i][j] -= f * a[k][j]
+    return a, perm, sign
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.lists(st.lists(st.sampled_from([0.0, 1.0, -1.0, 2.0, -2.0, 0.5]),
+                                min_size=n, max_size=n), min_size=n, max_size=n)),
+       st.sampled_from([0.0, 1e-12, 0.3]))
+def test_float_lu_matches_the_reference_pivoting_under_ties(rows, tol):
+    lu = FloatLU(Matrix.from_rows(rows), tol)
+    assert (lu.lu, lu.perm, lu.sign) == reference_float_lu(rows, tol)
+
+
 def test_transpose_matvec():
     """transpose, and the matvec the solve tests judge by."""
     m = Matrix.from_rows([[F(1), F(2)], [F(3), F(4)]])

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -154,6 +155,55 @@ def test_negative_moment_order_raises_and_is_not_cached(mode):
         with pytest.raises(IndexOutOfRange, match=message):
             sys_.moment(*args)
         assert list(sys_._moment_cache) == [(1, 0, 0)]
+
+
+# The moments of the uniform measure on [-1, 1/2]; the odd ones are negative.
+UNIFORM = [(F(1, 2) ** (k + 1) - (-1) ** (k + 1)) / ((k + 1) * F(3, 2)) for k in range(81)]
+# Each built-in family with its moments m_0..m_80, from the definitions.
+FAMILIES = [
+    (lambda: Laguerre(0), _product_moments(F(0), 80)),
+    (lambda: Laguerre(F(23, 10)), _product_moments(F(23, 10), 80)),
+    (lambda: Laguerre(F(1, 7)), _product_moments(F(1, 7), 80)),
+    (lambda: Jacobi(F(-1, 2)), [F(1, 2) / (F(1, 2) + k) for k in range(81)]),
+    (lambda: Jacobi(F(3, 2)), [F(5, 2) / (F(5, 2) + k) for k in range(81)]),
+    (lambda: MomentTable(UNIFORM), UNIFORM),
+]
+
+
+@pytest.mark.parametrize("kind", range(len(FAMILIES)))
+def test_moments_are_the_definitions_in_both_modes(kind):
+    """Exact moments are the definitions, and each float64 moment is the
+    double nearest to its exact moment, bit for bit; univariate orders
+    0-80, and tensor orders t + s <= 80 with the next family as y."""
+    family, want = FAMILIES[kind]
+    partner, want_y = FAMILIES[(kind + 1) % len(FAMILIES)]
+    orders = [(t, s) for t in range(81) for s in range(81 - t)]
+    for mode in ("exact", "float64"):
+        uni = UniMeasureSystem((family(),), mode=mode)
+        tensor = MeasureSystem((TensorMeasure(family(), partner()),), mode=mode)
+        got = [uni.moment(1, k) for k in range(81)]
+        got_tensor = [tensor.moment(1, t, s) for t, s in orders]
+        want_tensor = [want[t] * want_y[s] for t, s in orders]
+        if mode == "exact":
+            assert got == want
+            assert got_tensor == want_tensor
+            assert all(type(v) is F for v in got + got_tensor)
+        else:
+            assert [v.hex() for v in got] == [float(v).hex() for v in want]
+            assert [v.hex() for v in got_tensor] == [float(v).hex() for v in want_tensor]
+
+
+def test_float_moments_end_at_the_float_range():
+    """Laguerre(10^120): m_2 (about 10^240) is a float64, m_3 is past the
+    range, for a univariate and for a tensor system."""
+    want = _product_moments(F(10 ** 120), 3)
+    uni = UniMeasureSystem((Laguerre(10 ** 120),), mode="float64")
+    tensor = MeasureSystem((TensorMeasure(Laguerre(10 ** 120), Laguerre(0)),), mode="float64")
+    assert uni.moment(1, 2).hex() == tensor.moment(1, 2, 0).hex() == float(want[2]).hex()
+    for read, order in ((lambda: uni.moment(1, 3), "3"), (lambda: tensor.moment(1, 3, 0), "(3, 0)")):
+        with pytest.raises(ValidationError, match=rf"measure 1: the moment of order "
+                                                  rf"{re.escape(order)} exceeds the float64"):
+            read()
 
 
 def test_float_mode_moments():

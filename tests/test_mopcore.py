@@ -726,6 +726,61 @@ def test_scaling_covariance(duo):
                 assert type1_pairing(sys_, p, n) == type1_pairing(duo, p, n)
 
 
+class MomentOnly:
+    """A univariate family that gives only ``moment(k)``."""
+
+    def __init__(self, family):
+        self.family = family
+
+    def moment(self, k):
+        return self.family.moment(k)
+
+
+def _outcome(call):
+    try:
+        return repr(call())
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("mode", ["exact", "float64"])
+def test_measures_with_only_moment_answer_as_their_built_in_twins(mode):
+    """A measure or family that gives only ``moment`` (the protocol) reads
+    as its built-in twin: ``Scaled`` by 1 and tensors of ``MomentOnly``
+    families in a bivariate system, ``MomentOnly`` families in a univariate
+    one.  normality, type2 and type1 print the same, floats to the bit, and
+    a float64 moment past the range raises the same error."""
+    families = (Laguerre(F(11, 5)), Jacobi(F(-1, 2)), MomentTable([F(k + 1, k + 2)
+                                                                   for k in range(12)]))
+    built = MeasureSystem(tuple(TensorMeasure(x, y) for x, y in zip(families, families[1:])),
+                          mode=mode)
+    twins = [MeasureSystem(tuple(Scaled(m, 1) for m in built.measures), mode=mode),
+             MeasureSystem(tuple(TensorMeasure(MomentOnly(m.x), MomentOnly(m.y))
+                                 for m in built.measures), mode=mode)]
+    indices = list(itertools.product(range(5), repeat=2))
+    for n in indices:
+        for fn in (normality, type2, type1):
+            want = _outcome(lambda: fn(built, n))
+            assert [_outcome(lambda: fn(twin, n)) for twin in twins] == [want, want]
+    uni = UniMeasureSystem(families, mode=mode)
+    twin = UniMeasureSystem(tuple(map(MomentOnly, families)), mode=mode)
+    for n in itertools.product(range(4), repeat=3):
+        for fn in (uni_normality, uni_type2, uni_type1):
+            assert _outcome(lambda: fn(twin, n)) == _outcome(lambda: fn(uni, n))
+    if mode == "float64":
+        huge = Laguerre(10 ** 120)
+        reads = [(UniMeasureSystem((huge,), mode=mode), (1, 3)),
+                 (MeasureSystem((TensorMeasure(huge, Laguerre(1)),), mode=mode), (1, 3, 0))]
+        reads += [(UniMeasureSystem((MomentOnly(huge),), mode=mode), (1, 3)),
+                  (MeasureSystem((Scaled(TensorMeasure(huge, Laguerre(1)), 1),), mode=mode),
+                   (1, 3, 0)),
+                  (MeasureSystem((TensorMeasure(MomentOnly(huge), Laguerre(1)),), mode=mode),
+                   (1, 3, 0))]
+        errors = [_outcome(lambda: sys_.moment(*order)) for sys_, order in reads]
+        assert errors[2:] == [errors[0], errors[1], errors[1]]
+        assert errors[0].startswith("ValidationError: measure 1: the moment of order 3 ")
+
+
 # ---------------------------------------------------------------------------
 # Pairings and evaluation
 
