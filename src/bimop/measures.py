@@ -5,6 +5,13 @@ the Laguerre family is divided out), which keeps every moment rational for
 rational exponents.  Type II polynomials are invariant under per-measure
 scaling and Type I polynomials scale by the inverse factor, so nothing of
 substance depends on this normalization.
+
+A family or measure needs only ``moment``, which returns a rational.  The
+built-in ones also answer ``moment_parts``, the same moment as (numerator,
+denominator) integers, so a tensor measure multiplies integers and a
+system makes one value per distinct moment it reads: one Fraction in exact
+mode, one correctly rounded int division in float mode.  ``_reader`` is
+the one place that adapts a source with only ``moment``.
 """
 
 from __future__ import annotations
@@ -48,9 +55,9 @@ class Laguerre:
         self._parts = [(1, 1)]
 
     def moment(self, k: int) -> Fraction:
-        return Fraction(*self.parts(k))
+        return Fraction(*self.moment_parts(k))
 
-    def parts(self, k: int) -> Tuple[int, int]:
+    def moment_parts(self, k: int) -> Tuple[int, int]:
         parts = self._parts
         if len(parts) <= k:
             p, q = self._step
@@ -75,9 +82,9 @@ class Jacobi:
         self.a = a
 
     def moment(self, k: int) -> Fraction:
-        return Fraction(*self.parts(k))
+        return Fraction(*self.moment_parts(k))
 
-    def parts(self, k: int) -> Tuple[int, int]:
+    def moment_parts(self, k: int) -> Tuple[int, int]:
         # a = p/q: (a + 1) / (a + k + 1) = (p + q) / (p + (k + 1) q).
         p, q = self.a.numerator, self.a.denominator
         return p + q, p + (k + 1) * q
@@ -91,9 +98,9 @@ class MomentTable:
         self._parts = [(m.numerator, m.denominator) for m in self.moments]
 
     def moment(self, k: int) -> Fraction:
-        return Fraction(*self.parts(k))
+        return Fraction(*self.moment_parts(k))
 
-    def parts(self, k: int) -> Tuple[int, int]:
+    def moment_parts(self, k: int) -> Tuple[int, int]:
         if k >= len(self._parts):
             raise TableExhausted(f"moment table of length {len(self._parts)} has no order {k}")
         return self._parts[k]
@@ -114,9 +121,9 @@ class TensorMeasure:
         self._x, self._y = _reader(x), _reader(y)
 
     def moment(self, t: int, s: int) -> Fraction:
-        return Fraction(*self.parts(t, s))
+        return Fraction(*self.moment_parts(t, s))
 
-    def parts(self, t: int, s: int) -> Tuple[int, int]:
+    def moment_parts(self, t: int, s: int) -> Tuple[int, int]:
         a, b = self._x(t)
         c, d = self._y(s)
         return a * c, b * d
@@ -130,9 +137,9 @@ class TableMeasure:
         self._parts = {k: (v.numerator, v.denominator) for k, v in self.moments.items()}
 
     def moment(self, t: int, s: int) -> Fraction:
-        return Fraction(*self.parts(t, s))
+        return Fraction(*self.moment_parts(t, s))
 
-    def parts(self, t: int, s: int) -> Tuple[int, int]:
+    def moment_parts(self, t: int, s: int) -> Tuple[int, int]:
         try:
             return self._parts[t, s]
         except KeyError:
@@ -145,10 +152,10 @@ if TYPE_CHECKING:
 
 def _reader(source) -> Callable[..., Tuple[int, int]]:
     """How the systems and tensor measures read a family's or measure's
-    moments, as (numerator, denominator) integers: its ``parts``, or, for a
-    source that gives only ``moment``, its moments split."""
+    moments, as (numerator, denominator) integers: its ``moment_parts``, or,
+    for a source that gives only ``moment``, its moments split."""
     try:
-        return source.parts
+        return source.moment_parts
     except AttributeError:
         def parts(*order):
             m = Fraction(source.moment(*order))
