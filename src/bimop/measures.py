@@ -94,8 +94,7 @@ class MomentTable:
     """Explicit univariate moment sequence."""
 
     def __init__(self, moments: Sequence):
-        self.moments = [Fraction(m) for m in moments]
-        self._parts = [(m.numerator, m.denominator) for m in self.moments]
+        self._parts = [_split(m) for m in moments]
 
     def moment(self, k: int) -> Fraction:
         return Fraction(*self.moment_parts(k))
@@ -133,8 +132,7 @@ class TableMeasure:
     """Bivariate measure given by a raw (t, s) -> moment map."""
 
     def __init__(self, moments: Dict[Tuple[int, int], Fraction]):
-        self.moments = {k: Fraction(v) for k, v in moments.items()}
-        self._parts = {k: (v.numerator, v.denominator) for k, v in self.moments.items()}
+        self._parts = {k: _split(v) for k, v in moments.items()}
 
     def moment(self, t: int, s: int) -> Fraction:
         return Fraction(*self.moment_parts(t, s))
@@ -150,6 +148,12 @@ if TYPE_CHECKING:
     BivariateMeasure = Union[TensorMeasure, TableMeasure]
 
 
+def _split(value) -> Tuple[int, int]:
+    """A rational as (numerator, denominator) integers in lowest terms."""
+    value = Fraction(value)
+    return value.numerator, value.denominator
+
+
 def _reader(source) -> Callable[..., Tuple[int, int]]:
     """How the systems and tensor measures read a family's or measure's
     moments, as (numerator, denominator) integers: its ``moment_parts``, or,
@@ -157,10 +161,7 @@ def _reader(source) -> Callable[..., Tuple[int, int]]:
     try:
         return source.moment_parts
     except AttributeError:
-        def parts(*order):
-            m = Fraction(source.moment(*order))
-            return m.numerator, m.denominator
-        return parts
+        return lambda *order: _split(source.moment(*order))
 
 
 def _check_mode(mode) -> str:
