@@ -159,6 +159,9 @@ def cmd_product(args, ps: ProductSystem) -> Tuple[dict, int]:
 
 
 def cmd_check(args, sys_: MeasureSystem) -> Tuple[dict, int]:
+    # The whole battery, the choice of its indices included, runs on the
+    # exact system, so a float config gets the exact config's document.
+    sys_ = sys_.exact_system
     checks = []
 
     ok = all(mi.pair(*mi.unpair(z)) == z for z in range(2000))

@@ -43,10 +43,6 @@ FLOAT_TOL = 1e-12
 FLOAT_DET_LOW = 1e-12
 FLOAT_DET_HIGH = 1e-6
 
-#: Residual tolerance for float-mode verdicts, relative to the largest
-#: coefficient involved.
-FLOAT_RESIDUAL_TOL = 1e-9
-
 #: Integers that str() and int() convert directly under any setting of
 #: Python's int/str digit limit (640 digits at the lowest).
 _DIRECT_DIGITS = 600

@@ -27,8 +27,7 @@ from .errors import (
     TableExhausted,
     ValidationError,
 )
-from .linalg import (FLOAT_RESIDUAL_TOL, FLOAT_TOL, Scalar, format_scalar, int_from_decimal,
-                     parse_scalar)
+from .linalg import FLOAT_TOL, Scalar, format_scalar, int_from_decimal, parse_scalar
 from .record import Record
 
 EXACT = "exact"
@@ -190,21 +189,16 @@ class _ScalarMode:
     def exact(self) -> bool:
         return self.mode == EXACT
 
-    def is_zero(self, value, scale=1) -> bool:
-        """value == 0 in exact mode; in float mode
-        |value| <= FLOAT_RESIDUAL_TOL * max(1, |scale|)."""
-        if self.exact:
-            return value == 0
-        return abs(float(value)) <= FLOAT_RESIDUAL_TOL * max(1.0, abs(float(scale)))
-
-    def magnitude(self, polys) -> Scalar:
-        """The scale ``is_zero`` judges a sum of polys' coefficients by: in
-        float mode max(1, their largest |coefficient|), in exact mode 1,
-        which it ignores, so no coefficient is ever converted to float."""
-        return 1 if self.exact else max([1.0] + [abs(c) for p in polys for c in p.coeffs])
-
-    def zero(self) -> Scalar:
-        return Fraction(0) if self.exact else 0.0
+    @property
+    def exact_system(self):
+        """The system in exact mode: an exact system itself; for a float
+        system the same measures in exact mode, built at the first read and
+        kept, like the caches, outside ``repr``, ``==`` and ``hash``.  The
+        verifiers judge on it."""
+        if not (self.exact or self._twin):
+            fields = {k: v for k, v in vars(self).items() if not k.startswith("_")}
+            self._twin[EXACT] = type(self)(**{**fields, "mode": EXACT})
+        return self._twin.get(EXACT, self)
 
     def one(self) -> Scalar:
         return Fraction(1) if self.exact else 1.0
@@ -229,8 +223,9 @@ class MeasureSystem(_ScalarMode, Record):
 
     The system is frozen.  Moments are cached; the mopcore module caches
     each index's determinant, Type II and Type I polynomials in
-    ``_index_cache``.  Each instance has its own caches, outside ``repr``,
-    ``==`` and ``hash``.
+    ``_index_cache``; ``_twin`` keeps a float system's ``exact_system``.
+    Each instance has its own caches, outside ``repr``, ``==`` and
+    ``hash``.
     """
 
     measures: Tuple[BivariateMeasure, ...]
@@ -238,6 +233,7 @@ class MeasureSystem(_ScalarMode, Record):
     tol: float = FLOAT_TOL
     _moment_cache: dict = {}
     _index_cache: dict = {}
+    _twin: dict = {}
 
     @property
     def r(self) -> int:
@@ -268,6 +264,7 @@ class UniMeasureSystem(_ScalarMode, Record):
     tol: float = FLOAT_TOL
     _moment_cache: dict = {}
     _index_cache: dict = {}
+    _twin: dict = {}
 
     @property
     def r(self) -> int:

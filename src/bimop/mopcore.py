@@ -3,7 +3,9 @@
 Bivariate polynomials are dense coefficient sequences indexed by Cantor
 position: coeffs[z] multiplies x^t y^s with pair(t, s) = z.  Inner products
 are bilinear extensions through moments; quadrature is never used, so
-unbounded supports are exact.  Exact pairings and sums run on cleared
+unbounded supports are exact.  Pairings and sums are exact in both scalar
+modes: a float system's verifiers, ``inner`` and ``type1_pairing`` among
+them, run on its exact twin (``on_exact_system``).  They run on cleared
 polynomials, integers over one denominator.  Exact Type I and Type II leave
 the kernel in that form and are cached in it (``type2_form``,
 ``type1_form``); ``type2``/``type1`` make Fractions of them on request.
@@ -32,6 +34,7 @@ eliminated.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import accumulate
@@ -44,6 +47,7 @@ from .errors import (
     NotNormal,
     PathInvalid,
     TableExhausted,
+    ValidationError,
 )
 from .linalg import ExactLU, FloatLU, Matrix, Scalar, format_scalar
 from .measures import MeasureSystem, UniMeasureSystem
@@ -392,19 +396,16 @@ def type2(sys: System, n: Sequence[int]) -> BiPoly:
     return p
 
 
-def type1_form(sys: System, n: Sequence[int], j: Optional[int] = None):
+def type1_form(sys: System, n: Sequence[int]):
     """n's Type I polynomials as the verifiers read them: cleared,
-    ([coefficients, ...], d), in exact mode; with j, A_{n,j} alone."""
+    ([coefficients, ...], d), in exact mode."""
     key = _index(sys, n)
     if not sum(key):
         raise EmptyIndex("Type I polynomials are undefined for the zero index")
     entry = _solved(sys, key)
-    form = entry.type1
-    if form is None:
+    if entry.type1 is None:
         raise NotNormal(key, entry.verdict.det)
-    if j is None:
-        return form
-    return ([form[0][j - 1]], form[1]) if sys.exact else form[j - 1]
+    return entry.type1
 
 
 def type1(sys: System, n: Sequence[int]) -> TypeISet:
@@ -423,34 +424,60 @@ def type1(sys: System, n: Sequence[int]) -> TypeISet:
     return TypeISet(tuple(polys))
 
 
-def moment_rows(sys: MeasureSystem, p: BiPoly) -> Callable[..., Scalar]:
-    """pair(qs, j=1) = sum_i <p, qs[i]>_{j+i}: p paired against many polynomials.
+def on_exact_system(verifier):
+    """verifier(sys, ...) run on ``sys.exact_system``, so its verdict is
+    exact in both scalar modes.  On a float system each Fraction of the
+    result is rounded once to the nearest float, and documents keep float
+    types."""
+    @functools.wraps(verifier)
+    def run(sys, *args, **kwargs):
+        result = verifier(sys.exact_system, *args, **kwargs)
+        return result if sys.exact else _rounded(result)
+    return run
 
-    Exact mode keeps moment rows for p = P/d_p, with P integer: row j maps
-    basis position l to the integer <P, x^{e_l}>_j * L, where L is one
-    denominator shared by every row.  A pairing fills the positions its
-    polynomials need and no other, then takes dot products with their
-    integer coefficients and returns one fraction over all j.  p and qs may
-    come cleared (``type2_form``, ``type1_form``).  Float mode sums pair by
-    pair (``_inner_float``).
+
+def _rounded(value):
+    """value with each Fraction in it rounded to the nearest float: records,
+    lists, tuples and dicts are rebuilt around the rounded values.  A value
+    past the float64 range is invalid input."""
+    if isinstance(value, Fraction):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValidationError("a reported value exceeds the float64 range; "
+                                  "use exact mode") from None
+    if isinstance(value, Record):
+        return type(value)(**{k: _rounded(v) for k, v in vars(value).items()})
+    if isinstance(value, (list, tuple)):
+        return type(value)([_rounded(v) for v in value])
+    if isinstance(value, dict):
+        return {k: _rounded(v) for k, v in value.items()}
+    return value
+
+
+def moment_rows(sys: MeasureSystem, p: BiPoly) -> Callable[..., Scalar]:
+    """pair(qs, j=1) = sum_i <p, qs[i]>_{j+i}: p paired against many
+    polynomials, on an exact system (a float one pairs on its
+    ``exact_system``).
+
+    It keeps moment rows for p = P/d_p, with P integer: row j maps basis
+    position l to the integer <P, x^{e_l}>_j * L, where L is one denominator
+    shared by every row.  A pairing fills the positions its polynomials need
+    and no other, then takes dot products with their integer coefficients
+    and returns one fraction over all j.  p and qs may come cleared
+    (``type2_form``, ``type1_form``); a float coefficient is paired as the
+    rational it denotes (``_integer_terms``).
     """
     rows: dict = {}
     scale = 1
-    if sys.exact:
-        (coeffs,), dp = p if _is_cleared(p) else _integer_terms((p,))
-        p_terms = []
-        for u, a in enumerate(coeffs):
-            if a:
-                p_terms.append((*mi.unpair(u), a))
+    (coeffs,), dp = p if _is_cleared(p) else _integer_terms((p,))
+    p_terms = []
+    for u, a in enumerate(coeffs):
+        if a:
+            p_terms.append((*mi.unpair(u), a))
 
     def pair(qs, j=1):
         nonlocal scale
-        if not sys.exact:
-            total = sys.zero()
-            for q in qs:
-                total += _inner_float(sys, j, p, q)
-                j += 1
-            return total
         q_terms, dq = qs if _is_cleared(qs) else _integer_terms(qs)
         total = 0
         for coeffs in q_terms:
@@ -494,35 +521,28 @@ def moment_rows(sys: MeasureSystem, p: BiPoly) -> Callable[..., Scalar]:
     return pair
 
 
+@on_exact_system
 def inner(sys: MeasureSystem, j: int, p: BiPoly, q: BiPoly) -> Scalar:
     """Moment-bilinear inner product <p, q>_j (no quadrature).
 
-    Exact mode takes int or Fraction coefficients and returns one Fraction;
-    see ``moment_rows``.
+    It pairs the rationals the coefficients denote, float ones included,
+    exactly (``moment_rows``): one Fraction, rounded once on a float system.
     """
     return moment_rows(sys, p)((q,), j)
 
 
 def combine(sys: System, terms: Sequence[Tuple[Scalar, BiPoly]]) -> BiPoly:
-    """The polynomial sum of c * p over the (c, p) pairs of terms.
+    """The polynomial sum of c * p over the (c, p) pairs of terms, with
+    rational c, on an exact system.
 
-    Exact mode clears every polynomial p onto one denominator in one
+    It clears every polynomial p onto one denominator in one
     ``_integer_terms`` call (a p may come cleared: ``type2_form``,
     ``type1_form``), puts all p over the lcm of their denominators and every
     c over the lcm of theirs, sums the integers by basis position and makes
-    each coefficient one Fraction.  Float mode goes term by term, p_0 -
-    (-c_1) p_1 - (-c_2) p_2 - ..., as a chain of ``-`` and ``scale`` would,
-    which fixes every digit.
+    each coefficient one Fraction.
     """
     if not terms:
         return BiPoly.zero()
-    if not sys.exact:
-        c, out = terms[0]
-        if c != 1:
-            out = out.scale(c)
-        for c, p in terms[1:]:
-            out = out - (p if c == -1 else p.scale(-c))
-        return out
     cleared, d = _integer_terms([p for _, p in terms if not _is_cleared(p)])
     records = iter(cleared)
     forms = []
@@ -556,34 +576,22 @@ def _is_cleared(x) -> bool:
 
 def _integer_terms(polys: Sequence[BiPoly]) -> Tuple[List[List[int]], int]:
     """The coefficients of each polynomial as integers N over one d:
-    polys[i] = sum_z N_z x^{e_z} / d.  Their cleared form."""
+    polys[i] = sum_z N_z x^{e_z} / d.  Their cleared form.  A float
+    coefficient is the rational it denotes (``as_integer_ratio``)."""
+    ratios = [[c.as_integer_ratio() for c in q.coeffs] for q in polys]
     d = 1
-    for q in polys:
-        for c in q.coeffs:
-            d = math.lcm(d, c.denominator)
+    for q in ratios:
+        for _, b in q:
+            d = math.lcm(d, b)
     out = []
-    for q in polys:
+    for q in ratios:
         out.append(coeffs := [])
-        for c in q.coeffs:
-            coeffs.append(c.numerator * (d // c.denominator))
+        for a, b in q:
+            coeffs.append(a * (d // b))
     return out, d
 
 
-def _inner_float(sys: MeasureSystem, j: int, p: BiPoly, q: BiPoly) -> Scalar:
-    # Pair by pair: this order fixes the rounding of every float pairing.
-    total = sys.zero()
-    for u, cu in enumerate(p.coeffs):
-        if cu == 0:
-            continue
-        ut, us = mi.unpair(u)
-        for v, cv in enumerate(q.coeffs):
-            if cv == 0:
-                continue
-            vt, vs = mi.unpair(v)
-            total += cu * cv * sys.moment(j, ut + vt, us + vs)
-    return total
-
-
+@on_exact_system
 def type1_pairing(sys: MeasureSystem, p: BiPoly, m: Sequence[int]) -> Scalar:
     """Biorthogonality pairing <p, Q_m> = sum_j <p, A_{m,j}>_j.
 

@@ -102,16 +102,17 @@ def product_poly(ps: ProductSystem, n: Sequence[int], m: Sequence[int]) -> BiPol
 def verify_product(ps: ProductSystem, n: Sequence[int], m: Sequence[int],
                    v: Sequence[int]) -> bool:
     """True iff the bivariate Type II polynomial of v equals P_n(x) P_m(y),
-    coefficientwise within FLOAT_RESIDUAL_TOL of its largest in float mode."""
+    judged on the exact product system (the systems' ``exact_system``) in
+    both scalar modes."""
     v = tuple(v)
     tv = tilde_v(n, m)
     if len(v) != len(tv) or not mi.leq(v, tv):
         raise BadV(f"v = {v} is not componentwise <= tilde_v = {tv}")
     if sum(v) != mi.pair(sum(n), sum(m)):
         raise BadV(f"|v| = {sum(v)} != pair(|n|, |m|) = {mi.pair(sum(n), sum(m))}")
-    pv = type2(ps.bivariate, v)
-    scale = ps.bivariate.magnitude([pv])
-    return all(ps.bivariate.is_zero(c, scale) for c in (pv - product_poly(ps, n, m)).coeffs)
+    ps = ProductSystem(ps.xsystem.exact_system, ps.ysystem.exact_system,
+                       ps.bivariate.exact_system)
+    return type2(ps.bivariate, v) == product_poly(ps, n, m)
 
 
 class FactorCheck(Record):

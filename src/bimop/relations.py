@@ -4,27 +4,32 @@ vectors, and the nearest-neighbour recurrences.
 Recurrences are verified, never used as constructors: every polynomial on a
 path is solved from its moment matrix, the recurrence coefficients are
 computed as biorthogonality pairings, and the residual of the claimed
-identity is compared to zero coefficientwise.
+identity is compared to zero coefficientwise.  Every verifier runs on the
+system's exact twin (``mopcore.on_exact_system``), so each verdict is an
+exact identity in both scalar modes; a float system gets the exact values
+rounded to float.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import multiindex as mi
 from .errors import ChainInvalid, EmptyIndex, IndexTooSmall, PathInvalid
 from .linalg import Matrix, Scalar, format_scalar
 from .measures import MeasureSystem
-from .mopcore import (BiPoly, combine, moment_rows, solve_path, type1, type1_form,
-                      type1_pairing, type2, type2_form)
+from .mopcore import (BiPoly, combine, moment_rows, on_exact_system, solve_path, type1,
+                      type1_form, type1_pairing, type2, type2_form)
 from .record import Record
 
 
 class BiorthResult(Record):
     """One pairing <P_n, Q_m> with the branch of the biorthogonality law.
 
-    matches is None on the unconstrained branch; in float mode the value
-    matches within FLOAT_RESIDUAL_TOL, as in every other verifier.
+    matches is None on the unconstrained branch, else whether the exact
+    pairing equals the law's value; a float system reports that pairing
+    rounded to float.
     """
 
     value: Scalar
@@ -38,6 +43,7 @@ def biorth(sys: MeasureSystem, n: Sequence[int], m: Sequence[int]) -> BiorthResu
     return biorth_row(sys, n, [m])[0]
 
 
+@on_exact_system
 def biorth_row(sys: MeasureSystem, n: Sequence[int],
                ms: Sequence[Sequence[int]]) -> List[BiorthResult]:
     """``biorth(sys, n, m)`` for each m of ms, P_n's moment rows built once.
@@ -61,7 +67,7 @@ def biorth_row(sys: MeasureSystem, n: Sequence[int],
             expected, label = 1, "|n|=|m|-1"
         else:
             expected, label = None, "unconstrained"
-        matches = None if expected is None else sys.is_zero(value - expected)
+        matches = None if expected is None else value == expected
         out.append(BiorthResult(value, expected, label, matches))
     return out
 
@@ -86,6 +92,7 @@ def _chain(chain: Sequence[Sequence[int]], name: str = "",
     return chain, d
 
 
+@on_exact_system
 def biorth_matrix(sys: MeasureSystem,
                   chain_n: Sequence[Sequence[int]],
                   chain_m: Sequence[Sequence[int]]) -> BiorthMatrixResult:
@@ -144,6 +151,7 @@ class TypeIMOPV(Record):
     pattern_ok: bool
 
 
+@on_exact_system
 def assemble_type2_vector(sys: MeasureSystem, chain: Sequence[Sequence[int]]) -> MOPV:
     """Solve the chain's Type II polynomials and verify the Gram pattern.
 
@@ -156,14 +164,17 @@ def assemble_type2_vector(sys: MeasureSystem, chain: Sequence[Sequence[int]]) ->
     return MOPV(degree=d, chain=tuple(chain), polys=polys, pattern_ok=ok)
 
 
+@on_exact_system
 def gram_pattern_holds(sys: MeasureSystem, n: Sequence[int], p: BiPoly) -> bool:
     """True iff <p, x^t y^s>_j vanishes for the first n_j monomials of each j
-    (the Type II conditions of n), within FLOAT_RESIDUAL_TOL in float mode."""
+    (the Type II conditions of n).  p is judged exactly, as the rationals its
+    coefficients denote, float ones included."""
     pair = moment_rows(sys, p)
-    return all(sys.is_zero(pair((BiPoly.monomial(*mi.unpair(l)),), j))
+    return all(pair((BiPoly.monomial(*mi.unpair(l)),), j) == 0
                for j, nj in enumerate(n, start=1) for l in range(nj))
 
 
+@on_exact_system
 def assemble_type1_vectors(sys: MeasureSystem, chain: Sequence[Sequence[int]]) -> TypeIMOPV:
     """Solve the chain's Type I sets and verify the 0...0,1 row pattern."""
     chain, d = _chain(chain)
@@ -175,7 +186,7 @@ def assemble_type1_vectors(sys: MeasureSystem, chain: Sequence[Sequence[int]]) -
         for l in range(size):
             total = type1_pairing(sys, BiPoly.monomial(*mi.unpair(l)), n)
             want = 1 if l == size - 1 else 0
-            if not sys.is_zero(total - want):
+            if total != want:
                 ok = False
     rows = tuple(tuple(sets[k].polys[j] for k in range(d + 1)) for j in range(r))
     return TypeIMOPV(degree=d, chain=tuple(chain), rows=rows, pattern_ok=ok)
@@ -207,9 +218,9 @@ class NNRReport(Record):
                              for k, v in self.coefficients],
         }
         if isinstance(self.residual, BiPoly):
-            doc["residual"] = "0" if self.residual.is_zero() else self.residual.pretty()
+            doc["residual"] = self.residual.pretty()
         elif isinstance(self.residual, (list, tuple)):
-            doc["residual"] = ["0" if p.is_zero() else p.pretty() for p in self.residual]
+            doc["residual"] = [p.pretty() for p in self.residual]
         if self.vanishing_ok is not None:
             doc["vanishing_ok"] = self.vanishing_ok
         if self.low_unit_ok is not None:
@@ -249,15 +260,9 @@ def _expand(sys: MeasureSystem, xp: BiPoly, path: mi.Path, top: int, stop: int):
 
 
 def _residuals(sys: MeasureSystem, sums):
-    """Each term list summed by ``combine``, and whether every sum is zero.
-
-    A float sum is zero within FLOAT_RESIDUAL_TOL times the largest
-    |c * coefficient| over all the terms: its round-off grows with its
-    largest term, not with its first.
-    """
+    """Each term list summed by ``combine``, and whether every sum is zero."""
     residuals = [combine(sys, terms) for terms in sums]
-    big = sys.magnitude(p.scale(c) for terms in sums for c, p in terms)
-    return residuals, all(sys.is_zero(c, big) for res in residuals for c in res.coeffs)
+    return residuals, not any(res.coeffs for res in residuals)
 
 
 def _checked_path(path, waypoints, low: int, top: int,
@@ -282,6 +287,7 @@ def _checked_path(path, waypoints, low: int, top: int,
     return path
 
 
+@on_exact_system
 def nnr_type2(sys: MeasureSystem, n: Sequence[int], axis: str,
               path=None, w: Optional[Sequence[int]] = None) -> NNRReport:
     """Check x*P_n (or y*P_n) against its nearest-neighbour expansion.
@@ -310,17 +316,16 @@ def nnr_type2(sys: MeasureSystem, n: Sequence[int], axis: str,
 
     solve_path(sys, path.steps)
     xp = mul(type2(sys, n))
-    scale = sys.magnitude([xp])
     coefficients, terms = _expand(sys, xp, path, top, top)
     (residual,), zero = _residuals(sys, [terms])
     vanish_below = p.modulus - (d + 1) * r
-    vanishing_ok = all(sys.is_zero(a, scale)
-                       for i, a in coefficients if i < vanish_below)
+    vanishing_ok = all(a == 0 for i, a in coefficients if i < vanish_below)
     return NNRReport(variant=f"{axis}P", path=path, holds=zero and vanishing_ok,
                      coefficients=coefficients, residual=residual,
                      vanishing_ok=vanishing_ok)
 
 
+@on_exact_system
 def nnr_type1(sys: MeasureSystem, n: Sequence[int], axis: str,
               path=None) -> NNRReport:
     """Check x*Q_n (or y*Q_n) against its nearest-neighbour expansion.
@@ -359,24 +364,19 @@ def nnr_type1(sys: MeasureSystem, n: Sequence[int], axis: str,
     solve_path(sys, steps[:top + 1])
 
     xa = [mul(a) for a in type1(sys, n).polys]
-    scale = sys.magnitude(xa)
     pairs = [moment_rows(sys, a) for a in xa]
 
     coefficients = []
     for k in range(1, top + 1):
-        # exact mode's cleared P is also the cleared form of the one-term (P,)
+        # The cleared P is also the cleared form of the one-term (P,).
         pk = type2_form(sys, full.at_modulus(k - 1))
-        pk = pk if sys.exact else (pk,)
-        value = sys.zero()
-        for j in range(1, r + 1):
-            value += pairs[j - 1](pk, j)
-        coefficients.append((k, value))
+        coefficients.append((k, sum(pair(pk, j) for j, pair in enumerate(pairs, start=1))))
     by_mod = dict(coefficients)
 
-    vanishing_ok = all(sys.is_zero(by_mod[k], scale) for k in range(1, low_mod))
+    vanishing_ok = all(by_mod[k] == 0 for k in range(1, low_mod))
     low_unit_ok = None
     if low_mod >= 1:
-        low_unit_ok = sys.is_zero(by_mod[low_mod] - 1, scale)
+        low_unit_ok = by_mod[low_mod] == 1
 
     # Residual of the expansion with the computed coefficients, measure by
     # measure; the unit-low-coefficient claim is reported separately because
@@ -388,7 +388,8 @@ def nnr_type1(sys: MeasureSystem, n: Sequence[int], axis: str,
         for k in range(1, top + 1):
             a = by_mod[k]
             if a != 0:
-                terms.append((-a, type1_form(sys, full.at_modulus(k), j)))
+                blocks, d = type1_form(sys, full.at_modulus(k))
+                terms.append((-a, ([blocks[j - 1]], d)))
         sums.append(terms)
     residuals, zero = _residuals(sys, sums)
     return NNRReport(variant=f"{axis}Q", path=full, holds=zero and vanishing_ok,
@@ -413,6 +414,7 @@ def default_vector_chains(chain: Sequence[Sequence[int]]):
     return lower, upper
 
 
+@on_exact_system
 def nnr_vector(sys: MeasureSystem, chain: Sequence[Sequence[int]], axis: str,
                lower=None, upper=None) -> NNRReport:
     """Vector nearest-neighbour check for one degree-d polynomial vector.
@@ -449,30 +451,26 @@ def nnr_vector(sys: MeasureSystem, chain: Sequence[Sequence[int]], axis: str,
     base = (d + 1) * (d + 2) // 2
     gtop = sum(chain[-1]) + bump
     solve_path(sys, steps[:gtop - gpath.start_modulus + 1])
-    amats = {h: [[sys.zero()] * (h + 1) for _ in range(d + 1)] for h in range(d + 2)}
+    amats = {h: [[Fraction(0)] * (h + 1) for _ in range(d + 1)] for h in range(d + 2)}
     sums = []
     # Row k must hit entry row_top - base of the degree d+1 vector with a
     # unit coefficient and nothing above it; entries below it are genuine
     # expansion data and are reported, not forced to zero.
     leading_ok = True
-    scale = 1.0
     for k, nk in enumerate(chain):
         xp = mul(type2(sys, nk))
-        scale = max(scale, sys.magnitude([xp]))
         row_top = sum(nk) + bump
-        amats[d + 1][k][row_top - base] = sys.one()
+        amats[d + 1][k][row_top - base] = Fraction(1)
         coefficients, terms = _expand(sys, xp, gpath, row_top, gtop)
         for i, a in coefficients:
             lt, ls = mi.unpair(i)
             amats[lt + ls][k][ls] = a
-            if i > row_top and not sys.is_zero(a, scale):
+            if i > row_top and a != 0:
                 leading_ok = False
         sums.append(terms)
     residuals, zero = _residuals(sys, sums)
 
-    vanishing_ok = all(sys.is_zero(v, scale)
-                       for h in range(max(kk - 1, 0))
-                       for row in amats[h] for v in row)
+    vanishing_ok = all(v == 0 for h in range(max(kk - 1, 0)) for row in amats[h] for v in row)
     matrices = {h: Matrix.from_rows(amats[h]) for h in range(d + 2)}
     return NNRReport(variant=f"vector-{axis}", path=gpath,
                      holds=leading_ok and vanishing_ok and zero,

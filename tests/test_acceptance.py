@@ -60,7 +60,7 @@ def direct_type2_ok(sys_, n):
     for j, nj in enumerate(n, start=1):
         for l in range(nj):
             t, s = unpair(l)
-            total = sys_.zero()
+            total = 0
             for z, c in enumerate(p.coeffs):
                 u, v = unpair(z)
                 total += c * sys_.moment(j, u + t, v + s)
@@ -74,7 +74,7 @@ def direct_type1_ok(sys_, n):
     size = sum(n)
     for z in range(size):
         t, s = unpair(z)
-        total = sys_.zero()
+        total = 0
         for j, a in enumerate(aset.polys, start=1):
             for w, c in enumerate(a.coeffs):
                 u, v = unpair(w)

@@ -378,17 +378,21 @@ def test_float_mode(configs):
     assert json.loads(out)["normal"] is True
 
 
-E = 10 ** 120
+def huge_config(e):
+    """Laguerre exponents near e."""
+    return {
+        "scalar": "exact",
+        "measures": [
+            {"kind": "tensor", "x": {"family": "laguerre", "alpha": str(e)},
+             "y": {"family": "laguerre", "alpha": f"{5 * e + 1}/5"}},
+            {"kind": "tensor", "x": {"family": "laguerre", "alpha": f"{3 * e + 1}/3"},
+             "y": {"family": "laguerre", "alpha": f"{7 * e + 1}/7"}},
+        ],
+    }
+
+
 # Laguerre exponents near 10^120: Type II coefficients pass 1.8e308.
-HUGE_CONFIG = {
-    "scalar": "exact",
-    "measures": [
-        {"kind": "tensor", "x": {"family": "laguerre", "alpha": str(E)},
-         "y": {"family": "laguerre", "alpha": f"{5 * E + 1}/5"}},
-        {"kind": "tensor", "x": {"family": "laguerre", "alpha": f"{3 * E + 1}/3"},
-         "y": {"family": "laguerre", "alpha": f"{7 * E + 1}/7"}},
-    ],
-}
+HUGE_CONFIG = huge_config(10 ** 120)
 
 
 @pytest.mark.parametrize("argv", [
@@ -403,6 +407,39 @@ def test_exact_checks_hold_past_the_float_range(tmp_path, argv):
     assert (code, err) == (EXIT_OK, "")
     doc = json.loads(out)
     assert doc.get("holds", doc.get("ok")) is True
+
+
+def test_float_checks_hold_where_their_float_solves_did_not(configs):
+    """A float recurrence check judges the exact identity: (8, 8) on x once
+    answered holds: false (exit 4), and (7, 9) on x once raised not-normal
+    (exit 2) on an exactly normal index."""
+    for argv in (["nnr", "--index", "8,8", "--axis", "x"],
+                 ["nnr-q", "--index", "7,9", "--axis", "x"]):
+        code, out, err = invoke([argv[0], "--config", configs["duo"], "--float"] + argv[1:])
+        assert (code, err) == (EXIT_OK, "")
+        doc = json.loads(out)
+        assert doc["holds"] is True
+        assert all(type(c["value"]) is float for c in doc["coefficients"])
+
+
+def test_float_reports_past_the_float_range(tmp_path):
+    """nnr --float on HUGE_CONFIG reads no float moment and reports
+    coefficients in range (exit 0).  With exponents near 10^400 the
+    coefficients pass the float64 range: exit 3 with a ValidationError, and
+    exact mode answers."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(HUGE_CONFIG))
+    argv = ["nnr", "--config", str(path), "--index", "4,4", "--axis", "x"]
+    code, out, err = invoke(argv + ["--float"])
+    assert (code, err) == (EXIT_OK, "") and json.loads(out)["holds"] is True
+    path.write_text(json.dumps(huge_config(10 ** 400)))
+    code, out, err = invoke(argv + ["--float"])
+    assert (code, out) == (EXIT_INVALID, "")
+    assert json.loads(err) == {
+        "error": "a reported value exceeds the float64 range; use exact mode",
+        "kind": "ValidationError"}
+    code, out, err = invoke(argv)
+    assert (code, err) == (EXIT_OK, "") and json.loads(out)["holds"] is True
 
 
 def test_a_det_past_the_digit_limit_prints_and_parses_back(tmp_path):
@@ -541,7 +578,8 @@ def _battery(checks, failed=()):
     pytest.param("duo", [], _battery(["pairing-roundtrip", "type2-orthogonality",
                                       "biorthogonality-grid", "nnr-x-4,4"]), id="duo-exact"),
     pytest.param("duo", ["--float"], _battery(["pairing-roundtrip", "type2-orthogonality",
-                                               "biorthogonality-grid"]), id="duo-float"),
+                                               "biorthogonality-grid", "nnr-x-4,4"]),
+                 id="duo-float"),
     pytest.param("quad", [], _battery(["pairing-roundtrip", "type2-orthogonality",
                                        "biorthogonality-grid"]), id="quad-exact"),
     pytest.param("quad", ["--float"], _battery(["pairing-roundtrip", "type2-orthogonality",

@@ -337,17 +337,6 @@ def test_parse_uni_config():
         parse_uni_config([])
 
 
-def test_one_zero_test_per_scalar_mode():
-    """Exact mode tests == 0; float mode |v| <= 1e-9 * max(1, |scale|)."""
-    exact, approx = make_xsystem(), make_xsystem("float64")
-    assert exact.is_zero(F(0), 10 ** 6)
-    assert not exact.is_zero(F(1, 10 ** 20), 10 ** 6)
-    assert approx.is_zero(1e-10) and approx.is_zero(-1e-9, 0.5)
-    assert not approx.is_zero(1e-8)
-    assert approx.is_zero(1e-8, 100) and approx.is_zero(-1e-8, -100.0)
-    assert not approx.is_zero(1e-6, 100)
-
-
 def test_systems_reject_an_unknown_scalar_mode():
     for make in (lambda: MeasureSystem(measures=(TensorMeasure(Laguerre(1), Laguerre(1)),),
                                        mode="exakt"),

@@ -169,7 +169,7 @@ def test_orthogonality_transfer(psys):
                 for s in range(sum(m) + 1):
                     if t >= n[i] and s >= m[j]:
                         continue
-                    total = biv.zero()
+                    total = 0
                     for z, c in enumerate(r.coeffs):
                         u, v = unpair(z)
                         total += c * biv.moment(meas, u + t, v + s)

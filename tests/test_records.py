@@ -42,9 +42,9 @@ def cache(name):
 SPECS = {
     Matrix: ["rows", "cols", "data"],
     MeasureSystem: ["measures", ("mode", str, "exact"), ("tol", float, 1e-12),
-                    cache("_moment_cache"), cache("_index_cache")],
+                    cache("_moment_cache"), cache("_index_cache"), cache("_twin")],
     UniMeasureSystem: ["families", ("mode", str, "exact"), ("tol", float, 1e-12),
-                       cache("_moment_cache"), cache("_index_cache")],
+                       cache("_moment_cache"), cache("_index_cache"), cache("_twin")],
     BiPoly: ["coeffs"],
     UniPoly: ["coeffs"],
     TypeISet: ["polys"],

@@ -15,6 +15,7 @@ from bimop import (
     NotNormal,
     PathInvalid,
     TensorMeasure,
+    ValidationError,
     assemble_type1_vectors,
     assemble_type2_vector,
     biorth,
@@ -114,8 +115,10 @@ def test_biorth_row_reads_p_n_first_and_nothing_for_no_m(quad):
 
 
 def test_biorth_float_matches_within_tolerance(duo_float):
+    """A float system's pairing is judged exactly and reported as the exact
+    value rounded to float: <P_(2,2), Q_(2,3)> = 1 exactly."""
     res = biorth(duo_float, (2, 2), (2, 3))
-    assert res.value != 1  # round-off: exact equality would report a mismatch
+    assert type(res.value) is float and res.value == 1.0
     assert res.matches is True
     assert biorth(duo_float, (3, 0), (1, 2)).matches is None
 
@@ -598,7 +601,8 @@ def test_nnr_type2_clears_xp_denominators_once(monkeypatch):
 def test_records_read_after_the_verifiers_equal_fresh_ones(mode):
     """type2 and type1 read after nnr_type2 (both axes), nnr_type1 and
     biorth_matrix have the reprs, or raise the errors, of the same reads
-    made first on a fresh system."""
+    made first on a fresh system, on every index the verifiers solved (a
+    float system's verifiers solve on its exact twin)."""
     far = [(3, 7), (4, 7), (4, 8), (5, 8), (5, 9)]
     sys_ = make_pair_system(mode)
     for axis in "xy":
@@ -606,7 +610,7 @@ def test_records_read_after_the_verifiers_equal_fresh_ones(mode):
         nnr_type1(sys_, (2, 2), axis)
     biorth_matrix(sys_, CHAIN_D2, far)
     fresh = make_pair_system(mode)
-    keys = list(sys_._index_cache)
+    keys = list(sys_.exact_system._index_cache)
     assert len(keys) > 20
     for call in (type2, type1):
         got = [_outcome(lambda: call(sys_, n)) for n in keys]
@@ -649,14 +653,6 @@ def test_nnr_type2_axes_share_one_factorisation(monkeypatch):
     assert [repr(nnr_type2(sys_, n, axis, path=long)) for axis in "xy"] == got
 
 
-def test_float_residual_digits_pinned():
-    """float.hex() of float residual coefficients, summed term by term in
-    the order the expansion lists them."""
-    sys_ = make_pair_system("float64")
-    assert nnr_vector(sys_, CHAIN_D2, "y").residual[0].coeffs[0].hex() == "0x1.2cb5bfd16269dp-37"
-    assert nnr_type2(sys_, (4, 4), "y").residual.coeffs[2].hex() == "-0x1.240f540000000p-31"
-
-
 FLOAT_REPORTS = json.loads(
     (Path(__file__).parent / "data" / "float_nnr_reports.json").read_text())
 
@@ -675,34 +671,17 @@ def test_float_report_pinned(name, call, axis):
 
 
 def test_float_nnr_type2_holds_where_exact_does():
-    """The float y checks of (6, 8) and (8, 6) hold, as the exact ones do:
-    their residuals sum terms a_i P_{m_i} up to 13 times larger than y P_n,
-    and the tolerance scales with the largest term."""
+    """A float system's recurrence checks are the exact ones: the x and y
+    checks of (6, 8), (8, 6) and (8, 8) hold on both, with an exact zero
+    residual, and the float report is the exact one rounded to float.  The
+    float solves of (8, 8) once made its x check fail."""
     exact, approx = make_pair_system(), make_pair_system("float64")
-    for n in ((6, 8), (8, 6)):
-        assert nnr_type2(exact, n, "y").holds
-        assert nnr_type2(approx, n, "y").holds
-
-
-@pytest.mark.parametrize("call", [
-    pytest.param(lambda s: nnr_type2(s, (6, 8), "y"), id="yP"),
-    pytest.param(lambda s: nnr_type1(s, (3, 4), "x"), id="xQ"),
-    pytest.param(lambda s: nnr_vector(s, CHAIN_D2, "y"), id="vector-y"),
-])
-def test_float_residual_off_by_1e_6_of_its_largest_term_fails(monkeypatch, call):
-    """A float residual moved by 1e-6 of its largest |c * coefficient|, a
-    thousand times the tolerance, fails the check that the unmoved one
-    passes."""
-    assert call(make_pair_system("float64")).holds
-    total = relations.combine
-
-    def moved(sys_, terms):
-        coeffs = list(total(sys_, terms).coeffs) or [0.0]
-        coeffs[0] += 1e-6 * max(abs(c * v) for c, p in terms for v in p.coeffs)
-        return mopcore.BiPoly(tuple(coeffs))
-
-    monkeypatch.setattr(relations, "combine", moved)
-    assert not call(make_pair_system("float64")).holds
+    for n in ((6, 8), (8, 6), (8, 8)):
+        for axis in "xy":
+            want, got = nnr_type2(exact, n, axis), nnr_type2(approx, n, axis)
+            assert want.holds and got.holds and got.residual.is_zero()
+            assert got.coefficients == [(i, float(a)) for i, a in want.coefficients]
+            assert all(type(a) is float for _, a in got.coefficients)
 
 
 def make_huge_system():
@@ -729,3 +708,19 @@ def test_exact_verifiers_never_convert_a_coefficient_to_float(call):
     assert max(abs(c) for c in type2(sys_, (4, 4)).coeffs) > 10 ** 309
     rep = call(sys_)
     assert rep.holds and rep.vanishing_ok
+
+
+def test_a_float_report_past_the_float_range_is_invalid_input():
+    """A float system's report rounds each exact value to float; a value
+    past the float64 range raises ValidationError, never OverflowError.  The
+    Type II coefficients of (4, 4) pass 10^309, the x check of (4, 4) does
+    not, and the exact system answers both."""
+    chain = [(3, 3), (3, 4), (4, 4), (4, 5)]
+    exact = make_huge_system()
+    approx = MeasureSystem(exact.measures, mode="float64")
+    with pytest.raises(ValidationError, match="^a reported value exceeds the float64 range; "
+                                              "use exact mode$"):
+        assemble_type2_vector(approx, chain)
+    assert assemble_type2_vector(exact, chain).pattern_ok
+    rep = nnr_type2(approx, (4, 4), "x")
+    assert rep.holds and all(type(a) is float for _, a in rep.coefficients)
