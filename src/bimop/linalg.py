@@ -3,14 +3,14 @@
 Exact mode clears each row's denominators, divides each column of the
 cleared integers by its content (the gcd of its entries) and runs one
 fraction-free (Bareiss) LU over the integers, ``ExactLU``; float mode runs
-one partial-pivot LU, ``FloatLU``, with a configurable singularity
-tolerance.  ``det`` and ``solve`` pick the kernel by the entries.
+one partial-pivot LU, ``FloatLU``, which stops at a pivot below a
+configurable tolerance.  ``det`` and ``solve`` pick the kernel by the entries.
 
 Both kernels take M with at most one rider row, an extra row that is never
-a pivot, and answer the same questions: ``det``, ``normal``, ``type1`` (M c
-= e_{n-1}) and ``type2`` (M^t y = -(the rider row)), exact solutions as
-integers over one denominator (``_cleared``).  ``ExactLU`` eliminates
-the rider with M, and its factors serve every leading block B_s of M
+a pivot, and answer the same questions: ``det``, ``type1`` (M c =
+e_{n-1}) and ``type2`` (M^t y = -(the rider row)), exact solutions as
+integers over one denominator (``_cleared``).  ``ExactLU`` eliminates the
+rider with M, and its factors serve every leading block B_s of M
 (Gauss-Borel): B_s's Type I solution is one back pass on U, and its Type
 II solution, B_s^t y = -(row s of M), is one back pass on L^t of the
 Bareiss multipliers the elimination left in row s, the rider row for s =
@@ -35,13 +35,8 @@ from .record import Record
 
 Scalar = Union[Fraction, float, int]
 
-#: |pivot| <= FLOAT_TOL * max(1, max |entry|) declares a float matrix singular.
+#: |pivot| <= FLOAT_TOL * max(1, max |entry|) stops a float factorisation.
 FLOAT_TOL = 1e-12
-
-#: Float normality is indeterminate when |det| / Hadamard bound falls inside
-#: this band; below it the matrix is declared singular, above it regular.
-FLOAT_DET_LOW = 1e-12
-FLOAT_DET_HIGH = 1e-6
 
 #: Integers that str() and int() convert directly under any setting of
 #: Python's int/str digit limit (640 digits at the lowest).
@@ -156,10 +151,6 @@ class ExactLU:
         return Fraction(self.signs[s] * self.lu[s - 1][s - 1] * math.prod(self.content[:s]),
                         math.prod(self.scale[:s]))
 
-    def normal(self, s: int) -> bool:
-        """Whether B_s is regular."""
-        return self.signs[s] != 0
-
     def type1(self, s: int) -> Optional[Tuple[List[int], int]]:
         """c with B_s c = e_{s-1}, for s >= 1, as its cleared form
         (``_cleared``); None when B_s is singular.
@@ -238,12 +229,14 @@ class FloatLU:
     and of at most one rider row, an extra row of M split off before the
     factorisation.
 
-    Step k pivots on the first largest |entry| of column k and stops, M
-    singular, when it is at most tol * max(1, max |entry of M|).  ``lu`` holds
-    U and, below it, L's multipliers; row k of P M is row perm[k] of M.  The
-    pivot search, that threshold and the Hadamard bound of ``normal`` read
-    M's own entries, never the rider's.  Sums run left to right (``reduce``:
-    ``sum()`` compensates from Python 3.12 on).
+    Step k pivots on the first largest |entry| of column k and stops when it
+    is at most tol * max(1, max |entry of M|): ``sign`` is then 0, ``det``
+    0.0 and the solves None.  A stop is no verdict on M; ``mopcore`` hands
+    the stopped solve to the system's exact twin, which decides normality.
+    ``lu`` holds U and, below it, L's multipliers; row k of P M is row
+    perm[k] of M.  The pivot search and that threshold read M's own entries,
+    never the rider's.  Sums run left to right (``reduce``: ``sum()``
+    compensates from Python 3.12 on).
 
     The read-outs are ``ExactLU``'s.  A pivot may come from below a leading
     block, so the factors are M's and not its leading blocks': s, where a
@@ -257,10 +250,6 @@ class FloatLU:
         #: the rider row, or None
         self.rider = a.pop() if m.rows > n else None
         scale = max([1.0] + [abs(v) for row in a for v in row])
-        #: the Hadamard bound of M, prod_i max(1, |row i|)
-        self.bound = 1.0
-        for row in a:
-            self.bound *= max(1.0, reduce(operator.add, (v * v for v in row), 0.0) ** 0.5)
         self.perm = list(range(n))
         #: det(P), or 0 when M is singular
         self.sign = 1
@@ -282,19 +271,10 @@ class FloatLU:
         self.lu = a
 
     def det(self, s: Optional[int] = None) -> float:
-        """det(P) times the pivots' product, taken left to right; 0.0 when singular."""
+        """det(P) times the pivots' product, taken left to right; 0.0 once it stopped."""
         if not self.sign:
             return 0.0
         return self.sign * reduce(operator.mul, [row[k] for k, row in enumerate(self.lu)], 1.0)
-
-    def normal(self, s: int) -> Optional[bool]:
-        """False, None (indeterminate) or True as |det| falls below
-        FLOAT_DET_LOW, between it and FLOAT_DET_HIGH, or above, times the
-        Hadamard bound of M."""
-        d = abs(self.det())
-        if d <= FLOAT_DET_LOW * self.bound:
-            return False
-        return None if d < FLOAT_DET_HIGH * self.bound else True
 
     def type1(self, s: int) -> Optional[List[float]]:
         """c with M c = e_{n-1}; None when the factorisation stopped."""

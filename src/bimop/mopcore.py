@@ -18,11 +18,14 @@ however many polynomials it is paired against; ``inner`` and
 makes each coefficient one Fraction.  Univariate systems run through the
 same solver over the power basis (see ``_basis``).
 
+Normality has one rule in both scalar modes: det(M_n) != 0, decided by
+``ExactLU``; a float system asks its exact twin and rounds the det once.
 ``_factorise`` runs one factorisation of M_n, ``ExactLU`` or ``FloatLU``,
-and reads each index's det, verdict, Type I and Type II from it with the
-same four calls in both scalar modes (``normal``, ``det``, ``type1``,
-``type2``).  Row |n| of the moments, the right-hand side of n's Type II
-system, lies outside M_n, so it rides the factorisation as M's rider row.
+and reads each index's Type I and Type II from it with the same calls in
+both scalar modes (``type1``, ``type2``), and an exact index's det.  Where
+``FloatLU`` stops, the exact twin decides (``_form``).  Row |n| of
+the moments, the right-hand side of n's Type II system, lies outside M_n,
+so it rides the factorisation as M's rider row.
 Exact solves go by neighbour path (``solve_path``): every M_n on a path is a
 leading block of the last one, so one factorisation solves the whole path,
 and a verifier that solves a path a step past its own top (``nnr_type2``)
@@ -38,7 +41,7 @@ import functools
 import math
 from fractions import Fraction
 from itertools import accumulate
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Type, Union
+from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple, Type, Union
 
 from . import multiindex as mi
 from .errors import (
@@ -196,9 +199,10 @@ class TypeISet(Record):
 
 
 class Normality(Record):
-    """Normality verdict; normal is None when float mode cannot decide."""
+    """Normality verdict: normal is det != 0, decided exactly in both scalar
+    modes; a float system's det is the exact det rounded once."""
 
-    normal: Optional[bool]
+    normal: bool
     det: Scalar
 
 
@@ -253,15 +257,15 @@ _ONE = ([[1]], 1)
 
 
 class _Solved:
-    """Cached results of one index: type2 and type1 are None when M_n is
-    singular, type2 the TableExhausted its right-hand side raised, else
-    what ``type2_form`` and ``type1_form`` return."""
+    """Cached results of one index: det(M_n), on an exact system only;
+    type2 and type1 None where the kernel gave no solution (M_n singular,
+    or ``FloatLU`` stopped), type2 the TableExhausted its right-hand side
+    raised, else what ``type2_form`` and ``type1_form`` return."""
 
-    __slots__ = ("verdict", "type2", "type1")
+    __slots__ = ("det", "type2", "type1")
 
-    def __init__(self, verdict: Normality):
-        self.verdict = verdict
-        self.type2 = self.type1 = None
+    def __init__(self, det: Scalar):
+        self.det, self.type2, self.type1 = det, None, None
 
 
 def _solved(sys: System, key: Tuple[int, ...]) -> _Solved:
@@ -295,7 +299,8 @@ def _factorise(sys: System, steps: List[Tuple[int, ...]]) -> None:
     # one ExactLU gives every index its det, Type I and Type II, whose row
     # of moments is already eliminated (``ExactLU.type1``/``type2``); the
     # last index's row rides the factorisation as M's rider row.  A float
-    # path has one step, so its one FloatLU serves M_n alone.
+    # path has one step, so its one FloatLU serves M_n alone, for Type I and
+    # Type II: the exact twin gives a float system its verdicts.
     last = steps[-1]
     offsets = [0, *accumulate(last)]
     order = [offsets[j] + l for j, nj in enumerate(steps[0]) for l in range(nj)]
@@ -315,7 +320,7 @@ def _factorise(sys: System, steps: List[Tuple[int, ...]]) -> None:
         if key in sys._index_cache:
             continue
         s = sum(key)
-        entry = sys._index_cache[key] = _Solved(Normality(lu.normal(s), lu.det(s)))
+        entry = sys._index_cache[key] = _Solved(lu.det(s) if sys.exact else None)
         c = lu.type1(s) if s else None
         if c is None:
             continue
@@ -327,10 +332,9 @@ def _factorise(sys: System, steps: List[Tuple[int, ...]]) -> None:
         else:
             entry.type2 = poly(tuple(lu.type2(s)) + (sys.one(),))
         if sys.exact:
-            c, d = c
-            entry.type1 = _blocks(c, key), d
+            entry.type1 = _blocks(c[0], key), c[1]
         else:
-            entry.type1 = tuple([poly(tuple(b)) for b in _blocks(c, key)])
+            entry.type1 = TypeISet(tuple([poly(tuple(b)) for b in _blocks(c, key)]))
 
 
 def _blocks(c: Sequence[Scalar], n: Tuple[int, ...]) -> List[List[Scalar]]:
@@ -345,94 +349,30 @@ def _blocks(c: Sequence[Scalar], n: Tuple[int, ...]) -> List[List[Scalar]]:
     return out
 
 
-def _dense(poly: Type, coeffs: Sequence[int], d: int):
-    """The polynomial of the cleared coefficients coeffs / d."""
+def _dense(poly: Type, blocks: Sequence[Sequence[int]], d: int) -> list:
+    """The polynomials of a cleared form: each block of coefficients / d."""
     out = []
-    for a in coeffs:
-        out.append(Fraction(a, d))
-    return poly(tuple(out))
-
-
-def normality(sys: System, n: Sequence[int]) -> Normality:
-    """Normality of n: det(M_n) != 0.
-
-    The 0x0 matrix has det 1, so the zero index is vacuously normal.  In
-    float mode the verdict is indeterminate (None) when |det| falls between
-    FLOAT_DET_LOW and FLOAT_DET_HIGH times the Hadamard bound of the matrix
-    (``FloatLU.normal``).
-    """
-    return _solved(sys, _index(sys, n)).verdict
-
-
-def is_normal(sys: MeasureSystem, n: Sequence[int]) -> bool:
-    v = normality(sys, n)
-    return bool(v.normal)
-
-
-def type2_form(sys: System, n: Sequence[int]):
-    """n's Type II as the verifiers read it: cleared, ([coefficients], d),
-    in exact mode."""
-    key = _index(sys, n)
-    if not sum(key):
-        return _ONE if sys.exact else _basis(sys)[1]((sys.one(),))
-    entry = _solved(sys, key)
-    if entry.type2 is None:
-        raise NotNormal(key, entry.verdict.det)
-    if isinstance(entry.type2, TableExhausted):
-        raise TableExhausted(*entry.type2.args)
-    return entry.type2
-
-
-def type2(sys: System, n: Sequence[int]) -> BiPoly:
-    """Monic Type II polynomial of the multi-index n.
-
-    Solves M_n^t c = -b for the lower coefficients; the leading coefficient
-    sits at position |n|.
-    """
-    p = type2_form(sys, n)
-    if sys.exact:
-        (coeffs,), d = p
-        p = _dense(_basis(sys)[1], coeffs, d)
-    return p
-
-
-def type1_form(sys: System, n: Sequence[int]):
-    """n's Type I polynomials as the verifiers read them: cleared,
-    ([coefficients, ...], d), in exact mode."""
-    key = _index(sys, n)
-    if not sum(key):
-        raise EmptyIndex("Type I polynomials are undefined for the zero index")
-    entry = _solved(sys, key)
-    if entry.type1 is None:
-        raise NotNormal(key, entry.verdict.det)
-    return entry.type1
-
-
-def type1(sys: System, n: Sequence[int]) -> TypeISet:
-    """The r Type I polynomials of the multi-index n.
-
-    Solves M_n c = (0, ..., 0, 1)^t; block j of the solution holds the
-    coefficients of A_{n,j} at positions 0..n_j - 1.  Components with
-    n_j = 0 yield the zero polynomial.
-    """
-    polys = type1_form(sys, n)
-    if sys.exact:
-        blocks, d = polys
-        polys = []
-        for coeffs in blocks:
-            polys.append(_dense(_basis(sys)[1], coeffs, d))
-    return TypeISet(tuple(polys))
+    for coeffs in blocks:
+        terms = []
+        for a in coeffs:
+            terms.append(Fraction(a, d))
+        out.append(poly(tuple(terms)))
+    return out
 
 
 def on_exact_system(verifier):
     """verifier(sys, ...) run on ``sys.exact_system``, so its verdict is
     exact in both scalar modes.  On a float system each Fraction of the
-    result is rounded once to the nearest float, and documents keep float
-    types."""
+    result, and the det of a NotNormal it raises, is rounded once to the
+    nearest float, and documents keep float types."""
     @functools.wraps(verifier)
     def run(sys, *args, **kwargs):
-        result = verifier(sys.exact_system, *args, **kwargs)
-        return result if sys.exact else _rounded(result)
+        if sys.exact:
+            return verifier(sys, *args, **kwargs)
+        try:
+            return _rounded(verifier(sys.exact_system, *args, **kwargs))
+        except NotNormal as exc:
+            raise NotNormal(exc.index, _rounded(exc.det)) from None
     return run
 
 
@@ -455,10 +395,85 @@ def _rounded(value):
     return value
 
 
+@on_exact_system
+def normality(sys: System, n: Sequence[int]) -> Normality:
+    """Normality of n: det(M_n) != 0, decided by ``ExactLU`` in both scalar
+    modes.
+
+    The 0x0 matrix has det 1, so the zero index is vacuously normal.  A
+    float system answers its exact twin's verdict (``on_exact_system``)
+    with the det rounded once to float; a det past the float64 range is
+    invalid input.  ``FloatLU`` and the system's tol play no part.
+    """
+    d = _solved(sys, _index(sys, n)).det
+    return Normality(d != 0, d)
+
+
+def is_normal(sys: MeasureSystem, n: Sequence[int]) -> bool:
+    return normality(sys, n).normal
+
+
+def type2_form(sys: System, n: Sequence[int]):
+    """n's Type II as the verifiers read it: cleared, ([coefficients], d),
+    in exact mode; the polynomial in float mode."""
+    key = _index(sys, n)
+    if not sum(key):
+        return _ONE if sys.exact else _basis(sys)[1]((sys.one(),))
+    return _form(sys, key, "type2", type2)
+
+
+def type2(sys: System, n: Sequence[int]) -> BiPoly:
+    """Monic Type II polynomial of the multi-index n.
+
+    Solves M_n^t c = -b for the lower coefficients; the leading coefficient
+    sits at position |n|.
+    """
+    p = type2_form(sys, n)
+    if sys.exact:
+        p, = _dense(_basis(sys)[1], *p)
+    return p
+
+
+def type1_form(sys: System, n: Sequence[int]):
+    """n's Type I polynomials as the verifiers read them: cleared,
+    ([coefficients, ...], d), in exact mode; a TypeISet in float mode."""
+    key = _index(sys, n)
+    if not sum(key):
+        raise EmptyIndex("Type I polynomials are undefined for the zero index")
+    return _form(sys, key, "type1", type1)
+
+
+def _form(sys: System, key: Tuple[int, ...], field: str, read: Callable):
+    """The cached form field of a nonzero index.  Where the kernel gave
+    none, exact M_n is singular: NotNormal.  Where ``FloatLU`` stopped the
+    exact twin decides (``on_exact_system``): NotNormal, its det rounded,
+    only if M_n is singular, else read's answer on the twin, rounded once."""
+    entry = _solved(sys, key)
+    form = getattr(entry, field)
+    if form is None:
+        if sys.exact:
+            raise NotNormal(key, entry.det)
+        return on_exact_system(read)(sys, key)
+    if isinstance(form, TableExhausted):
+        raise TableExhausted(*form.args)
+    return form
+
+
+def type1(sys: System, n: Sequence[int]) -> TypeISet:
+    """The r Type I polynomials of the multi-index n.
+
+    Solves M_n c = (0, ..., 0, 1)^t; block j of the solution holds the
+    coefficients of A_{n,j} at positions 0..n_j - 1.  Components with
+    n_j = 0 yield the zero polynomial.
+    """
+    form = type1_form(sys, n)
+    return TypeISet(tuple(_dense(_basis(sys)[1], *form))) if sys.exact else form
+
+
 def moment_rows(sys: MeasureSystem, p: BiPoly) -> Callable[..., Scalar]:
     """pair(qs, j=1) = sum_i <p, qs[i]>_{j+i}: p paired against many
-    polynomials, on an exact system (a float one pairs on its
-    ``exact_system``).
+    polynomials, on an exact system (a float one raises ValidationError;
+    pair on its ``exact_system``).
 
     It keeps moment rows for p = P/d_p, with P integer: row j maps basis
     position l to the integer <P, x^{e_l}>_j * L, where L is one denominator
@@ -468,6 +483,7 @@ def moment_rows(sys: MeasureSystem, p: BiPoly) -> Callable[..., Scalar]:
     (``type2_form``, ``type1_form``); a float coefficient is paired as the
     rational it denotes (``_integer_terms``).
     """
+    _exact_only(sys, "moment_rows")
     rows: dict = {}
     scale = 1
     (coeffs,), dp = p if _is_cleared(p) else _integer_terms((p,))
@@ -541,8 +557,7 @@ def combine(sys: System, terms: Sequence[Tuple[Scalar, BiPoly]]) -> BiPoly:
     c over the lcm of theirs, sums the integers by basis position and makes
     each coefficient one Fraction.
     """
-    if not terms:
-        return BiPoly.zero()
+    _exact_only(sys, "combine")
     cleared, d = _integer_terms([p for _, p in terms if not _is_cleared(p)])
     records = iter(cleared)
     forms = []
@@ -567,6 +582,11 @@ def combine(sys: System, terms: Sequence[Tuple[Scalar, BiPoly]]) -> BiPoly:
     for a in acc:
         out.append(Fraction(a, den))
     return BiPoly(tuple(out))
+
+
+def _exact_only(sys: System, name: str) -> None:
+    if not sys.exact:
+        raise ValidationError(f"{name} needs an exact system, not mode {sys.mode!r}")
 
 
 def _is_cleared(x) -> bool:

@@ -14,7 +14,7 @@ from . import multiindex as mi
 from .errors import BadV, DivisionByZeroFactor, SchemaError, SurplusNegative
 from .linalg import Scalar
 from .measures import MeasureSystem, TensorMeasure, UniMeasureSystem
-from .mopcore import BiPoly, normality, type2, uni_type2
+from .mopcore import BiPoly, normality, on_exact_system, type2, uni_type2
 from .record import Record
 
 
@@ -37,6 +37,16 @@ class ProductSystem(Record):
                          for fx in xsystem.families for fy in ysystem.families)
         biv = MeasureSystem(measures=measures, mode=xsystem.mode, tol=xsystem.tol)
         return cls(xsystem=xsystem, ysystem=ysystem, bivariate=biv)
+
+    @property
+    def exact(self) -> bool:
+        return self.bivariate.exact
+
+    @property
+    def exact_system(self) -> "ProductSystem":
+        """The product of the systems' ``exact_system``; verifiers judge on it."""
+        return ProductSystem(self.xsystem.exact_system, self.ysystem.exact_system,
+                             self.bivariate.exact_system)
 
 
 def tilde_v(n: Sequence[int], m: Sequence[int]) -> Tuple[int, ...]:
@@ -99,10 +109,11 @@ def product_poly(ps: ProductSystem, n: Sequence[int], m: Sequence[int]) -> BiPol
     return BiPoly.from_coeffs(coeffs)
 
 
+@on_exact_system
 def verify_product(ps: ProductSystem, n: Sequence[int], m: Sequence[int],
                    v: Sequence[int]) -> bool:
     """True iff the bivariate Type II polynomial of v equals P_n(x) P_m(y),
-    judged on the exact product system (the systems' ``exact_system``) in
+    judged on the exact product system (``ProductSystem.exact_system``) in
     both scalar modes."""
     v = tuple(v)
     tv = tilde_v(n, m)
@@ -110,8 +121,6 @@ def verify_product(ps: ProductSystem, n: Sequence[int], m: Sequence[int],
         raise BadV(f"v = {v} is not componentwise <= tilde_v = {tv}")
     if sum(v) != mi.pair(sum(n), sum(m)):
         raise BadV(f"|v| = {sum(v)} != pair(|n|, |m|) = {mi.pair(sum(n), sum(m))}")
-    ps = ProductSystem(ps.xsystem.exact_system, ps.ysystem.exact_system,
-                       ps.bivariate.exact_system)
     return type2(ps.bivariate, v) == product_poly(ps, n, m)
 
 

@@ -220,26 +220,24 @@ def test_criterion_7_oracle_independence(duo, quad, psys):
 def test_criterion_8_float_exact_agreement(duo, duo_float):
     t0 = time.monotonic()
     ok = True
-    indeterminate = 0
+    normal = 0
     compared = 0
     for i in range(9):
         for j in range(9 - i):
             n = (i, j)
             if sum(n) == 0 or not is_normal(duo, n):
                 continue
-            verdict = normality(duo_float, n).normal
-            if verdict is None:
-                indeterminate += 1
-                continue
+            normal += 1
+            ok &= normality(duo_float, n).normal is True
             exact = type2(duo, n).coeffs
             approx = type2(duo_float, n).coeffs
             compared += 1
+            ok &= len(exact) == len(approx)
             for e, a in zip(exact, approx):
                 fe = float(e)
                 scale = max(abs(fe), 1.0)
                 if abs(a - fe) / scale > 1e-8:
                     ok = False
-    ok &= compared > 0
-    report(8, f"float/exact agreement ({compared} compared, "
-           f"{indeterminate} indeterminate excluded)", ok,
+    ok &= compared == normal > 0
+    report(8, f"float/exact agreement ({compared} of {normal} normal indices compared)", ok,
            time.monotonic() - t0, 60.0)

@@ -610,16 +610,59 @@ def test_check_indices_are_the_filtered_product_in_order():
 
 def test_float_moment_past_the_float_range_is_invalid_input(tmp_path):
     """A float64 moment that overflows is invalid input naming the measure
-    and the moment order; exact mode answers the same question."""
+    and the moment order where float mode reads float moments (type2);
+    exact mode answers the same question.  Normality reads exact moments
+    in both modes, so normal --float answers with the exact det rounded."""
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(HUGE_CONFIG))
-    argv = ["normal", "--config", str(path), "--index", "2,2"]
-    code, out, err = invoke(argv + ["--float"])
+    argv = ["--config", str(path), "--index", "2,2"]
+    code, out, err = invoke(["type2"] + argv + ["--float"])
     assert (code, out) == (EXIT_INVALID, "")
     assert json.loads(err) == {
         "error": "measure 1: the moment of order (3, 0) exceeds the float64 range; "
                  "use exact mode",
         "kind": "ValidationError"}
-    code, out, err = invoke(argv)
+    code, out, err = invoke(["type2"] + argv)
     assert (code, err) == (EXIT_OK, "")
-    assert json.loads(out)["normal"] is True
+    code, out, err = invoke(["normal"] + argv)
+    assert (code, err) == (EXIT_OK, "")
+    exact = json.loads(out)
+    assert exact["normal"] is True
+    code, out, err = invoke(["normal"] + argv + ["--float"])
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out) == {"normal": True, "det": float(parse_scalar(exact["det"]))}
+
+
+def test_float_answers_where_the_float_det_once_decided(configs):
+    """On the README config float normality is the exact verdict with the
+    exact det rounded once, so (10, 10), once a confident false, is normal;
+    type2 --float at (19, 19), where FloatLU stops, answers with the exact
+    Type II rounded once; nnr --float at (8, 8) holds."""
+    duo = ["--config", configs["duo"]]
+    code, out, err = invoke(["normal"] + duo + ["--index", "10,10"])
+    exact = parse_scalar(json.loads(out)["det"])
+    code, out, err = invoke(["normal"] + duo + ["--float", "--index", "10,10"])
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out) == {"normal": True, "det": float(exact)}
+    code, out, err = invoke(["type2"] + duo + ["--index", "19,19"])
+    want = [{**t, "c": float(parse_scalar(t["c"]))} for t in json.loads(out)["terms"]]
+    code, out, err = invoke(["type2"] + duo + ["--float", "--index", "19,19"])
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["terms"] == want
+    code, out, err = invoke(["nnr"] + duo + ["--float", "--index", "8,8", "--axis", "x"])
+    assert (code, err) == (EXIT_OK, "") and json.loads(out)["holds"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["normal", "--index", "5,10"], id="normal"),
+    pytest.param(["type2", "--index", "5,10"], id="type2"),
+    pytest.param(["nnr-q", "--index", "1,7", "--axis", "x"], id="nnr-q"),
+])
+def test_a_float_not_normal_carries_a_float_det(configs, argv):
+    """Every --float command that meets a singular M_n reports det 0.0, a
+    float, as exact mode reports "0"; a verifier's NotNormal included."""
+    for flags, det in (([], "0"), (["--float"], 0.0)):
+        code, out, err = invoke(argv[:1] + ["--config", configs["duo"]] + argv[1:] + flags)
+        assert code == EXIT_NOT_NORMAL
+        doc = json.loads(out or err)
+        assert doc["det"] == det and type(doc["det"]) is type(det)

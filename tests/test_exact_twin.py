@@ -3,9 +3,10 @@
 A float system's ``exact_system`` is the same measures in exact mode.  Every
 verifier run on a float system must return exactly what it returns on the
 exact system, with each Fraction of the result rounded once to the nearest
-float, or raise the same error.  The expected reports are flattened here,
-independently of bimop's own rounding: each Fraction becomes the float
-``float(Fraction)`` gives, every other leaf stays as it is.
+float, or raise the same error, a NotNormal with its det rounded the same
+way.  The expected reports are flattened here, independently of bimop's own
+rounding: each Fraction becomes the float ``float(Fraction)`` gives, every
+other leaf stays as it is.
 """
 
 import itertools
@@ -13,6 +14,7 @@ from fractions import Fraction as F
 
 from bimop import (
     MeasureSystem,
+    NotNormal,
     UniMeasureSystem,
     assemble_type1_vectors,
     assemble_type2_vector,
@@ -52,9 +54,12 @@ def leaves(value, rounded, path=""):
 
 
 def outcome(call, rounded=False):
-    """The leaves of call()'s result, or its error's class and message."""
+    """The leaves of call()'s result, or its error's class and message; with
+    rounded, a NotNormal's det reads as the float nearest to it."""
     try:
         result = call()
+    except NotNormal as exc:
+        return "NotNormal", str(NotNormal(exc.index, float(exc.det) if rounded else exc.det))
     except Exception as exc:
         return type(exc).__name__, str(exc)
     return type(result).__name__, list(leaves(result, rounded))
@@ -143,8 +148,8 @@ def test_float_product_verdicts_are_the_exact_ones():
 
 
 def test_float_constructions_are_left_to_float_mode():
-    """The verifiers leave a float system's own caches empty; its normality,
-    type2 and type1 still solve in float64."""
+    """The verifiers leave a float system's own caches empty; its type2 and
+    type1 still solve in float64."""
     approx = make_pair_system("float64")
     nnr_type2(approx, (4, 4), "x")
     biorth_row(approx, (2, 2), [(2, 3)])

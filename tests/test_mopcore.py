@@ -26,6 +26,7 @@ from bimop import (
     TensorMeasure,
     UniMeasureSystem,
     UniPoly,
+    ValidationError,
     biorth,
     canonical_path,
     inner,
@@ -185,15 +186,17 @@ def test_float_zero_index_has_a_float_det(make):
 @pytest.mark.parametrize("mode", ["exact", "float64"])
 @pytest.mark.parametrize("make", [make_pair_system, make_xsystem])
 def test_moment_matrix_det_is_normality_det(make, mode):
-    """The system's kernel run on moment_matrix(s, n) alone gives
-    normality's det, whose factorisation carried the Type II row as a
-    rider: the rider changes the det in neither value nor type, the empty M
-    of the zero index included."""
+    """ExactLU run on moment_matrix(s, n) alone gives normality's det, whose
+    factorisation carried the Type II row as a rider: the rider changes the
+    det in neither value nor type, the empty M of the zero index included.
+    A float system's det is that of its exact twin's M_n, rounded once."""
     for total in range(5):
         for a in range(total + 1):
             n = (a, total - a)
-            want = normality(make(mode), n).det
-            got = kernel_det(make(mode), n)
+            sys_ = make(mode)
+            got = normality(sys_, n).det
+            want = kernel_det(sys_.exact_system, n)
+            want = want if sys_.exact else float(want)
             assert (got, type(got)) == (want, type(want)), n
 
 
@@ -204,21 +207,34 @@ def test_quad_normality_examples(quad):
     assert is_normal(quad, (4, 3, 3, 2))
 
 
-def test_moment_matrix_det_honours_the_float_tol():
-    """A float M_n's det is taken under the system's tol, by normality and
-    by the kernel on M_n alone: with tol = 1e-3 the last pivot of
-    M_(0,3,1,1) (about 7e-4 of its largest entry) counts as zero, and that
-    of the x factor's M_(2,1) does not."""
+def test_the_float_tol_only_hands_solves_to_the_twin():
+    """With tol = 1e-3 FloatLU stops on M_(0,3,1,1) (its last pivot is about
+    7e-4 of its largest entry) and not on the x factor's M_(2,1).  The tol
+    decides no verdict: each index's normality is its exact twin's, det
+    rounded once.  Where FloatLU stops, type2 and type1 are the twin's
+    polynomials rounded once; where it completes, they are FloatLU's."""
     xs, ys = (UniMeasureSystem(families=tuple(Laguerre(a) for a in alphas),
                                mode="float64", tol=1e-3) for alphas in (X_ALPHAS, Y_ALPHAS))
     ps = ProductSystem.build(xs, ys)
     for sys_, n in ((ps.bivariate, (0, 3, 1, 1)), (xs, (2, 1)), (ps.bivariate, (1, 1, 0, 1))):
-        want = normality(sys_, n).det
-        assert kernel_det(sys_, n).hex() == want.hex()
-    assert normality(ps.bivariate, (0, 3, 1, 1)).det == 0.0
+        got, want = normality(sys_, n), normality(sys_.exact_system, n)
+        assert got.normal is want.normal is True
+        assert got.det.hex() == float(want.det).hex()
     assert kernel_det(ps.bivariate, (0, 3, 1, 1)) == 0.0
-    assert normality(xs, (2, 1)).det != 0.0
     assert kernel_det(xs, (2, 1)) != 0.0
+
+    def rounded(polys):
+        return [tuple(float(c) for c in p.coeffs) for p in polys]
+
+    def coeffs(polys):
+        return [p.coeffs for p in polys]
+
+    for sys_, n, stops in ((ps.bivariate, (0, 3, 1, 1), True), (xs, (2, 1), False)):
+        exact = sys_.exact_system
+        got = coeffs([type2(sys_, n)] + list(type1(sys_, n).polys))
+        want = rounded([type2(exact, n)] + list(type1(exact, n).polys))
+        assert all(type(c) is float for p in got for c in p)
+        assert (got == want) is stops
 
 
 def test_equivalence_of_solvers_and_det(duo):
@@ -255,8 +271,9 @@ SYSTEMS = {
 ])
 @pytest.mark.parametrize("first", ["normality", "type2", "type1"])
 def test_one_moment_matrix_per_exact_index(monkeypatch, system, n, prefix, first):
-    """normality, type2 and type1 of one index share one M_n, in exact and
-    in float mode.
+    """normality, type2 and type1 of one index share one M_n per system: an
+    exact system builds one; a float system builds one for its FloatLU and
+    its exact twin one for normality, and for a solve FloatLU hands over.
 
     The univariate entry points (prefix "uni_") run the same solver.
     """
@@ -265,7 +282,7 @@ def test_one_moment_matrix_per_exact_index(monkeypatch, system, n, prefix, first
     build = mopcore.moment_matrix
 
     def spy(system, index):
-        built.append(tuple(index))
+        built.append((system.mode, tuple(index)))
         return build(system, index)
 
     monkeypatch.setattr(mopcore, "moment_matrix", spy)
@@ -275,7 +292,8 @@ def test_one_moment_matrix_per_exact_index(monkeypatch, system, n, prefix, first
             getattr(mopcore, prefix + call)(sys_, n)
         except NotNormal as exc:
             assert n == (3, 3, 3, 3) and exc.det == 0
-    assert built == [n]
+    modes = ["exact"] if sys_.exact else ["exact", "float64"]
+    assert sorted(built) == [(mode, n) for mode in modes]
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +567,11 @@ def test_pair_float_matches_exact():
 
 
 def test_float_type2_raises_where_type1_does():
-    """Type II and Type I come from one float factorisation of M_n, so at
-    moduli 35-40 (a = mod/2 +- 2) one raises NotNormal exactly when the
-    other does."""
+    """Type II and Type I come from one float factorisation of M_n, or from
+    the exact twin where it stops, so at moduli 35-40 (a = mod/2 +- 2) one
+    raises NotNormal exactly when the other does, and neither raises at an
+    exactly normal index."""
+    exact = make_pair_system()
     for mod in range(35, 41):
         for a in range(mod // 2 - 2, mod // 2 + 3):
             raised = []
@@ -562,30 +582,58 @@ def test_float_type2_raises_where_type1_does():
                     assert exc.det == 0.0
                     raised.append(call)
             assert raised in ([], [type2, type1])
+            assert not (raised and normality(exact, (a, mod - a)).normal)
 
 
-def test_float_normality_is_the_band_rule_of_the_square_matrix(duo_float):
-    """The float verdict compares |det M_n| with 1e-12 and 1e-6 times the
-    Hadamard bound of M_n, computed here from M_n's own entries: the row of
-    moments that rides M_n's factorisation for the Type II solve enters
-    neither the det nor the bound."""
-    for mod in range(15):
-        for i in range(mod + 1):
-            n = (i, mod - i)
-            mm = moment_matrix(duo_float, n)
-            bound = math.prod(max(1.0, math.hypot(*row)) for row in mm.data)
-            got = normality(duo_float, n)
-            assert got.det == linalg.FloatLU(mm, duo_float.tol).det()
-            d = abs(got.det)
-            want = False if d <= 1e-12 * bound else None if d < 1e-6 * bound else True
-            assert got.normal is want, n
+def _pair_band(mods):
+    """Pair indices (a, mod - a), a = mod/2 +- 2, for each modulus of mods."""
+    return [(a, mod - a) for mod in mods for a in range(mod // 2 - 2, mod // 2 + 3)]
 
 
-def test_float_normality_can_be_indeterminate(duo_float):
-    verdicts = {normality(duo_float, (i, j)).normal
-                for i in range(7) for j in range(7)}
-    assert None in verdicts
-    assert True in verdicts
+def _grid(r, bound):
+    return [n for n in itertools.product(range(bound + 1), repeat=r) if sum(n) <= bound]
+
+
+@pytest.mark.parametrize("make, indices", [
+    pytest.param(make_pair_system, _grid(2, 20), id="pair-grid"),
+    pytest.param(make_xsystem, _grid(2, 20), id="laguerre-grid"),
+    pytest.param(lambda mode="exact": UniMeasureSystem(
+        families=(Jacobi(F(1, 2)), Jacobi(F(6, 5))), mode=mode), _grid(2, 20), id="jacobi-grid"),
+    pytest.param(make_pair_system, _pair_band(range(35, 41)), id="pair-35-40"),
+])
+def test_float_normality_and_solves_follow_the_exact_verdict(make, indices):
+    """One normality rule in both scalar modes.  Float normality is the
+    exact verdict, never False or None where exact says normal, with the
+    float det float(exact det) bit for bit, or ValidationError where that
+    det is past the float64 range (M_(0,20) of the Laguerre system); float
+    type2 and type1 raise NotNormal, det 0.0, exactly where exact does, and
+    return polynomials of floats everywhere else."""
+    exact, approx = make(), make("float64")
+    normal = 0
+    for n in indices:
+        want = normality(exact, n)
+        try:
+            det = float(want.det)
+        except OverflowError:
+            with pytest.raises(ValidationError, match="float64 range"):
+                normality(approx, n)
+        else:
+            got = normality(approx, n)
+            assert got.normal is want.normal, n
+            assert type(got.det) is float and got.det.hex() == det.hex(), n
+        normal += want.normal
+        if not sum(n):
+            continue
+        for call in (type2, type1):
+            if want.normal:
+                result = call(approx, n)
+                polys = result.polys if call is type1 else (result,)
+                assert all(type(c) is float for p in polys for c in p.coeffs), n
+            else:
+                with pytest.raises(NotNormal) as err:
+                    call(approx, n)
+                assert type(err.value.det) is float and err.value.det == 0.0
+    assert normal > len(indices) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -1018,6 +1066,25 @@ def test_combine_clears_every_polynomial_at_once(duo, monkeypatch):
     assert cleared == [[p for _, p in terms]]
     assert got == residual_chain(terms) and not got.is_zero()
     assert mopcore.combine(duo, []) == BiPoly.zero()
+
+
+def test_moment_rows_on_a_float_system_names_the_mode():
+    """moment_rows pairs exact moments; a float system is invalid input
+    that names its mode, before any moment is read."""
+    approx = make_pair_system("float64")
+    with pytest.raises(ValidationError, match="moment_rows needs an exact system, "
+                                              "not mode 'float64'"):
+        mopcore.moment_rows(approx, BiPoly((0.5, 1.0)))
+    assert not approx._moment_cache
+
+
+def test_combine_on_a_float_system_names_the_mode():
+    """combine sums with rational weights on an exact system; a float
+    system is invalid input that names its mode."""
+    approx = make_pair_system("float64")
+    with pytest.raises(ValidationError, match="combine needs an exact system, "
+                                              "not mode 'float64'"):
+        mopcore.combine(approx, [(0.5, type2(approx, (1, 1)))])
 
 
 def _outcome(call):

@@ -193,19 +193,22 @@ def test_det_factor_check_second_example(psys):
     assert fc.ratio != 0
 
 
-def test_det_factor_check_honours_the_float_tol():
-    """With tol = 1e-3 the last pivot of M_v (about 7e-4 of its largest
-    entry) counts as zero, and that of the x factor (about 2e-3) does not:
-    the check reads the dets normality gives under the system's tol."""
+def test_det_factor_check_reads_the_rounded_exact_dets():
+    """With tol = 1e-3 FloatLU stops on M_v (its last pivot is about 7e-4
+    of its largest entry), but the tol decides no det: the check reads the
+    exact dets of M_v and of the x factor, each rounded once, and their
+    ratio is finite and nonzero."""
     from bimop import Laguerre, ProductSystem, UniMeasureSystem
     from conftest import X_ALPHAS, Y_ALPHAS
     xs, ys = (UniMeasureSystem(families=tuple(Laguerre(a) for a in alphas),
                                mode="float64", tol=1e-3) for alphas in (X_ALPHAS, Y_ALPHAS))
     ps = ProductSystem.build(xs, ys)
     fc = det_factor_check(ps, (0, 3, 1, 1), x_factors=[(2, 1)])
-    assert fc.numerator == normality(ps.bivariate, (0, 3, 1, 1)).det == 0.0
-    assert fc.denominator == normality(xs, (2, 1)).det != 0.0
-    assert fc.ratio == 0.0 and not fc.indeterminate
+    num = normality(ps.bivariate.exact_system, (0, 3, 1, 1)).det
+    den = normality(xs.exact_system, (2, 1)).det
+    assert fc.numerator.hex() == float(num).hex() and num != 0
+    assert fc.denominator.hex() == float(den).hex() and den != 0
+    assert fc.ratio == fc.numerator / fc.denominator != 0.0 and not fc.indeterminate
 
 
 def test_det_factor_check_indeterminate():

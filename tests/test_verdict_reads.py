@@ -1,10 +1,10 @@
 """The verifiers have one arithmetic: they never ask for the scalar mode.
 
-Every function in ``relations.py``, and ``product.verify_product``, judges on
-the system's exact twin (``exact_system``), so none of them reads a
-system's ``exact``, ``mode`` or ``tol``, or a float zero test such as
-``is_zero`` or ``magnitude``.  A verifier that branched on the mode again
-would fork the arithmetic of its verdicts.
+Every function in ``relations.py``, ``product.verify_product`` and
+``mopcore.normality`` judges on the system's exact twin (``exact_system``),
+so none of them reads a system's ``exact``, ``mode`` or ``tol``, or a float
+zero test such as ``is_zero`` or ``magnitude``.  A verifier that branched on
+the mode again would fork the arithmetic of its verdicts.
 """
 
 import ast
@@ -14,7 +14,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "bimop"
 
 FORBIDDEN = {"exact", "mode", "tol", "is_zero", "magnitude"}
 # module -> the functions checked, or None for every function in it
-CHECKED = {"relations": None, "product": {"verify_product"}}
+CHECKED = {"relations": None, "product": {"verify_product"}, "mopcore": {"normality"}}
 
 
 def _reads(tree: ast.Module, functions=None) -> list:
