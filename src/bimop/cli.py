@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 from . import multiindex as mi
 from . import relations
 from .errors import BimopError, NotNormal, SchemaError
-from .linalg import FLOAT_TOL, format_scalar
+from .linalg import format_scalar
 from .measures import FLOAT64, MeasureSystem, parse_config, parse_product_config
 from .mopcore import (
     BiPoly,
@@ -74,11 +74,11 @@ def _mode(args) -> Optional[str]:
 
 
 def _load_system(args) -> MeasureSystem:
-    return parse_config(_read_config(args), _mode(args), args.tol)
+    return parse_config(_read_config(args), _mode(args))
 
 
 def _load_product_system(args) -> ProductSystem:
-    return ProductSystem.build(*parse_product_config(_read_config(args), _mode(args), args.tol))
+    return ProductSystem.build(*parse_product_config(_read_config(args), _mode(args)))
 
 
 def _poly_doc(p: BiPoly, pretty: bool) -> dict:
@@ -215,9 +215,7 @@ _AXIS = ("--axis", {"choices": ["x", "y"], "required": True})
 _PATH = ("--path", {"help": "semicolon-separated multi-indices"})
 _CONFIG = (("--config", {"help": "measure config JSON file"}),
            ("--float", {"dest": "float_mode", "action": "store_true",
-                        "help": "switch to float64 scalar mode"}),
-           ("--tol", {"type": float, "default": FLOAT_TOL,
-                      "help": "float singularity tolerance override"}))
+                        "help": "switch to float64 scalar mode"}))
 _PRETTY = ("--pretty", {"action": "store_true", "help": "add human-readable polynomial strings"})
 
 # name, function, help, config loader, arguments

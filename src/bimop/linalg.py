@@ -3,18 +3,19 @@
 Exact mode clears each row's denominators, divides each column of the
 cleared integers by its content (the gcd of its entries) and runs one
 fraction-free (Bareiss) LU over the integers, ``ExactLU``; float mode runs
-one partial-pivot LU, ``FloatLU``, which stops at a pivot below a
-configurable tolerance.  ``det`` and ``solve`` pick the kernel by the entries.
+one partial-pivot LU, ``FloatLU``, which stops at a pivot at or below one
+relative threshold, ``FLOAT_TOL``.  ``det`` and ``solve`` pick the kernel by
+the entries.
 
 Both kernels take M with at most one rider row, an extra row that is never
 a pivot, and answer the same questions: ``det``, ``type1`` (M c =
-e_{n-1}) and ``type2`` (M^t y = -(the rider row)), exact solutions as
-integers over one denominator (``_cleared``).  ``ExactLU`` eliminates the
-rider with M, and its factors serve every leading block B_s of M
-(Gauss-Borel): B_s's Type I solution is one back pass on U, and its Type
-II solution, B_s^t y = -(row s of M), is one back pass on L^t of the
-Bareiss multipliers the elimination left in row s, the rider row for s =
-n.  ``FloatLU`` factors M alone, so it serves M only.
+e_{n-1}) and ``type2`` (M^t y = -(the rider row)), each as values over one
+denominator: exact solutions as integers (``_cleared``), float ones over
+1.0.  ``ExactLU`` eliminates the rider with M, and its factors serve every
+leading block B_s of M (Gauss-Borel): B_s's Type I solution is one back
+pass on U, and its Type II solution, B_s^t y = -(row s of M), is one back
+pass on L^t of the Bareiss multipliers the elimination left in row s, the
+rider row for s = n.  ``FloatLU`` factors M alone, so it serves M only.
 
 Decimal conversion of integers (``int_to_decimal``, ``int_from_decimal``)
 splits by powers 10^(2^k), so numbers of any size print and parse without
@@ -230,21 +231,23 @@ class FloatLU:
     factorisation.
 
     Step k pivots on the first largest |entry| of column k and stops when it
-    is at most tol * max(1, max |entry of M|): ``sign`` is then 0, ``det``
-    0.0 and the solves None.  A stop is no verdict on M; ``mopcore`` hands
-    the stopped solve to the system's exact twin, which decides normality.
+    is at most ``FLOAT_TOL`` * max(1, max |entry of M|): ``sign`` is then 0,
+    ``det`` 0.0 and the solves None.  A stop is no verdict on M; ``mopcore``
+    hands the stopped solve to the system's exact twin, which decides
+    normality.
     ``lu`` holds U and, below it, L's multipliers; row k of P M is row
     perm[k] of M.  The pivot search and that threshold read M's own entries,
     never the rider's.  Sums run left to right (``reduce``: ``sum()``
     compensates from Python 3.12 on).
 
-    The read-outs are ``ExactLU``'s.  A pivot may come from below a leading
-    block, so the factors are M's and not its leading blocks': s, where a
-    read-out takes it, is n, the size of M.  ``type1(s)`` solves M c =
-    e_{n-1} and ``type2(s)`` M^t y = -(the rider row).
+    The read-outs are ``ExactLU``'s, in its form (values, d), here with d =
+    1.0.  A pivot may come from below a leading block, so the factors are
+    M's and not its leading blocks': s, where a read-out takes it, is n, the
+    size of M.  ``type1(s)`` solves M c = e_{n-1} and ``type2(s)`` M^t y =
+    -(the rider row).
     """
 
-    def __init__(self, m: Matrix, tol: float = FLOAT_TOL):
+    def __init__(self, m: Matrix):
         n = m.cols
         a = [[float(v) for v in row] for row in m.data]
         #: the rider row, or None
@@ -256,7 +259,7 @@ class FloatLU:
         for k in range(n):
             column = [abs(row[k]) for row in a[k:]]
             big = max(column)
-            if big <= tol * scale:
+            if big <= FLOAT_TOL * scale:
                 self.sign = 0
                 break
             p = k + column.index(big)
@@ -276,17 +279,17 @@ class FloatLU:
             return 0.0
         return self.sign * reduce(operator.mul, [row[k] for k, row in enumerate(self.lu)], 1.0)
 
-    def type1(self, s: int) -> Optional[List[float]]:
-        """c with M c = e_{n-1}; None when the factorisation stopped."""
+    def type1(self, s: int) -> Optional[Tuple[List[float], float]]:
+        """(c, 1.0) with M c = e_{n-1}; None when the factorisation stopped."""
         if not self.sign:
             return None
         b = [0.0] * len(self.lu)
         b[self.perm.index(len(b) - 1)] = 1.0
-        return self._solve(b)
+        return self._solve(b), 1.0
 
-    def type2(self, s: int) -> Optional[List[float]]:
-        """y with M^t y = -(the rider row): U^t z = -rider, L^t w = z, then
-        y = P^t w; None when the factorisation stopped."""
+    def type2(self, s: int) -> Optional[Tuple[List[float], float]]:
+        """(y, 1.0) with M^t y = -(the rider row): U^t z = -rider, L^t w = z,
+        then y = P^t w; None when the factorisation stopped."""
         if not self.sign:
             return None
         lu, n = self.lu, len(self.lu)
@@ -299,7 +302,7 @@ class FloatLU:
         y = [0.0] * n
         for k, i in enumerate(self.perm):
             y[i] = z[k]
-        return y
+        return y, 1.0
 
     def _solve(self, b: List[float]) -> List[float]:
         """x with M x = P^t b: L y = b, then U x = y."""

@@ -27,7 +27,7 @@ from .errors import (
     TableExhausted,
     ValidationError,
 )
-from .linalg import FLOAT_TOL, Scalar, format_scalar, int_from_decimal, parse_scalar
+from .linalg import Scalar, format_scalar, int_from_decimal, parse_scalar
 from .record import Record
 
 EXACT = "exact"
@@ -171,19 +171,15 @@ def _check_mode(mode) -> str:
 
 
 class _ScalarMode:
-    """Scalar mode shared by the measure systems: exact rationals or float64,
-    and the float singularity tolerance, a number >= 0.  A system needs at
-    least one measure; ``r`` counts them."""
+    """Scalar mode shared by the measure systems: exact rationals or float64.
+    A system needs at least one measure; ``r`` counts them."""
 
     mode: str
-    tol: float
 
     def __post_init__(self):
         if not self.r:
             raise SchemaError("$.measures", "at least one measure required")
         _check_mode(self.mode)
-        if not self.tol >= 0:
-            raise SchemaError("tol", f"expected a number >= 0, got {self.tol!r}")
 
     @property
     def exact(self) -> bool:
@@ -230,7 +226,6 @@ class MeasureSystem(_ScalarMode, Record):
 
     measures: Tuple[BivariateMeasure, ...]
     mode: str = EXACT
-    tol: float = FLOAT_TOL
     _moment_cache: dict = {}
     _index_cache: dict = {}
     _twin: dict = {}
@@ -261,7 +256,6 @@ class UniMeasureSystem(_ScalarMode, Record):
 
     families: Tuple[UnivariateFamily, ...]
     mode: str = EXACT
-    tol: float = FLOAT_TOL
     _moment_cache: dict = {}
     _index_cache: dict = {}
     _twin: dict = {}
@@ -360,11 +354,10 @@ def _config_mode(doc: dict, mode: Optional[str]) -> str:
     return mode or scalar
 
 
-def parse_config(text: str, mode: Optional[str] = None, tol: float = FLOAT_TOL) -> MeasureSystem:
+def parse_config(text: str, mode: Optional[str] = None) -> MeasureSystem:
     """Build a MeasureSystem from a JSON config document.
 
-    mode, when given, replaces the document's "scalar" mode; tol is the
-    float singularity tolerance.
+    mode, when given, replaces the document's "scalar" mode.
     """
     doc = read_json(text)
     if not isinstance(doc, dict):
@@ -374,26 +367,24 @@ def parse_config(text: str, mode: Optional[str] = None, tol: float = FLOAT_TOL) 
     if not isinstance(measures, list) or not measures:
         raise SchemaError("$.measures", "expected a non-empty list")
     parsed = tuple(_parse_measure(m, f"$.measures[{i}]") for i, m in enumerate(measures))
-    return MeasureSystem(measures=parsed, mode=mode, tol=tol)
+    return MeasureSystem(measures=parsed, mode=mode)
 
 
-def parse_product_config(text: str, mode: Optional[str] = None, tol: float = FLOAT_TOL
+def parse_product_config(text: str, mode: Optional[str] = None
                          ) -> Tuple[UniMeasureSystem, UniMeasureSystem]:
     """The x and y univariate systems of a product config document
-    ``{"scalar": ..., "x": [families], "y": [families]}``; mode and tol as
-    for parse_config."""
+    ``{"scalar": ..., "x": [families], "y": [families]}``; mode as for
+    parse_config."""
     doc = read_json(text)
     if not isinstance(doc, dict) or "x" not in doc or "y" not in doc:
         raise SchemaError("$", "product config needs 'x' and 'y' family lists")
     mode = _config_mode(doc, mode)
-    return (parse_uni_config(doc["x"], "$.x", mode, tol),
-            parse_uni_config(doc["y"], "$.y", mode, tol))
+    return parse_uni_config(doc["x"], "$.x", mode), parse_uni_config(doc["y"], "$.y", mode)
 
 
-def parse_uni_config(doc, path: str = "$", mode: str = EXACT,
-                     tol: float = FLOAT_TOL) -> UniMeasureSystem:
+def parse_uni_config(doc, path: str = "$", mode: str = EXACT) -> UniMeasureSystem:
     """Build a univariate system from a list of family objects."""
     if not isinstance(doc, list) or not doc:
         raise SchemaError(path, "expected a non-empty list of families")
     families = tuple(_parse_family(f, f"{path}[{i}]") for i, f in enumerate(doc))
-    return UniMeasureSystem(families=families, mode=mode, tol=tol)
+    return UniMeasureSystem(families=families, mode=mode)

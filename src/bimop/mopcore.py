@@ -6,9 +6,11 @@ are bilinear extensions through moments; quadrature is never used, so
 unbounded supports are exact.  Pairings and sums are exact in both scalar
 modes: a float system's verifiers, ``inner`` and ``type1_pairing`` among
 them, run on its exact twin (``on_exact_system``).  They run on cleared
-polynomials, integers over one denominator.  Exact Type I and Type II leave
-the kernel in that form and are cached in it (``type2_form``,
-``type1_form``); ``type2``/``type1`` make Fractions of them on request.
+polynomials, integers over one denominator.  Type I and Type II leave
+either kernel as values over one denominator, exact ones cleared and float
+ones over 1.0, and are cached in that form (``type2_form``,
+``type1_form``); ``type2``/``type1`` make Fractions or floats of them on
+request (``_dense``).
 Any other polynomial is cleared by ``_integer_terms``, once per pairing set
 or sum.  Pairings go
 through moment rows (``moment_rows``): each integer pairing
@@ -23,9 +25,10 @@ Normality has one rule in both scalar modes: det(M_n) != 0, decided by
 ``_factorise`` runs one factorisation of M_n, ``ExactLU`` or ``FloatLU``,
 and reads each index's Type I and Type II from it with the same calls in
 both scalar modes (``type1``, ``type2``), and an exact index's det.  Where
-``FloatLU`` stops, the exact twin decides (``_form``).  Row |n| of
-the moments, the right-hand side of n's Type II system, lies outside M_n,
-so it rides the factorisation as M's rider row.
+``FloatLU`` stops, the exact twin decides (``_form``), and its cleared form
+is rounded once.  Row |n| of the moments, the right-hand side of n's Type
+II system, lies outside M_n, so it rides the factorisation as M's rider
+row.
 Exact solves go by neighbour path (``solve_path``): every M_n on a path is a
 leading block of the last one, so one factorisation solves the whole path,
 and a verifier that solves a path a step past its own top (``nnr_type2``)
@@ -300,7 +303,8 @@ def _factorise(sys: System, steps: List[Tuple[int, ...]]) -> None:
     # of moments is already eliminated (``ExactLU.type1``/``type2``); the
     # last index's row rides the factorisation as M's rider row.  A float
     # path has one step, so its one FloatLU serves M_n alone, for Type I and
-    # Type II: the exact twin gives a float system its verdicts.
+    # Type II: the exact twin gives a float system its verdicts.  Both
+    # kernels answer (values, d), so the cache holds one form in both modes.
     last = steps[-1]
     offsets = [0, *accumulate(last)]
     order = [offsets[j] + l for j, nj in enumerate(steps[0]) for l in range(nj)]
@@ -314,8 +318,7 @@ def _factorise(sys: System, steps: List[Tuple[int, ...]]) -> None:
         # The last index's row needs moments of order |n|, which a table
         # may lack; its type2 then raises on request, normality still works.
         rider = exc.with_traceback(None)
-    lu = ExactLU(m, order) if sys.exact else FloatLU(m, sys.tol)
-    poly = _basis(sys)[1]
+    lu = ExactLU(m, order) if sys.exact else FloatLU(m)
     for key in steps:
         if key in sys._index_cache:
             continue
@@ -326,15 +329,10 @@ def _factorise(sys: System, steps: List[Tuple[int, ...]]) -> None:
             continue
         if key == last and isinstance(rider, TableExhausted):
             entry.type2 = rider
-        elif sys.exact:
+        else:
             y, d = lu.type2(s)
             entry.type2 = [y + [d]], d
-        else:
-            entry.type2 = poly(tuple(lu.type2(s)) + (sys.one(),))
-        if sys.exact:
-            entry.type1 = _blocks(c[0], key), c[1]
-        else:
-            entry.type1 = TypeISet(tuple([poly(tuple(b)) for b in _blocks(c, key)]))
+        entry.type1 = _blocks(c[0], key), c[1]
 
 
 def _blocks(c: Sequence[Scalar], n: Tuple[int, ...]) -> List[List[Scalar]]:
@@ -349,13 +347,17 @@ def _blocks(c: Sequence[Scalar], n: Tuple[int, ...]) -> List[List[Scalar]]:
     return out
 
 
-def _dense(poly: Type, blocks: Sequence[Sequence[int]], d: int) -> list:
-    """The polynomials of a cleared form: each block of coefficients / d."""
+def _dense(sys: System, blocks: Sequence[Sequence[Scalar]], d: Scalar) -> list:
+    """The polynomials of a form ([coefficients, ...], d): each block of
+    coefficients / d, one Fraction each on an exact system and one float
+    each on a float one (``_float``)."""
+    poly = _basis(sys)[1]
+    div = Fraction if sys.exact else _float
     out = []
     for coeffs in blocks:
         terms = []
         for a in coeffs:
-            terms.append(Fraction(a, d))
+            terms.append(div(a, d))
         out.append(poly(tuple(terms)))
     return out
 
@@ -381,11 +383,7 @@ def _rounded(value):
     lists, tuples and dicts are rebuilt around the rounded values.  A value
     past the float64 range is invalid input."""
     if isinstance(value, Fraction):
-        try:
-            return float(value)
-        except OverflowError:
-            raise ValidationError("a reported value exceeds the float64 range; "
-                                  "use exact mode") from None
+        return _float(value.numerator, value.denominator)
     if isinstance(value, Record):
         return type(value)(**{k: _rounded(v) for k, v in vars(value).items()})
     if isinstance(value, (list, tuple)):
@@ -393,6 +391,17 @@ def _rounded(value):
     if isinstance(value, dict):
         return {k: _rounded(v) for k, v in value.items()}
     return value
+
+
+def _float(a: Scalar, d: Scalar) -> float:
+    """a / d as a float: rounded once for integers (int division rounds
+    correctly), exact for d = 1.0.  A value past the float64 range is
+    invalid input."""
+    try:
+        return a / d
+    except OverflowError:
+        raise ValidationError("a reported value exceeds the float64 range; "
+                              "use exact mode") from None
 
 
 @on_exact_system
@@ -403,7 +412,7 @@ def normality(sys: System, n: Sequence[int]) -> Normality:
     The 0x0 matrix has det 1, so the zero index is vacuously normal.  A
     float system answers its exact twin's verdict (``on_exact_system``)
     with the det rounded once to float; a det past the float64 range is
-    invalid input.  ``FloatLU`` and the system's tol play no part.
+    invalid input.  ``FloatLU`` plays no part.
     """
     d = _solved(sys, _index(sys, n)).det
     return Normality(d != 0, d)
@@ -414,12 +423,11 @@ def is_normal(sys: MeasureSystem, n: Sequence[int]) -> bool:
 
 
 def type2_form(sys: System, n: Sequence[int]):
-    """n's Type II as the verifiers read it: cleared, ([coefficients], d),
-    in exact mode; the polynomial in float mode."""
+    """n's Type II as ([coefficients], d), in the form ``_form`` gives."""
     key = _index(sys, n)
     if not sum(key):
-        return _ONE if sys.exact else _basis(sys)[1]((sys.one(),))
-    return _form(sys, key, "type2", type2)
+        return _ONE
+    return _form(sys, key, "type2")
 
 
 def type2(sys: System, n: Sequence[int]) -> BiPoly:
@@ -428,32 +436,32 @@ def type2(sys: System, n: Sequence[int]) -> BiPoly:
     Solves M_n^t c = -b for the lower coefficients; the leading coefficient
     sits at position |n|.
     """
-    p = type2_form(sys, n)
-    if sys.exact:
-        p, = _dense(_basis(sys)[1], *p)
+    p, = _dense(sys, *type2_form(sys, n))
     return p
 
 
 def type1_form(sys: System, n: Sequence[int]):
-    """n's Type I polynomials as the verifiers read them: cleared,
-    ([coefficients, ...], d), in exact mode; a TypeISet in float mode."""
+    """n's Type I polynomials as ([coefficients, ...], d), in the form
+    ``_form`` gives."""
     key = _index(sys, n)
     if not sum(key):
         raise EmptyIndex("Type I polynomials are undefined for the zero index")
-    return _form(sys, key, "type1", type1)
+    return _form(sys, key, "type1")
 
 
-def _form(sys: System, key: Tuple[int, ...], field: str, read: Callable):
-    """The cached form field of a nonzero index.  Where the kernel gave
-    none, exact M_n is singular: NotNormal.  Where ``FloatLU`` stopped the
-    exact twin decides (``on_exact_system``): NotNormal, its det rounded,
-    only if M_n is singular, else read's answer on the twin, rounded once."""
+def _form(sys: System, key: Tuple[int, ...], field: str):
+    """The cached form field of a nonzero index, ([coefficients, ...], d):
+    cleared integers on an exact system, and on a float one ``FloatLU``'s
+    floats over 1.0.  Where the kernel gave none, exact M_n is singular:
+    NotNormal.  Where ``FloatLU`` stopped the exact twin decides
+    (``on_exact_system``): NotNormal, its det rounded, only if M_n is
+    singular, else the twin's cleared form, which ``_dense`` rounds once."""
     entry = _solved(sys, key)
     form = getattr(entry, field)
     if form is None:
         if sys.exact:
             raise NotNormal(key, entry.det)
-        return on_exact_system(read)(sys, key)
+        return on_exact_system(_form)(sys, key, field)
     if isinstance(form, TableExhausted):
         raise TableExhausted(*form.args)
     return form
@@ -466,8 +474,7 @@ def type1(sys: System, n: Sequence[int]) -> TypeISet:
     coefficients of A_{n,j} at positions 0..n_j - 1.  Components with
     n_j = 0 yield the zero polynomial.
     """
-    form = type1_form(sys, n)
-    return TypeISet(tuple(_dense(_basis(sys)[1], *form))) if sys.exact else form
+    return TypeISet(tuple(_dense(sys, *type1_form(sys, n))))
 
 
 def moment_rows(sys: MeasureSystem, p: BiPoly) -> Callable[..., Scalar]:

@@ -27,15 +27,13 @@ class ProductSystem(Record):
 
     @classmethod
     def build(cls, xsystem: UniMeasureSystem, ysystem: UniMeasureSystem) -> "ProductSystem":
-        """The product of two systems of one scalar mode and one tol."""
-        for name in ("mode", "tol"):
-            x, y = getattr(xsystem, name), getattr(ysystem, name)
-            if x != y:
-                raise SchemaError(name, f"x system {x!r} != y system {y!r}; "
-                                        f"a product system needs one {name}")
+        """The product of two systems of one scalar mode."""
+        if xsystem.mode != ysystem.mode:
+            raise SchemaError("mode", f"x system {xsystem.mode!r} != y system "
+                                      f"{ysystem.mode!r}; a product system needs one mode")
         measures = tuple(TensorMeasure(fx, fy)
                          for fx in xsystem.families for fy in ysystem.families)
-        biv = MeasureSystem(measures=measures, mode=xsystem.mode, tol=xsystem.tol)
+        biv = MeasureSystem(measures=measures, mode=xsystem.mode)
         return cls(xsystem=xsystem, ysystem=ysystem, bivariate=biv)
 
     @property

@@ -251,29 +251,19 @@ def test_unknown_scalar_is_a_schema_error(tmp_path, command, doc, argv, flags):
         "kind": "SchemaError"}
 
 
-TWIN_CONFIG = {
-    "scalar": "exact",
-    "measures": [{"kind": "tensor", "x": {"family": "laguerre", "alpha": 1},
-                  "y": {"family": "laguerre", "alpha": 1}}] * 2,
-}
-
-
-@pytest.mark.parametrize("tol, want", [("-1", EXIT_INVALID), ("nan", EXIT_INVALID),
-                                       ("0", EXIT_NOT_NORMAL), ("inf", EXIT_NOT_NORMAL)])
-def test_tol_must_be_a_number_at_least_zero(tmp_path, tol, want):
-    """Two equal measures make M_(1,1) singular.  A negative or NaN --tol is
-    invalid input, named in the error; 0 and inf judge the index."""
-    path = tmp_path / "twin.json"
-    path.write_text(json.dumps(TWIN_CONFIG))
-    code, out, err = invoke(["normal", "--float", "--tol", tol, "--config", str(path),
-                             "--index", "1,1"])
-    assert code == want
-    if want == EXIT_INVALID:
-        assert out == ""
-        assert json.loads(err) == {"error": f"tol: expected a number >= 0, got {float(tol)!r}",
-                                   "kind": "SchemaError"}
-    else:
-        assert json.loads(out)["normal"] is False
+@pytest.mark.parametrize("command, doc, argv", [
+    pytest.param("normal", DUO_CONFIG, ["--index", "2,2"], id="normal"),
+    pytest.param("type2", DUO_CONFIG, ["--index", "19,19"], id="type2"),
+    pytest.param("product", PRODUCT_CONFIG, ["--n", "0,1", "--m", "1,0"], id="product"),
+])
+def test_tol_is_no_option(tmp_path, command, doc, argv):
+    """FloatLU stops at one fixed threshold, so no config command takes --tol."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke([command, "--float", "--tol", "1e-3", "--config", str(path)] + argv)
+    assert (code, out) == (EXIT_INVALID, "")
+    assert json.loads(err) == {"error": "bimop: unrecognized arguments: --tol 1e-3",
+                               "kind": "SchemaError"}
 
 
 def test_missing_config_flag():
@@ -494,8 +484,7 @@ AXIS = (("--axis",), True, ["x", "y"], None, None, None)
 PATH = (("--path",), False, None, None, None, "semicolon-separated multi-indices")
 N_M = [(("--n",), True, None, None, None, None), (("--m",), True, None, None, None, None)]
 CONFIG = [(("--config",), False, None, None, None, "measure config JSON file"),
-          (("--float",), False, None, False, None, "switch to float64 scalar mode"),
-          (("--tol",), False, None, 1e-12, "float", "float singularity tolerance override")]
+          (("--float",), False, None, False, None, "switch to float64 scalar mode")]
 PRETTY = (("--pretty",), False, None, False, None, "add human-readable polynomial strings")
 PARSER = [
     ("pair", "Cantor pairing of (t, s)",

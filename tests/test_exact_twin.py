@@ -88,7 +88,7 @@ def chains(d):
 
 def test_exact_system_is_the_same_measures_in_exact_mode():
     """An exact system is its own twin; a float system builds its twin once,
-    the same measures and tol in exact mode, with caches of its own, and
+    the same measures in exact mode, with caches of its own, and
     keeps it outside ==, hash and repr."""
     for exact in (make_pair_system(), make_xsystem()):
         assert exact.exact_system is exact

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bimop import (DimensionMismatch, Matrix, NotSquare, Singular, det, format_scalar,
                    parse_scalar, solve)
-from bimop.linalg import ExactLU, FloatLU, int_from_decimal
+from bimop.linalg import FLOAT_TOL, ExactLU, FloatLU, int_from_decimal
 from bimop.mopcore import moment_matrix
 
 
@@ -301,8 +301,10 @@ def test_float_lu_against_exact_lu(case):
     ``type2``) with an exact residual within 1e-10 of |m| |x| + |rhs|
     (backward stability of partial pivoting), plus n |m| times the least
     subnormal for results that underflow; Singular with det 0.0, and no
-    Type II, exactly when the factorisation stops.  A rider changes neither
-    the factorisation nor its det.
+    Type I or Type II, exactly when the factorisation stops.  A rider
+    changes neither the factorisation nor its det.  Type I and Type II read
+    out as ``ExactLU``'s do, values over one denominator, here 1.0: Type I
+    is ``solve`` with e_{n-1}.
     """
     m, rhs, singular = case
     n = m.rows
@@ -321,12 +323,16 @@ def test_float_lu_against_exact_lu(case):
         with pytest.raises(Singular) as err:
             solve(m, rhs)
         assert type(err.value.det) is float and err.value.det == 0.0
-        assert by_row.type2(n) is None
+        assert by_row.type2(n) is None and lu.type1(n) is None
         return
+    unit = [0.0] * (n - 1) + [1.0]
+    assert lu.type1(n) == (solve(m, unit), 1.0)
+    y, d = by_row.type2(n)
+    assert (d, type(d)) == (1.0, float)
     norm = max(sum(abs(v) for v in row) for row in m.data)
     norm_t = max(sum(abs(row[j]) for row in m.data) for j in range(n))
     for a, size, solve_ in ((exact, norm, lambda: solve(m, rhs)),
-                            (exact.transpose(), norm_t, lambda: by_row.type2(n))):
+                            (exact.transpose(), norm_t, lambda: y)):
         x = solve_()
         residual = [F(b) - v for b, v in zip(rhs, matvec(a, [F(v) for v in x]))]
         # exact, so that a bound near the underflow range is not rounded to 0
@@ -354,7 +360,7 @@ def test_float_lu_stops_on_an_all_zero_column():
         assert lu.det() == 0.0
 
 
-def reference_float_lu(rows, tol):
+def reference_float_lu(rows):
     """Partial pivoting written out: the first row of largest |entry| in
     column k, strictly larger replacing it; (lu, perm, sign)."""
     a = [list(row) for row in rows]
@@ -366,7 +372,7 @@ def reference_float_lu(rows, tol):
         for i in range(k + 1, n):
             if abs(a[i][k]) > abs(a[p][k]):
                 p = i
-        if abs(a[p][k]) <= tol * scale:
+        if abs(a[p][k]) <= FLOAT_TOL * scale:
             return a, perm, 0
         if p != k:
             a[k], a[p] = a[p], a[k]
@@ -381,12 +387,23 @@ def reference_float_lu(rows, tol):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=1, max_value=6).flatmap(
-    lambda n: st.lists(st.lists(st.sampled_from([0.0, 1.0, -1.0, 2.0, -2.0, 0.5]),
-                                min_size=n, max_size=n), min_size=n, max_size=n)),
-       st.sampled_from([0.0, 1e-12, 0.3]))
-def test_float_lu_matches_the_reference_pivoting_under_ties(rows, tol):
-    lu = FloatLU(Matrix.from_rows(rows), tol)
-    assert (lu.lu, lu.perm, lu.sign) == reference_float_lu(rows, tol)
+    lambda n: st.lists(st.lists(st.sampled_from([0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 1e-13]),
+                                min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_float_lu_matches_the_reference_pivoting_under_ties(rows):
+    """The entry 1e-13 makes small nonzero pivots, at or below the
+    threshold."""
+    lu = FloatLU(Matrix.from_rows(rows))
+    assert (lu.lu, lu.perm, lu.sign) == reference_float_lu(rows)
+
+
+@pytest.mark.parametrize("eps, stops", [(1e-13, True), (1e-11, False)])
+def test_float_lu_stops_on_a_small_nonzero_pivot(eps, stops):
+    """The second pivot of [[1, 1], [1, 1 + eps]] is about eps, nonzero:
+    FloatLU stops when it is at most FLOAT_TOL times the largest entry."""
+    lu = FloatLU(Matrix.from_rows([[1.0, 1.0], [1.0, 1.0 + eps]]))
+    assert lu.lu[1][1] != 0.0
+    assert (lu.sign == 0) is stops
+    assert (lu.type1(2) is None) is stops
 
 
 def test_transpose_matvec():

@@ -229,9 +229,13 @@ def test_parse_config_roundtrip():
 
 
 def test_parse_config_mode_and_tol_override():
+    """mode replaces the document's scalar mode; float mode has no tolerance
+    to override, so tol is no parameter."""
     text = '{"scalar": "exact", "measures": [{"kind": "tensor", "x": {"family": "laguerre", "alpha": 1}, "y": {"family": "laguerre", "alpha": "2.3"}}]}'
-    sys_ = parse_config(text, mode="float64", tol=1e-6)
-    assert (sys_.mode, sys_.tol) == ("float64", 1e-6)
+    sys_ = parse_config(text, mode="float64")
+    assert sys_.mode == "float64"
+    with pytest.raises(TypeError):
+        parse_config(text, mode="float64", tol=1e-6)
     assert sys_.moment(1, 1, 1) == float(F(2) * F(33, 10))
     assert parse_config(text).mode == "exact"
 
@@ -354,16 +358,6 @@ def test_systems_need_a_measure():
         with pytest.raises(SchemaError, match="at least one measure required") as err:
             make()
         assert err.value.path == "$.measures"
-
-
-@pytest.mark.parametrize("tol", [-1.0, float("nan")])
-def test_systems_reject_a_negative_or_nan_tol(tol):
-    for make in (lambda: MeasureSystem(measures=(TensorMeasure(Laguerre(1), Laguerre(1)),),
-                                       mode="float64", tol=tol),
-                 lambda: UniMeasureSystem(families=(Laguerre(1),), mode="float64", tol=tol)):
-        with pytest.raises(SchemaError) as err:
-            make()
-        assert err.value.path == "tol"
 
 
 def test_float_moment_past_the_float_range_names_measure_and_order():

@@ -38,6 +38,7 @@ from bimop import (
     pair,
     params,
     poly_to_json,
+    product_poly,
     solve_path,
     type1,
     type1_pairing,
@@ -50,8 +51,7 @@ from bimop import (
 )
 from bimop import linalg, mopcore
 from bimop.errors import FrozenInstanceError
-from conftest import (X_ALPHAS, Y_ALPHAS, make_pair_system, make_product_system, make_xsystem,
-                      make_ysystem)
+from conftest import make_pair_system, make_product_system, make_xsystem, make_ysystem
 
 
 def direct_condition(sys_, j, p, t, s):
@@ -68,7 +68,7 @@ def direct_condition(sys_, j, p, t, s):
 def kernel_det(sys_, n):
     """det(M_n) by the system's kernel on M_n alone, with no rider row."""
     m = moment_matrix(sys_, n)
-    return (linalg.ExactLU(m) if sys_.exact else linalg.FloatLU(m, sys_.tol)).det()
+    return (linalg.ExactLU(m) if sys_.exact else linalg.FloatLU(m)).det()
 
 
 # ---------------------------------------------------------------------------
@@ -207,34 +207,74 @@ def test_quad_normality_examples(quad):
     assert is_normal(quad, (4, 3, 3, 2))
 
 
+def float_lu_coeffs(sys_, n):
+    """The coefficients of n's Type II and Type I polynomials straight from
+    ``FloatLU`` on M_n, with row |n| of the moments as its rider row."""
+    m = moment_matrix(sys_, n)
+    rider, = mopcore._moment_rows(sys_, n, [sum(n)])
+    lu = linalg.FloatLU(linalg.Matrix(m.rows + 1, m.cols, m.data + [rider]))
+    (y, _), (c, _) = lu.type2(sum(n)), lu.type1(sum(n))
+    ends = list(itertools.accumulate(n))
+    blocks = [UniPoly.from_coeffs(c[end - nj:end]).coeffs for nj, end in zip(n, ends)]
+    return [tuple(y) + (1.0,)] + blocks
+
+
+def hexes(coeffs):
+    return [[c.hex() for c in p] for p in coeffs]
+
+
 def test_the_float_tol_only_hands_solves_to_the_twin():
-    """With tol = 1e-3 FloatLU stops on M_(0,3,1,1) (its last pivot is about
-    7e-4 of its largest entry) and not on the x factor's M_(2,1).  The tol
-    decides no verdict: each index's normality is its exact twin's, det
-    rounded once.  Where FloatLU stops, type2 and type1 are the twin's
-    polynomials rounded once; where it completes, they are FloatLU's."""
-    xs, ys = (UniMeasureSystem(families=tuple(Laguerre(a) for a in alphas),
-                               mode="float64", tol=1e-3) for alphas in (X_ALPHAS, Y_ALPHAS))
-    ps = ProductSystem.build(xs, ys)
-    for sys_, n in ((ps.bivariate, (0, 3, 1, 1)), (xs, (2, 1)), (ps.bivariate, (1, 1, 0, 1))):
+    """FloatLU stops at its one threshold, FLOAT_TOL, on the pair system's
+    (19, 19) and (17, 2) and the x system's (6, 1), and completes on (10,
+    10) and (2, 1); all five are exactly normal.  The threshold decides no
+    verdict: each index's normality is its exact twin's, det rounded once.
+    Where FloatLU stops, type2 and type1 (uni_type2 and uni_type1 on the x
+    system) are the twin's coefficients rounded once; where it completes,
+    they are FloatLU's own, which differ from them."""
+    pair, xs = make_pair_system("float64"), make_xsystem("float64")
+    cases = ((pair, (19, 19), True), (pair, (17, 2), True), (pair, (10, 10), False),
+             (xs, (6, 1), True), (xs, (2, 1), False))
+    for sys_, n, stops in cases:
         got, want = normality(sys_, n), normality(sys_.exact_system, n)
         assert got.normal is want.normal is True
         assert got.det.hex() == float(want.det).hex()
-    assert kernel_det(ps.bivariate, (0, 3, 1, 1)) == 0.0
-    assert kernel_det(xs, (2, 1)) != 0.0
+        assert (kernel_det(sys_, n) == 0.0) is stops
 
-    def rounded(polys):
-        return [tuple(float(c) for c in p.coeffs) for p in polys]
+        def coeffs(s):
+            if isinstance(s, UniMeasureSystem):
+                return [p.coeffs for p in (uni_type2(s, n), *uni_type1(s, n))]
+            return [p.coeffs for p in (type2(s, n), *type1(s, n).polys)]
 
-    def coeffs(polys):
-        return [p.coeffs for p in polys]
-
-    for sys_, n, stops in ((ps.bivariate, (0, 3, 1, 1), True), (xs, (2, 1), False)):
-        exact = sys_.exact_system
-        got = coeffs([type2(sys_, n)] + list(type1(sys_, n).polys))
-        want = rounded([type2(exact, n)] + list(type1(exact, n).polys))
+        got = coeffs(sys_)
         assert all(type(c) is float for p in got for c in p)
-        assert (got == want) is stops
+        twin = [tuple(float(c) for c in p) for p in coeffs(sys_.exact_system)]
+        assert hexes(got) == hexes(twin if stops else float_lu_coeffs(sys_, n)), n
+        assert (hexes(got) == hexes(twin)) is stops, n
+
+
+def test_product_poly_multiplies_the_rounded_twin_where_float_lu_stops():
+    """product_poly on float systems multiplies its factors' coefficients:
+    P_(6,1)'s, where FloatLU stops, are the exact twin's rounded once, and
+    P_(2,1)'s are FloatLU's own."""
+    xs = make_xsystem("float64")
+    px = [float(c) for c in uni_type2(xs.exact_system, (6, 1)).coeffs]
+    py = float_lu_coeffs(xs, (2, 1))[0]
+    want = {pair(t, s): (a * b).hex() for t, a in enumerate(px) for s, b in enumerate(py)}
+    got = product_poly(ProductSystem.build(xs, xs), (6, 1), (2, 1))
+    assert {pair(t, s): c.hex() for t, s, c in got.terms()} == want
+
+
+def test_dense_past_the_float_range_raises_the_rounded_error():
+    """A form whose coefficient / d exceeds float64 is invalid input on a
+    float system, with the error every rounded report value raises."""
+    with pytest.raises(ValidationError) as rounded:
+        mopcore._rounded(F(10 ** 400, 3))
+    with pytest.raises(ValidationError) as dense:
+        mopcore._dense(make_pair_system("float64"), [[1, 10 ** 400]], 3)
+    assert str(dense.value) == str(rounded.value)
+    assert "float64 range" in str(dense.value)
+    poly, = mopcore._dense(make_pair_system(), [[1, 10 ** 400]], 3)
+    assert poly.coeffs == (F(1, 3), F(10 ** 400, 3))
 
 
 def test_equivalence_of_solvers_and_det(duo):

@@ -98,13 +98,10 @@ def test_product_poly_with_a_zero_coefficient():
     pytest.param(lambda: make_ysystem("float64"),
                  "mode: x system 'exact' != y system 'float64'; "
                  "a product system needs one mode", id="mode"),
-    pytest.param(lambda: UniMeasureSystem(families=make_ysystem().families, tol=1e-9),
-                 "tol: x system 1e-12 != y system 1e-09; a product system needs one tol",
-                 id="tol"),
 ])
 def test_build_needs_one_mode_and_one_tol(ysystem, message):
-    """The bivariate system has one scalar mode and one tol, so the two
-    univariate systems must share theirs."""
+    """The bivariate system has one scalar mode, so the two univariate
+    systems must share theirs; no system has a tol of its own."""
     with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
         ProductSystem.build(make_xsystem(), ysystem())
 
@@ -194,18 +191,19 @@ def test_det_factor_check_second_example(psys):
 
 
 def test_det_factor_check_reads_the_rounded_exact_dets():
-    """With tol = 1e-3 FloatLU stops on M_v (its last pivot is about 7e-4
-    of its largest entry), but the tol decides no det: the check reads the
-    exact dets of M_v and of the x factor, each rounded once, and their
-    ratio is finite and nonzero."""
-    from bimop import Laguerre, ProductSystem, UniMeasureSystem
-    from conftest import X_ALPHAS, Y_ALPHAS
-    xs, ys = (UniMeasureSystem(families=tuple(Laguerre(a) for a in alphas),
-                               mode="float64", tol=1e-3) for alphas in (X_ALPHAS, Y_ALPHAS))
-    ps = ProductSystem.build(xs, ys)
-    fc = det_factor_check(ps, (0, 3, 1, 1), x_factors=[(2, 1)])
-    num = normality(ps.bivariate.exact_system, (0, 3, 1, 1)).det
-    den = normality(xs.exact_system, (2, 1)).det
+    """FloatLU stops on M_v, v = (2, 4, 9, 1), and on the x factor's
+    M_(6,1), both exactly regular, but its threshold decides no det: the
+    check reads the exact dets of M_v and of the x factor, each rounded
+    once, and their ratio is finite and nonzero."""
+    from bimop import linalg, moment_matrix
+    from conftest import make_product_system
+    ps = make_product_system("float64")
+    v = (2, 4, 9, 1)
+    for sys_, n in ((ps.bivariate, v), (ps.xsystem, (6, 1))):
+        assert linalg.FloatLU(moment_matrix(sys_, n)).det() == 0.0
+    fc = det_factor_check(ps, v, x_factors=[(6, 1)])
+    num = normality(ps.bivariate.exact_system, v).det
+    den = normality(ps.xsystem.exact_system, (6, 1)).det
     assert fc.numerator.hex() == float(num).hex() and num != 0
     assert fc.denominator.hex() == float(den).hex() and den != 0
     assert fc.ratio == fc.numerator / fc.denominator != 0.0 and not fc.indeterminate

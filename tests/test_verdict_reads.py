@@ -5,6 +5,10 @@ Every function in ``relations.py``, ``product.verify_product`` and
 so none of them reads a system's ``exact``, ``mode`` or ``tol``, or a float
 zero test such as ``is_zero`` or ``magnitude``.  A verifier that branched on
 the mode again would fork the arithmetic of its verdicts.
+
+The solver's public reads, ``type2``, ``type1`` and their forms, read one
+cache form in both scalar modes: the mode fork lives in ``_factorise``,
+``_form``, ``_dense`` and ``solve_path`` only.
 """
 
 import ast
@@ -14,7 +18,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "bimop"
 
 FORBIDDEN = {"exact", "mode", "tol", "is_zero", "magnitude"}
 # module -> the functions checked, or None for every function in it
-CHECKED = {"relations": None, "product": {"verify_product"}, "mopcore": {"normality"}}
+CHECKED = {"relations": None, "product": {"verify_product"},
+           "mopcore": {"normality", "type2", "type1", "type2_form", "type1_form"}}
 
 
 def _reads(tree: ast.Module, functions=None) -> list:
