@@ -19,7 +19,18 @@ fresh systems and runs in both scalar modes:
 - ``nnr_vector`` with its default lower and upper chains on every chain of
   degree 1 or 2 and on the degree-3 chains from (2, 4), (3, 3) and (4, 2),
   and ``biorth_matrix`` on every pair of chains of degree <= 2;
+- ``product_poly``, ``verify_product`` at ``find_v``'s v and
+  ``det_factor_check`` (the factors n and m; n twice with a moment of each
+  axis; no factor) for every pair n, m of 2-indices with entries <= 2, on
+  the product of the two Laguerre pairs and on Jacobi(1/2), Jacobi(6/5) x
+  Jacobi(1/3), Jacobi(7/4); on the latter also ``det_factor_check`` at v =
+  (0, 0, 1, 2) with one, two and three x factors (8, 8), whose dets are
+  about 1.6e-151 each; and one indeterminate check and one vanishing
+  factor on moment tables;
 - system construction with no measure, a bad mode, and both;
+- ``linalg.det`` and ``linalg.solve`` on a few exact and float matrices:
+  regular, singular, not square, with a wrong rhs length, one whose float
+  LU stops though it is regular, and entries nan and inf;
 - every CLI line of README.md, plain, with ``--float`` and with
   ``--pretty``, run in-process: exit code, stdout and stderr;
 - the CLI's error paths, run the same way: each config command with no
@@ -58,6 +69,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from bimop import (  # noqa: E402
     Jacobi,
+    Matrix,
     Laguerre,
     MeasureSystem,
     MomentTable,
@@ -67,15 +79,21 @@ from bimop import (  # noqa: E402
     UniMeasureSystem,
     biorth_matrix,
     canonical_path,
+    det,
+    det_factor_check,
+    find_v,
     nnr_type1,
     nnr_type2,
     nnr_vector,
     normality,
+    product_poly,
+    solve,
     type1,
     type2,
     uni_normality,
     uni_type1,
     uni_type2,
+    verify_product,
 )
 from bimop.cli import run  # noqa: E402
 
@@ -112,6 +130,17 @@ def mixed_system(mode):
 
 def uni_system(mode):
     return UniMeasureSystem(families=(Laguerre(1), Jacobi(F(1, 2))), mode=mode)
+
+
+def product_systems(mode):
+    """The product of the two Laguerre pairs, and Jacobi(1/2), Jacobi(6/5)
+    x Jacobi(1/3), Jacobi(7/4)."""
+    def build(xs, ys):
+        return ProductSystem.build(UniMeasureSystem(families=xs, mode=mode),
+                                   UniMeasureSystem(families=ys, mode=mode))
+    return {"laguerre": build(tuple(map(Laguerre, X_ALPHAS)), tuple(map(Laguerre, Y_ALPHAS))),
+            "jacobi": build((Jacobi(F(1, 2)), Jacobi(F(6, 5))),
+                            (Jacobi(F(1, 3)), Jacobi(F(7, 4))))}
 
 
 def outcome(call) -> str:
@@ -204,6 +233,58 @@ def _vectors(sys_):
     for a, b in itertools.product(chains, repeat=2):
         yield (f"biorth_matrix.{';'.join(map(_text, a))}|{';'.join(map(_text, b))}",
                lambda: biorth_matrix(sys_, a, b))
+
+
+def _products(mode):
+    for name, ps in product_systems(mode).items():
+        for n, m in itertools.product(itertools.product(range(3), repeat=2), repeat=2):
+            v = find_v(n, m)
+            tag = f"product.{name}.{_text(n)}|{_text(m)}"
+            yield f"{tag}.product_poly", lambda: product_poly(ps, n, m)
+            yield f"{tag}.verify_product.{_text(v)}", lambda: verify_product(ps, n, m, v)
+            yield (f"{tag}.det_factor_check.{_text(v)}",
+                   lambda: det_factor_check(ps, v, x_factors=[n], y_factors=[m]))
+            yield (f"{tag}.det_factor_check.{_text(v)}.moments",
+                   lambda: det_factor_check(ps, v, x_factors=[n, n], y_factors=[m],
+                                            x_moments=[(1, 1)], y_moments=[(2, 3)]))
+            yield f"{tag}.det_factor_check.{_text(v)}.none", lambda: det_factor_check(ps, v)
+    ps = product_systems(mode)["jacobi"]
+    for k in (1, 2, 3):
+        yield (f"product.jacobi.det_factor_check.0,0,1,2.x=8,8*{k}",
+               lambda: det_factor_check(ps, (0, 0, 1, 2), x_factors=[(8, 8)] * k))
+    zero = UniMeasureSystem(families=(MomentTable([F(0)]),), mode=mode)
+    yield ("product.zero.det_factor_check.indeterminate",
+           lambda: det_factor_check(ProductSystem.build(zero, zero), (1,), x_moments=[(1, 0)]))
+    xs = UniMeasureSystem(families=(MomentTable([F(1), F(0)]),), mode=mode)
+    ys = UniMeasureSystem(families=(MomentTable([F(1), F(1)]),), mode=mode)
+    yield ("product.zero.det_factor_check.vanishing",
+           lambda: det_factor_check(ProductSystem.build(xs, ys), (1,), x_moments=[(1, 1)]))
+
+
+# (name, rows, rhs) for linalg.det and linalg.solve; "stops" is regular,
+# though its float LU stops at its second pivot.
+MATRICES = [
+    ("exact.empty", [], []),
+    ("exact.identity", [[F(1), F(0)], [F(0), F(1)]], [F(3), F(-2)]),
+    ("exact.hankel", [[F(1), F(2)], [F(2), F(6)]], [F(1, 3), F(5)]),
+    ("exact.singular", [[F(1), F(2)], [F(2), F(4)]], [F(1), F(1)]),
+    ("exact.wide", [[F(1), F(2)]], [F(1)]),
+    ("exact.short-rhs", [[F(1), F(2)], [F(3), F(4)]], [F(1)]),
+    ("float.diagonal", [[2.0, 0.0], [0.0, 3.0]], [4.0, 9.0]),
+    ("float.tenths", [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 1.0]], [0.1, 0.2, 0.3]),
+    ("float.singular", [[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0]),
+    ("float.stops", [[1.0, 1.0], [1.0, 1.0 + 1e-13]], [1.0, 2.0]),
+    ("float.wide", [[1.0, 2.0]], [1.0]),
+    ("float.mixed", [[F(1, 3), 0.5], [2, 0.25]], [1, 0.5]),
+    ("float.nan", [[1.0, float("nan")], [0.0, 1.0]], [1.0, 1.0]),
+    ("float.inf", [[1.0, 0.0], [float("inf"), 1.0]], [1.0, 1.0]),
+]
+
+
+def _linalg():
+    for name, rows, rhs in MATRICES:
+        yield f"linalg.det.{name}", lambda: det(Matrix.from_rows(rows))
+        yield f"linalg.solve.{name}", lambda: solve(Matrix.from_rows(rows), rhs)
 
 
 def _systems():
@@ -303,7 +384,11 @@ def outcomes():
         for section in (_recurrences, _paths, _vectors):
             for label, call in section(pair_system(mode)):
                 yield f"{mode}.{label}", outcome(call)
+        for label, call in _products(mode):
+            yield f"{mode}.{label}", outcome(call)
     for label, call in _systems():
+        yield label, outcome(call)
+    for label, call in _linalg():
         yield label, outcome(call)
 
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
