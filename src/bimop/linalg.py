@@ -1,21 +1,23 @@
-"""Dense matrices over exact rationals or binary64, with determinant and solve.
+"""Dense matrices, the two elimination kernels, and exact det and solve.
 
 Exact mode clears each row's denominators, divides each column of the
 cleared integers by its content (the gcd of its entries) and runs one
 fraction-free (Bareiss) LU over the integers, ``ExactLU``; float mode runs
 one partial-pivot LU, ``FloatLU``, which stops at a pivot at or below one
-relative threshold, ``FLOAT_TOL``.  ``det`` and ``solve`` pick the kernel by
-the entries.
+relative threshold, ``FLOAT_TOL``.  ``FloatLU`` serves ``mopcore``'s float
+Type I and Type II alone.  ``det`` and ``solve`` are exact in both modes:
+they run ``ExactLU`` on the rationals the entries denote, floats included.
 
 Both kernels take M with at most one rider row, an extra row that is never
-a pivot, and answer the same questions: ``det``, ``type1`` (M c =
-e_{n-1}) and ``type2`` (M^t y = -(the rider row)), each as values over one
-denominator: exact solutions as integers (``_cleared``), float ones over
-1.0.  ``ExactLU`` eliminates the rider with M, and its factors serve every
-leading block B_s of M (Gauss-Borel): B_s's Type I solution is one back
-pass on U, and its Type II solution, B_s^t y = -(row s of M), is one back
-pass on L^t of the Bareiss multipliers the elimination left in row s, the
-rider row for s = n.  ``FloatLU`` factors M alone, so it serves M only.
+a pivot, and answer the same questions: ``type1`` (M c = e_{n-1}) and
+``type2`` (M^t y = -(the rider row)), each as values over one denominator:
+exact solutions as integers (``_cleared``), float ones over 1.0; ``ExactLU``
+also answers ``det``.  ``ExactLU`` eliminates the rider with M, and its
+factors serve every leading block B_s of M (Gauss-Borel): B_s's Type I
+solution is one back pass on U, and its Type II solution, B_s^t y = -(row s
+of M), is one back pass on L^t of the Bareiss multipliers the elimination
+left in row s, the rider row for s = n.  ``FloatLU`` factors M alone, so it
+serves M only.
 
 Decimal conversion of integers (``int_to_decimal``, ``int_from_decimal``)
 splits by powers 10^(2^k), so numbers of any size print and parse without
@@ -31,7 +33,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .errors import DimensionMismatch, NotSquare, Singular
+from .errors import DimensionMismatch, NotSquare, Singular, ValidationError
 from .record import Record
 
 Scalar = Union[Fraction, float, int]
@@ -64,9 +66,6 @@ class Matrix(Record):
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows,
                       [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
-    def is_exact(self) -> bool:
-        return not any(isinstance(v, float) for row in self.data for v in row)
 
 
 class ExactLU:
@@ -228,11 +227,12 @@ def _back(lu: Sequence[Sequence[int]], b: List[int]) -> Tuple[List[int], int]:
 class FloatLU:
     """One partial-pivot LU factorisation P M = L U of a square binary64 M,
     and of at most one rider row, an extra row of M split off before the
-    factorisation.
+    factorisation; ``mopcore._factorise`` alone runs it, for a float
+    system's Type I and Type II.
 
     Step k pivots on the first largest |entry| of column k and stops when it
-    is at most ``FLOAT_TOL`` * max(1, max |entry of M|): ``sign`` is then 0,
-    ``det`` 0.0 and the solves None.  A stop is no verdict on M; ``mopcore``
+    is at most ``FLOAT_TOL`` * max(1, max |entry of M|): ``stopped`` is then
+    True and the read-outs are None.  A stop is no verdict on M; ``mopcore``
     hands the stopped solve to the system's exact twin, which decides
     normality.
     ``lu`` holds U and, below it, L's multipliers; row k of P M is row
@@ -254,43 +254,44 @@ class FloatLU:
         self.rider = a.pop() if m.rows > n else None
         scale = max([1.0] + [abs(v) for row in a for v in row])
         self.perm = list(range(n))
-        #: det(P), or 0 when M is singular
-        self.sign = 1
+        #: whether a pivot fell to the threshold, leaving no read-out
+        self.stopped = False
         for k in range(n):
             column = [abs(row[k]) for row in a[k:]]
             big = max(column)
             if big <= FLOAT_TOL * scale:
-                self.sign = 0
+                self.stopped = True
                 break
             p = k + column.index(big)
             if p != k:
                 a[k], a[p] = a[p], a[k]
                 self.perm[k], self.perm[p] = self.perm[p], self.perm[k]
-                self.sign = -self.sign
             for i in range(k + 1, n):
                 f = a[i][k] = a[i][k] / a[k][k]
                 for j in range(k + 1, n):
                     a[i][j] -= f * a[k][j]
         self.lu = a
 
-    def det(self, s: Optional[int] = None) -> float:
-        """det(P) times the pivots' product, taken left to right; 0.0 once it stopped."""
-        if not self.sign:
-            return 0.0
-        return self.sign * reduce(operator.mul, [row[k] for k, row in enumerate(self.lu)], 1.0)
-
     def type1(self, s: int) -> Optional[Tuple[List[float], float]]:
-        """(c, 1.0) with M c = e_{n-1}; None when the factorisation stopped."""
-        if not self.sign:
+        """(c, 1.0) with M c = e_{n-1}: L z = P e_{n-1}, then U c = z; None
+        when the factorisation stopped."""
+        if self.stopped:
             return None
-        b = [0.0] * len(self.lu)
-        b[self.perm.index(len(b) - 1)] = 1.0
-        return self._solve(b), 1.0
+        lu, n = self.lu, len(self.lu)
+        c = [0.0] * n
+        c[self.perm.index(n - 1)] = 1.0
+        for k in range(n):
+            for i in range(k + 1, n):
+                c[i] -= lu[i][k] * c[k]
+        for k in range(n - 1, -1, -1):
+            c[k] = (c[k] - reduce(operator.add, (lu[k][j] * c[j] for j in range(k + 1, n)),
+                                  0.0)) / lu[k][k]
+        return c, 1.0
 
     def type2(self, s: int) -> Optional[Tuple[List[float], float]]:
         """(y, 1.0) with M^t y = -(the rider row): U^t z = -rider, L^t w = z,
         then y = P^t w; None when the factorisation stopped."""
-        if not self.sign:
+        if self.stopped:
             return None
         lu, n = self.lu, len(self.lu)
         z = [0.0] * n
@@ -304,52 +305,42 @@ class FloatLU:
             y[i] = z[k]
         return y, 1.0
 
-    def _solve(self, b: List[float]) -> List[float]:
-        """x with M x = P^t b: L y = b, then U x = y."""
-        lu, n = self.lu, len(b)
-        for k in range(n):
-            for i in range(k + 1, n):
-                b[i] -= lu[i][k] * b[k]
-        x = [0.0] * n
-        for k in range(n - 1, -1, -1):
-            x[k] = (b[k] - reduce(operator.add, (lu[k][j] * x[j] for j in range(k + 1, n)),
-                                  0.0)) / lu[k][k]
-        return x
 
-
-def _check_square(m: Matrix) -> None:
+def _rationals(m: Matrix, rows: Sequence[Sequence[Scalar]]) -> Matrix:
+    """rows, after the one check that m is square, as the rationals their
+    entries denote, floats included (``as_integer_ratio``, as
+    ``mopcore._integer_terms`` reads them).  A nan or infinite entry denotes
+    none: invalid input."""
     if m.rows != m.cols:
         raise NotSquare(f"{m.rows}x{m.cols}")
+    try:
+        data = [[Fraction(*v.as_integer_ratio()) for v in row] for row in rows]
+    except (ValueError, OverflowError):
+        raise ValidationError("a nan or infinite entry denotes no rational") from None
+    return Matrix(len(data), m.cols, data)
 
 
-def det(m: Matrix) -> Scalar:
-    """Determinant by ``ExactLU`` or ``FloatLU``; the 0x0 matrix has det 1."""
-    _check_square(m)
-    return (ExactLU(m) if m.is_exact() else FloatLU(m)).det()
+def det(m: Matrix) -> Fraction:
+    """det(m) by ``ExactLU``, exact for float entries too; the 0x0 matrix
+    has det 1."""
+    return ExactLU(_rationals(m, m.data)).det()
 
 
-def solve(m: Matrix, rhs: Sequence[Scalar]) -> List[Scalar]:
-    """Solve m x = rhs by the kernel of m's entries; exact in rational mode.
+def solve(m: Matrix, rhs: Sequence[Scalar]) -> List[Fraction]:
+    """The x with m x = rhs, exact: ``ExactLU``'s Type II of m^t with -rhs
+    as the rider row, float entries read as the rationals they denote.
 
-    Exact mode reads x as the Type II solution of m^t with -rhs as the
-    rider row; float mode factors m and substitutes the permuted rhs.
-    Raises Singular (carrying the determinant value, 0 of m's scalar type)
-    when no unique solution exists.
+    Raises Singular (carrying the det, Fraction(0)) when no unique solution
+    exists.
     """
-    _check_square(m)
+    a = _rationals(m, m.transpose().data + [[-v for v in rhs]])
     if len(rhs) != m.rows:
         raise DimensionMismatch(f"rhs length {len(rhs)} != {m.rows}")
-    if m.is_exact():
-        rider = [-Fraction(v) for v in rhs]
-        x = ExactLU(Matrix(m.rows + 1, m.cols, m.transpose().data + [rider])).type2(m.rows)
-        if x is None:
-            raise Singular(Fraction(0))
-        nums, d = x
-        return [Fraction(v, d) for v in nums]
-    lu = FloatLU(m)
-    if not lu.sign:
-        raise Singular(0.0)
-    return lu._solve([float(rhs[i]) for i in lu.perm])
+    x = ExactLU(a).type2(m.rows)
+    if x is None:
+        raise Singular(Fraction(0))
+    nums, d = x
+    return [Fraction(v, d) for v in nums]
 
 
 def int_to_decimal(v: int) -> str:

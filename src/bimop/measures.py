@@ -196,9 +196,6 @@ class _ScalarMode:
             self._twin[EXACT] = type(self)(**{**fields, "mode": EXACT})
         return self._twin.get(EXACT, self)
 
-    def one(self) -> Scalar:
-        return Fraction(1) if self.exact else 1.0
-
     def _scalar(self, parts: Tuple[int, int], j: int, order) -> Scalar:
         """A moment's integer parts a, b as one Fraction, or as the float64
         a / b: int division rounds correctly, so it is float(Fraction(a, b))

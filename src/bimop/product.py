@@ -8,6 +8,7 @@ of any admissible multi-index v <= v~ with |v| = pair(|n|, |m|).
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import multiindex as mi
@@ -131,6 +132,7 @@ class FactorCheck(Record):
     indeterminate: bool
 
 
+@on_exact_system
 def det_factor_check(ps: ProductSystem, v: Sequence[int],
                      x_factors: Sequence[Sequence[int]] = (),
                      y_factors: Sequence[Sequence[int]] = (),
@@ -141,9 +143,14 @@ def det_factor_check(ps: ProductSystem, v: Sequence[int],
     Factors are univariate multi-indices per axis; moments are (measure,
     order) pairs multiplied into the denominator.  A finite nonzero ratio
     confirms proportionality; the constant itself is reported, not asserted.
+    The check is judged on the exact product system
+    (``ProductSystem.exact_system``) in both scalar modes, so a float
+    system's verdict is the exact one; its report is the exact one with each
+    value rounded once to float (a value past the float64 range is invalid
+    input).
     """
     num = normality(ps.bivariate, v).det
-    den = ps.bivariate.one()
+    den = Fraction(1)
     for f in x_factors:
         den *= normality(ps.xsystem, f).det
     for f in y_factors:

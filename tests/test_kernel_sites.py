@@ -1,8 +1,10 @@
 """The elimination kernels run only where the pipeline asks them to.
 
-``ExactLU`` and ``FloatLU`` are constructed in src/ only by
-``mopcore._factorise``, ``linalg.det`` and ``linalg.solve``, so the kernel
-interface stays the questions those three ask.  And no module changes
+``ExactLU`` is constructed in src/ only by ``mopcore._factorise``,
+``linalg.det`` and ``linalg.solve``, and ``FloatLU`` only by
+``mopcore._factorise``: binary64 elimination runs in the float solve alone,
+and each kernel's interface stays the questions its sites ask.  And no
+module changes
 Python's int/str digit limit, a process-wide setting: numbers of any size
 go through ``linalg``'s own decimal conversion.
 """
@@ -13,8 +15,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src").rglob("*.py"))
 
-KERNELS = {"ExactLU", "FloatLU"}
-ALLOWED = {("mopcore", "_factorise"), ("linalg", "det"), ("linalg", "solve")}
+# kernel -> the (module, enclosing def) sites that may construct it
+ALLOWED = {"ExactLU": {("mopcore", "_factorise"), ("linalg", "det"), ("linalg", "solve")},
+           "FloatLU": {("mopcore", "_factorise")}}
 
 
 def _calls(module: str, tree: ast.Module) -> list:
@@ -30,7 +33,7 @@ def _calls(module: str, tree: ast.Module) -> list:
             if isinstance(child, ast.Call):
                 f = child.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                if name in KERNELS or name == "set_int_max_str_digits":
+                if name in ALLOWED or name == "set_int_max_str_digits":
                     found.append((child.lineno, name, module, scope))
             visit(child, inner)
 
@@ -40,16 +43,17 @@ def _calls(module: str, tree: ast.Module) -> list:
 
 def _violations(module: str, tree: ast.Module) -> list:
     return [(line, name, scope) for line, name, mod, scope in _calls(module, tree)
-            if name not in KERNELS or (mod, scope) not in ALLOWED]
+            if (mod, scope) not in ALLOWED.get(name, ())]
 
 
 def test_kernels_run_only_in_the_three_sites():
-    bad, sites = [], set()
+    bad, sites = [], {name: set() for name in ALLOWED}
     for path in SOURCES:
         tree = ast.parse(path.read_text(), str(path))
         bad += [(path.name,) + v for v in _violations(path.stem, tree)]
-        sites |= {(mod, scope) for _, name, mod, scope in _calls(path.stem, tree)
-                  if name in KERNELS}
+        for _, name, mod, scope in _calls(path.stem, tree):
+            if name in ALLOWED:
+                sites[name].add((mod, scope))
     assert bad == []
     assert sites == ALLOWED
 
@@ -65,3 +69,9 @@ def test_the_check_sees_a_planted_kernel_and_a_digit_limit():
         "    return linalg.FloatLU(m)\n")
     assert _violations("mopcore", tree) == [(4, "ExactLU", "Moments.det"),
                                             (6, "set_int_max_str_digits", "_factorise")]
+    tree = ast.parse(
+        "def det(m):\n"
+        "    return FloatLU(m).det()\n"
+        "def solve(m, rhs):\n"
+        "    return ExactLU(m).type2(m.rows)\n")
+    assert _violations("linalg", tree) == [(2, "FloatLU", "det")]

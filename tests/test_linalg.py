@@ -7,8 +7,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bimop import (DimensionMismatch, Matrix, NotSquare, Singular, det, format_scalar,
-                   parse_scalar, solve)
+from bimop import (DimensionMismatch, Matrix, NotSquare, Singular, ValidationError, det,
+                   format_scalar, parse_scalar, solve)
 from bimop.linalg import FLOAT_TOL, ExactLU, FloatLU, int_from_decimal
 from bimop.mopcore import moment_matrix
 
@@ -253,15 +253,15 @@ def test_float_singular_detection():
 
 @pytest.mark.parametrize("one", [F(1), 1.0], ids=["exact", "float"])
 def test_solve_checks_shapes_before_the_kernel(one):
-    """NotSquare, then DimensionMismatch, then Singular with a det of m's
-    scalar type."""
+    """NotSquare, then DimensionMismatch, then Singular with the exact det
+    Fraction(0): float entries are solved as the rationals they denote."""
     with pytest.raises(NotSquare):
         solve(Matrix.from_rows([[one, one]]), [one, one, one])
     with pytest.raises(DimensionMismatch):
         solve(Matrix.from_rows([[one, one], [one, one]]), [one])
     with pytest.raises(Singular) as err:
         solve(Matrix.from_rows([[one, one], [one, one]]), [one, one])
-    assert err.value.det == 0 and type(err.value.det) is type(one)
+    assert err.value.det == 0 and type(err.value.det) is F
 
 
 floats = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
@@ -296,93 +296,118 @@ def float_cases(draw):
 def test_float_lu_against_exact_lu(case):
     """FloatLU judged by ExactLU on the same matrix converted exactly.
 
-    det within 1e-10 of the scale (sqrt(n) max|m|)^n of any det of that
-    size; solves with m (``linalg.solve``) and m^t (-rhs as the rider row,
-    ``type2``) with an exact residual within 1e-10 of |m| |x| + |rhs|
+    Solves with m (Type I, M c = e_{n-1}) and m^t (-rhs as the rider row,
+    ``type2``) with an exact residual within 1e-10 of |m| |x| + |b|
     (backward stability of partial pivoting), plus n |m| times the least
-    subnormal for results that underflow; Singular with det 0.0, and no
-    Type I or Type II, exactly when the factorisation stops.  A rider
-    changes neither the factorisation nor its det.  Type I and Type II read
-    out as ``ExactLU``'s do, values over one denominator, here 1.0: Type I
-    is ``solve`` with e_{n-1}.
+    subnormal for results that underflow; no Type I or Type II exactly
+    when the factorisation stops, which it does on every singular case,
+    where exact ``solve`` raises Singular with det Fraction(0).  A rider
+    changes not the factorisation.  Type I and Type II read out as
+    ``ExactLU``'s do, values over one denominator, here 1.0.
     """
     m, rhs, singular = case
     n = m.rows
     exact = Matrix.from_rows([[F(v) for v in row] for row in m.data])
     lu = FloatLU(m)
     by_row = FloatLU(Matrix(n + 1, n, m.data + [[-b for b in rhs]]))
-    big = max([1.0] + [abs(v) for row in m.data for v in row])
-    got = lu.det()
-    assert type(got) is float
-    assert abs(F(got) - ExactLU(exact).det()) <= F(1e-10) * F(n ** 0.5 * big) ** n
-    assert (by_row.lu, by_row.perm, by_row.det()) == (lu.lu, lu.perm, got)
+    assert (by_row.lu, by_row.perm, by_row.stopped) == (lu.lu, lu.perm, lu.stopped)
     if singular:
-        assert not lu.sign
-    if not lu.sign:
-        assert got == 0.0
+        assert lu.stopped
         with pytest.raises(Singular) as err:
             solve(m, rhs)
-        assert type(err.value.det) is float and err.value.det == 0.0
+        assert (err.value.det, type(err.value.det)) == (0, F)
+    if lu.stopped:
         assert by_row.type2(n) is None and lu.type1(n) is None
         return
     unit = [0.0] * (n - 1) + [1.0]
-    assert lu.type1(n) == (solve(m, unit), 1.0)
+    c, d = lu.type1(n)
+    assert (d, type(d)) == (1.0, float)
     y, d = by_row.type2(n)
     assert (d, type(d)) == (1.0, float)
     norm = max(sum(abs(v) for v in row) for row in m.data)
     norm_t = max(sum(abs(row[j]) for row in m.data) for j in range(n))
-    for a, size, solve_ in ((exact, norm, lambda: solve(m, rhs)),
-                            (exact.transpose(), norm_t, lambda: y)):
-        x = solve_()
-        residual = [F(b) - v for b, v in zip(rhs, matvec(a, [F(v) for v in x]))]
+    for a, size, b, x in ((exact, norm, unit, c), (exact.transpose(), norm_t, rhs, y)):
+        residual = [F(v) - w for v, w in zip(b, matvec(a, [F(v) for v in x]))]
         # exact, so that a bound near the underflow range is not rounded to 0
-        bound = (F(1e-10) * (F(size) * max(abs(F(v)) for v in x) + max(abs(F(b)) for b in rhs))
+        bound = (F(1e-10) * (F(size) * max(abs(F(v)) for v in x) + max(abs(F(v)) for v in b))
                  + n * F(size) * F(2) ** -1074)
         assert max(abs(r) for r in residual) <= bound
 
 
+@settings(max_examples=60, deadline=None)
+@given(float_cases())
+def test_float_det_and_solve_are_exact(case):
+    """det and solve read float entries as the rationals they denote: each
+    answers in Fractions what it answers for the Fraction matrix, and
+    Singular carries Fraction(0) exactly when that matrix is singular."""
+    m, rhs, _ = case
+    exact = Matrix.from_rows([[F(v) for v in row] for row in m.data])
+    got = det(m)
+    assert (got, type(got)) == (det(exact), F)
+    if not got:
+        with pytest.raises(Singular) as err:
+            solve(m, rhs)
+        assert (err.value.det, type(err.value.det)) == (0, F)
+        return
+    x = solve(m, rhs)
+    assert x == solve(exact, [F(b) for b in rhs])
+    assert all(type(v) is F for v in x) and matvec(exact, x) == [F(b) for b in rhs]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_nan_or_infinite_entry_is_invalid(bad):
+    """nan and inf denote no rational: det and solve raise ValidationError
+    for one in m or in rhs."""
+    m = Matrix.from_rows([[1.0, bad], [0.0, 1.0]])
+    identity = Matrix.from_rows([[1.0, 0.0], [0.0, 1.0]])
+    for call in (lambda: det(m), lambda: solve(m, [1.0, 1.0]),
+                 lambda: solve(identity, [bad, 1.0])):
+        with pytest.raises(ValidationError, match="nan or infinite"):
+            call()
+
+
 def test_float_lu_pivots_on_the_first_of_tied_magnitudes():
     """Column (2, -2) pivots on row 0, and so does (-2, 2); a tie (3, -3)
-    in rows 1 and 2 pivots on row 1, at step 0 and at step 1."""
+    in rows 1 and 2 pivots on row 1, at step 0 and at step 1.  Each perm
+    is even: the identity, or the 3-cycle of two swaps."""
     for rows in ([[2.0, 1.0], [-2.0, 3.0]], [[-2.0, 1.0], [2.0, 3.0]]):
         lu = FloatLU(Matrix.from_rows(rows))
-        assert (lu.perm, lu.sign) == ([0, 1], 1)
+        assert (lu.perm, lu.stopped) == ([0, 1], False)
     lu = FloatLU(Matrix.from_rows([[1.0, 0.0, 0.0], [3.0, 1.0, 0.0], [-3.0, 0.0, 2.0]]))
-    assert (lu.perm[0], lu.sign) == (1, 1)
+    assert (lu.perm, lu.stopped) == ([1, 2, 0], False)
     lu = FloatLU(Matrix.from_rows([[4.0, 0.0, 0.0], [0.0, 3.0, 1.0], [0.0, -3.0, 2.0]]))
-    assert (lu.perm, lu.sign) == ([0, 1, 2], 1)
+    assert (lu.perm, lu.stopped) == ([0, 1, 2], False)
 
 
 def test_float_lu_stops_on_an_all_zero_column():
     for rows in ([[0.0, 1.0], [0.0, 2.0]], [[1.0, 2.0, 0.0], [2.0, 4.0, 1.0], [3.0, 6.0, 2.0]]):
         lu = FloatLU(Matrix.from_rows(rows))
-        assert lu.sign == 0
-        assert lu.det() == 0.0
+        assert lu.stopped
+        assert lu.type1(len(rows)) is None
 
 
 def reference_float_lu(rows):
     """Partial pivoting written out: the first row of largest |entry| in
-    column k, strictly larger replacing it; (lu, perm, sign)."""
+    column k, strictly larger replacing it; (lu, perm, stopped)."""
     a = [list(row) for row in rows]
     n = len(a)
     scale = max([1.0] + [abs(v) for row in a for v in row])
-    perm, sign = list(range(n)), 1
+    perm = list(range(n))
     for k in range(n):
         p = k
         for i in range(k + 1, n):
             if abs(a[i][k]) > abs(a[p][k]):
                 p = i
         if abs(a[p][k]) <= FLOAT_TOL * scale:
-            return a, perm, 0
+            return a, perm, True
         if p != k:
             a[k], a[p] = a[p], a[k]
             perm[k], perm[p] = perm[p], perm[k]
-            sign = -sign
         for i in range(k + 1, n):
             f = a[i][k] = a[i][k] / a[k][k]
             for j in range(k + 1, n):
                 a[i][j] -= f * a[k][j]
-    return a, perm, sign
+    return a, perm, False
 
 
 @settings(max_examples=200, deadline=None)
@@ -393,7 +418,7 @@ def test_float_lu_matches_the_reference_pivoting_under_ties(rows):
     """The entry 1e-13 makes small nonzero pivots, at or below the
     threshold."""
     lu = FloatLU(Matrix.from_rows(rows))
-    assert (lu.lu, lu.perm, lu.sign) == reference_float_lu(rows)
+    assert (lu.lu, lu.perm, lu.stopped) == reference_float_lu(rows)
 
 
 @pytest.mark.parametrize("eps, stops", [(1e-13, True), (1e-11, False)])
@@ -402,7 +427,7 @@ def test_float_lu_stops_on_a_small_nonzero_pivot(eps, stops):
     FloatLU stops when it is at most FLOAT_TOL times the largest entry."""
     lu = FloatLU(Matrix.from_rows([[1.0, 1.0], [1.0, 1.0 + eps]]))
     assert lu.lu[1][1] != 0.0
-    assert (lu.sign == 0) is stops
+    assert lu.stopped is stops
     assert (lu.type1(2) is None) is stops
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from bimop import (
     BadV,
     DivisionByZeroFactor,
+    Jacobi,
     Laguerre,
     MomentTable,
     NotNormal,
@@ -16,6 +17,7 @@ from bimop import (
     SchemaError,
     SurplusNegative,
     UniMeasureSystem,
+    ValidationError,
     candidate_vs,
     det_factor_check,
     find_v,
@@ -27,7 +29,7 @@ from bimop import (
     unpair,
     verify_product,
 )
-from conftest import make_xsystem, make_ysystem
+from conftest import make_product_system, make_xsystem, make_ysystem
 
 
 def test_tilde_v_examples():
@@ -194,19 +196,20 @@ def test_det_factor_check_reads_the_rounded_exact_dets():
     """FloatLU stops on M_v, v = (2, 4, 9, 1), and on the x factor's
     M_(6,1), both exactly regular, but its threshold decides no det: the
     check reads the exact dets of M_v and of the x factor, each rounded
-    once, and their ratio is finite and nonzero."""
+    once, and their ratio is the exact ratio rounded once, finite and
+    nonzero."""
     from bimop import linalg, moment_matrix
     from conftest import make_product_system
     ps = make_product_system("float64")
     v = (2, 4, 9, 1)
     for sys_, n in ((ps.bivariate, v), (ps.xsystem, (6, 1))):
-        assert linalg.FloatLU(moment_matrix(sys_, n)).det() == 0.0
+        assert linalg.FloatLU(moment_matrix(sys_, n)).stopped
     fc = det_factor_check(ps, v, x_factors=[(6, 1)])
     num = normality(ps.bivariate.exact_system, v).det
     den = normality(ps.xsystem.exact_system, (6, 1)).det
     assert fc.numerator.hex() == float(num).hex() and num != 0
     assert fc.denominator.hex() == float(den).hex() and den != 0
-    assert fc.ratio == fc.numerator / fc.denominator != 0.0 and not fc.indeterminate
+    assert fc.ratio == float(num / den) != 0.0 and not fc.indeterminate
 
 
 def test_det_factor_check_indeterminate():
@@ -225,3 +228,62 @@ def test_det_factor_check_division_by_zero():
     ps0 = ProductSystem.build(xs, ys)
     with pytest.raises(DivisionByZeroFactor):
         det_factor_check(ps0, (1,), x_moments=[(1, 1)])
+
+
+def jacobi_product(mode):
+    """Jacobi(1/2), Jacobi(6/5) x Jacobi(1/3), Jacobi(7/4): the det of the x
+    system's M_(8,8) is about 1.6e-151."""
+    return ProductSystem.build(
+        UniMeasureSystem(families=(Jacobi(F(1, 2)), Jacobi(F(6, 5))), mode=mode),
+        UniMeasureSystem(families=(Jacobi(F(1, 3)), Jacobi(F(7, 4))), mode=mode))
+
+
+def test_float_det_factor_check_does_not_multiply_rounded_dets():
+    """Three x factors (8, 8): their float product, about 4.5e-453, would
+    underflow to 0.0 and report a vanishing factor.  The check multiplies
+    exact dets; the exact ratio, about 1.9e450, is past the float64 range,
+    which is invalid input.  With two factors the ratio is the exact one
+    rounded once, not the quotient of two rounded values."""
+    exact, fl = jacobi_product("exact"), jacobi_product("float64")
+    v = (0, 0, 1, 2)
+    with pytest.raises(ValidationError, match="float64 range"):
+        det_factor_check(fl, v, x_factors=[(8, 8)] * 3)
+    assert 10 ** 450 < abs(det_factor_check(exact, v, x_factors=[(8, 8)] * 3).ratio) < 10 ** 451
+    want = det_factor_check(exact, v, x_factors=[(8, 8)] * 2).ratio
+    got = det_factor_check(fl, v, x_factors=[(8, 8)] * 2).ratio
+    assert got.hex() == float(want).hex() == (-3.0576354712351907e+299).hex()
+
+
+@pytest.mark.parametrize("make", [make_product_system, jacobi_product],
+                         ids=["laguerre", "jacobi"])
+def test_float_det_factor_check_is_the_exact_report_rounded_once(make):
+    """At find_v's v for every pair of 2-indices with entries <= 2, with
+    the factors n and m, n twice and two moments, or none: the float
+    report is the exact one with each value rounded once (floats
+    throughout, denominator 1.0 with no factor), or the same error."""
+    exact, fl = make("exact"), make("float64")
+
+    def report(ps, *args, **kwargs):
+        try:
+            fc = det_factor_check(ps, *args, **kwargs)
+        except DivisionByZeroFactor as exc:
+            return str(exc)
+        return [fc.indeterminate] + [None if x is None else float(x)
+                                     for x in (fc.ratio, fc.numerator, fc.denominator)]
+
+    grid = [(a, b) for a in range(3) for b in range(3)]
+    for n in grid:
+        for m in grid:
+            v = find_v(n, m)
+            for kwargs in ({"x_factors": [n], "y_factors": [m]},
+                           {"x_factors": [n, n], "y_factors": [m],
+                            "x_moments": [(1, 1)], "y_moments": [(2, 3)]},
+                           {}):
+                want = report(exact, v, **kwargs)
+                assert report(fl, v, **kwargs) == want, (n, m, kwargs)
+                fc = det_factor_check(fl, v, **kwargs)
+                values = (fc.numerator, fc.denominator) + ((fc.ratio,) if fc.ratio is not None
+                                                           else ())
+                assert all(type(x) is float for x in values)
+                if not kwargs:
+                    assert fc.denominator == 1.0

@@ -1,9 +1,10 @@
 """The verifiers have one arithmetic: they never ask for the scalar mode.
 
-Every function in ``relations.py``, ``product.verify_product`` and
-``mopcore.normality`` judges on the system's exact twin (``exact_system``),
-so none of them reads a system's ``exact``, ``mode`` or ``tol``, or a float
-zero test such as ``is_zero`` or ``magnitude``.  A verifier that branched on
+Every function in ``relations.py``, ``product.verify_product``,
+``product.det_factor_check`` and ``mopcore.normality`` judges on the
+system's exact twin (``exact_system``), so none of them reads a system's
+``exact``, ``mode`` or ``tol``, or a float zero test such as ``is_zero`` or
+``magnitude``.  A verifier that branched on
 the mode again would fork the arithmetic of its verdicts.
 
 The solver's public reads, ``type2``, ``type1`` and their forms, read one
@@ -18,7 +19,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "bimop"
 
 FORBIDDEN = {"exact", "mode", "tol", "is_zero", "magnitude"}
 # module -> the functions checked, or None for every function in it
-CHECKED = {"relations": None, "product": {"verify_product"},
+CHECKED = {"relations": None, "product": {"verify_product", "det_factor_check"},
            "mopcore": {"normality", "type2", "type1", "type2_form", "type1_form"}}
 
 
