@@ -11,7 +11,9 @@ built-in ones also answer ``moment_parts``, the same moment as (numerator,
 denominator) integers, so a tensor measure multiplies integers and a
 system makes one value per distinct moment it reads: one Fraction in exact
 mode, one correctly rounded int division in float mode.  ``_reader`` is
-the one place that adapts a source with only ``moment``.
+the one place that adapts a source with only ``moment``.  A built-in
+family's order is natural: a negative one raises ``IndexOutOfRange``, as
+the systems do, and a tensor measure passes it on.
 """
 
 from __future__ import annotations
@@ -58,14 +60,13 @@ class Laguerre:
 
     def moment_parts(self, k: int) -> Tuple[int, int]:
         parts = self._parts
-        if len(parts) <= k:
+        if len(parts) <= _natural(k):
             p, q = self._step
             n, d = parts[-1]
             for i in range(len(parts), k + 1):
                 n, d = n * (p + i * q), d * q
                 parts.append((n, d))
-        # A negative order is the empty product, m_0.
-        return parts[max(k, 0)]
+        return parts[k]
 
 
 class Jacobi:
@@ -86,7 +87,7 @@ class Jacobi:
     def moment_parts(self, k: int) -> Tuple[int, int]:
         # a = p/q: (a + 1) / (a + k + 1) = (p + q) / (p + (k + 1) q).
         p, q = self.a.numerator, self.a.denominator
-        return p + q, p + (k + 1) * q
+        return p + q, p + (_natural(k) + 1) * q
 
 
 class MomentTable:
@@ -99,7 +100,7 @@ class MomentTable:
         return Fraction(*self.moment_parts(k))
 
     def moment_parts(self, k: int) -> Tuple[int, int]:
-        if k >= len(self._parts):
+        if _natural(k) >= len(self._parts):
             raise TableExhausted(f"moment table of length {len(self._parts)} has no order {k}")
         return self._parts[k]
 
@@ -145,6 +146,13 @@ class TableMeasure:
 
 if TYPE_CHECKING:
     BivariateMeasure = Union[TensorMeasure, TableMeasure]
+
+
+def _natural(k: int) -> int:
+    """k, the order of a family's moment, after checking it is natural."""
+    if k < 0:
+        raise IndexOutOfRange(f"moment order {k} is negative")
+    return k
 
 
 def _split(value) -> Tuple[int, int]:
@@ -271,8 +279,7 @@ class UniMeasureSystem(_ScalarMode, Record):
             pass
         if not 1 <= j <= self.r:
             raise IndexOutOfRange(f"measure index {j} not in 1..{self.r}")
-        if k < 0:
-            raise IndexOutOfRange(f"moment order {k} is negative")
+        _natural(k)
         if s:
             raise IndexOutOfRange(f"univariate measures have no moment of y^{s}")
         value = self._moment_cache[j, k, s] = self._scalar(

@@ -139,9 +139,8 @@ def test_bad_measure_index_raises_with_warm_cache(duo):
 
 @pytest.mark.parametrize("mode", ["exact", "float64"])
 def test_negative_moment_order_raises_and_is_not_cached(mode):
-    """A system answers no negative order, whatever its family would give
-    (a table's last moment, or a Laguerre family's m_0), and caches nothing
-    for it; the measure index is still checked first."""
+    """A system answers no negative order, and caches nothing for it; the
+    measure index is still checked first."""
     table = UniMeasureSystem((MomentTable([1, 2, 3]),), mode=mode)
     lag = UniMeasureSystem((Laguerre(1),), mode=mode)
     pair = MeasureSystem((TensorMeasure(Laguerre(1), Laguerre(F(23, 10))),), mode=mode)
@@ -155,6 +154,28 @@ def test_negative_moment_order_raises_and_is_not_cached(mode):
         with pytest.raises(IndexOutOfRange, match=message):
             sys_.moment(*args)
         assert list(sys_._moment_cache) == [(1, 0, 0)]
+
+
+@pytest.mark.parametrize("family", [
+    pytest.param(MomentTable([1, 2, 3]), id="table"),
+    pytest.param(Jacobi(F(1, 2)), id="jacobi-1/2"),
+    pytest.param(Jacobi(0), id="jacobi-0"),
+    pytest.param(Laguerre(1), id="laguerre"),
+])
+@pytest.mark.parametrize("k", [-1, -3])
+def test_built_in_families_reject_a_negative_order(family, k):
+    """A negative order is no moment: not a table's entry counted from its
+    end, Jacobi's (a + 1) / (a + k + 1) (3 for a = 1/2 and k = -1, a zero
+    division for a = 0) or Laguerre's empty product.  Every built-in family
+    raises IndexOutOfRange, the systems' error, in moment and moment_parts,
+    and a tensor measure passes it on from either axis."""
+    tensor = TensorMeasure(family, family)
+    calls = [lambda: family.moment(k), lambda: family.moment_parts(k),
+             lambda: tensor.moment(k, 0), lambda: tensor.moment_parts(0, k)]
+    for call in calls:
+        with pytest.raises(IndexOutOfRange, match=f"moment order {k} is negative"):
+            call()
+    assert family.moment(0) == 1
 
 
 # The moments of the uniform measure on [-1, 1/2]; the odd ones are negative.
