@@ -672,8 +672,10 @@ def _pair_band(mods):
     return [(a, mod - a) for mod in mods for a in range(mod // 2 - 2, mod // 2 + 3)]
 
 
-def _grid(r, bound):
-    return [n for n in itertools.product(range(bound + 1), repeat=r) if sum(n) <= bound]
+def _grid(r, bound, top=None):
+    """Every r-index of modulus <= bound, its components <= top (default bound)."""
+    top = bound if top is None else top
+    return [n for n in itertools.product(range(top + 1), repeat=r) if sum(n) <= bound]
 
 
 @pytest.mark.parametrize("make, indices", [
@@ -682,6 +684,8 @@ def _grid(r, bound):
     pytest.param(lambda mode="exact": UniMeasureSystem(
         families=(Jacobi(F(1, 2)), Jacobi(F(6, 5))), mode=mode), _grid(2, 20), id="jacobi-grid"),
     pytest.param(make_pair_system, _pair_band(range(35, 41)), id="pair-35-40"),
+    pytest.param(lambda mode="exact": make_product_system(mode).bivariate, _grid(4, 8, 4),
+                 id="quad-grid"),
 ])
 def test_float_normality_and_solves_follow_the_exact_verdict(make, indices):
     """One normality rule in both scalar modes.  Float normality is the
