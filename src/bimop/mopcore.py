@@ -26,9 +26,9 @@ Normality has one rule in both scalar modes: det(M_n) != 0, decided by
 and reads each index's Type I and Type II from it with the same calls in
 both scalar modes (``type1``, ``type2``), and an exact index's det.  Where
 ``FloatLU`` stops, the exact twin decides (``_form``), and its cleared form
-is rounded once.  Row |n| of the moments, the right-hand side of n's Type
-II system, lies outside M_n, so it rides the factorisation as M's rider
-row.
+is rounded once and cached in the float system's entry.  Row |n| of the
+moments, the right-hand side of n's Type II system, lies outside M_n, so
+it rides the factorisation as M's rider row.
 Exact solves go by neighbour path (``solve_path``): every M_n on a path is a
 leading block of the last one, so one factorisation solves the whole path,
 and a verifier that solves a path a step past its own top (``nnr_type2``)
