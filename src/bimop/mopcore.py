@@ -26,9 +26,9 @@ Normality has one rule in both scalar modes: det(M_n) != 0, decided by
 and reads each index's Type I and Type II from it with the same calls in
 both scalar modes (``type1``, ``type2``), and an exact index's det.  Where
 ``FloatLU`` stops, the exact twin decides (``_form``), and its cleared form
-is rounded once and cached in the float system's entry.  Row |n| of the
-moments, the right-hand side of n's Type II system, lies outside M_n, so
-it rides the factorisation as M's rider row.
+is rounded once.  Row |n| of the moments, the right-hand side of n's Type
+II system, lies outside M_n, so it rides the factorisation as M's rider
+row.
 Exact solves go by neighbour path (``solve_path``): every M_n on a path is a
 leading block of the last one, so one factorisation solves the whole path,
 and a verifier that solves a path a step past its own top (``nnr_type2``)
@@ -262,9 +262,8 @@ _ONE = ([[1]], 1)
 class _Solved:
     """Cached results of one index: det(M_n), on an exact system only;
     type2 and type1 None where the kernel gave no solution (M_n singular,
-    or ``FloatLU`` stopped and ``_form`` has not yet read the twin's), type2
-    the TableExhausted its right-hand side raised, else what ``type2_form``
-    and ``type1_form`` return."""
+    or ``FloatLU`` stopped), type2 the TableExhausted its right-hand side
+    raised, else what ``type2_form`` and ``type1_form`` return."""
 
     __slots__ = ("det", "type2", "type1")
 
@@ -452,20 +451,17 @@ def type1_form(sys: System, n: Sequence[int]):
 
 def _form(sys: System, key: Tuple[int, ...], field: str):
     """The cached form field of a nonzero index, ([coefficients, ...], d):
-    cleared integers on an exact system, and on a float one floats over
-    1.0.  Where the kernel gave none, exact M_n is singular: NotNormal.
-    Where ``FloatLU`` stopped the exact twin decides (``on_exact_system``):
-    NotNormal, its det rounded, only if M_n is singular, else the twin's
-    cleared form, each coefficient rounded once and cached in ``FloatLU``'s
-    form, so later calls read it like any other."""
+    cleared integers on an exact system, and on a float one ``FloatLU``'s
+    floats over 1.0.  Where the kernel gave none, exact M_n is singular:
+    NotNormal.  Where ``FloatLU`` stopped the exact twin decides
+    (``on_exact_system``): NotNormal, its det rounded, only if M_n is
+    singular, else the twin's cleared form, which ``_dense`` rounds once."""
     entry = _solved(sys, key)
     form = getattr(entry, field)
     if form is None:
         if sys.exact:
             raise NotNormal(key, entry.det)
-        blocks, d = on_exact_system(_form)(sys, key, field)
-        form = [[_float(a, d) for a in block] for block in blocks], 1.0
-        setattr(entry, field, form)
+        return on_exact_system(_form)(sys, key, field)
     if isinstance(form, TableExhausted):
         raise TableExhausted(*form.args)
     return form

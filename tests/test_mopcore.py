@@ -264,48 +264,6 @@ def test_product_poly_multiplies_the_rounded_twin_where_float_lu_stops():
     assert {pair(t, s): c.hex() for t, s, c in got.terms()} == want
 
 
-def test_a_stopped_float_solve_is_cached_once_the_twin_answers(monkeypatch):
-    """Where FloatLU stops, the first float type2 and type1 read the exact
-    twin's forms and round each coefficient once; the second calls read
-    the float cache and never reach the twin, with the same bits.  Where
-    the twin has nothing to give, NotNormal (the quad system's (3, 3, 3,
-    3)) and TableExhausted (type2 of (12,) on a Hilbert table one moment
-    short of its rider row) raise on every call, from the twin."""
-    reached = []
-    solved = mopcore._solved
-
-    def spy(system, key):
-        reached.append(system.mode)
-        return solved(system, key)
-
-    monkeypatch.setattr(mopcore, "_solved", spy)
-
-    def coeffs(sys_, n):
-        return [type2(sys_, n).coeffs] + [p.coeffs for p in type1(sys_, n).polys]
-
-    for sys_, n in ((make_pair_system("float64"), (19, 19)), (make_xsystem("float64"), (6, 1))):
-        assert linalg.FloatLU(moment_matrix(sys_, n)).stopped
-        first = coeffs(sys_, n)
-        assert "exact" in reached
-        twin = [tuple(float(c) for c in p) for p in coeffs(sys_.exact_system, n)]
-        assert hexes(first) == hexes(twin)
-        reached.clear()
-        assert hexes(coeffs(sys_, n)) == hexes(first)
-        assert reached and "exact" not in reached
-    hilbert = UniMeasureSystem((MomentTable([F(1, k + 1) for k in range(23)]),), "float64")
-    quad = make_product_system("float64").bivariate
-    for sys_, n, fn, error in ((quad, (3, 3, 3, 3), type2, NotNormal),
-                               (quad, (3, 3, 3, 3), type1, NotNormal),
-                               (hilbert, (12,), type2, TableExhausted)):
-        assert linalg.FloatLU(moment_matrix(sys_, n)).stopped
-        for _ in range(2):
-            reached.clear()
-            with pytest.raises(error):
-                fn(sys_, n)
-            assert "exact" in reached
-    assert type1(hilbert, (12,)).polys[0].coeffs
-
-
 def test_dense_past_the_float_range_raises_the_rounded_error():
     """A form whose coefficient / d exceeds float64 is invalid input on a
     float system, with the error every rounded report value raises."""
