@@ -306,13 +306,19 @@ class FloatLU:
         return y, 1.0
 
 
-def _rationals(m: Matrix, rows: Sequence[Sequence[Scalar]]) -> Matrix:
-    """rows, after the one check that m is square, as the rationals their
-    entries denote, floats included (``as_integer_ratio``, as
-    ``mopcore._integer_terms`` reads them).  A nan or infinite entry denotes
-    none: invalid input."""
+def _rationals(m: Matrix, rhs: Optional[Sequence[Scalar]] = None) -> Matrix:
+    """m^t, with -rhs as its rider row when rhs is given, as the rationals
+    the entries denote, floats included (``as_integer_ratio``, as
+    ``mopcore._integer_terms`` reads them).  The shape checks come first:
+    NotSquare, then DimensionMismatch for an rhs without one entry per row.
+    A nan or infinite entry denotes no rational: invalid input."""
     if m.rows != m.cols:
         raise NotSquare(f"{m.rows}x{m.cols}")
+    rows = m.transpose().data
+    if rhs is not None:
+        if len(rhs) != m.rows:
+            raise DimensionMismatch(f"rhs length {len(rhs)} != {m.rows}")
+        rows.append([-v for v in rhs])
     try:
         data = [[Fraction(*v.as_integer_ratio()) for v in row] for row in rows]
     except (ValueError, OverflowError):
@@ -321,9 +327,9 @@ def _rationals(m: Matrix, rows: Sequence[Sequence[Scalar]]) -> Matrix:
 
 
 def det(m: Matrix) -> Fraction:
-    """det(m) by ``ExactLU``, exact for float entries too; the 0x0 matrix
-    has det 1."""
-    return ExactLU(_rationals(m, m.data)).det()
+    """det(m) = det(m^t) by ``ExactLU``, exact for float entries too; the
+    0x0 matrix has det 1."""
+    return ExactLU(_rationals(m)).det()
 
 
 def solve(m: Matrix, rhs: Sequence[Scalar]) -> List[Fraction]:
@@ -333,10 +339,7 @@ def solve(m: Matrix, rhs: Sequence[Scalar]) -> List[Fraction]:
     Raises Singular (carrying the det, Fraction(0)) when no unique solution
     exists.
     """
-    a = _rationals(m, m.transpose().data + [[-v for v in rhs]])
-    if len(rhs) != m.rows:
-        raise DimensionMismatch(f"rhs length {len(rhs)} != {m.rows}")
-    x = ExactLU(a).type2(m.rows)
+    x = ExactLU(_rationals(m, rhs)).type2(m.rows)
     if x is None:
         raise Singular(Fraction(0))
     nums, d = x

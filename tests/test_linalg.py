@@ -259,6 +259,12 @@ def test_solve_checks_shapes_before_the_kernel(one):
         solve(Matrix.from_rows([[one, one]]), [one, one, one])
     with pytest.raises(DimensionMismatch):
         solve(Matrix.from_rows([[one, one], [one, one]]), [one])
+    # The shape checks come before any entry is read.
+    with pytest.raises(NotSquare):
+        solve(Matrix.from_rows([[one, one]]), [float("nan"), "x"])
+    for bad in (float("nan"), float("inf"), "x"):
+        with pytest.raises(DimensionMismatch):
+            solve(Matrix.from_rows([[one, one], [one, one]]), [bad])
     with pytest.raises(Singular) as err:
         solve(Matrix.from_rows([[one, one], [one, one]]), [one, one])
     assert err.value.det == 0 and type(err.value.det) is F
