@@ -378,18 +378,25 @@ def on_exact_system(verifier):
     return run
 
 
-def _rounded(value):
+def _rounded(value, report: bool = False):
     """value with each Fraction in it rounded to the nearest float: records,
     lists, tuples and dicts are rebuilt around the rounded values.  A value
-    past the float64 range is invalid input."""
+    past the float64 range is invalid input, and so is a nonzero value of a
+    record (a report such as ``Normality``) that rounds to 0.0: next to the
+    record's exact verdict it would read as a vanishing det, factor or
+    residual."""
     if isinstance(value, Fraction):
-        return _float(value.numerator, value.denominator)
+        rounded = _float(value.numerator, value.denominator)
+        if report and value and not rounded:
+            raise ValidationError("a reported value is nonzero but below the float64 "
+                                  "range; use exact mode")
+        return rounded
     if isinstance(value, Record):
-        return type(value)(**{k: _rounded(v) for k, v in vars(value).items()})
+        return type(value)(**{k: _rounded(v, True) for k, v in vars(value).items()})
     if isinstance(value, (list, tuple)):
-        return type(value)([_rounded(v) for v in value])
+        return type(value)([_rounded(v, report) for v in value])
     if isinstance(value, dict):
-        return {k: _rounded(v) for k, v in value.items()}
+        return {k: _rounded(v, report) for k, v in value.items()}
     return value
 
 
@@ -411,8 +418,9 @@ def normality(sys: System, n: Sequence[int]) -> Normality:
 
     The 0x0 matrix has det 1, so the zero index is vacuously normal.  A
     float system answers its exact twin's verdict (``on_exact_system``)
-    with the det rounded once to float; a det past the float64 range is
-    invalid input.  ``FloatLU`` plays no part.
+    with the det rounded once to float; a det past the float64 range, or
+    a nonzero one that rounds to 0.0, is invalid input.  ``FloatLU`` plays
+    no part.
     """
     d = _solved(sys, _index(sys, n)).det
     return Normality(d != 0, d)

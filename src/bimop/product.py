@@ -146,8 +146,8 @@ def det_factor_check(ps: ProductSystem, v: Sequence[int],
     The check is judged on the exact product system
     (``ProductSystem.exact_system``) in both scalar modes, so a float
     system's verdict is the exact one; its report is the exact one with each
-    value rounded once to float (a value past the float64 range is invalid
-    input).
+    value rounded once to float (a value past the float64 range, or a
+    nonzero one that rounds to 0.0, is invalid input).
     """
     num = normality(ps.bivariate, v).det
     den = Fraction(1)

@@ -254,6 +254,21 @@ def test_float_det_factor_check_does_not_multiply_rounded_dets():
     assert got.hex() == float(want).hex() == (-3.0576354712351907e+299).hex()
 
 
+def test_a_float_factor_check_never_rounds_a_factor_to_zero():
+    """At v = (0, 6, 6, 2) with the x factor (8, 8) and the y factor (9, 9)
+    the exact denominator, about 7.3e-343, is nonzero and rounds to 0.0,
+    while the ratio, about 2.5e298, is finite.  A float report of
+    denominator 0.0 beside indeterminate False would contradict itself:
+    it is invalid input, as a value past the float64 range is."""
+    v, factors = (0, 6, 6, 2), {"x_factors": [(8, 8)], "y_factors": [(9, 9)]}
+    exact = det_factor_check(jacobi_product("exact"), v, **factors)
+    assert not exact.indeterminate and float(exact.denominator) == 0.0
+    assert 10 ** 298 < abs(exact.ratio) < 10 ** 299
+    with pytest.raises(ValidationError, match="^a reported value is nonzero but below "
+                                              "the float64 range; use exact mode$"):
+        det_factor_check(jacobi_product("float64"), v, **factors)
+
+
 @pytest.mark.parametrize("make", [make_product_system, jacobi_product],
                          ids=["laguerre", "jacobi"])
 def test_float_det_factor_check_is_the_exact_report_rounded_once(make):
