@@ -309,7 +309,7 @@ class FloatLU:
 def _rationals(m: Matrix, rhs: Optional[Sequence[Scalar]] = None) -> Matrix:
     """m^t, with -rhs as its rider row when rhs is given, as the rationals
     the entries denote, floats included (``as_integer_ratio``, as
-    ``mopcore._integer_terms`` reads them).  The shape checks come first:
+    ``mopcore.cleared`` reads them).  The shape checks come first:
     NotSquare, then DimensionMismatch for an rhs without one entry per row.
     A nan or infinite entry denotes no rational: invalid input."""
     if m.rows != m.cols:

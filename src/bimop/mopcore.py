@@ -11,11 +11,13 @@ either kernel as values over one denominator, exact ones cleared and float
 ones over 1.0, and are cached in that form (``type2_form``,
 ``type1_form``); ``type2``/``type1`` make Fractions or floats of them on
 request (``_dense``).
-Any other polynomial is cleared by ``_integer_terms``, once per pairing set
-or sum.  Pairings go
+Cleared forms are the only currency of pairings and sums: x*P and y*P are
+one shift of the integers (``shifted``), and a caller's polynomial is
+cleared once, where it enters (``cleared``: in ``inner``,
+``type1_pairing`` and ``relations.gram_pattern_holds``).  Pairings go
 through moment rows (``moment_rows``): each integer pairing
-<P, x^{e_l}>_j a polynomial needs is computed once, over one denominator,
-however many polynomials it is paired against; ``inner`` and
+<P, x^{e_l}>_j a form needs is computed once, over one denominator,
+however many forms it is paired against; ``inner`` and
 ``type1_pairing`` are one-shot uses.  Sums go through ``combine``, which
 makes each coefficient one Fraction.  Univariate systems run through the
 same solver over the power basis (see ``_basis``).
@@ -132,22 +134,12 @@ class BiPoly(_Dense, Record):
         return BiPoly.from_coeffs([c * v for v in self.coeffs])
 
     def mul_x(self) -> "BiPoly":
-        """Multiply by x: position z = pair(t, s) maps to shift_x(t, s)."""
-        return self._shift(mi.shift_x)
+        """Multiply by x (``shifted`` by ``shift_x``)."""
+        return BiPoly.from_coeffs(shifted(self.coeffs, mi.shift_x))
 
     def mul_y(self) -> "BiPoly":
-        """Multiply by y: position z = pair(t, s) maps to shift_y(t, s)."""
-        return self._shift(mi.shift_y)
-
-    def _shift(self, shift) -> "BiPoly":
-        if not self.coeffs:
-            return BiPoly.zero()
-        top = shift(*mi.unpair(len(self.coeffs) - 1))
-        out: List[Scalar] = [0] * (top + 1)
-        for z, c in enumerate(self.coeffs):
-            if c != 0:
-                out[shift(*mi.unpair(z))] = c
-        return BiPoly.from_coeffs(out)
+        """Multiply by y (``shifted`` by ``shift_y``)."""
+        return BiPoly.from_coeffs(shifted(self.coeffs, mi.shift_y))
 
     def terms(self) -> List[Tuple[int, int, Scalar]]:
         """Nonzero (t, s, coefficient) triples, descending Cantor position."""
@@ -485,31 +477,31 @@ def type1(sys: System, n: Sequence[int]) -> TypeISet:
     return TypeISet(tuple(_dense(sys, *type1_form(sys, n))))
 
 
-def moment_rows(sys: MeasureSystem, p: BiPoly) -> Callable[..., Scalar]:
-    """pair(qs, j=1) = sum_i <p, qs[i]>_{j+i}: p paired against many
-    polynomials, on an exact system (a float one raises ValidationError;
-    pair on its ``exact_system``).
+def moment_rows(sys: MeasureSystem, form) -> Callable[..., Scalar]:
+    """pair(forms, j=1) = sum_i <p, q_i>_{j+i}: the polynomial p of a cleared
+    form ([P], d_p) paired against the polynomials q_i of many cleared forms
+    ([Q_1, ...], d_q), on an exact system (a float one raises
+    ValidationError; pair on its ``exact_system``).
 
-    It keeps moment rows for p = P/d_p, with P integer: row j maps basis
-    position l to the integer <P, x^{e_l}>_j * L, where L is one denominator
-    shared by every row.  A pairing fills the positions its polynomials need
-    and no other, then takes dot products with their integer coefficients
-    and returns one fraction over all j.  p and qs may come cleared
-    (``type2_form``, ``type1_form``); a float coefficient is paired as the
-    rational it denotes (``_integer_terms``).
+    It keeps moment rows for p = P/d_p: row j maps basis position l to the
+    integer <P, x^{e_l}>_j * L, where L is one denominator shared by every
+    row.  A pairing fills the positions its forms need and no other, then
+    takes dot products with their integer coefficients and returns one
+    fraction over all j.  Forms come from ``type2_form``, ``type1_form``,
+    ``shifted`` or ``cleared``.
     """
     _exact_only(sys, "moment_rows")
     rows: dict = {}
     scale = 1
-    (coeffs,), dp = p if _is_cleared(p) else _integer_terms((p,))
+    (coeffs,), dp = form
     p_terms = []
     for u, a in enumerate(coeffs):
         if a:
             p_terms.append((*mi.unpair(u), a))
 
-    def pair(qs, j=1):
+    def pair(form, j=1):
         nonlocal scale
-        q_terms, dq = qs if _is_cleared(qs) else _integer_terms(qs)
+        q_terms, dq = form
         total = 0
         for coeffs in q_terms:
             row = rows.setdefault(j, {})
@@ -557,36 +549,29 @@ def inner(sys: MeasureSystem, j: int, p: BiPoly, q: BiPoly) -> Scalar:
     """Moment-bilinear inner product <p, q>_j (no quadrature).
 
     It pairs the rationals the coefficients denote, float ones included,
-    exactly (``moment_rows``): one Fraction, rounded once on a float system.
+    exactly (``cleared``, ``moment_rows``): one Fraction, rounded once on a
+    float system.
     """
-    return moment_rows(sys, p)((q,), j)
+    return moment_rows(sys, cleared((p,)))(cleared((q,)), j)
 
 
-def combine(sys: System, terms: Sequence[Tuple[Scalar, BiPoly]]) -> BiPoly:
-    """The polynomial sum of c * p over the (c, p) pairs of terms, with
-    rational c, on an exact system.
+def combine(sys: System, terms: Sequence[tuple]) -> BiPoly:
+    """The polynomial sum of c * p over the (c, ([P], d)) pairs of terms,
+    p = P/d a cleared form and c rational, on an exact system.
 
-    It clears every polynomial p onto one denominator in one
-    ``_integer_terms`` call (a p may come cleared: ``type2_form``,
-    ``type1_form``), puts all p over the lcm of their denominators and every
-    c over the lcm of theirs, sums the integers by basis position and makes
-    each coefficient one Fraction.
+    It puts all P over the lcm of their d and every c over the lcm of
+    theirs, sums the integers by basis position and makes each coefficient
+    one Fraction.
     """
     _exact_only(sys, "combine")
-    cleared, d = _integer_terms([p for _, p in terms if not _is_cleared(p)])
-    records = iter(cleared)
-    forms = []
     lcm = den = 1
     size = 0
-    for c, p in terms:
-        form = p if _is_cleared(p) else ([next(records)], d)
-        forms.append(form)
-        (coeffs,), dp = form
+    for c, ((coeffs,), dp) in terms:
         lcm = math.lcm(lcm, c.denominator)
         den = math.lcm(den, dp)
         size = max(size, len(coeffs))
     acc = [0] * size
-    for (c, _), ((coeffs,), dp) in zip(terms, forms):
+    for c, ((coeffs,), dp) in terms:
         k = c.numerator * (lcm // c.denominator) * (den // dp)
         for z, a in enumerate(coeffs):
             acc[z] += k * a
@@ -604,15 +589,11 @@ def _exact_only(sys: System, name: str) -> None:
         raise ValidationError(f"{name} needs an exact system, not mode {sys.mode!r}")
 
 
-def _is_cleared(x) -> bool:
-    """Whether x is cleared, ([coefficients, ...], d), not polynomials."""
-    return isinstance(x, tuple) and len(x) == 2 and type(x[1]) is int
-
-
-def _integer_terms(polys: Sequence[BiPoly]) -> Tuple[List[List[int]], int]:
-    """The coefficients of each polynomial as integers N over one d:
-    polys[i] = sum_z N_z x^{e_z} / d.  Their cleared form.  A float
-    coefficient is the rational it denotes (``as_integer_ratio``)."""
+def cleared(polys: Sequence[BiPoly]) -> Tuple[List[List[int]], int]:
+    """The cleared form ([N_1, ...], d) of polys: the coefficients of each
+    polynomial as integers over one d, polys[i] = sum_z N_i[z] x^{e_z} / d.
+    A float coefficient is the rational it denotes (``as_integer_ratio``).
+    A caller's polynomial is cleared once, where it enters a pairing."""
     ratios = [[c.as_integer_ratio() for c in q.coeffs] for q in polys]
     d = 1
     for q in ratios:
@@ -626,13 +607,28 @@ def _integer_terms(polys: Sequence[BiPoly]) -> Tuple[List[List[int]], int]:
     return out, d
 
 
+def shifted(coeffs: Sequence[Scalar], shift: Callable[[int, int], int]) -> List[Scalar]:
+    """coeffs multiplied by x (shift ``mi.shift_x``) or y (``mi.shift_y``):
+    the coefficient at position pair(t, s) moves to shift(t, s), and every
+    other position holds 0.  The one rule of x*P and y*P, for polynomials
+    and for the integers of a cleared form alike."""
+    if not coeffs:
+        return []
+    out: List[Scalar] = [0] * (shift(*mi.unpair(len(coeffs) - 1)) + 1)
+    for z, c in enumerate(coeffs):
+        if c:
+            out[shift(*mi.unpair(z))] = c
+    return out
+
+
 @on_exact_system
 def type1_pairing(sys: MeasureSystem, p: BiPoly, m: Sequence[int]) -> Scalar:
     """Biorthogonality pairing <p, Q_m> = sum_j <p, A_{m,j}>_j.
 
-    Computed purely from moments; weights are never evaluated.
+    Computed purely from moments; weights are never evaluated.  p is
+    paired as the rationals its coefficients denote (``cleared``).
     """
-    return moment_rows(sys, p)(type1_form(sys, m))
+    return moment_rows(sys, cleared((p,)))(type1_form(sys, m))
 
 
 def uni_moment_matrix(sys1d: UniMeasureSystem, n: Sequence[int]) -> Matrix:

@@ -19,8 +19,8 @@ from . import multiindex as mi
 from .errors import ChainInvalid, EmptyIndex, IndexTooSmall, PathInvalid
 from .linalg import Matrix, Scalar, format_scalar
 from .measures import MeasureSystem
-from .mopcore import (BiPoly, combine, moment_rows, on_exact_system, solve_path, type1,
-                      type1_form, type1_pairing, type2, type2_form)
+from .mopcore import (BiPoly, cleared, combine, moment_rows, on_exact_system, shifted,
+                      solve_path, type1, type1_form, type2, type2_form)
 from .record import Record
 
 
@@ -168,9 +168,10 @@ def assemble_type2_vector(sys: MeasureSystem, chain: Sequence[Sequence[int]]) ->
 def gram_pattern_holds(sys: MeasureSystem, n: Sequence[int], p: BiPoly) -> bool:
     """True iff <p, x^t y^s>_j vanishes for the first n_j monomials of each j
     (the Type II conditions of n).  p is judged exactly, as the rationals its
-    coefficients denote, float ones included."""
-    pair = moment_rows(sys, p)
-    return all(pair((BiPoly.monomial(*mi.unpair(l)),), j) == 0
+    coefficients denote, float ones included (``cleared``), against each
+    monomial's unit form."""
+    pair = moment_rows(sys, cleared((p,)))
+    return all(pair(([[0] * l + [1]], 1), j) == 0
                for j, nj in enumerate(n, start=1) for l in range(nj))
 
 
@@ -184,7 +185,7 @@ def assemble_type1_vectors(sys: MeasureSystem, chain: Sequence[Sequence[int]]) -
     for n in chain:
         size = sum(n)
         for l in range(size):
-            total = type1_pairing(sys, BiPoly.monomial(*mi.unpair(l)), n)
+            total = moment_rows(sys, ([[0] * l + [1]], 1))(type1_form(sys, n))
             want = 1 if l == size - 1 else 0
             if total != want:
                 ok = False
@@ -232,20 +233,25 @@ class NNRReport(Record):
 
 
 def _axis(axis: str):
-    """The multiplication of an axis and its top's offset above d_n: the
+    """The shift of an axis (``shifted``) and its top's offset above d_n: the
     expansion of x*P_n reaches modulus |n| + d_n + 1, that of y*P_n one more."""
     if axis not in ("x", "y"):
         raise PathInvalid(f"axis must be 'x' or 'y', got {axis!r}")
-    return (BiPoly.mul_x, 1) if axis == "x" else (BiPoly.mul_y, 2)
+    return (mi.shift_x, 1) if axis == "x" else (mi.shift_y, 2)
 
 
-def _expand(sys: MeasureSystem, xp: BiPoly, path: mi.Path, top: int, stop: int):
-    """Type II expansion of xp along a path up to modulus top.
+def _expand(sys: MeasureSystem, shift, n: Tuple[int, ...], path: mi.Path, top: int,
+            stop: int):
+    """Type II expansion of xp = x*P_n or y*P_n (``shifted`` by shift) along
+    a path up to modulus top.
 
     Returns the pairings a_i = <xp, Q_{m_{i+1}}> for i from the path's start
-    up to stop - 1, skipping top, and the (c, p) terms of
-    xp - P_{m_top} - sum a_i P_{m_i}, each P in the form ``combine`` takes.
+    up to stop - 1, skipping top, and the (c, form) terms of
+    xp - P_{m_top} - sum a_i P_{m_i}, every polynomial a cleared form, as
+    ``combine`` takes them.
     """
+    (coeffs,), dp = type2_form(sys, n)
+    xp = [shifted(coeffs, shift)], dp
     terms = [(1, xp), (-1, type2_form(sys, path.at_modulus(top)))]
     pair = moment_rows(sys, xp)
     coefficients = []
@@ -297,7 +303,7 @@ def nnr_type2(sys: MeasureSystem, n: Sequence[int], axis: str,
     Requires every n_j >= d_n + 1 so that v = n - (d_n + 1) stays natural.
     The whole path is solved by one factorisation.
     """
-    mul, offset = _axis(axis)
+    shift, offset = _axis(axis)
     n = tuple(n)
     r = len(n)
     p = mi.params(n)
@@ -315,8 +321,7 @@ def nnr_type2(sys: MeasureSystem, n: Sequence[int], axis: str,
         raise PathInvalid(f"path entry of modulus {top} is {w_top}, expected {tuple(w)}")
 
     solve_path(sys, path.steps)
-    xp = mul(type2(sys, n))
-    coefficients, terms = _expand(sys, xp, path, top, top)
+    coefficients, terms = _expand(sys, shift, n, path, top, top)
     (residual,), zero = _residuals(sys, [terms])
     vanish_below = p.modulus - (d + 1) * r
     vanishing_ok = all(a == 0 for i, a in coefficients if i < vanish_below)
@@ -338,7 +343,7 @@ def nnr_type1(sys: MeasureSystem, n: Sequence[int], axis: str,
     axis x and >= 2 for axis y, so it does not gate `holds`.  The low term
     is dropped entirely when the low index is the zero index (Q there is 0).
     """
-    mul, offset = _axis(axis)
+    shift, offset = _axis(axis)
     n = tuple(n)
     r = len(n)
     p = mi.params(n)
@@ -363,7 +368,8 @@ def nnr_type1(sys: MeasureSystem, n: Sequence[int], axis: str,
     full = mi.Path(steps)
     solve_path(sys, steps[:top + 1])
 
-    xa = [mul(a) for a in type1(sys, n).polys]
+    blocks, da = type1_form(sys, n)
+    xa = [([shifted(a, shift)], da) for a in blocks]
     pairs = [moment_rows(sys, a) for a in xa]
 
     coefficients = []
@@ -388,8 +394,8 @@ def nnr_type1(sys: MeasureSystem, n: Sequence[int], axis: str,
         for k in range(1, top + 1):
             a = by_mod[k]
             if a != 0:
-                blocks, d = type1_form(sys, full.at_modulus(k))
-                terms.append((-a, ([blocks[j - 1]], d)))
+                blocks, dk = type1_form(sys, full.at_modulus(k))
+                terms.append((-a, ([blocks[j - 1]], dk)))
         sums.append(terms)
     residuals, zero = _residuals(sys, sums)
     return NNRReport(variant=f"{axis}Q", path=full, holds=zero and vanishing_ok,
@@ -423,7 +429,7 @@ def nnr_vector(sys: MeasureSystem, chain: Sequence[Sequence[int]], axis: str,
     verifies both the residual and the forced leading selection matrix
     (identity columns into the degree d+1 vector).
     """
-    mul, offset = _axis(axis)
+    shift, offset = _axis(axis)
     chain, d = _chain(chain)
     r = len(chain[0])
     if lower is None or upper is None:
@@ -458,10 +464,9 @@ def nnr_vector(sys: MeasureSystem, chain: Sequence[Sequence[int]], axis: str,
     # expansion data and are reported, not forced to zero.
     leading_ok = True
     for k, nk in enumerate(chain):
-        xp = mul(type2(sys, nk))
         row_top = sum(nk) + bump
         amats[d + 1][k][row_top - base] = Fraction(1)
-        coefficients, terms = _expand(sys, xp, gpath, row_top, gtop)
+        coefficients, terms = _expand(sys, shift, nk, gpath, row_top, gtop)
         for i, a in coefficients:
             lt, ls = mi.unpair(i)
             amats[lt + ls][k][ls] = a

@@ -49,7 +49,7 @@ from bimop import (
     uni_type2,
     unpair,
 )
-from bimop import linalg, mopcore
+from bimop import linalg, mopcore, multiindex
 from bimop.errors import FrozenInstanceError
 from conftest import make_pair_system, make_product_system, make_xsystem, make_ysystem
 
@@ -114,6 +114,20 @@ def test_shift_moves_top_position(coeffs):
     z = p.top_position
     assert p.mul_x().top_position == z + p.deg + 1
     assert p.mul_y().top_position == z + p.deg + 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.integers(-6, 6),
+                          st.fractions(min_value=-6, max_value=6, max_denominator=12)),
+                max_size=10))
+def test_shifted_cleared_form_is_the_cleared_product(coeffs):
+    """x*p and y*p have one rule: ``shifted`` of p's cleared integers, over
+    the same d, is the cleared form of ``mul_x``/``mul_y``, the zero
+    polynomial included."""
+    p = BiPoly.from_coeffs(coeffs)
+    (ints,), d = mopcore.cleared((p,))
+    for shift, xp in ((multiindex.shift_x, p.mul_x()), (multiindex.shift_y, p.mul_y())):
+        assert ([mopcore.shifted(ints, shift)], d) == mopcore.cleared((xp,))
 
 
 # ---------------------------------------------------------------------------
@@ -990,22 +1004,23 @@ def test_inner_reports_first_missing_table_moment():
 @settings(max_examples=40, deadline=None)
 @given(p=RATIONAL_POLYS, qs=st.lists(RATIONAL_POLYS, min_size=1, max_size=4), data=st.data())
 def test_one_row_set_matches_pairwise_sums(duo, quad, p, qs, data):
-    """One row set paired against several q and several Type I sets in turn
-    gives every pair-by-pair sum exactly, zero polynomials included."""
+    """One row set paired against several q and several Type I sets in turn,
+    each as its cleared form, gives every pair-by-pair sum exactly, zero
+    polynomials included."""
     for sys_ in (duo, quad):
         for pp in (p, BiPoly.zero()):
-            pair = mopcore.moment_rows(sys_, pp)
+            pair = mopcore.moment_rows(sys_, mopcore.cleared((pp,)))
             for q in qs + [BiPoly.zero()]:
                 j = data.draw(st.integers(1, sys_.r))
-                got = pair((q,), j)
+                got = pair(mopcore.cleared((q,)), j)
                 assert isinstance(got, F)
                 assert got == naive_inner(sys_, j, pp, q)
                 m = data.draw(st.sampled_from(PAIRING_INDICES[sys_.r]))
-                got = pair(type1(sys_, m).polys)
+                got = pair(mopcore.cleared(type1(sys_, m).polys))
                 assert isinstance(got, F)
                 assert got == naive_pairing(sys_, pp, m)
                 assert repr(pair(mopcore.type1_form(sys_, m))) == repr(got)
-            got = pair(qs[:sys_.r])
+            got = pair(mopcore.cleared(qs[:sys_.r]))
             assert isinstance(got, F)
             assert got == sum(naive_inner(sys_, j, pp, q)
                               for j, q in enumerate(qs[:sys_.r], start=1))
@@ -1027,17 +1042,17 @@ def test_rows_read_no_moment_for_a_zero_coefficient():
     p = BiPoly.from_coeffs([0, 1, 1])
     q1 = BiPoly.from_coeffs([1, 0, 0, 0, 0, 1])
     q2 = BiPoly.from_coeffs([1, 0, 1, 1])
-    pair = mopcore.moment_rows(sys_, p)
-    assert pair((q1,)) == naive_inner(sys_, 1, p, q1)
+    pair = mopcore.moment_rows(sys_, mopcore.cleared((p,)))
+    assert pair(mopcore.cleared((q1,))) == naive_inner(sys_, 1, p, q1)
     with pytest.raises(TableExhausted) as want:
         naive_inner(sys_, 1, p, q2)
     with pytest.raises(TableExhausted) as got:
-        pair((q2,))
+        pair(mopcore.cleared((q2,)))
     assert str(got.value) == str(want.value) == "no moment for (t, s) = (3, 0)"
     # The failed pairing left no row entry behind.
     with pytest.raises(TableExhausted):
-        pair((q2,))
-    assert pair((q1,)) == naive_inner(sys_, 1, p, q1)
+        pair(mopcore.cleared((q2,)))
+    assert pair(mopcore.cleared((q1,))) == naive_inner(sys_, 1, p, q1)
 
 
 def solved_poly(sys_, m, k):
@@ -1051,14 +1066,14 @@ def solved_poly(sys_, m, k):
 
 
 def solved_form(sys_, m, k):
-    """solved_poly's polynomial k as the verifiers read it: P_m and A_{m,j}
-    by their cached forms, the others as polynomials."""
+    """solved_poly's polynomial k as a cleared form: P_m and A_{m,j} by
+    their cached forms, the others cleared."""
     if k == 1:
         return mopcore.type2_form(sys_, m)
     if k > 3:
         blocks, d = mopcore.type1_form(sys_, m)
         return [blocks[k - 4]], d
-    return solved_poly(sys_, m, k)
+    return mopcore.cleared((solved_poly(sys_, m, k),))
 
 
 def residual_chain(terms):
@@ -1082,36 +1097,35 @@ COMBINE_WEIGHTS = st.one_of(st.sampled_from([F(1), F(-1), F(0)]),
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_combine_matches_the_residual_chain(duo, quad, data):
-    """combine equals the chain of ``-`` and ``scale``, as Fractions; Type II
-    and Type I polynomials with rational weights, zero polynomials, zero
-    weights and empty sums included.  Cached forms in place of P_m and
-    A_{m,j} give the same sum, to the repr."""
+    """combine of cleared forms equals the chain of ``-`` and ``scale`` of
+    their polynomials, as Fractions; Type II and Type I polynomials with
+    rational weights, zero polynomials, zero weights and empty sums
+    included.  Cached forms in place of P_m and A_{m,j} give the sum of the
+    cleared public polynomials, to the repr."""
     for sys_ in (duo, quad):
         picks = data.draw(st.lists(st.tuples(
             st.sampled_from(PAIRING_INDICES[sys_.r]),
             st.integers(0, 3 + sys_.r), COMBINE_WEIGHTS), max_size=6))
         exact_terms = [(c, solved_poly(sys_, m, k)) for m, k, c in picks]
-        got = mopcore.combine(sys_, exact_terms)
+        form_terms = [(c, solved_form(sys_, m, k)) for m, k, c in picks]
+        got = mopcore.combine(sys_, form_terms)
         assert got == residual_chain(exact_terms)
         assert all(isinstance(c, F) for c in got.coeffs)
-        form_terms = [(c, solved_form(sys_, m, k)) for m, k, c in picks]
-        assert repr(mopcore.combine(sys_, form_terms)) == repr(got)
+        cleared_terms = [(c, mopcore.cleared((p,))) for c, p in exact_terms]
+        assert repr(mopcore.combine(sys_, cleared_terms)) == repr(got)
 
 
-def test_combine_clears_every_polynomial_at_once(duo, monkeypatch):
-    """One _integer_terms call for the whole sum, whose value is not zero."""
-    cleared = []
-    clear = mopcore._integer_terms
-
-    def spy(polys):
-        cleared.append(list(polys))
-        return clear(polys)
-
-    monkeypatch.setattr(mopcore, "_integer_terms", spy)
+def test_combine_sums_cleared_forms_without_clearing(duo, monkeypatch):
+    """combine sums the forms it is given and clears nothing itself: no
+    ``cleared`` call, and a sum whose value is not zero."""
     terms = [(1, type2(duo, (2, 2)).mul_y()), (F(-3, 7), type2(duo, (3, 2))),
              (F(5, 2), type1(duo, (2, 3)).polys[1]), (F(1, 3), BiPoly.zero())]
-    got = mopcore.combine(duo, terms)
-    assert cleared == [[p for _, p in terms]]
+    forms = [(c, mopcore.cleared((p,))) for c, p in terms]
+    calls = []
+    clear = mopcore.cleared
+    monkeypatch.setattr(mopcore, "cleared", lambda polys: calls.append(polys) or clear(polys))
+    got = mopcore.combine(duo, forms)
+    assert calls == []
     assert got == residual_chain(terms) and not got.is_zero()
     assert mopcore.combine(duo, []) == BiPoly.zero()
 
@@ -1161,7 +1175,7 @@ CLEARED_GRIDS = [
 @pytest.mark.parametrize("make, indices", CLEARED_GRIDS)
 def test_cached_forms_are_the_cleared_public_polynomials(make, indices):
     """On a fresh exact system, each index's cached Type II and Type I
-    equal ``_integer_terms`` of the public polynomials, which leave the
+    equal ``cleared`` of the public polynomials, which leave the
     cache as it was: one cleared form per polynomial.  Where the public
     call raises (NotNormal, a rider's TableExhausted, EmptyIndex for the
     zero index's Type I), the form raises the same error.  The grids hold
@@ -1172,8 +1186,8 @@ def test_cached_forms_are_the_cleared_public_polynomials(make, indices):
                  _outcome(lambda: mopcore.type1_form(sys_, n))]
         entry = sys_._index_cache.get(n)
         held = entry and (entry.type2, entry.type1)
-        cleared = [_outcome(lambda: mopcore._integer_terms((type2(sys_, n),))),
-                   _outcome(lambda: mopcore._integer_terms(type1(sys_, n).polys))]
+        cleared = [_outcome(lambda: mopcore.cleared((type2(sys_, n),))),
+                   _outcome(lambda: mopcore.cleared(type1(sys_, n).polys))]
         assert forms == cleared, n
         if entry:
             assert entry.type2 is held[0] and entry.type1 is held[1]

@@ -574,27 +574,30 @@ def test_biorth_matrix_solves_each_chain_once(monkeypatch):
     assert repr(biorth_matrix(make_pair_system(), CHAIN_D2, far)) == repr(got)
 
 
-def test_nnr_type2_clears_xp_denominators_once(monkeypatch):
-    """x*P_n is put over one denominator once per call, not once per pairing,
-    and the path's polynomials not at all: on both axes of a fresh exact
-    system, ``_integer_terms`` receives x*P_n or y*P_n only, never a path
-    index's Type I or Type II, which the pairings and the residual read in
-    their cached cleared form."""
-    cleared = []
-    clear = mopcore._integer_terms
+def test_verifiers_clear_no_polynomial(monkeypatch):
+    """The verifiers pair and sum cached cleared forms, x*P and y*P shifted
+    as integers (``shifted``): on a fresh exact system and on a fresh float
+    one, nnr_type2 (both axes), nnr_type1, nnr_vector, biorth_matrix and
+    assemble_type1_vectors make no ``cleared`` call, and every report
+    holds."""
+    calls = []
+    clear = mopcore.cleared
 
     def spy(polys):
-        cleared.append(polys)
+        calls.append(polys)
         return clear(polys)
 
-    monkeypatch.setattr(mopcore, "_integer_terms", spy)
-    sys_ = make_pair_system()
-    reps = [nnr_type2(sys_, (6, 8), axis) for axis in "xy"]
-    assert all(rep.holds and len(rep.coefficients) > 10 for rep in reps)
-    p = type2(sys_, (6, 8))
-    assert cleared.count((p.mul_x(),)) == 1
-    assert cleared.count((p.mul_y(),)) == 1
-    assert cleared and all(q in (p.mul_x(), p.mul_y()) for polys in cleared for q in polys)
+    monkeypatch.setattr(mopcore, "cleared", spy)
+    monkeypatch.setattr(relations, "cleared", spy)
+    for mode in ("exact", "float64"):
+        sys_ = make_pair_system(mode)
+        reps = [nnr_type2(sys_, (6, 8), axis) for axis in "xy"]
+        assert all(rep.holds and len(rep.coefficients) > 10 for rep in reps)
+        assert all(nnr_type1(sys_, (2, 2), axis).holds for axis in "xy")
+        assert all(nnr_vector(sys_, CHAIN_D2, axis).holds for axis in "xy")
+        assert biorth_matrix(sys_, CHAIN_D2, CHAIN_D2).matches
+        assert assemble_type1_vectors(sys_, CHAIN_D2).pattern_ok
+    assert calls == []
 
 
 @pytest.mark.parametrize("mode", ["exact", "float64"])
