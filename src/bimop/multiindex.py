@@ -17,7 +17,10 @@ MultiIndex = Tuple[int, ...]
 
 
 def pair(t: int, s: int) -> int:
-    """Position of the monomial x^t y^s in the graded reverse lex basis."""
+    """Position of the monomial x^t y^s in the graded reverse lex basis;
+    IndexOutOfRange for a negative exponent, which names no monomial."""
+    if t < 0 or s < 0:
+        raise IndexOutOfRange(f"exponent ({t}, {s}) has a negative component")
     return (t + s) * (t + s + 1) // 2 + s
 
 

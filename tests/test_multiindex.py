@@ -4,12 +4,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bimop import (
+    BiPoly,
+    IndexOutOfRange,
     NotComparable,
     Path,
     PathInvalid,
+    candidate_vs,
     canonical_path,
+    find_v,
     pair,
     params,
+    tilde_v,
     unpair,
     validate_chain,
 )
@@ -22,6 +27,20 @@ def test_pair_first_positions():
     for z, (t, s) in enumerate(order):
         assert pair(t, s) == z
         assert unpair(z) == (t, s)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: pair(3, -1), id="pair"),
+    pytest.param(lambda: BiPoly.monomial(2, -1), id="monomial"),
+    pytest.param(lambda: tilde_v((1, -1), (0, 1)), id="tilde_v"),
+    pytest.param(lambda: find_v((1, -1), (0, 1)), id="find_v"),
+    pytest.param(lambda: candidate_vs((1, -1), (0, 1)), id="candidate_vs"),
+])
+def test_a_negative_exponent_has_no_position(call):
+    """A negative exponent names no monomial: IndexOutOfRange, not the
+    position of another one (pair(3, -1) would be 2, the position of y)."""
+    with pytest.raises(IndexOutOfRange, match="negative component"):
+        call()
 
 
 @given(st.integers(min_value=0, max_value=10**6))
