@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from bimop import (
+    BiPoly,
     ChainInvalid,
     EmptyIndex,
     IndexTooSmall,
@@ -273,6 +274,37 @@ def test_assemble_type1_vectors(duo):
             a = tv.rows[j][k]
             if not a.is_zero():
                 assert a.top_position <= n[j] - 1
+
+
+@pytest.mark.parametrize("n", [(2, 2), (3, 1)])
+def test_gram_pattern_fails_off_the_type2_polynomial(duo, n):
+    """The Gram pattern holds for P_n and fails for P_n + 1, whose pairing
+    with 1 under measure 1 is not zero.  On a float system P_n + 1 fails
+    too; the True case is exact-only, as the float P_n is judged as the
+    rationals it denotes."""
+    p = type2(duo, n)
+    assert relations.gram_pattern_holds(duo, n, p)
+    assert not relations.gram_pattern_holds(duo, n, p + BiPoly.one())
+    approx = make_pair_system("float64")
+    assert not relations.gram_pattern_holds(approx, n, type2(approx, n) + BiPoly.one())
+
+
+def test_type1_pattern_fails_on_a_wrong_form(monkeypatch):
+    """assemble_type1_vectors reports pattern_ok False when the Type I forms
+    its check pairs are off: each d doubled halves the unit pairing.  The
+    rows it reports are still the public Type I polynomials."""
+    form = relations.type1_form
+
+    def doubled(sys_, n):
+        blocks, d = form(sys_, n)
+        return blocks, 2 * d
+
+    monkeypatch.setattr(relations, "type1_form", doubled)
+    sys_ = make_pair_system()
+    tv = assemble_type1_vectors(sys_, CHAIN_D2)
+    assert not tv.pattern_ok
+    for k, n in enumerate(CHAIN_D2):
+        assert [tv.rows[j][k] for j in range(2)] == list(type1(sys_, n).polys)
 
 
 # ---------------------------------------------------------------------------
