@@ -29,6 +29,7 @@ from .mopcore import (
     poly_to_json,
     type1,
     type2,
+    type2_form,
 )
 from .product import ProductSystem, find_v, product_poly, tilde_v, verify_product
 
@@ -171,7 +172,7 @@ def cmd_check(args, sys_: MeasureSystem) -> Tuple[dict, int]:
     bound = 4 if r <= 2 else 3
     indices = _indices_up_to(r, bound)
     normal = [n for n in indices if normality(sys_, n).normal]
-    orth_ok = all(relations.gram_pattern_holds(sys_, n, type2(sys_, n)) for n in normal)
+    orth_ok = all(relations.gram_form_holds(sys_, n, type2_form(sys_, n)) for n in normal)
     checks.append(("type2-orthogonality", orth_ok))
 
     ms = [m for m in normal if sum(m)]

@@ -1,23 +1,26 @@
 """Dense matrices, the two elimination kernels, and exact det and solve.
 
-Exact mode clears each row's denominators, divides each column of the
-cleared integers by its content (the gcd of its entries) and runs one
-fraction-free (Bareiss) LU over the integers, ``ExactLU``; float mode runs
-one partial-pivot LU, ``FloatLU``, which stops at a pivot at or below one
-relative threshold, ``FLOAT_TOL``.  ``FloatLU`` serves ``mopcore``'s float
-Type I and Type II alone.  ``det`` and ``solve`` are exact in both modes:
-they run ``ExactLU`` on the rationals the entries denote, floats included.
+Exact mode runs one fraction-free (Bareiss) LU over the integers,
+``ExactLU``.  Its rows arrive as integer parts (a, b) of rationals, never
+as Fractions: it clears each row over the lcm of its denominators, divides
+it by its content (the gcd of its cleared entries) and then each column by
+its content.  Float mode runs one partial-pivot LU, ``FloatLU``, on float
+rows; it stops at a pivot at or below one relative threshold,
+``FLOAT_TOL``.  ``FloatLU`` serves ``mopcore``'s float Type I and Type II
+alone.  ``det`` and ``solve`` are exact in both modes: they hand
+``ExactLU`` the parts of the rationals the entries denote, floats included
+(``as_integer_ratio``).
 
 Both kernels take M with at most one rider row, an extra row that is never
 a pivot, and answer the same questions: ``type1`` (M c = e_{n-1}) and
 ``type2`` (M^t y = -(the rider row)), each as values over one denominator:
 exact solutions as integers (``_cleared``), float ones over 1.0; ``ExactLU``
-also answers ``det``.  ``ExactLU`` eliminates the rider with M, and its
-factors serve every leading block B_s of M (Gauss-Borel): B_s's Type I
-solution is one back pass on U, and its Type II solution, B_s^t y = -(row s
-of M), is one back pass on L^t of the Bareiss multipliers the elimination
-left in row s, the rider row for s = n.  ``FloatLU`` factors M alone, so it
-serves M only.
+also answers ``det``, as integers (a, b).  ``ExactLU`` eliminates the rider
+with M, and its factors serve every leading block B_s of M (Gauss-Borel):
+B_s's Type I solution is one back pass on U, and its Type II solution,
+B_s^t y = -(row s of M), is one back pass on L^t of the Bareiss multipliers
+the elimination left in row s, the rider row for s = n.  ``FloatLU`` factors
+M alone, so it serves M only.
 
 Decimal conversion of integers (``int_to_decimal``, ``int_from_decimal``)
 splits by powers 10^(2^k), so numbers of any size print and parse without
@@ -73,44 +76,58 @@ class ExactLU:
     of at most one rider row: an extra row of M, eliminated with it but
     never a pivot.
 
-    The columns of M are taken in ``order`` (default: as they stand);
-    row i is scaled by the lcm D[i] of its
-    denominators and column k is divided by its content G[k], the gcd of
-    its cleared entries over every row (1 for a zero column), giving the
-    integer matrix A = D M[:, order] G^-1.  A minor of A is the same minor
-    of D M[:, order] over its columns' contents, so the contents shrink
-    every Bareiss integer and change no pivot choice.  Bareiss elimination
-    with row pivoting then factors P A in place, its pivots taken from the
-    square part: on and above the diagonal ``lu`` holds the integer U (row
-    k as it stood when it became the pivot row, so U[k][k] is the leading
-    (k+1)-minor of P A), below it the integer multipliers of L.  Every
-    division, in the elimination and in the back passes, is exact.
+    M arrives as rows of integer parts: entry (i, k) is a / b, b > 0, not
+    necessarily in lowest terms.  The columns of M are taken in ``order``
+    (default: as they stand).  Row i is cleared over the lcm D[i] of its
+    b and divided by its content g[i], the gcd of its cleared entries (1 for
+    a zero row); column k is then divided by its content G[k], the gcd of
+    its entries over every row (1 for a zero column), giving the integer
+    matrix A = (D / g) M[:, order] G^-1.  A minor of A is the same minor of
+    M[:, order] times its rows' D / g over its columns' G, so the contents
+    shrink every Bareiss integer and change no pivot choice: scaling rows
+    and columns by positive integers keeps every zero.  A row's content over
+    all of M's columns divides its content over any leading block's, so one
+    pass serves every B_s.  Bareiss elimination with row pivoting then
+    factors P A in place, its pivots taken from the square part: on and
+    above the diagonal ``lu`` holds the integer U (row k as it stood when it
+    became the pivot row, so U[k][k] is the leading (k+1)-minor of P A),
+    below it the integer multipliers of L.  Every division, in the
+    elimination and in the back passes, is exact.
 
     Every leading block B_s, the first s rows of M on the columns order[:s]
     kept in their order in M, shares these factors: ``det(s)`` is
     det(B_s), and ``type1(s)`` and ``type2(s)`` read B_s's Type I and Type
     II solutions from them with one back pass each (Gauss-Borel: a column
-    of U^-1, a row of L^-1); the Type II of B_n reads the rider row.
+    of U^-1, a row of L^-1); the Type II of B_n reads the rider row.  Each
+    read-out folds the scales D, g and G back in and answers integers.
     ``det()`` and ``signs`` describe the square part.
     """
 
-    def __init__(self, m: Matrix, order: Optional[Sequence[int]] = None):
-        n = m.cols
+    def __init__(self, rows: Sequence[Sequence[Tuple[int, int]]],
+                 order: Optional[Sequence[int]] = None):
+        n = len(rows[0]) if rows else 0
         #: column k of A is column order[k] of M
         self.order = list(range(n)) if order is None else list(order)
+        #: scale[i] = D[i] and rowcontent[i] = g[i]: row i of A is row i of
+        #: D[i] M / g[i] over the column contents
         self.scale: List[int] = []
+        self.rowcontent: List[int] = []
         lu = []
-        for row in m.data:
+        for row in rows:
             # Star-unpack lists, not generators: a generator's argument tuple
             # is resized, and the resized tuples pile up on the free lists.
-            d = math.lcm(*[v.denominator for v in row])
+            d = math.lcm(*[b for _, b in row])
+            cleared = [a * (d // b) for a, b in row]
+            g = math.gcd(*cleared) or 1
             self.scale.append(d)
-            lu.append([row[c].numerator * (d // row[c].denominator) for c in self.order])
-        #: content[k]: the gcd of column k of D M[:, order], 1 for a zero column
+            self.rowcontent.append(g)
+            lu.append([cleared[c] // g for c in self.order])
+        #: content[k]: the gcd of column k of (D / g) M[:, order], 1 for a
+        #: zero column
         self.content = [math.gcd(*col) or 1 for col in zip(*lu)]
         lu = [[v // g for v, g in zip(row, self.content)] for row in lu]
         #: row k of P A is row perm[k] of A
-        self.perm = list(range(m.rows))
+        self.perm = list(range(len(rows)))
         #: signs[s]: the sign of the row and column permutations of B_s, or 0
         #: when B_s is singular
         self.signs = [1]
@@ -142,25 +159,26 @@ class ExactLU:
         #: lu^t, the compact factorisation of (P A)^t
         self.lut = list(zip(*lu))
 
-    def det(self, s: Optional[int] = None) -> Fraction:
-        """det(B_s) = signs[s] U[s-1][s-1] prod(G[:s]) / prod(D[:s]), by
-        default det(M)."""
+    def det(self, s: Optional[int] = None) -> Tuple[int, int]:
+        """det(B_s) = signs[s] U[s-1][s-1] prod(G[:s]) prod(g[:s]) /
+        prod(D[:s]), by default det(M), as integers (a, b), b > 0: a / b."""
         s = len(self.order) if s is None else s
         if not s:
-            return Fraction(1)
-        return Fraction(self.signs[s] * self.lu[s - 1][s - 1] * math.prod(self.content[:s]),
-                        math.prod(self.scale[:s]))
+            return 1, 1
+        return (self.signs[s] * self.lu[s - 1][s - 1] * math.prod(self.content[:s])
+                * math.prod(self.rowcontent[:s]), math.prod(self.scale[:s]))
 
     def type1(self, s: int) -> Optional[Tuple[List[int], int]]:
         """c with B_s c = e_{s-1}, for s >= 1, as its cleared form
         (``_cleared``); None when B_s is singular.
 
-        P D e_{s-1} is zero but at the position k of row s - 1.  That row,
-        the block's last, moves only when it becomes the pivot of a column
-        in which the block's rows it passes are zero, so the block's
-        multipliers below it in column k are zero and the forward pass only
-        scales its entry, to D[s-1] U[k-1][k-1].  Only the back pass on U
-        runs, and gives G c (in the order of A's columns) as z / q.
+        A_s G_s c = (D / g)[s-1] P e_{s-1}, which is zero but at the
+        position k of row s - 1.  That row, the block's last, moves only
+        when it becomes the pivot of a column in which the block's rows it
+        passes are zero, so the block's multipliers below it in column k are
+        zero and the forward pass only scales its entry, to D[s-1]
+        U[k-1][k-1] over g[s-1].  Only the back pass on U runs, and gives
+        G c (in the order of A's columns) as z / (q g[s-1]).
         """
         if not self.signs[s]:
             return None
@@ -174,7 +192,7 @@ class ExactLU:
         c = []
         for j in sorted(range(s), key=self.order.__getitem__):
             c.append(z[j] * (g // self.content[j]))
-        return _cleared(c, q * g)
+        return _cleared(c, q * g * self.rowcontent[s - 1])
 
     def type2(self, s: int) -> Optional[Tuple[List[int], int]]:
         """y with B_s^t y = -(row s of M on B_s's columns), for s < n or,
@@ -185,19 +203,21 @@ class ExactLU:
         elimination on row s of A; the elimination already did, and left
         that row's Bareiss multipliers in lu: when B_s is regular, row s
         gave none of its first s pivots (a rider row gives none at all).
-        Only the back pass on L^t runs; y = -D P^t w / D[s].  The contents
-        need no read-out: B_s^t = G_s A_s^t D_s^-1 and row s of M on B_s's
-        columns is (row s of A) G_s / D[s], so G_s cancels and
-        A_s^t (D_s^-1 y) = -(row s of A) / D[s], the system the factors of A
-        solve.
+        Only the back pass on L^t runs.  With S = D / g, B_s^t = G_s A_s^t
+        S_s^-1 and row s of M on B_s's columns is (row s of A) G_s / S[s],
+        so G_s cancels and A_s^t (S_s^-1 y) = -(row s of A) / S[s], the
+        system the factors of A solve: y = -S P^t w / S[s], each y[i] scaled
+        by D[i] / g[i].
         """
         if not self.signs[s]:
             return None
         w, q = _back(self.lut, self.lu[self.perm.index(s)][:s])
+        g = math.lcm(*self.rowcontent[:s])
+        f = self.rowcontent[s]
         y = [0] * s
         for k, i in enumerate(self.perm[:s]):
-            y[i] = -w[k] * self.scale[i]
-        return _cleared(y, q * self.scale[s])
+            y[i] = -w[k] * self.scale[i] * (g // self.rowcontent[i] * f)
+        return _cleared(y, q * self.scale[s] * g)
 
 
 def _cleared(nums: List[int], den: int) -> Tuple[List[int], int]:
@@ -306,12 +326,14 @@ class FloatLU:
         return y, 1.0
 
 
-def _rationals(m: Matrix, rhs: Optional[Sequence[Scalar]] = None) -> Matrix:
-    """m^t, with -rhs as its rider row when rhs is given, as the rationals
-    the entries denote, floats included (``as_integer_ratio``, as
-    ``mopcore.cleared`` reads them).  The shape checks come first:
-    NotSquare, then DimensionMismatch for an rhs without one entry per row.
-    A nan or infinite entry denotes no rational: invalid input."""
+def _parts(m: Matrix,
+           rhs: Optional[Sequence[Scalar]] = None) -> List[List[Tuple[int, int]]]:
+    """m^t, with -rhs as its rider row when rhs is given, as integer parts
+    (a, b): the rationals the entries denote, floats included
+    (``as_integer_ratio``, as ``mopcore.cleared`` reads them).  The shape
+    checks come first: NotSquare, then DimensionMismatch for an rhs without
+    one entry per row.  A nan or infinite entry denotes no rational:
+    invalid input."""
     if m.rows != m.cols:
         raise NotSquare(f"{m.rows}x{m.cols}")
     rows = m.transpose().data
@@ -320,16 +342,15 @@ def _rationals(m: Matrix, rhs: Optional[Sequence[Scalar]] = None) -> Matrix:
             raise DimensionMismatch(f"rhs length {len(rhs)} != {m.rows}")
         rows.append([-v for v in rhs])
     try:
-        data = [[Fraction(*v.as_integer_ratio()) for v in row] for row in rows]
+        return [[v.as_integer_ratio() for v in row] for row in rows]
     except (ValueError, OverflowError):
         raise ValidationError("a nan or infinite entry denotes no rational") from None
-    return Matrix(len(data), m.cols, data)
 
 
 def det(m: Matrix) -> Fraction:
     """det(m) = det(m^t) by ``ExactLU``, exact for float entries too; the
     0x0 matrix has det 1."""
-    return ExactLU(_rationals(m)).det()
+    return Fraction(*ExactLU(_parts(m)).det())
 
 
 def solve(m: Matrix, rhs: Sequence[Scalar]) -> List[Fraction]:
@@ -339,7 +360,7 @@ def solve(m: Matrix, rhs: Sequence[Scalar]) -> List[Fraction]:
     Raises Singular (carrying the det, Fraction(0)) when no unique solution
     exists.
     """
-    x = ExactLU(_rationals(m, rhs)).type2(m.rows)
+    x = ExactLU(_parts(m, rhs)).type2(m.rows)
     if x is None:
         raise Singular(Fraction(0))
     nums, d = x

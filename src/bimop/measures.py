@@ -8,12 +8,14 @@ substance depends on this normalization.
 
 A family or measure needs only ``moment``, which returns a rational.  The
 built-in ones also answer ``moment_parts``, the same moment as (numerator,
-denominator) integers, so a tensor measure multiplies integers and a
-system makes one value per distinct moment it reads: one Fraction in exact
-mode, one correctly rounded int division in float mode.  ``_reader`` is
-the one place that adapts a source with only ``moment``.  A built-in
-family's order is natural: a negative one raises ``IndexOutOfRange``, as
-the systems do, and a tensor measure passes it on.
+denominator) integers, so a tensor measure multiplies integers, not
+necessarily in lowest terms.  A system caches each distinct moment it reads
+as those parts, in both scalar modes: ``mopcore`` builds M_n from them, and
+``moment`` makes one Fraction, or one correctly rounded int division in
+float mode, of them on request.  ``_reader`` is the one place that adapts a
+source with only ``moment``.  A built-in family's order is natural: a
+negative one raises ``IndexOutOfRange``, as the systems do, and a tensor
+measure passes it on.
 """
 
 from __future__ import annotations
@@ -204,29 +206,35 @@ class _ScalarMode:
             self._twin[EXACT] = type(self)(**{**fields, "mode": EXACT})
         return self._twin.get(EXACT, self)
 
-    def _scalar(self, parts: Tuple[int, int], j: int, order) -> Scalar:
-        """A moment's integer parts a, b as one Fraction, or as the float64
-        a / b: int division rounds correctly, so it is float(Fraction(a, b))
-        to the bit.  One past the float range is invalid input that names
-        its measure and order."""
+    def _checked(self, parts: Tuple[int, int], j: int, order) -> Tuple[int, int]:
+        """A moment's integer parts a, b, as the cache keeps them, after the
+        one check a float system needs: a / b (int division rounds
+        correctly, so it is float(Fraction(a, b)) to the bit) within the
+        float range.  One past it is invalid input that names its measure
+        and order."""
         a, b = parts
-        if self.exact:
-            return Fraction(a, b)
-        try:
-            return a / b
-        except OverflowError:
-            raise ValidationError(f"measure {j}: the moment of order {order} exceeds "
-                                  "the float64 range; use exact mode") from None
+        if not self.exact:
+            try:
+                a / b
+            except OverflowError:
+                raise ValidationError(f"measure {j}: the moment of order {order} exceeds "
+                                      "the float64 range; use exact mode") from None
+        return parts
+
+    def _scalar(self, parts: Tuple[int, int]) -> Scalar:
+        """The moment of parts a, b as one Fraction, or as the float64 a / b."""
+        a, b = parts
+        return Fraction(a, b) if self.exact else a / b
 
 
 class MeasureSystem(_ScalarMode, Record):
     """A system of r bivariate measures sharing one scalar mode.
 
-    The system is frozen.  Moments are cached; the mopcore module caches
-    each index's determinant, Type II and Type I polynomials in
-    ``_index_cache``; ``_twin`` keeps a float system's ``exact_system``.
-    Each instance has its own caches, outside ``repr``, ``==`` and
-    ``hash``.
+    The system is frozen.  Moments are cached as integer parts
+    (``_moment_parts``); the mopcore module caches each index's
+    determinant, Type II and Type I polynomials in ``_index_cache``;
+    ``_twin`` keeps a float system's ``exact_system``.  Each instance has
+    its own caches, outside ``repr``, ``==`` and ``hash``.
     """
 
     measures: Tuple[BivariateMeasure, ...]
@@ -241,6 +249,10 @@ class MeasureSystem(_ScalarMode, Record):
 
     def moment(self, j: int, t: int, s: int) -> Scalar:
         """Moment m^{(j)}_{(t,s)}; j is 1-based, t and s natural."""
+        return self._scalar(self._moment_parts(j, t, s))
+
+    def _moment_parts(self, j: int, t: int, s: int) -> Tuple[int, int]:
+        """The cached integer parts of m^{(j)}_{(t,s)}."""
         # The cache is read first; the arguments are checked on a miss only,
         # and a bad one is never cached.
         try:
@@ -251,9 +263,9 @@ class MeasureSystem(_ScalarMode, Record):
             raise IndexOutOfRange(f"measure index {j} not in 1..{self.r}")
         if t < 0 or s < 0:
             raise IndexOutOfRange(f"moment order ({t}, {s}) has a negative component")
-        value = self._moment_cache[j, t, s] = self._scalar(
+        parts = self._moment_cache[j, t, s] = self._checked(
             _reader(self.measures[j - 1])(t, s), j, (t, s))
-        return value
+        return parts
 
 
 class UniMeasureSystem(_ScalarMode, Record):
@@ -271,6 +283,10 @@ class UniMeasureSystem(_ScalarMode, Record):
 
     def moment(self, j: int, k: int, s: int = 0) -> Scalar:
         """Moment m^{(j)}_k; j is 1-based, k natural.  The power of y, s, must be 0."""
+        return self._scalar(self._moment_parts(j, k, s))
+
+    def _moment_parts(self, j: int, k: int, s: int = 0) -> Tuple[int, int]:
+        """The cached integer parts of m^{(j)}_k."""
         # The cache is read first; the arguments are checked on a miss only,
         # and a bad one is never cached.
         try:
@@ -282,9 +298,9 @@ class UniMeasureSystem(_ScalarMode, Record):
         _natural(k)
         if s:
             raise IndexOutOfRange(f"univariate measures have no moment of y^{s}")
-        value = self._moment_cache[j, k, s] = self._scalar(
+        parts = self._moment_cache[j, k, s] = self._checked(
             _reader(self.families[j - 1])(k), j, k)
-        return value
+        return parts
 
 
 def _parse_family(obj, path: str) -> UnivariateFamily:

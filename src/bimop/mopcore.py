@@ -24,13 +24,16 @@ same solver over the power basis (see ``_basis``).
 
 Normality has one rule in both scalar modes: det(M_n) != 0, decided by
 ``ExactLU``; a float system asks its exact twin and rounds the det once.
-``_factorise`` runs one factorisation of M_n, ``ExactLU`` or ``FloatLU``,
-and reads each index's Type I and Type II from it with the same calls in
-both scalar modes (``type1``, ``type2``), and an exact index's det.  Where
-``FloatLU`` stops, the exact twin decides (``_form``), and its cleared form
-is rounded once.  Row |n| of the moments, the right-hand side of n's Type
-II system, lies outside M_n, so it rides the factorisation as M's rider
-row.
+``_factorise`` builds M_n once, as the integer parts (a, b) of its moments
+that the system's moment cache holds (``_moment_rows``), and runs one
+factorisation of it: ``ExactLU`` reads the integer rows themselves, with
+their row and column content, and ``FloatLU`` the float rows of a / b, one
+division per entry.  It reads each index's Type I and Type II from that
+factorisation with the same calls in both scalar modes (``type1``,
+``type2``), and an exact index's det.  Where ``FloatLU`` stops, the exact
+twin decides (``_form``), and its cleared form is rounded once.  Row |n|
+of the moments, the right-hand side of n's Type II system, lies outside
+M_n, so it rides the factorisation as M's rider row.
 Exact solves go by neighbour path (``solve_path``): every M_n on a path is a
 leading block of the last one, so one factorisation solves the whole path,
 and a verifier that solves a path a step past its own top (``nnr_type2``)
@@ -228,22 +231,26 @@ def moment_matrix(sys: System, n: Sequence[int]) -> Matrix:
     """M_n: entry (k, l) of block j is m^{(j)}_{e_k+e_l}, e_k = exponent(k);
     ``normality`` gives its det."""
     n = _index(sys, n)
-    return Matrix.from_rows(_moment_rows(sys, n, range(sum(n))))
+    scalar = sys._scalar
+    return Matrix.from_rows([[scalar(v) for v in row]
+                             for row in _moment_rows(sys, n, range(sum(n)))])
 
 
-def _moment_rows(sys: System, n: Tuple[int, ...], ks: Sequence[int]) -> List[List[Scalar]]:
-    """Rows ks of the moments on M_n's columns; row |n| is minus the
-    right-hand side of n's Type II system.  Moments are read column by
-    column, block 1 first, so a short table names the first moment missing
-    in that order."""
+def _moment_rows(sys: System, n: Tuple[int, ...],
+                 ks: Sequence[int]) -> List[List[Tuple[int, int]]]:
+    """Rows ks of the moments on M_n's columns, as the integer parts (a, b)
+    the system's moment cache holds; row |n| is minus the right-hand side
+    of n's Type II system.  Moments are read column by column, block 1
+    first, so a short table names the first moment missing in that order."""
     exponent, _ = _basis(sys)
     exponents = [exponent(k) for k in ks]
-    rows: List[List[Scalar]] = [[] for _ in exponents]
+    read = sys._moment_parts
+    rows: List[List[Tuple[int, int]]] = [[] for _ in exponents]
     for j, nj in enumerate(n, start=1):
         for l in range(nj):
             lt, ls = exponent(l)
             for row, (rt, rs) in zip(rows, exponents):
-                row.append(sys.moment(j, rt + lt, rs + ls))
+                row.append(read(j, rt + lt, rs + ls))
     return rows
 
 
@@ -298,29 +305,33 @@ def _factorise(sys: System, steps: List[Tuple[int, ...]]) -> None:
     # Type II: the exact twin gives a float system its verdicts.  Both
     # kernels answer (values, d), so the cache holds one form in both modes.
     last = steps[-1]
+    size = sum(last)
     offsets = [0, *accumulate(last)]
     order = [offsets[j] + l for j, nj in enumerate(steps[0]) for l in range(nj)]
     order += [offsets[j] + a[j] for a, b in zip(steps, steps[1:])
               for j in range(len(a)) if a[j] != b[j]]
-    m = moment_matrix(sys, last)
+    rows = _moment_rows(sys, last, range(size))
+    missing = None
     try:
-        rider, = _moment_rows(sys, last, [sum(last)])
-        m = Matrix(m.rows + 1, m.cols, m.data + [rider])
+        rows += _moment_rows(sys, last, [size])
     except TableExhausted as exc:
         # The last index's row needs moments of order |n|, which a table
         # may lack; its type2 then raises on request, normality still works.
-        rider = exc.with_traceback(None)
-    lu = ExactLU(m, order) if sys.exact else FloatLU(m)
+        missing = exc.with_traceback(None)
+    if sys.exact:
+        lu = ExactLU(rows, order)
+    else:
+        lu = FloatLU(Matrix(len(rows), size, [[a / b for a, b in row] for row in rows]))
     for key in steps:
         if key in sys._index_cache:
             continue
         s = sum(key)
-        entry = sys._index_cache[key] = _Solved(lu.det(s) if sys.exact else None)
+        entry = sys._index_cache[key] = _Solved(Fraction(*lu.det(s)) if sys.exact else None)
         c = lu.type1(s) if s else None
         if c is None:
             continue
-        if key == last and isinstance(rider, TableExhausted):
-            entry.type2 = rider
+        if key == last and missing is not None:
+            entry.type2 = missing
         else:
             y, d = lu.type2(s)
             entry.type2 = [y + [d]], d
@@ -485,12 +496,14 @@ def moment_rows(sys: MeasureSystem, form) -> Callable[..., Scalar]:
 
     It keeps moment rows for p = P/d_p: row j maps basis position l to the
     integer <P, x^{e_l}>_j * L, where L is one denominator shared by every
-    row.  A pairing fills the positions its forms need and no other, then
-    takes dot products with their integer coefficients and returns one
-    fraction over all j.  Forms come from ``type2_form``, ``type1_form``,
-    ``shifted`` or ``cleared``.
+    row.  The moments come as the integer parts the system's moment cache
+    holds, as M_n's do.  A pairing fills the positions its forms need and no
+    other, then takes dot products with their integer coefficients and
+    returns one fraction over all j.  Forms come from ``type2_form``,
+    ``type1_form``, ``shifted`` or ``cleared``.
     """
     _exact_only(sys, "moment_rows")
+    read = sys._moment_parts
     rows: dict = {}
     scale = 1
     (coeffs,), dp = form
@@ -521,8 +534,8 @@ def moment_rows(sys: MeasureSystem, form) -> Callable[..., Scalar]:
                 lcm = scale
                 for t, s, _ in p_terms:
                     for lt, ls in exps:
-                        moments.append(m := sys.moment(j, t + lt, s + ls))
-                        lcm = math.lcm(lcm, m.denominator)
+                        moments.append(m := read(j, t + lt, s + ls))
+                        lcm = math.lcm(lcm, m[1])
                 if lcm != scale:
                     grow = lcm // scale
                     total *= grow
@@ -534,8 +547,8 @@ def moment_rows(sys: MeasureSystem, form) -> Callable[..., Scalar]:
                 reads = iter(moments)
                 for _, _, a in p_terms:
                     for l in need:
-                        m = next(reads)
-                        row[l] += a * m.numerator * (lcm // m.denominator)
+                        num, den = next(reads)
+                        row[l] += a * num * (lcm // den)
             for l, b in enumerate(coeffs):
                 if b:
                     total += b * row[l]

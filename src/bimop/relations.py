@@ -160,7 +160,7 @@ def assemble_type2_vector(sys: MeasureSystem, chain: Sequence[Sequence[int]]) ->
     """
     chain, d = _chain(chain)
     polys = tuple(type2(sys, n) for n in chain)
-    ok = all(gram_pattern_holds(sys, n, p) for n, p in zip(chain, polys))
+    ok = all(gram_form_holds(sys, n, type2_form(sys, n)) for n in chain)
     return MOPV(degree=d, chain=tuple(chain), polys=polys, pattern_ok=ok)
 
 
@@ -168,9 +168,15 @@ def assemble_type2_vector(sys: MeasureSystem, chain: Sequence[Sequence[int]]) ->
 def gram_pattern_holds(sys: MeasureSystem, n: Sequence[int], p: BiPoly) -> bool:
     """True iff <p, x^t y^s>_j vanishes for the first n_j monomials of each j
     (the Type II conditions of n).  p is judged exactly, as the rationals its
-    coefficients denote, float ones included (``cleared``), against each
-    monomial's unit form."""
-    pair = moment_rows(sys, cleared((p,)))
+    coefficients denote, float ones included (``cleared``)."""
+    return gram_form_holds(sys, n, cleared((p,)))
+
+
+def gram_form_holds(sys: MeasureSystem, n: Sequence[int], form) -> bool:
+    """``gram_pattern_holds`` for the polynomial of a cleared form ([P], d),
+    on an exact system: P paired against each monomial's unit form.  A
+    Type II polynomial is judged in its cached form (``type2_form``)."""
+    pair = moment_rows(sys, form)
     return all(pair(([[0] * l + [1]], 1), j) == 0
                for j, nj in enumerate(n, start=1) for l in range(nj))
 

@@ -10,6 +10,7 @@ from bimop import (
     ProductSystem,
     TensorMeasure,
     UniMeasureSystem,
+    mopcore,
 )
 
 # Exponents of the four Laguerre weights: x^1, x^{11/5} in x and
@@ -66,3 +67,20 @@ def duo():
 @pytest.fixture()
 def duo_float():
     return make_pair_system(mode="float64")
+
+
+@pytest.fixture()
+def builds(monkeypatch):
+    """The (mode, index) of each M_n that mopcore builds during the test:
+    each ``_moment_rows`` read of M_n's rows, its rider row (row |n|)
+    apart."""
+    built = []
+    read = mopcore._moment_rows
+
+    def spy(system, index, ks):
+        if sum(index) not in ks:
+            built.append((system.mode, tuple(index)))
+        return read(system, index, ks)
+
+    monkeypatch.setattr(mopcore, "_moment_rows", spy)
+    return built

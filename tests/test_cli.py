@@ -10,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from bimop import Laguerre, normality, parse_config, parse_scalar
+from bimop import Laguerre, mopcore, normality, parse_config, parse_scalar, relations
 from bimop.cli import (EXIT_FAILED, EXIT_INVALID, EXIT_NOT_NORMAL, EXIT_OK,
                        _indices_up_to, build_parser, run)
 
@@ -212,6 +212,23 @@ def test_check_battery(configs):
     assert "pairing-roundtrip" in names
     assert "type2-orthogonality" in names
     assert "biorthogonality-grid" in names
+
+
+def test_check_clears_no_polynomial(monkeypatch, configs):
+    """The battery's type2-orthogonality check pairs each cached Type II
+    form as it is: the whole check makes no ``cleared`` call."""
+    calls = []
+    clear = mopcore.cleared
+
+    def spy(polys):
+        calls.append(polys)
+        return clear(polys)
+
+    monkeypatch.setattr(mopcore, "cleared", spy)
+    monkeypatch.setattr(relations, "cleared", spy)
+    code, out, _ = invoke(["check", "--config", configs["duo"]])
+    assert code == EXIT_OK and json.loads(out)["ok"] is True
+    assert calls == []
 
 
 def test_deterministic_output(configs):

@@ -146,28 +146,37 @@ def denoted(form):
     return [F(v, den) for v in nums]
 
 
-def check_factorisation(m, order, rhs):
-    """ExactLU(m, order) against cofactor expansion and Gauss-Jordan.
+def parts(rows):
+    """Rows of rationals as the integer parts (a, b) ExactLU reads, in
+    lowest terms."""
+    return [[F(v).as_integer_ratio() for v in row] for row in rows]
 
-    Block B_s of ExactLU(m, order) is the first s rows of m on the columns
-    order[:s], kept in their order in m.  det(s) is det(B_s); type1(s) is
-    the c with B_s c = e_{s-1} and, for s < n, type2(s) the y with
-    B_s^t y = -(row s of m on B_s's columns), as a Gauss-Jordan solve gives
-    them, each as its cleared form (``denoted``); a singular block yields
-    None.  With rhs as a rider row, the same factors give the same dets and
-    type2(n) is the y with m^t y = -rhs.  ``solve`` with m and m^t holds,
-    returns Fractions, and raises Singular when det(m) = 0."""
+
+def check_factorisation(m, order, rhs, rows=None):
+    """ExactLU of m and order against cofactor expansion and Gauss-Jordan.
+
+    ExactLU reads m and the rider row rhs as ``rows`` of integer parts,
+    by default ``parts`` of them.  Block B_s of the factorisation is the
+    first s rows of m on the columns order[:s], kept in their order in m.
+    det(s) is det(B_s); type1(s) is the c with B_s c = e_{s-1} and, for
+    s < n, type2(s) the y with B_s^t y = -(row s of m on B_s's columns), as
+    a Gauss-Jordan solve gives them, each as its cleared form
+    (``denoted``); a singular block yields None.  With rhs as a rider row,
+    the same factors give the same dets and type2(n) is the y with
+    m^t y = -rhs.  ``solve`` with m and m^t holds, returns Fractions, and
+    raises Singular when det(m) = 0."""
     n = len(order)
-    lu = ExactLU(m, order)
-    ridden = ExactLU(Matrix.from_rows(m.data + [rhs]), order)
+    rows = parts(m.data + [rhs]) if rows is None else rows
+    lu = ExactLU(rows[:-1], order)
+    ridden = ExactLU(rows, order)
     for s in range(n + 1):
         cols = sorted(order[:s])
         block = [[row[c] for c in cols] for row in m.data[:s]]
-        assert lu.det(s) == cofactor_det(Matrix.from_rows(block))
-        assert ridden.det(s) == lu.det(s)
+        assert F(*lu.det(s)) == cofactor_det(Matrix.from_rows(block))
+        assert F(*ridden.det(s)) == F(*lu.det(s))
         if not s:
             continue
-        regular = lu.det(s) != 0
+        regular = lu.det(s)[0] != 0
         got = denoted(lu.type1(s))
         assert got == gauss_jordan(block, [F(0)] * (s - 1) + [F(1)])
         assert (got is not None) == regular
@@ -178,9 +187,9 @@ def check_factorisation(m, order, rhs):
         assert (got is not None) == regular
         if s < n:
             assert denoted(lu.type2(s)) == got
-    assert lu.det() == lu.det(n) == ridden.det()
+    assert F(*lu.det()) == F(*lu.det(n)) == F(*ridden.det())
     for a in (m, m.transpose()):
-        if lu.det():
+        if lu.det()[0]:
             x = solve(a, rhs)
             assert matvec(a, x) == rhs
             assert all(type(v) is F for v in x)
@@ -224,10 +233,49 @@ def test_column_content_is_divided_out_and_read_back(case):
     check_factorisation(*case)
 
 
+@st.composite
+def scaled_integer_cases(draw):
+    """A square_matrices matrix and a rhs, the rider row, whose rows ExactLU
+    reads as integer rows over random positive scales: row i is the
+    integer row N_i over D_i in 1..12, each entry the parts (N_ij, D_i),
+    not in lowest terms.  N_i is the row cleared over its denominators and
+    then multiplied by f_i, 1 for every row but one, whose f_i in 2..12
+    forces a row content above 1.  Returns the rationals the parts denote
+    (m, rhs), a column order, the parts, and the forced row and f."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    data = draw(square_matrices(st.just(n))).data
+    data.append(draw(st.lists(fractions, min_size=n, max_size=n)))
+    forced = draw(st.integers(min_value=0, max_value=n))
+    f = draw(st.integers(min_value=2, max_value=12))
+    rows, denoted_rows = [], []
+    for i, row in enumerate(data):
+        d = math.lcm(*[v.denominator for v in row])
+        scale = draw(st.integers(min_value=1, max_value=12))
+        ints = [int(v * d) * (f if i == forced else 1) for v in row]
+        rows.append([(a, scale) for a in ints])
+        denoted_rows.append([F(a, scale) for a in ints])
+    return (Matrix.from_rows(denoted_rows[:-1]), draw(st.permutations(range(n))),
+            denoted_rows[-1], rows, forced, f)
+
+
+@settings(max_examples=80, deadline=None)
+@given(scaled_integer_cases())
+def test_integer_rows_over_scales_with_a_row_content(case):
+    """ExactLU on integer rows over random positive scales, one row's
+    integers sharing a factor: every read-out still matches cofactor
+    expansion and Gauss-Jordan on the rationals the rows denote, and the
+    forced factor is in that row's content."""
+    m, order, rhs, rows, forced, f = case
+    check_factorisation(m, order, rhs, rows)
+    if any(a for a, _ in rows[forced]):
+        assert ExactLU(rows, order).rowcontent[forced] % f == 0
+
+
 def test_column_content_shrinks_the_pivots_of_the_pair_system(duo):
-    """The content pass is what keeps the last pivot of M_(20,20) small: 648
-    bits with it, 1500 bits without."""
-    lu = ExactLU(moment_matrix(duo, (20, 20)))
+    """The content passes are what keep the last pivot of M_(20,20) small:
+    551 bits with row and column content, 648 with column content alone,
+    1500 bits without either."""
+    lu = ExactLU(parts(moment_matrix(duo, (20, 20)).data))
     assert lu.lu[-1][-1].bit_length() < 1000
 
 

@@ -115,7 +115,10 @@ def test_system_moment_lookup_and_cache(duo):
     assert duo.r == 2
     v = duo.moment(1, 2, 1)
     assert v == Laguerre(F(1)).moment(2) * Laguerre(F(23, 10)).moment(1)
-    assert duo.moment(1, 2, 1) is duo._moment_cache[(1, 2, 1)]
+    # The cache keeps the tensor's integer parts, 6 * 33 over 1 * 10, not
+    # in lowest terms; each read makes the moment from them.
+    assert duo._moment_cache[(1, 2, 1)] == (198, 10)
+    assert duo._moment_parts(1, 2, 1) is duo._moment_cache[(1, 2, 1)]
     with pytest.raises(IndexOutOfRange):
         duo.moment(3, 0, 0)
     with pytest.raises(IndexOutOfRange):

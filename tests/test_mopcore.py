@@ -68,7 +68,7 @@ def direct_condition(sys_, j, p, t, s):
 def kernel_det(sys_, n):
     """det(M_n) by ``ExactLU`` on M_n alone, with no rider row, on an exact
     system."""
-    return linalg.ExactLU(moment_matrix(sys_, n)).det()
+    return F(*linalg.ExactLU(mopcore._moment_rows(sys_, n, range(sum(n)))).det())
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +226,7 @@ def float_lu_coeffs(sys_, n):
     ``FloatLU`` on M_n, with row |n| of the moments as its rider row."""
     m = moment_matrix(sys_, n)
     rider, = mopcore._moment_rows(sys_, n, [sum(n)])
+    rider = [a / b for a, b in rider]
     lu = linalg.FloatLU(linalg.Matrix(m.rows + 1, m.cols, m.data + [rider]))
     (y, _), (c, _) = lu.type2(sum(n)), lu.type1(sum(n))
     ends = list(itertools.accumulate(n))
@@ -324,7 +325,7 @@ SYSTEMS = {
     pytest.param("x-float", (3, 4), "uni_", id="uni-float"),
 ])
 @pytest.mark.parametrize("first", ["normality", "type2", "type1"])
-def test_one_moment_matrix_per_exact_index(monkeypatch, system, n, prefix, first):
+def test_one_moment_matrix_per_exact_index(builds, system, n, prefix, first):
     """normality, type2 and type1 of one index share one M_n per system: an
     exact system builds one; a float system builds one for its FloatLU and
     its exact twin one for normality, and for a solve FloatLU hands over.
@@ -332,14 +333,6 @@ def test_one_moment_matrix_per_exact_index(monkeypatch, system, n, prefix, first
     The univariate entry points (prefix "uni_") run the same solver.
     """
     sys_ = SYSTEMS[system]()
-    built = []
-    build = mopcore.moment_matrix
-
-    def spy(system, index):
-        built.append((system.mode, tuple(index)))
-        return build(system, index)
-
-    monkeypatch.setattr(mopcore, "moment_matrix", spy)
     calls = [first] + [c for c in ("normality", "type2", "type1") if c != first]
     for call in calls * 2:
         try:
@@ -347,7 +340,7 @@ def test_one_moment_matrix_per_exact_index(monkeypatch, system, n, prefix, first
         except NotNormal as exc:
             assert n == (3, 3, 3, 3) and exc.det == 0
     modes = ["exact"] if sys_.exact else ["exact", "float64"]
-    assert sorted(built) == [(mode, n) for mode in modes]
+    assert sorted(builds) == [(mode, n) for mode in modes]
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +489,9 @@ def test_inner_path_indices_run_no_substitution(monkeypatch):
         calls.append(len(b))
         return back(lu, b)
 
-    def factor_spy(m, order=None):
-        built.append((m.rows, m.cols))
-        return factor(m, order)
+    def factor_spy(rows, order=None):
+        built.append((len(rows), len(rows[0])))
+        return factor(rows, order)
 
     monkeypatch.setattr(linalg, "_back", spy)
     monkeypatch.setattr(mopcore, "ExactLU", factor_spy)
@@ -517,20 +510,54 @@ def test_inner_path_indices_run_no_substitution(monkeypatch):
     assert sorted(calls) == sorted(2 * [sum(n) for n in steps[1:-1]])
 
 
-def test_normal_path_builds_one_moment_matrix(monkeypatch):
+def test_normal_path_builds_one_moment_matrix(builds):
     sys_ = make_pair_system()
     steps = canonical_path([(0, 0), (4, 4), (9, 4)]).steps
-    built = []
-    build = mopcore.moment_matrix
-
-    def spy(system, index):
-        built.append(tuple(index))
-        return build(system, index)
-
-    monkeypatch.setattr(mopcore, "moment_matrix", spy)
     solve_path(sys_, steps)
     assert all(solved(sys_, n)[0] != 0 for n in steps)
-    assert built == [(9, 4)]
+    assert builds == [("exact", (9, 4))]
+
+
+@pytest.mark.parametrize("make, bound", [
+    pytest.param(make_xsystem, 1400, id="univariate"),
+    pytest.param(make_pair_system, 560, id="pair"),
+])
+def test_row_content_keeps_the_last_pivot_small(monkeypatch, make, bound):
+    """Row content, divided out before column content, shrinks every
+    Bareiss integer: the last pivot of M_(20,20) has at most 1400 bits on
+    the univariate Laguerre(1), Laguerre(11/5) system (3602 with column
+    content alone) and at most 560 on the pair system (648)."""
+    factors = []
+    factor = mopcore.ExactLU
+
+    def spy(*args):
+        factors.append(factor(*args))
+        return factors[-1]
+
+    monkeypatch.setattr(mopcore, "ExactLU", spy)
+    type2(make(), (20, 20))
+    lu, = factors
+    assert lu.lu[39][39].bit_length() <= bound
+
+
+def test_moment_parts_not_in_lowest_terms():
+    """A tensor measure multiplies its families' parts, and Jacobi(1)'s,
+    (2, k + 2), are not in lowest terms either, so the parts ExactLU reads
+    carry common factors.  Every index up to modulus 6 has the normality,
+    Type II and Type I that a TableMeasure system holding the reduced
+    moments gives."""
+    measures = (TensorMeasure(Jacobi(1), Laguerre(F(1, 2))),
+                TensorMeasure(Laguerre(1), Jacobi(F(1, 3))))
+    tensor = MeasureSystem(measures)
+    assert measures[0].moment_parts(0, 0) == (2, 2)
+    assert measures[1].moment_parts(1, 0) == (8, 4)
+    table = MeasureSystem(tuple(
+        TableMeasure({(t, s): m.moment(t, s) for t in range(13) for s in range(13 - t)})
+        for m in measures))
+    indices = [(a, total - a) for total in range(7) for a in range(total + 1)]
+    got = [solved(tensor, n) for n in indices]
+    assert got == [solved(table, n) for n in indices]
+    assert sum(d != 0 for d, _, _ in got) > 20
 
 
 def test_path_solve_leaves_float_mode_alone():

@@ -66,7 +66,8 @@ SPECS = {
 SYSTEMS = (MeasureSystem, UniMeasureSystem)
 TWINS = {cls: make_dataclass(cls.__name__, [(s, Any) if isinstance(s, str) else s for s in spec],
                              bases=(_ScalarMode,) if cls in SYSTEMS else (),
-                             namespace={k: vars(cls)[k] for k in ("r", "moment")
+                             namespace={k: vars(cls)[k]
+                                        for k in ("r", "moment", "_moment_parts")
                                         if cls in SYSTEMS},
                              frozen=True)
          for cls, spec in SPECS.items()}

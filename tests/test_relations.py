@@ -566,7 +566,7 @@ def _report(call, sys_):
     pytest.param(lambda s: biorth_matrix(s, CHAIN_D2, [(2, 4), (3, 4), (3, 5), (4, 5)]),
                  id="biorth-joined-chains"),
 ])
-def test_verifiers_solve_their_path_once(monkeypatch, call):
+def test_verifiers_solve_their_path_once(monkeypatch, builds, call):
     """A verifier builds one M_n for its path and reports what per-index
     solves report.
 
@@ -574,34 +574,18 @@ def test_verifiers_solve_their_path_once(monkeypatch, call):
     so both routes raise the same NotNormal.  A path running two steps past
     the y check's top is solved whole, with one M_n as well.
     """
-    built = []
-    build = mopcore.moment_matrix
-
-    def spy(system, index):
-        built.append(tuple(index))
-        return build(system, index)
-
-    monkeypatch.setattr(mopcore, "moment_matrix", spy)
     got = _report(call, make_pair_system())
-    assert len(built) == 1
+    assert len(builds) == 1
     monkeypatch.setattr(relations, "solve_path", lambda sys_, steps: None)
     assert _report(call, make_pair_system()) == got
-    assert len(built) > 2
+    assert len(builds) > 2
 
 
-def test_biorth_matrix_solves_each_chain_once(monkeypatch):
+def test_biorth_matrix_solves_each_chain_once(monkeypatch, builds):
     """Chains that do not join into one path are solved as two paths."""
-    built = []
-    build = mopcore.moment_matrix
-
-    def spy(system, index):
-        built.append(tuple(index))
-        return build(system, index)
-
-    monkeypatch.setattr(mopcore, "moment_matrix", spy)
     far = [(3, 7), (4, 7), (4, 8), (5, 8), (5, 9)]
     got = biorth_matrix(make_pair_system(), CHAIN_D2, far)
-    assert built == [CHAIN_D2[-1], far[-1]]
+    assert builds == [("exact", CHAIN_D2[-1]), ("exact", far[-1])]
     monkeypatch.setattr(relations, "solve_path", lambda sys_, steps: None)
     assert repr(biorth_matrix(make_pair_system(), CHAIN_D2, far)) == repr(got)
 
@@ -632,6 +616,28 @@ def test_verifiers_clear_no_polynomial(monkeypatch):
     assert calls == []
 
 
+def test_gram_checks_pair_the_cached_type2_form(monkeypatch):
+    """assemble_type2_vector judges each P_n's Gram pattern on its cached
+    cleared form (``type2_form``): on a fresh exact and a fresh float
+    system, the degree-2 chain makes no ``cleared`` call.  A polynomial
+    handed to gram_pattern_holds is cleared once, where it enters."""
+    calls = []
+    clear = mopcore.cleared
+
+    def spy(polys):
+        calls.append(polys)
+        return clear(polys)
+
+    monkeypatch.setattr(mopcore, "cleared", spy)
+    monkeypatch.setattr(relations, "cleared", spy)
+    for mode in ("exact", "float64"):
+        assert assemble_type2_vector(make_pair_system(mode), CHAIN_D2).pattern_ok
+    assert calls == []
+    sys_ = make_pair_system()
+    assert relations.gram_pattern_holds(sys_, CHAIN_D2[0], type2(sys_, CHAIN_D2[0]))
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("mode", ["exact", "float64"])
 def test_records_read_after_the_verifiers_equal_fresh_ones(mode):
     """type2 and type1 read after nnr_type2 (both axes), nnr_type1 and
@@ -660,7 +666,7 @@ def _outcome(call):
         return f"{type(exc).__name__}: {exc}"
 
 
-def test_nnr_type2_axes_share_one_factorisation(monkeypatch):
+def test_nnr_type2_axes_share_one_factorisation(monkeypatch, builds):
     """On a path through |n| + d_n + 2 the x check solves that far, so the
     y check after it builds no M; both report what per-index solves report.
     An x check on a path that ends at its own top builds only that top's M."""
@@ -669,20 +675,12 @@ def test_nnr_type2_axes_share_one_factorisation(monkeypatch):
     v = tuple(nj - d - 1 for nj in n)
     long = canonical_path([v, n, (n[0] + d + 2, n[1])])
     short = canonical_path([v, n, (n[0] + d + 1, n[1])])
-    built = []
-    build = mopcore.moment_matrix
-
-    def spy(system, index):
-        built.append(tuple(index))
-        return build(system, index)
-
-    monkeypatch.setattr(mopcore, "moment_matrix", spy)
     sys_ = make_pair_system()
     got = [repr(nnr_type2(sys_, n, axis, path=long)) for axis in "xy"]
-    assert built == [long.steps[-1]]
-    built.clear()
+    assert builds == [("exact", long.steps[-1])]
+    builds.clear()
     assert nnr_type2(make_pair_system(), n, "x", path=short).holds
-    assert built == [short.steps[-1]]
+    assert builds == [("exact", short.steps[-1])]
     monkeypatch.setattr(relations, "solve_path", lambda sys_, steps: None)
     sys_ = make_pair_system()
     assert [repr(nnr_type2(sys_, n, axis, path=long)) for axis in "xy"] == got
