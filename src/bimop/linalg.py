@@ -1,15 +1,17 @@
 """Dense matrices, the two elimination kernels, and exact det and solve.
 
-Exact mode runs one fraction-free (Bareiss) LU over the integers,
-``ExactLU``.  Its rows arrive as integer parts (a, b) of rationals, never
-as Fractions: it clears each row over the lcm of its denominators, divides
-it by its content (the gcd of its cleared entries) and then each column by
-its content.  Float mode runs one partial-pivot LU, ``FloatLU``, on float
-rows; it stops at a pivot at or below one relative threshold,
-``FLOAT_TOL``.  ``FloatLU`` serves ``mopcore``'s float Type I and Type II
-alone.  ``det`` and ``solve`` are exact in both modes: they hand
-``ExactLU`` the parts of the rationals the entries denote, floats included
-(``as_integer_ratio``).
+Both kernels take one input: rows of integer parts (a, b) of rationals,
+never Fractions or floats.  Exact mode runs one fraction-free (Bareiss) LU
+over the integers, ``ExactLU``: it clears each row over the lcm of its
+denominators, divides it by its content (the gcd of its cleared entries)
+and then each column by its content.  Float mode runs one partial-pivot
+LU, ``FloatLU``, on the float a / b of each entry, divided once; it stops
+at a pivot at or below one relative threshold, ``FLOAT_TOL``.  ``FloatLU``
+serves ``mopcore``'s float Type I and Type II alone.  ``det`` and
+``solve`` are exact in both modes: they hand ``ExactLU`` the parts of the
+rationals the entries denote, floats included.  ``rational_parts`` is the
+one rule from scalar to rational, here and in ``mopcore.cleared``: a nan
+or infinite scalar is invalid input.
 
 Both kernels take M with at most one rider row, an extra row that is never
 a pivot, and answer the same questions: ``type1`` (M c = e_{n-1}) and
@@ -250,6 +252,11 @@ class FloatLU:
     factorisation; ``mopcore._factorise`` alone runs it, for a float
     system's Type I and Type II.
 
+    M arrives as ``ExactLU``'s does, as rows of integer parts (a, b), the
+    rider row included: the same list ``_factorise`` would hand
+    ``ExactLU``.  Each entry is divided once, a / b (int division rounds
+    correctly, so it is float(Fraction(a, b))).
+
     Step k pivots on the first largest |entry| of column k and stops when it
     is at most ``FLOAT_TOL`` * max(1, max |entry of M|): ``stopped`` is then
     True and the read-outs are None.  A stop is no verdict on M; ``mopcore``
@@ -267,11 +274,11 @@ class FloatLU:
     -(the rider row).
     """
 
-    def __init__(self, m: Matrix):
-        n = m.cols
-        a = [[float(v) for v in row] for row in m.data]
+    def __init__(self, rows: Sequence[Sequence[Tuple[int, int]]]):
+        n = len(rows[0]) if rows else 0
+        a = [[p / q for p, q in row] for row in rows]
         #: the rider row, or None
-        self.rider = a.pop() if m.rows > n else None
+        self.rider = a.pop() if len(a) > n else None
         scale = max([1.0] + [abs(v) for row in a for v in row])
         self.perm = list(range(n))
         #: whether a pivot fell to the threshold, leaving no read-out
@@ -329,11 +336,8 @@ class FloatLU:
 def _parts(m: Matrix,
            rhs: Optional[Sequence[Scalar]] = None) -> List[List[Tuple[int, int]]]:
     """m^t, with -rhs as its rider row when rhs is given, as integer parts
-    (a, b): the rationals the entries denote, floats included
-    (``as_integer_ratio``, as ``mopcore.cleared`` reads them).  The shape
-    checks come first: NotSquare, then DimensionMismatch for an rhs without
-    one entry per row.  A nan or infinite entry denotes no rational:
-    invalid input."""
+    (``rational_parts``).  The shape checks come first: NotSquare, then
+    DimensionMismatch for an rhs without one entry per row."""
     if m.rows != m.cols:
         raise NotSquare(f"{m.rows}x{m.cols}")
     rows = m.transpose().data
@@ -341,6 +345,14 @@ def _parts(m: Matrix,
         if len(rhs) != m.rows:
             raise DimensionMismatch(f"rhs length {len(rhs)} != {m.rows}")
         rows.append([-v for v in rhs])
+    return rational_parts(rows)
+
+
+def rational_parts(rows: Sequence[Sequence[Scalar]]) -> List[List[Tuple[int, int]]]:
+    """The rationals that rows of scalars denote, floats included, as
+    integer parts (a, b), b > 0 (``as_integer_ratio``): the one rule from
+    scalar to rational.  A nan or infinite entry denotes no rational:
+    invalid input."""
     try:
         return [[v.as_integer_ratio() for v in row] for row in rows]
     except (ValueError, OverflowError):

@@ -9,9 +9,12 @@ substance depends on this normalization.
 A family or measure needs only ``moment``, which returns a rational.  The
 built-in ones also answer ``moment_parts``, the same moment as (numerator,
 denominator) integers, so a tensor measure multiplies integers, not
-necessarily in lowest terms.  A system caches each distinct moment it reads
-as those parts, in both scalar modes: ``mopcore`` builds M_n from them, and
-``moment`` makes one Fraction, or one correctly rounded int division in
+necessarily in lowest terms; their ``moment`` is one function, ``_moment``.
+A system caches each distinct moment it reads as those parts, in both
+scalar modes, through one cached read for both kinds of system,
+``_ScalarMode._moment_parts``; each system class states only its order
+check and its source (``_source``).  ``mopcore`` builds M_n from the parts,
+and ``moment`` makes one Fraction, or one correctly rounded int division in
 float mode, of them on request.  ``_reader`` is the one place that adapts a
 source with only ``moment``.  A built-in family's order is natural: a
 negative one raises ``IndexOutOfRange``, as the systems do, and a tensor
@@ -38,6 +41,12 @@ EXACT = "exact"
 FLOAT64 = "float64"
 
 
+def _moment(source, *order) -> Fraction:
+    """A built-in family's or measure's ``moment``: its ``moment_parts`` of
+    that order as one Fraction."""
+    return Fraction(*source.moment_parts(*order))
+
+
 class Laguerre:
     """Laguerre-type weight x^alpha e^{-x} on [0, inf), alpha >= 0 rational.
 
@@ -57,8 +66,7 @@ class Laguerre:
         self._step = alpha.numerator, alpha.denominator
         self._parts = [(1, 1)]
 
-    def moment(self, k: int) -> Fraction:
-        return Fraction(*self.moment_parts(k))
+    moment = _moment
 
     def moment_parts(self, k: int) -> Tuple[int, int]:
         parts = self._parts
@@ -83,8 +91,7 @@ class Jacobi:
             raise NegativeAlpha(f"jacobi exponent must be > -1, got {format_scalar(a)}")
         self.a = a
 
-    def moment(self, k: int) -> Fraction:
-        return Fraction(*self.moment_parts(k))
+    moment = _moment
 
     def moment_parts(self, k: int) -> Tuple[int, int]:
         # a = p/q: (a + 1) / (a + k + 1) = (p + q) / (p + (k + 1) q).
@@ -98,8 +105,7 @@ class MomentTable:
     def __init__(self, moments: Sequence):
         self._parts = [_split(m) for m in moments]
 
-    def moment(self, k: int) -> Fraction:
-        return Fraction(*self.moment_parts(k))
+    moment = _moment
 
     def moment_parts(self, k: int) -> Tuple[int, int]:
         if _natural(k) >= len(self._parts):
@@ -121,8 +127,7 @@ class TensorMeasure:
         self.y = y
         self._x, self._y = _reader(x), _reader(y)
 
-    def moment(self, t: int, s: int) -> Fraction:
-        return Fraction(*self.moment_parts(t, s))
+    moment = _moment
 
     def moment_parts(self, t: int, s: int) -> Tuple[int, int]:
         a, b = self._x(t)
@@ -136,8 +141,7 @@ class TableMeasure:
     def __init__(self, moments: Dict[Tuple[int, int], Fraction]):
         self._parts = {k: _split(v) for k, v in moments.items()}
 
-    def moment(self, t: int, s: int) -> Fraction:
-        return Fraction(*self.moment_parts(t, s))
+    moment = _moment
 
     def moment_parts(self, t: int, s: int) -> Tuple[int, int]:
         try:
@@ -182,7 +186,8 @@ def _check_mode(mode) -> str:
 
 class _ScalarMode:
     """Scalar mode shared by the measure systems: exact rationals or float64.
-    A system needs at least one measure; ``r`` counts them."""
+    A system needs at least one measure; ``r`` counts them.  Both kinds of
+    system read their moments through one cached read, ``_moment_parts``."""
 
     mode: str
 
@@ -206,19 +211,30 @@ class _ScalarMode:
             self._twin[EXACT] = type(self)(**{**fields, "mode": EXACT})
         return self._twin.get(EXACT, self)
 
-    def _checked(self, parts: Tuple[int, int], j: int, order) -> Tuple[int, int]:
-        """A moment's integer parts a, b, as the cache keeps them, after the
-        one check a float system needs: a / b (int division rounds
-        correctly, so it is float(Fraction(a, b)) to the bit) within the
-        float range.  One past it is invalid input that names its measure
-        and order."""
-        a, b = parts
+    def _moment_parts(self, j: int, t: int, s: int = 0) -> Tuple[int, int]:
+        """The cached integer parts a, b of the moment of x^t y^s under
+        measure j, 1-based, as the class's ``_source`` reads them after its
+        order check.  A float system checks that a / b (int division rounds
+        correctly, so it is float(Fraction(a, b)) to the bit) lies within
+        the float range: one past it is invalid input that names its
+        measure and order."""
+        # The cache is read first; the arguments are checked on a miss only,
+        # and a bad one is never cached.
+        try:
+            return self._moment_cache[j, t, s]
+        except KeyError:
+            pass
+        if not 1 <= j <= self.r:
+            raise IndexOutOfRange(f"measure index {j} not in 1..{self.r}")
+        parts, order = self._source(j, t, s)
         if not self.exact:
+            a, b = parts
             try:
                 a / b
             except OverflowError:
                 raise ValidationError(f"measure {j}: the moment of order {order} exceeds "
                                       "the float64 range; use exact mode") from None
+        self._moment_cache[j, t, s] = parts
         return parts
 
     def _scalar(self, parts: Tuple[int, int]) -> Scalar:
@@ -251,21 +267,12 @@ class MeasureSystem(_ScalarMode, Record):
         """Moment m^{(j)}_{(t,s)}; j is 1-based, t and s natural."""
         return self._scalar(self._moment_parts(j, t, s))
 
-    def _moment_parts(self, j: int, t: int, s: int) -> Tuple[int, int]:
-        """The cached integer parts of m^{(j)}_{(t,s)}."""
-        # The cache is read first; the arguments are checked on a miss only,
-        # and a bad one is never cached.
-        try:
-            return self._moment_cache[j, t, s]
-        except KeyError:
-            pass
-        if not 1 <= j <= self.r:
-            raise IndexOutOfRange(f"measure index {j} not in 1..{self.r}")
+    def _source(self, j: int, t: int, s: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+        """The parts of m^{(j)}_{(t,s)} as measure j reads them, and their
+        order (t, s), after checking it is natural."""
         if t < 0 or s < 0:
             raise IndexOutOfRange(f"moment order ({t}, {s}) has a negative component")
-        parts = self._moment_cache[j, t, s] = self._checked(
-            _reader(self.measures[j - 1])(t, s), j, (t, s))
-        return parts
+        return _reader(self.measures[j - 1])(t, s), (t, s)
 
 
 class UniMeasureSystem(_ScalarMode, Record):
@@ -285,22 +292,13 @@ class UniMeasureSystem(_ScalarMode, Record):
         """Moment m^{(j)}_k; j is 1-based, k natural.  The power of y, s, must be 0."""
         return self._scalar(self._moment_parts(j, k, s))
 
-    def _moment_parts(self, j: int, k: int, s: int = 0) -> Tuple[int, int]:
-        """The cached integer parts of m^{(j)}_k."""
-        # The cache is read first; the arguments are checked on a miss only,
-        # and a bad one is never cached.
-        try:
-            return self._moment_cache[j, k, s]
-        except KeyError:
-            pass
-        if not 1 <= j <= self.r:
-            raise IndexOutOfRange(f"measure index {j} not in 1..{self.r}")
+    def _source(self, j: int, k: int, s: int) -> Tuple[Tuple[int, int], int]:
+        """The parts of m^{(j)}_k as family j reads them, and their order k,
+        after checking k is natural and s is 0."""
         _natural(k)
         if s:
             raise IndexOutOfRange(f"univariate measures have no moment of y^{s}")
-        parts = self._moment_cache[j, k, s] = self._checked(
-            _reader(self.families[j - 1])(k), j, k)
-        return parts
+        return _reader(self.families[j - 1])(k), k
 
 
 def _parse_family(obj, path: str) -> UnivariateFamily:

@@ -25,15 +25,15 @@ same solver over the power basis (see ``_basis``).
 Normality has one rule in both scalar modes: det(M_n) != 0, decided by
 ``ExactLU``; a float system asks its exact twin and rounds the det once.
 ``_factorise`` builds M_n once, as the integer parts (a, b) of its moments
-that the system's moment cache holds (``_moment_rows``), and runs one
-factorisation of it: ``ExactLU`` reads the integer rows themselves, with
-their row and column content, and ``FloatLU`` the float rows of a / b, one
-division per entry.  It reads each index's Type I and Type II from that
-factorisation with the same calls in both scalar modes (``type1``,
-``type2``), and an exact index's det.  Where ``FloatLU`` stops, the exact
-twin decides (``_form``), and its cleared form is rounded once.  Row |n|
-of the moments, the right-hand side of n's Type II system, lies outside
-M_n, so it rides the factorisation as M's rider row.
+that the system's moment cache holds (``_moment_rows``), and hands that one
+list of rows to whichever kernel runs: ``ExactLU`` clears the rows with
+their row and column content, and ``FloatLU`` divides each entry once.  It
+reads each index's Type I and Type II from that factorisation with the
+same calls in both scalar modes (``type1``, ``type2``), and an exact
+index's det.  Where ``FloatLU`` stops, the exact twin decides (``_form``),
+and its cleared form is rounded once.  Row |n| of the moments, the
+right-hand side of n's Type II system, lies outside M_n, so it rides the
+factorisation as M's rider row.
 Exact solves go by neighbour path (``solve_path``): every M_n on a path is a
 leading block of the last one, so one factorisation solves the whole path,
 and a verifier that solves a path a step past its own top (``nnr_type2``)
@@ -60,7 +60,7 @@ from .errors import (
     TableExhausted,
     ValidationError,
 )
-from .linalg import ExactLU, FloatLU, Matrix, Scalar, format_scalar
+from .linalg import ExactLU, FloatLU, Matrix, Scalar, format_scalar, rational_parts
 from .measures import MeasureSystem, UniMeasureSystem
 from .record import Record
 
@@ -318,10 +318,7 @@ def _factorise(sys: System, steps: List[Tuple[int, ...]]) -> None:
         # The last index's row needs moments of order |n|, which a table
         # may lack; its type2 then raises on request, normality still works.
         missing = exc.with_traceback(None)
-    if sys.exact:
-        lu = ExactLU(rows, order)
-    else:
-        lu = FloatLU(Matrix(len(rows), size, [[a / b for a, b in row] for row in rows]))
+    lu = ExactLU(rows, order) if sys.exact else FloatLU(rows)
     for key in steps:
         if key in sys._index_cache:
             continue
@@ -605,9 +602,10 @@ def _exact_only(sys: System, name: str) -> None:
 def cleared(polys: Sequence[BiPoly]) -> Tuple[List[List[int]], int]:
     """The cleared form ([N_1, ...], d) of polys: the coefficients of each
     polynomial as integers over one d, polys[i] = sum_z N_i[z] x^{e_z} / d.
-    A float coefficient is the rational it denotes (``as_integer_ratio``).
-    A caller's polynomial is cleared once, where it enters a pairing."""
-    ratios = [[c.as_integer_ratio() for c in q.coeffs] for q in polys]
+    A coefficient is the rational it denotes, a float one included
+    (``rational_parts``).  A caller's polynomial is cleared once, where it
+    enters a pairing."""
+    ratios = rational_parts([q.coeffs for q in polys])
     d = 1
     for q in ratios:
         for _, b in q:

@@ -19,8 +19,8 @@ from . import multiindex as mi
 from .errors import ChainInvalid, EmptyIndex, IndexTooSmall, PathInvalid
 from .linalg import Matrix, Scalar, format_scalar
 from .measures import MeasureSystem
-from .mopcore import (BiPoly, cleared, combine, moment_rows, on_exact_system, shifted,
-                      solve_path, type1, type1_form, type2, type2_form)
+from .mopcore import (BiPoly, _index, cleared, combine, moment_rows, on_exact_system,
+                      shifted, solve_path, type1, type1_form, type2, type2_form)
 from .record import Record
 
 
@@ -175,7 +175,9 @@ def gram_pattern_holds(sys: MeasureSystem, n: Sequence[int], p: BiPoly) -> bool:
 def gram_form_holds(sys: MeasureSystem, n: Sequence[int], form) -> bool:
     """``gram_pattern_holds`` for the polynomial of a cleared form ([P], d),
     on an exact system: P paired against each monomial's unit form.  A
-    Type II polynomial is judged in its cached form (``type2_form``)."""
+    Type II polynomial is judged in its cached form (``type2_form``).  n is
+    checked as every solver entry checks it (``mopcore._index``)."""
+    n = _index(sys, n)
     pair = moment_rows(sys, form)
     return all(pair(([[0] * l + [1]], 1), j) == 0
                for j, nj in enumerate(n, start=1) for l in range(nj))

@@ -3,14 +3,17 @@
 import math
 import sys
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bimop import (DimensionMismatch, Matrix, NotSquare, Singular, ValidationError, det,
-                   format_scalar, parse_scalar, solve)
-from bimop.linalg import FLOAT_TOL, ExactLU, FloatLU, int_from_decimal
+from bimop import (BiPoly, DimensionMismatch, Matrix, NotSquare, Singular, ValidationError,
+                   det, format_scalar, inner, parse_scalar, solve, type1_pairing)
+from bimop.linalg import FLOAT_TOL, ExactLU, FloatLU, int_from_decimal, rational_parts
 from bimop.mopcore import moment_matrix
+from bimop.relations import gram_pattern_holds
+from conftest import make_pair_system
 
 
 def cofactor_det(m):
@@ -362,8 +365,8 @@ def test_float_lu_against_exact_lu(case):
     m, rhs, singular = case
     n = m.rows
     exact = Matrix.from_rows([[F(v) for v in row] for row in m.data])
-    lu = FloatLU(m)
-    by_row = FloatLU(Matrix(n + 1, n, m.data + [[-b for b in rhs]]))
+    lu = FloatLU(rational_parts(m.data))
+    by_row = FloatLU(rational_parts(m.data + [[-b for b in rhs]]))
     assert (by_row.lu, by_row.perm, by_row.stopped) == (lu.lu, lu.perm, lu.stopped)
     if singular:
         assert lu.stopped
@@ -411,12 +414,22 @@ def test_float_det_and_solve_are_exact(case):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_a_nan_or_infinite_entry_is_invalid(bad):
     """nan and inf denote no rational: det and solve raise ValidationError
-    for one in m or in rhs."""
+    for one in m or in rhs, and so, with the same message, do the pairings
+    for one in a polynomial's coefficients, on an exact and a float
+    system."""
     m = Matrix.from_rows([[1.0, bad], [0.0, 1.0]])
     identity = Matrix.from_rows([[1.0, 0.0], [0.0, 1.0]])
-    for call in (lambda: det(m), lambda: solve(m, [1.0, 1.0]),
-                 lambda: solve(identity, [bad, 1.0])):
-        with pytest.raises(ValidationError, match="nan or infinite"):
+    p = BiPoly((1.0, bad))
+    calls = [lambda: det(m), lambda: solve(m, [1.0, 1.0]),
+             lambda: solve(identity, [bad, 1.0])]
+    for sys_ in (make_pair_system(), make_pair_system("float64")):
+        calls += [partial(inner, sys_, 1, p, BiPoly.one()),
+                  partial(inner, sys_, 2, BiPoly.one(), p),
+                  partial(type1_pairing, sys_, p, (1, 1)),
+                  partial(gram_pattern_holds, sys_, (1, 1), p)]
+    for call in calls:
+        with pytest.raises(ValidationError,
+                           match="^a nan or infinite entry denotes no rational$"):
             call()
 
 
@@ -425,17 +438,17 @@ def test_float_lu_pivots_on_the_first_of_tied_magnitudes():
     in rows 1 and 2 pivots on row 1, at step 0 and at step 1.  Each perm
     is even: the identity, or the 3-cycle of two swaps."""
     for rows in ([[2.0, 1.0], [-2.0, 3.0]], [[-2.0, 1.0], [2.0, 3.0]]):
-        lu = FloatLU(Matrix.from_rows(rows))
+        lu = FloatLU(rational_parts(rows))
         assert (lu.perm, lu.stopped) == ([0, 1], False)
-    lu = FloatLU(Matrix.from_rows([[1.0, 0.0, 0.0], [3.0, 1.0, 0.0], [-3.0, 0.0, 2.0]]))
+    lu = FloatLU(rational_parts([[1.0, 0.0, 0.0], [3.0, 1.0, 0.0], [-3.0, 0.0, 2.0]]))
     assert (lu.perm, lu.stopped) == ([1, 2, 0], False)
-    lu = FloatLU(Matrix.from_rows([[4.0, 0.0, 0.0], [0.0, 3.0, 1.0], [0.0, -3.0, 2.0]]))
+    lu = FloatLU(rational_parts([[4.0, 0.0, 0.0], [0.0, 3.0, 1.0], [0.0, -3.0, 2.0]]))
     assert (lu.perm, lu.stopped) == ([0, 1, 2], False)
 
 
 def test_float_lu_stops_on_an_all_zero_column():
     for rows in ([[0.0, 1.0], [0.0, 2.0]], [[1.0, 2.0, 0.0], [2.0, 4.0, 1.0], [3.0, 6.0, 2.0]]):
-        lu = FloatLU(Matrix.from_rows(rows))
+        lu = FloatLU(rational_parts(rows))
         assert lu.stopped
         assert lu.type1(len(rows)) is None
 
@@ -471,7 +484,7 @@ def reference_float_lu(rows):
 def test_float_lu_matches_the_reference_pivoting_under_ties(rows):
     """The entry 1e-13 makes small nonzero pivots, at or below the
     threshold."""
-    lu = FloatLU(Matrix.from_rows(rows))
+    lu = FloatLU(rational_parts(rows))
     assert (lu.lu, lu.perm, lu.stopped) == reference_float_lu(rows)
 
 
@@ -479,7 +492,7 @@ def test_float_lu_matches_the_reference_pivoting_under_ties(rows):
 def test_float_lu_stops_on_a_small_nonzero_pivot(eps, stops):
     """The second pivot of [[1, 1], [1, 1 + eps]] is about eps, nonzero:
     FloatLU stops when it is at most FLOAT_TOL times the largest entry."""
-    lu = FloatLU(Matrix.from_rows([[1.0, 1.0], [1.0, 1.0 + eps]]))
+    lu = FloatLU(rational_parts([[1.0, 1.0], [1.0, 1.0 + eps]]))
     assert lu.lu[1][1] != 0.0
     assert lu.stopped is stops
     assert (lu.type1(2) is None) is stops

@@ -227,11 +227,30 @@ def float_lu_coeffs(sys_, n):
     m = moment_matrix(sys_, n)
     rider, = mopcore._moment_rows(sys_, n, [sum(n)])
     rider = [a / b for a, b in rider]
-    lu = linalg.FloatLU(linalg.Matrix(m.rows + 1, m.cols, m.data + [rider]))
+    lu = linalg.FloatLU(linalg.rational_parts(m.data + [rider]))
     (y, _), (c, _) = lu.type2(sum(n)), lu.type1(sum(n))
     ends = list(itertools.accumulate(n))
     blocks = [UniPoly.from_coeffs(c[end - nj:end]).coeffs for nj, end in zip(n, ends)]
     return [tuple(y) + (1.0,)] + blocks
+
+
+@pytest.mark.parametrize("make, n", [(make_pair_system, (1, 1)), (make_pair_system, (2, 1)),
+                                     (make_pair_system, (3, 3)), (make_xsystem, (1, 1)),
+                                     (make_xsystem, (2, 1)), (make_xsystem, (1, 2))])
+def test_both_kernels_read_one_row_list(make, n):
+    """The rows ``_factorise`` hands either kernel, M_n's moment parts with
+    row |n| as the rider, are one list: FloatLU's Type I and Type II of it
+    match ExactLU's within 1e-12 of each vector's largest entry, at indices
+    where M_n is well conditioned."""
+    rows = mopcore._moment_rows(make("float64"), n, range(sum(n) + 1))
+    exact, approx = linalg.ExactLU(rows), linalg.FloatLU(rows)
+    assert not approx.stopped
+    for read in ("type1", "type2"):
+        (want, d), (got, one) = getattr(exact, read)(sum(n)), getattr(approx, read)(sum(n))
+        want = [F(v, d) for v in want]
+        assert one == 1.0 and len(got) == len(want) == sum(n)
+        size = max(abs(v) for v in want)
+        assert all(abs(F(g) - w) <= F(1e-12) * size for g, w in zip(got, want)), (n, read)
 
 
 def hexes(coeffs):
@@ -253,7 +272,8 @@ def test_the_float_tol_only_hands_solves_to_the_twin():
         got, want = normality(sys_, n), normality(sys_.exact_system, n)
         assert got.normal is want.normal is True
         assert got.det.hex() == float(want.det).hex()
-        assert linalg.FloatLU(moment_matrix(sys_, n)).stopped is stops
+        m = moment_matrix(sys_, n)
+        assert linalg.FloatLU(linalg.rational_parts(m.data)).stopped is stops
 
         def coeffs(s):
             if isinstance(s, UniMeasureSystem):

@@ -67,7 +67,7 @@ SYSTEMS = (MeasureSystem, UniMeasureSystem)
 TWINS = {cls: make_dataclass(cls.__name__, [(s, Any) if isinstance(s, str) else s for s in spec],
                              bases=(_ScalarMode,) if cls in SYSTEMS else (),
                              namespace={k: vars(cls)[k]
-                                        for k in ("r", "moment", "_moment_parts")
+                                        for k in ("r", "moment", "_source")
                                         if cls in SYSTEMS},
                              frozen=True)
          for cls, spec in SPECS.items()}

@@ -9,7 +9,9 @@ import pytest
 from bimop import (
     BiPoly,
     ChainInvalid,
+    DimensionMismatch,
     EmptyIndex,
+    IndexOutOfRange,
     IndexTooSmall,
     Laguerre,
     MeasureSystem,
@@ -287,6 +289,16 @@ def test_gram_pattern_fails_off_the_type2_polynomial(duo, n):
     assert not relations.gram_pattern_holds(duo, n, p + BiPoly.one())
     approx = make_pair_system("float64")
     assert not relations.gram_pattern_holds(approx, n, type2(approx, n) + BiPoly.one())
+
+
+@pytest.mark.parametrize("n, error", [((-3, 1), IndexOutOfRange), ((0,), DimensionMismatch),
+                                      ((), DimensionMismatch), ((2,), DimensionMismatch)])
+def test_gram_pattern_checks_its_index(duo, n, error):
+    """gram_pattern_holds checks n as every solver entry does: a negative
+    component, or a length other than r, raises and is never vacuously
+    True."""
+    with pytest.raises(error):
+        relations.gram_pattern_holds(duo, n, type2(duo, (2, 1)))
 
 
 def test_type1_pattern_fails_on_a_wrong_form(monkeypatch):
