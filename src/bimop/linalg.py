@@ -4,7 +4,11 @@ Both kernels take one input: rows of integer parts (a, b) of rationals,
 never Fractions or floats.  Exact mode runs one fraction-free (Bareiss) LU
 over the integers, ``ExactLU``: it clears each row over the lcm of its
 denominators, divides it by its content (the gcd of its cleared entries)
-and then each column by its content.  Float mode runs one partial-pivot
+and then each column by its content.  Its elimination keeps every row
+primitive, dividing out the content each step leaves, and carries each
+row's factor to its Bareiss row as one integer, so it works on integers
+about as large as the rational Schur complements, while its multipliers
+and pivots are the Bareiss ones.  Float mode runs one partial-pivot
 LU, ``FloatLU``, on the float a / b of each entry, divided once; it stops
 at a pivot at or below one relative threshold, ``FLOAT_TOL``.  ``FloatLU``
 serves ``mopcore``'s float Type I and Type II alone.  ``det`` and
@@ -19,10 +23,10 @@ a pivot, and answer the same questions: ``type1`` (M c = e_{n-1}) and
 exact solutions as integers (``_cleared``), float ones over 1.0; ``ExactLU``
 also answers ``det``, as integers (a, b).  ``ExactLU`` eliminates the rider
 with M, and its factors serve every leading block B_s of M (Gauss-Borel):
-B_s's Type I solution is one back pass on U, and its Type II solution,
-B_s^t y = -(row s of M), is one back pass on L^t of the Bareiss multipliers
-the elimination left in row s, the rider row for s = n.  ``FloatLU`` factors
-M alone, so it serves M only.
+B_s's Type I solution is one back pass on the primitive U, and its Type II
+solution, B_s^t y = -(row s of M), is one back pass on L^t of the Bareiss
+multipliers the elimination left in row s, the rider row for s = n.
+``FloatLU`` factors M alone, so it serves M only.
 
 Decimal conversion of integers (``int_to_decimal``, ``int_from_decimal``)
 splits by powers 10^(2^k), so numbers of any size print and parse without
@@ -86,15 +90,27 @@ class ExactLU:
     its entries over every row (1 for a zero column), giving the integer
     matrix A = (D / g) M[:, order] G^-1.  A minor of A is the same minor of
     M[:, order] times its rows' D / g over its columns' G, so the contents
-    shrink every Bareiss integer and change no pivot choice: scaling rows
-    and columns by positive integers keeps every zero.  A row's content over
-    all of M's columns divides its content over any leading block's, so one
-    pass serves every B_s.  Bareiss elimination with row pivoting then
-    factors P A in place, its pivots taken from the square part: on and
-    above the diagonal ``lu`` holds the integer U (row k as it stood when it
-    became the pivot row, so U[k][k] is the leading (k+1)-minor of P A),
-    below it the integer multipliers of L.  Every division, in the
-    elimination and in the back passes, is exact.
+    shrink every integer of the elimination and change no pivot choice:
+    scaling rows and columns by positive integers keeps every zero.  A
+    row's content over all of M's columns divides its content over any
+    leading block's, so one pass serves every B_s.
+
+    Bareiss elimination with row pivoting then factors P A in place, its
+    pivots taken from the square part, but each row is kept primitive: step
+    k forms piv R_i - f R_k from the pivot row R_k (piv = R_k[k]) and row
+    R_i (f = R_i[k]) and divides it by its content g, in the row's next
+    pass.  Row i of the Bareiss elimination is tau[i] R_i, with tau[i] its
+    content up to sign (0 for a zero row), an integer carried through each
+    step as tau[i] <- g tau[i] tau[k] / p_{k-1} (g = piv when f = 0, and
+    p_{k-1} the previous Bareiss pivot).  So the rows hold integers about
+    as large as the rational Schur complements, not the Bareiss minors,
+    while the factors stay Bareiss's: below the diagonal ``lu`` holds L's
+    integer multipliers tau[i] f, on and above it the primitive U, row k
+    being R_k as it stood when it became the pivot row.  Past a stop the
+    rows that gave no pivot keep the last step's row, its content not yet
+    divided out; no read-out reads them.  ``pivots[k]`` = tau[k] U[k][k]
+    is the leading (k+1)-minor of P A.  Every division, in the elimination
+    and in the back passes, is exact.
 
     Every leading block B_s, the first s rows of M on the columns order[:s]
     kept in their order in M, shares these factors: ``det(s)`` is
@@ -114,25 +130,38 @@ class ExactLU:
         #: D[i] M / g[i] over the column contents
         self.scale: List[int] = []
         self.rowcontent: List[int] = []
+        #: tau[i]: row i's Bareiss row over its primitive row, in P A's order
+        self.tau: List[int] = []
         lu = []
         for row in rows:
             # Star-unpack lists, not generators: a generator's argument tuple
             # is resized, and the resized tuples pile up on the free lists.
             d = math.lcm(*[b for _, b in row])
             cleared = [a * (d // b) for a, b in row]
-            g = math.gcd(*cleared) or 1
+            g = math.gcd(*cleared)
+            self.tau.append(1 if g else 0)
+            g = g or 1
             self.scale.append(d)
             self.rowcontent.append(g)
             lu.append([cleared[c] // g for c in self.order])
         #: content[k]: the gcd of column k of (D / g) M[:, order], 1 for a
         #: zero column
         self.content = [math.gcd(*col) or 1 for col in zip(*lu)]
+        # a primitive row stays primitive over the column contents, so each
+        # row starts as its own Bareiss row: tau 1, or 0 for a zero row
         lu = [[v // g for v, g in zip(row, self.content)] for row in lu]
         #: row k of P A is row perm[k] of A
         self.perm = list(range(len(rows)))
         #: signs[s]: the sign of the row and column permutations of B_s, or 0
         #: when B_s is singular
         self.signs = [1]
+        #: pivots[k]: the Bareiss pivot, the leading (k+1)-minor of P A
+        self.pivots: List[int] = []
+        pivots = self.pivots
+        tau = self.tau
+        # Row i stands for R_i = lu[i] / owed[i]: the content a step finds in
+        # a row is divided out in the row's next pass, inside that pass.
+        owed = [1] * len(lu)
         sign = prev = 1
         last = -1
         for k in range(n):
@@ -140,8 +169,8 @@ class ExactLU:
             if p is None:
                 break
             if p != k:
-                lu[k], lu[p] = lu[p], lu[k]
-                self.perm[k], self.perm[p] = self.perm[p], self.perm[k]
+                for v in (lu, tau, owed, self.perm):
+                    v[k], v[p] = v[p], v[k]
                 sign = -sign
             # column k of A passes the earlier columns that follow it in M
             if sum(map(self.order[k].__lt__, self.order[:k])) % 2:
@@ -150,25 +179,43 @@ class ExactLU:
             # the first nonzero entry is searched among them first
             last = max(last, self.perm[k])
             self.signs.append(sign if last == k else 0)
-            top = lu[k][k + 1:]
-            piv = lu[k][k]
-            for row in lu[k + 1:]:
+            pivot, h = lu[k], owed[k]
+            if h > 1:
+                pivot[k:] = [v // h for v in pivot[k:]]
+            top = pivot[k + 1:]
+            piv, tk = pivot[k], tau[k]
+            for i in range(k + 1, len(lu)):
+                row = lu[i]
                 f = row[k]
-                row[k + 1:] = [(piv * a - f * t) // prev for a, t in zip(row[k + 1:], top)]
-            prev = piv
+                if not f:
+                    tau[i] = piv * tau[i] * tk // prev
+                    continue
+                h = owed[i]
+                f //= h
+                ti = tau[i]
+                row[k] = ti * f
+                row[k + 1:] = new = [piv * (a // h) - f * t for a, t in zip(row[k + 1:], top)]
+                g = owed[i] = math.gcd(*new)
+                tau[i] = g * ti * tk // prev
+            prev = tk * piv
+            pivots.append(prev)
         self.signs += [0] * (n + 1 - len(self.signs))
         self.lu = lu
-        #: lu^t, the compact factorisation of (P A)^t
-        self.lut = list(zip(*lu))
+        #: the compact factorisation of (P A)^t: lu^t with the pivots on its
+        #: diagonal, L^t of the Bareiss multipliers
+        self.lut = lut = list(map(list, zip(*lu)))
+        for k, p in enumerate(pivots):
+            lut[k][k] = p
 
     def det(self, s: Optional[int] = None) -> Tuple[int, int]:
-        """det(B_s) = signs[s] U[s-1][s-1] prod(G[:s]) prod(g[:s]) /
+        """det(B_s) = signs[s] pivots[s-1] prod(G[:s]) prod(g[:s]) /
         prod(D[:s]), by default det(M), as integers (a, b), b > 0: a / b."""
         s = len(self.order) if s is None else s
         if not s:
             return 1, 1
-        return (self.signs[s] * self.lu[s - 1][s - 1] * math.prod(self.content[:s])
-                * math.prod(self.rowcontent[:s]), math.prod(self.scale[:s]))
+        minor = self.signs[s] and self.signs[s] * self.pivots[s - 1]
+        return (minor * math.prod(self.content[:s]) * math.prod(self.rowcontent[:s]),
+                math.prod(self.scale[:s]))
 
     def type1(self, s: int) -> Optional[Tuple[List[int], int]]:
         """c with B_s c = e_{s-1}, for s >= 1, as its cleared form
@@ -179,16 +226,20 @@ class ExactLU:
         when it becomes the pivot of a column in which the block's rows it
         passes are zero, so the block's multipliers below it in column k are
         zero and the forward pass only scales its entry, to D[s-1]
-        U[k-1][k-1] over g[s-1].  Only the back pass on U runs, and gives
-        G c (in the order of A's columns) as z / (q g[s-1]).
+        pivots[k-1] over g[s-1].  Only the back pass runs.  With q =
+        pivots[s-1], q times the solution is an integer vector z (Cramer's
+        rule), and since the Bareiss U is diag(tau) times the primitive U,
+        the pass runs on the primitive U with its right side divided by
+        tau[k], exactly.  It gives G c (in the order of A's columns) as z /
+        (q g[s-1]).
         """
         if not self.signs[s]:
             return None
-        lu = self.lu
         k = self.perm.index(s - 1)
+        q = self.pivots[s - 1]
         b = [0] * s
-        b[k] = self.scale[s - 1] * (lu[k - 1][k - 1] if k else 1)
-        z, q = _back(lu, b)
+        b[k] = q * self.scale[s - 1] * (self.pivots[k - 1] if k else 1) // self.tau[k]
+        z = _back(self.lu, b)
         g = math.lcm(*self.content[:s])
         # z is in the order of A's columns; c in the order of M's
         c = []
@@ -209,11 +260,14 @@ class ExactLU:
         S_s^-1 and row s of M on B_s's columns is (row s of A) G_s / S[s],
         so G_s cancels and A_s^t (S_s^-1 y) = -(row s of A) / S[s], the
         system the factors of A solve: y = -S P^t w / S[s], each y[i] scaled
-        by D[i] / g[i].
+        by D[i] / g[i].  The pass runs on L^t of the Bareiss multipliers,
+        whose diagonal holds the pivots, with its right side times q =
+        pivots[s-1], so that w, q times the solution, is an integer vector.
         """
         if not self.signs[s]:
             return None
-        w, q = _back(self.lut, self.lu[self.perm.index(s)][:s])
+        q = self.pivots[s - 1] if s else 1
+        w = _back(self.lut, [q * v for v in self.lu[self.perm.index(s)][:s]])
         g = math.lcm(*self.rowcontent[:s])
         f = self.rowcontent[s]
         y = [0] * s
@@ -233,17 +287,16 @@ def _cleared(nums: List[int], den: int) -> Tuple[List[int], int]:
     return nums, den // g
 
 
-def _back(lu: Sequence[Sequence[int]], b: List[int]) -> Tuple[List[int], int]:
+def _back(lu: Sequence[Sequence[int]], b: List[int]) -> List[int]:
     """Back pass on the leading len(b) block of a compact factorisation,
-    after the forward pass: (x, d), d the block's last pivot and x = d *
-    solution, an integer vector by Cramer's rule."""
+    after the forward pass: the x with U x = b, U the block's upper
+    triangle, for a b that makes x an integer vector."""
     n = len(b)
-    d = lu[n - 1][n - 1] if n else 1
     x = [0] * n
     for k in range(n - 1, -1, -1):
         row = lu[k]
-        x[k] = (d * b[k] - sum(map(operator.mul, row[k + 1:n], x[k + 1:]))) // row[k]
-    return x, d
+        x[k] = (b[k] - sum(map(operator.mul, row[k + 1:n], x[k + 1:]))) // row[k]
+    return x
 
 
 class FloatLU:

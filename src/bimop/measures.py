@@ -211,6 +211,11 @@ class _ScalarMode:
             self._twin[EXACT] = type(self)(**{**fields, "mode": EXACT})
         return self._twin.get(EXACT, self)
 
+    def _check_measure(self, j: int) -> None:
+        """The one check of a measure index: j in 1..r."""
+        if not 1 <= j <= self.r:
+            raise IndexOutOfRange(f"measure index {j} not in 1..{self.r}")
+
     def _moment_parts(self, j: int, t: int, s: int = 0) -> Tuple[int, int]:
         """The cached integer parts a, b of the moment of x^t y^s under
         measure j, 1-based, as the class's ``_source`` reads them after its
@@ -224,8 +229,7 @@ class _ScalarMode:
             return self._moment_cache[j, t, s]
         except KeyError:
             pass
-        if not 1 <= j <= self.r:
-            raise IndexOutOfRange(f"measure index {j} not in 1..{self.r}")
+        self._check_measure(j)
         parts, order = self._source(j, t, s)
         if not self.exact:
             a, b = parts

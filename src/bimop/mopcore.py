@@ -560,8 +560,10 @@ def inner(sys: MeasureSystem, j: int, p: BiPoly, q: BiPoly) -> Scalar:
 
     It pairs the rationals the coefficients denote, float ones included,
     exactly (``cleared``, ``moment_rows``): one Fraction, rounded once on a
-    float system.
+    float system.  j is checked first, so a zero polynomial does not hide
+    a measure index outside 1..r.
     """
+    sys._check_measure(j)
     return moment_rows(sys, cleared((p,)))(cleared((q,)), j)
 
 

@@ -77,9 +77,11 @@ def test_uni_type2_matches_the_closed_forms_on_a_grid():
 
 
 def test_uni_type2_matches_the_closed_forms_at_20_20():
+    """At (20, 20) and at (40, 40), the size ROADMAP aim 1 asks for."""
     for family, exponents in (("laguerre", LAGUERRE), ("jacobi", JACOBI)):
-        got = uni_type2(_system(family, exponents), (20, 20))
-        assert list(got.coeffs) == FAMILIES[family][1](exponents, (20, 20)), family
+        for n in ((20, 20), (40, 40)):
+            got = uni_type2(_system(family, exponents), n)
+            assert list(got.coeffs) == FAMILIES[family][1](exponents, n), (family, n)
 
 
 exponent = st.fractions(min_value=0, max_value=5, max_denominator=12)

@@ -557,7 +557,7 @@ def test_row_content_keeps_the_last_pivot_small(monkeypatch, make, bound):
     monkeypatch.setattr(mopcore, "ExactLU", spy)
     type2(make(), (20, 20))
     lu, = factors
-    assert lu.lu[39][39].bit_length() <= bound
+    assert lu.pivots[39].bit_length() <= bound
 
 
 def test_moment_parts_not_in_lowest_terms():
@@ -942,12 +942,21 @@ def test_measures_with_only_moment_answer_as_their_built_in_twins(mode):
 # Pairings and evaluation
 
 
-def test_inner_trivial(duo):
+def test_inner_trivial(duo, duo_float):
+    """inner checks its measure index before any pairing: with the zero
+    polynomial on either side, j outside 1..r raises, on an exact system
+    and on a float one."""
     one = BiPoly.one()
     x = BiPoly.monomial(1, 0)
     y = BiPoly.monomial(0, 1)
     assert inner(duo, 1, one, one) == duo.moment(1, 0, 0) == 1
     assert inner(duo, 2, x, y) == duo.moment(2, 1, 1)
+    zero = BiPoly.zero()
+    for sys_ in (duo, duo_float):
+        for j in (0, 3, -1):
+            for p, q in ((zero, one), (one, zero), (zero, zero), (one, one)):
+                with pytest.raises(IndexOutOfRange, match=rf"^measure index {j} not in 1\.\.2$"):
+                    inner(sys_, j, p, q)
 
 
 def naive_inner(sys_, j, p, q):
