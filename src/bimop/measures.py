@@ -312,25 +312,25 @@ def _parse_family(obj, path: str) -> UnivariateFamily:
     if family == "laguerre":
         if "alpha" not in obj:
             raise SchemaError(path + ".alpha", "missing")
-        return Laguerre(_parse_exponent(obj["alpha"], path + ".alpha"))
+        return Laguerre(_parse_rational(obj["alpha"], path + ".alpha"))
     if family == "jacobi":
         if "a" not in obj:
             raise SchemaError(path + ".a", "missing")
-        return Jacobi(_parse_exponent(obj["a"], path + ".a"))
+        return Jacobi(_parse_rational(obj["a"], path + ".a"))
     if family == "table":
         moments = obj.get("moments")
         if not isinstance(moments, list) or not moments:
             raise SchemaError(path + ".moments", "expected a non-empty list")
-        return MomentTable([_parse_exponent(m, f"{path}.moments[{i}]")
+        return MomentTable([_parse_rational(m, f"{path}.moments[{i}]")
                             for i, m in enumerate(moments)])
     raise SchemaError(path + ".family", f"unknown family {family!r}")
 
 
-def _parse_exponent(value, path: str) -> Fraction:
-    # Decimal strings convert exactly ("3.4" -> 17/5); binary float parse
-    # is deliberately rejected for exponents.
+def _parse_rational(value, path: str) -> Fraction:
+    # Decimal strings convert exactly ("3.4" -> 17/5); a JSON float is
+    # rejected, for an exponent and a moment value alike.
     if isinstance(value, float):
-        raise SchemaError(path, "give exponents as strings or integers, not floats")
+        raise SchemaError(path, "give rationals as strings or integers, not floats")
     try:
         return parse_scalar(value)
     except (ValueError, ZeroDivisionError):
@@ -357,7 +357,7 @@ def _parse_measure(obj, path: str) -> BivariateMeasure:
                 raise SchemaError(epath, "expected {t, s, value}")
             if not all(type(e[k]) is int and e[k] >= 0 for k in "ts"):
                 raise SchemaError(epath, "t and s must be naturals")
-            table[(e["t"], e["s"])] = _parse_exponent(e["value"], epath + ".value")
+            table[(e["t"], e["s"])] = _parse_rational(e["value"], epath + ".value")
         return TableMeasure(table)
     raise SchemaError(path + ".kind", f"unknown measure kind {kind!r}")
 

@@ -1,9 +1,10 @@
 """Polynomials, moment matrices, normality tests and Type I/II solvers.
 
-Bivariate polynomials are dense coefficient sequences indexed by Cantor
-position: coeffs[z] multiplies x^t y^s with pair(t, s) = z.  Inner products
-are bilinear extensions through moments; quadrature is never used, so
-unbounded supports are exact.  Pairings and sums are exact in both scalar
+The polynomials handed out are records of dense coefficients and do no
+arithmetic: a ``BiPoly``'s coeffs[z] multiplies x^t y^s with pair(t, s) = z,
+a ``UniPoly``'s coeffs[k] multiplies x^k.  Inner products are bilinear
+extensions through moments; quadrature is never used, so unbounded
+supports are exact.  Pairings and sums are exact in both scalar
 modes: a float system's verifiers, ``inner`` and ``type1_pairing`` among
 them, run on its exact twin (``on_exact_system``).  They run on cleared
 polynomials, integers over one denominator.  Type I and Type II leave
@@ -11,9 +12,9 @@ either kernel as values over one denominator, exact ones cleared and float
 ones over 1.0, and are cached in that form (``type2_form``,
 ``type1_form``); ``type2``/``type1`` make Fractions or floats of them on
 request (``_dense``).
-Cleared forms are the only currency of pairings and sums: x*P and y*P are
-one shift of the integers (``shifted``), and a caller's polynomial is
-cleared once, where it enters (``cleared``: in ``inner``,
+Cleared forms are the only currency of pairings, sums and shifts: x*P and
+y*P are one shift of a form's integers (``shifted``), and a caller's
+polynomial is cleared once, where it enters (``cleared``: in ``inner``,
 ``type1_pairing`` and ``relations.gram_pattern_holds``).  Pairings go
 through moment rows (``moment_rows``): each integer pairing
 <P, x^{e_l}>_j a form needs is computed once, over one denominator,
@@ -68,81 +69,13 @@ if TYPE_CHECKING:
     System = Union[MeasureSystem, UniMeasureSystem]
 
 
-class _Dense:
-    """Dense coefficients by basis position, as the solver returns them.
-
-    A field-less base: each record below declares ``coeffs``.
-    """
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Sequence[Scalar]):
-        """The polynomial with trailing zero coefficients trimmed."""
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        return cls(tuple(coeffs))
-
-
-class BiPoly(_Dense, Record):
+class BiPoly(Record):
     """Bivariate polynomial, dense by Cantor position."""
 
     coeffs: Tuple[Scalar, ...]
 
-    @classmethod
-    def zero(cls) -> "BiPoly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "BiPoly":
-        return cls((Fraction(1),))
-
-    @classmethod
-    def monomial(cls, t: int, s: int, c: Scalar = Fraction(1)) -> "BiPoly":
-        z = mi.pair(t, s)
-        return cls.from_coeffs([0] * z + [c])
-
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    @property
-    def top_position(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading monomial")
-        return len(self.coeffs) - 1
-
-    @property
-    def mdeg(self) -> Tuple[int, int]:
-        return mi.unpair(self.top_position)
-
-    @property
-    def deg(self) -> int:
-        t, s = self.mdeg
-        return t + s
-
-    def __getitem__(self, z: int) -> Scalar:
-        return self.coeffs[z] if z < len(self.coeffs) else 0
-
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return BiPoly.from_coeffs([self[z] + other[z] for z in range(n)])
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return BiPoly.from_coeffs([self[z] - other[z] for z in range(n)])
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly(tuple(-c for c in self.coeffs))
-
-    def scale(self, c: Scalar) -> "BiPoly":
-        return BiPoly.from_coeffs([c * v for v in self.coeffs])
-
-    def mul_x(self) -> "BiPoly":
-        """Multiply by x (``shifted`` by ``shift_x``)."""
-        return BiPoly.from_coeffs(shifted(self.coeffs, mi.shift_x))
-
-    def mul_y(self) -> "BiPoly":
-        """Multiply by y (``shifted`` by ``shift_y``)."""
-        return BiPoly.from_coeffs(shifted(self.coeffs, mi.shift_y))
 
     def terms(self) -> List[Tuple[int, int, Scalar]]:
         """Nonzero (t, s, coefficient) triples, descending Cantor position."""
@@ -178,16 +111,10 @@ def _power(var: str, e: int) -> str:
     return var if e == 1 else f"{var}^{e}"
 
 
-class UniPoly(_Dense, Record):
+class UniPoly(Record):
     """Univariate polynomial, coefficients by ascending power."""
 
     coeffs: Tuple[Scalar, ...]
-
-    @property
-    def deg(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no degree")
-        return len(self.coeffs) - 1
 
 
 class TypeISet(Record):
@@ -620,14 +547,13 @@ def cleared(polys: Sequence[BiPoly]) -> Tuple[List[List[int]], int]:
     return out, d
 
 
-def shifted(coeffs: Sequence[Scalar], shift: Callable[[int, int], int]) -> List[Scalar]:
-    """coeffs multiplied by x (shift ``mi.shift_x``) or y (``mi.shift_y``):
-    the coefficient at position pair(t, s) moves to shift(t, s), and every
-    other position holds 0.  The one rule of x*P and y*P, for polynomials
-    and for the integers of a cleared form alike."""
+def shifted(coeffs: Sequence[int], shift: Callable[[int, int], int]) -> List[int]:
+    """The integers of a cleared form multiplied by x (shift ``mi.shift_x``)
+    or y (``mi.shift_y``): the integer at position pair(t, s) moves to
+    shift(t, s), and every other position holds 0."""
     if not coeffs:
         return []
-    out: List[Scalar] = [0] * (shift(*mi.unpair(len(coeffs) - 1)) + 1)
+    out = [0] * (shift(*mi.unpair(len(coeffs) - 1)) + 1)
     for z, c in enumerate(coeffs):
         if c:
             out[shift(*mi.unpair(z))] = c

@@ -53,7 +53,7 @@ def natural_index(n: Sequence[int]) -> MultiIndex:
 
 
 def params(n: Sequence[int]) -> IndexParams:
-    """Degree/remainder decomposition |n| = d(d+1)/2 + k, with mdeg = (d-k, k)."""
+    """Degree/remainder decomposition |n| = d(d+1)/2 + k, with multidegree (d-k, k)."""
     mod = sum(natural_index(n))
     l, m = unpair(mod)
     return IndexParams(modulus=mod, multidegree=(l, m), degree=l + m, remainder=m)

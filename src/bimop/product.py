@@ -105,7 +105,7 @@ def product_poly(ps: ProductSystem, n: Sequence[int], m: Sequence[int]) -> BiPol
         for s, cy in enumerate(py.coeffs):
             if cy != 0:
                 coeffs[mi.pair(t, s)] = cx * cy
-    return BiPoly.from_coeffs(coeffs)
+    return BiPoly(tuple(coeffs))
 
 
 @on_exact_system

@@ -136,11 +136,6 @@ class MOPV(Record):
     polys: Tuple[BiPoly, ...]
     pattern_ok: bool
 
-    def g_matrix(self, k: int) -> Matrix:
-        """Coefficient matrix on the monomials of total degree k."""
-        base = k * (k + 1) // 2
-        return Matrix.from_rows([[p[base + m] for m in range(k + 1)] for p in self.polys])
-
 
 class TypeIMOPV(Record):
     """Per-measure stacks of Type I polynomials along one index chain."""

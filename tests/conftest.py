@@ -5,12 +5,15 @@ from fractions import Fraction as F
 import pytest
 
 from bimop import (
+    BiPoly,
     Laguerre,
     MeasureSystem,
     ProductSystem,
     TensorMeasure,
     UniMeasureSystem,
     mopcore,
+    pair,
+    unpair,
 )
 
 # Exponents of the four Laguerre weights: x^1, x^{11/5} in x and
@@ -27,6 +30,27 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def poly(terms):
+    """The BiPoly of {(t, s): c}: c at Cantor position pair(t, s), 0 at
+    every other position up to the last nonzero c."""
+    coeffs = {pair(t, s): c for (t, s), c in terms.items() if c}
+    out = [0] * (max(coeffs, default=-1) + 1)
+    for z, c in coeffs.items():
+        out[z] = c
+    return BiPoly(tuple(out))
+
+
+def times(p, dt, ds):
+    """p * x^dt y^ds by the exponent map (t, s) -> (t + dt, s + ds), each
+    position read through unpair and written through pair: the tests' own
+    rule, independent of ``mopcore.shifted``."""
+    terms = {}
+    for z, c in enumerate(p.coeffs):
+        t, s = unpair(z)
+        terms[t + dt, s + ds] = c
+    return poly(terms)
 
 
 def make_xsystem(mode="exact"):

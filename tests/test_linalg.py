@@ -555,8 +555,8 @@ def test_a_nan_or_infinite_entry_is_invalid(bad):
     calls = [lambda: det(m), lambda: solve(m, [1.0, 1.0]),
              lambda: solve(identity, [bad, 1.0])]
     for sys_ in (make_pair_system(), make_pair_system("float64")):
-        calls += [partial(inner, sys_, 1, p, BiPoly.one()),
-                  partial(inner, sys_, 2, BiPoly.one(), p),
+        calls += [partial(inner, sys_, 1, p, BiPoly((F(1),))),
+                  partial(inner, sys_, 2, BiPoly((F(1),)), p),
                   partial(type1_pairing, sys_, p, (1, 1)),
                   partial(gram_pattern_holds, sys_, (1, 1), p)]
     for call in calls:

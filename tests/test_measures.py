@@ -265,10 +265,23 @@ def test_parse_config_mode_and_tol_override():
 
 
 def test_parse_config_rejects_float_exponent():
-    text = '{"measures": [{"kind": "tensor", "x": {"family": "laguerre", "alpha": 2.2}, "y": {"family": "laguerre", "alpha": 1}}]}'
-    with pytest.raises(SchemaError) as err:
-        parse_config(text)
-    assert err.value.path == "$.measures[0].x.alpha"
+    """A JSON float is no rational literal wherever a rational goes, a
+    family's exponent or a moment value of either kind of table, and the
+    message names rationals."""
+    laguerre = {"family": "laguerre", "alpha": 1}
+    cases = [({"kind": "tensor", "x": {"family": "laguerre", "alpha": 2.2}, "y": laguerre},
+              "$.measures[0].x.alpha"),
+             ({"kind": "tensor", "x": {"family": "jacobi", "a": 0.5}, "y": laguerre},
+              "$.measures[0].x.a"),
+             ({"kind": "tensor", "x": {"family": "table", "moments": [1, 0.5]}, "y": laguerre},
+              "$.measures[0].x.moments[1]"),
+             ({"kind": "table", "moments": [{"t": 0, "s": 0, "value": 1.5}]},
+              "$.measures[0].moments[0].value")]
+    for measure, path in cases:
+        with pytest.raises(SchemaError) as err:
+            parse_config(json.dumps({"measures": [measure]}))
+        assert err.value.path == path
+        assert str(err.value) == f"{path}: give rationals as strings or integers, not floats"
 
 
 def test_parse_config_error_paths():

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bimop import (
-    BiPoly,
     IndexOutOfRange,
     NotComparable,
     Path,
@@ -31,7 +30,6 @@ def test_pair_first_positions():
 
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: pair(3, -1), id="pair"),
-    pytest.param(lambda: BiPoly.monomial(2, -1), id="monomial"),
     pytest.param(lambda: tilde_v((1, -1), (0, 1)), id="tilde_v"),
     pytest.param(lambda: find_v((1, -1), (0, 1)), id="find_v"),
     pytest.param(lambda: candidate_vs((1, -1), (0, 1)), id="candidate_vs"),

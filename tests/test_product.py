@@ -75,10 +75,10 @@ def test_candidate_vs_contains_greedy_choice():
 def test_product_poly_example(psys):
     r = product_poly(psys, (0, 1), (1, 0))
     # (x - 16/5)(y - 33/10)
-    assert r[pair(1, 1)] == 1
-    assert r[pair(0, 1)] == F(-16, 5)
-    assert r[pair(1, 0)] == F(-33, 10)
-    assert r[pair(0, 0)] == F(264, 25)
+    assert r.coeffs[pair(1, 1)] == 1
+    assert r.coeffs[pair(0, 1)] == F(-16, 5)
+    assert r.coeffs[pair(1, 0)] == F(-33, 10)
+    assert r.coeffs[pair(0, 0)] == F(264, 25)
 
 
 def test_product_poly_trivial(psys):
@@ -115,7 +115,7 @@ def test_product_poly_multidegree(n, m):
     from conftest import make_product_system
     ps = make_product_system()
     r = product_poly(ps, n, m)
-    assert r.mdeg == (sum(n), sum(m))
+    assert unpair(len(r.coeffs) - 1) == (sum(n), sum(m))
 
 
 def test_verify_product_both_choices(psys):

@@ -1,11 +1,13 @@
-"""Every name bimop exports has a reader.
+"""Every name bimop exports, and every public method and property of an
+exported class, has a reader.
 
 ``bimop/__init__.py`` exports the names it imports from the package's
-modules.  An export has a reader when a module of src/bimop reads it, as a
-bare name or as an attribute (its definition and the export itself do not
-count), when a perfbench script names it, or when the README names it as
-user API.  So a public function whose last caller goes does not stay behind
-as surface nobody uses.
+modules.  An export, or a method or property of an exported class other
+than a dunder or a private one, has a reader when a module of src/bimop
+reads it, as a bare name or as an attribute (its definition and the export
+itself do not count), when a perfbench script names it, or when the README
+names it as user API.  So a public function or method whose last caller
+goes does not stay behind as surface nobody uses.
 """
 
 import ast
@@ -24,15 +26,21 @@ def _exports(tree: ast.Module) -> list:
 
 
 def _unread(exports: list, trees: list, texts: list) -> list:
-    """The exports that no module reads and no text names."""
+    """The exports, and the public methods and properties of the exported
+    classes as Class.name, that no module reads and no text names."""
     read = set()
+    names = [(name, name) for name in exports]
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    return sorted(name for name in exports if name not in read
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name in exports:
+                names += [(f"{node.name}.{item.name}", item.name) for item in node.body
+                          if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return sorted(label for label, name in names if name not in read
                   and not any(re.search(rf"\b{re.escape(name)}\b", text) for text in texts))
 
 
@@ -50,7 +58,12 @@ def test_the_check_sees_an_unread_export():
     init = ast.parse("from .a import (Benched, Result, called, documented, orphan)\n"
                      "from .b import helper as renamed\n")
     trees = [
-        ast.parse("class Result: pass\n"
+        ast.parse("class Result:\n"
+                  "    def __eq__(self, other): pass\n"
+                  "    def _cache(self): pass\n"
+                  "    @property\n"
+                  "    def value(self): pass\n"
+                  "    def stale(self): pass\n"
                   "class Benched:\n"
                   "    def run(self):\n"
                   "        return Result()\n"
@@ -59,7 +72,7 @@ def test_the_check_sees_an_unread_export():
                   "def orphan(): pass\n"),
         ast.parse("from . import a\n"
                   "def helper():\n"
-                  "    return a.called()\n"),
+                  "    return a.called().value\n"),
     ]
     texts = ["`documented(x)` returns x.", "spans = ('Benched.run',)", "orphaned"]
-    assert _unread(_exports(init), trees, texts) == ["orphan", "renamed"]
+    assert _unread(_exports(init), trees, texts) == ["Result.stale", "orphan", "renamed"]

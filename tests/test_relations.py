@@ -37,7 +37,7 @@ from bimop import (
     unpair,
 )
 from bimop import mopcore, relations
-from conftest import make_pair_system
+from conftest import make_pair_system, times
 
 CHAIN_D2 = [(1, 2), (1, 3), (2, 3)]
 
@@ -220,10 +220,7 @@ def test_assemble_type2_vector(duo):
     assert mv.pattern_ok
     # leading monomials are x^2, xy, y^2 in order
     for k, p in enumerate(mv.polys):
-        assert p.mdeg == (2 - k, k)
-    g = mv.g_matrix(2)
-    assert [g.data[k][k] for k in range(3)] == [1, 1, 1]
-    assert all(g.data[k][i] == 0 for k in range(3) for i in range(k + 1, 3))
+        assert unpair(len(p.coeffs) - 1) == (2 - k, k)
 
 
 @pytest.mark.parametrize("assemble", [assemble_type2_vector, assemble_type1_vectors])
@@ -275,7 +272,7 @@ def test_assemble_type1_vectors(duo):
         for k, n in enumerate(CHAIN_D2):
             a = tv.rows[j][k]
             if not a.is_zero():
-                assert a.top_position <= n[j] - 1
+                assert len(a.coeffs) - 1 <= n[j] - 1
 
 
 @pytest.mark.parametrize("n", [(2, 2), (3, 1)])
@@ -284,11 +281,14 @@ def test_gram_pattern_fails_off_the_type2_polynomial(duo, n):
     with 1 under measure 1 is not zero.  On a float system P_n + 1 fails
     too; the True case is exact-only, as the float P_n is judged as the
     rationals it denotes."""
+    def plus_one(p):
+        return BiPoly((p.coeffs[0] + 1,) + p.coeffs[1:])
+
     p = type2(duo, n)
     assert relations.gram_pattern_holds(duo, n, p)
-    assert not relations.gram_pattern_holds(duo, n, p + BiPoly.one())
+    assert not relations.gram_pattern_holds(duo, n, plus_one(p))
     approx = make_pair_system("float64")
-    assert not relations.gram_pattern_holds(approx, n, type2(approx, n) + BiPoly.one())
+    assert not relations.gram_pattern_holds(approx, n, plus_one(type2(approx, n)))
 
 
 @pytest.mark.parametrize("n, error", [((-3, 1), IndexOutOfRange), ((0,), DimensionMismatch),
@@ -388,7 +388,7 @@ def test_nnr_type2_coefficient_alignment(duo):
     # a_{i} = <x P_n, Q_{m_{i+1}}> along the default path
     n = (4, 4)
     rep = nnr_type2(duo, n, "x")
-    xp = type2(duo, n).mul_x()
+    xp = times(type2(duo, n), 1, 0)
     for modulus, value in rep.coefficients:
         assert value == type1_pairing(duo, xp, rep.path.at_modulus(modulus + 1))
 
@@ -479,11 +479,31 @@ def test_nnr_vector_top_matrix_structure(duo):
                 assert top.data[k][i] == 0
 
 
+def test_nnr_vector_leading_selection_fails_on_a_wrong_form(monkeypatch):
+    """nnr_vector reports low_unit_ok False, and holds False, when a row's
+    expansion has a nonzero entry above its unit: on axis y, the Q of the
+    path's last index read as chain[0]'s gives row 0 a pairing past its
+    target.  Unpatched, both are True."""
+    sys_ = make_pair_system()
+    rep = nnr_vector(sys_, CHAIN_D2, "y")
+    assert rep.low_unit_ok and rep.holds
+    last = rep.path.steps[-1]
+    form = relations.type1_form
+
+    def misread(sys_, n):
+        return form(sys_, CHAIN_D2[0] if tuple(n) == last else n)
+
+    monkeypatch.setattr(relations, "type1_form", misread)
+    rep = nnr_vector(make_pair_system(), CHAIN_D2, "y")
+    assert rep.low_unit_ok is False
+    assert rep.holds is False
+
+
 def test_nnr_vector_rows_match_scalar_expansion(duo):
     rep = nnr_vector(duo, CHAIN_D2, "x")
     path = rep.path
     for k, n in enumerate(CHAIN_D2):
-        xp = type2(duo, n).mul_x()
+        xp = times(type2(duo, n), 1, 0)
         # every matrix entry is the scalar pairing of row k's expansion
         for h, m in rep.matrices.items():
             if h > 3:
