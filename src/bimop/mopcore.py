@@ -15,13 +15,16 @@ request (``_dense``).
 Cleared forms are the only currency of pairings, sums and shifts: x*P and
 y*P are one shift of a form's integers (``shifted``), and a caller's
 polynomial is cleared once, where it enters (``cleared``: in ``inner``,
-``type1_pairing`` and ``relations.gram_pattern_holds``).  Pairings go
-through moment rows (``moment_rows``): each integer pairing
+``type1_pairing`` and ``relations.gram_pattern_holds``), and must be of
+the system's kind.  Pairings go through moment rows (``moment_rows``):
+each integer pairing
 <P, x^{e_l}>_j a form needs is computed once, over one denominator,
 however many forms it is paired against; ``inner`` and
 ``type1_pairing`` are one-shot uses.  Sums go through ``combine``, which
 makes each coefficient one Fraction.  Univariate systems run through the
-same solver over the power basis (see ``_basis``).
+same solver and the same pairings over the power basis: ``_basis`` is the
+one basis rule, and M_n and every pairing read their moment products
+through one reader (``_products``), in the system's basis.
 
 Normality has one rule in both scalar modes: det(M_n) != 0, decided by
 ``ExactLU``; a float system asks its exact twin and rounds the det once.
@@ -168,17 +171,26 @@ def _moment_rows(sys: System, n: Tuple[int, ...],
     """Rows ks of the moments on M_n's columns, as the integer parts (a, b)
     the system's moment cache holds; row |n| is minus the right-hand side
     of n's Type II system.  Moments are read column by column, block 1
-    first, so a short table names the first moment missing in that order."""
+    first (``_products``), so a short table names the first moment missing
+    in that order."""
     exponent, _ = _basis(sys)
     exponents = [exponent(k) for k in ks]
-    read = sys._moment_parts
     rows: List[List[Tuple[int, int]]] = [[] for _ in exponents]
     for j, nj in enumerate(n, start=1):
-        for l in range(nj):
-            lt, ls = exponent(l)
-            for row, (rt, rs) in zip(rows, exponents):
-                row.append(read(j, rt + lt, rs + ls))
+        parts = _products(sys, j, list(map(exponent, range(nj))), exponents)
+        for i, row in enumerate(rows):
+            row += parts[i::len(rows)]
     return rows
+
+
+def _products(sys: System, j: int, outer: Sequence[Tuple[int, int]],
+              inner: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """The cached parts of m^{(j)}_{a+b} for the exponents a in outer and b
+    in inner, outer first: the one read of moment products, for M_n and
+    for every pairing, which take the exponent of each basis position
+    from ``_basis``."""
+    read = sys._moment_parts
+    return [read(j, t + u, s + v) for t, s in outer for u, v in inner]
 
 
 #: The cleared form of 1, the zero index's Type II.
@@ -412,29 +424,30 @@ def type1(sys: System, n: Sequence[int]) -> TypeISet:
     return TypeISet(tuple(_dense(sys, *type1_form(sys, n))))
 
 
-def moment_rows(sys: MeasureSystem, form) -> Callable[..., Scalar]:
+def moment_rows(sys: System, form) -> Callable[..., Scalar]:
     """pair(forms, j=1) = sum_i <p, q_i>_{j+i}: the polynomial p of a cleared
     form ([P], d_p) paired against the polynomials q_i of many cleared forms
     ([Q_1, ...], d_q), on an exact system (a float one raises
-    ValidationError; pair on its ``exact_system``).
+    ValidationError; pair on its ``exact_system``).  Positions are those
+    of the system's basis (``_basis``): Cantor positions on a bivariate
+    system, powers of x on a univariate one.
 
     It keeps moment rows for p = P/d_p: row j maps basis position l to the
     integer <P, x^{e_l}>_j * L, where L is one denominator shared by every
     row.  The moments come as the integer parts the system's moment cache
-    holds, as M_n's do.  A pairing fills the positions its forms need and no
-    other, then takes dot products with their integer coefficients and
-    returns one fraction over all j.  Forms come from ``type2_form``,
-    ``type1_form``, ``shifted`` or ``cleared``.
+    holds, through M_n's reader (``_products``).  A pairing fills the
+    positions its forms need and no other, then takes dot products with
+    their integer coefficients and returns one fraction over all j.  Forms
+    come from ``type2_form``, ``type1_form``, ``shifted`` or ``cleared``.
     """
     _exact_only(sys, "moment_rows")
-    read = sys._moment_parts
     rows: dict = {}
     scale = 1
     (coeffs,), dp = form
-    p_terms = []
-    for u, a in enumerate(coeffs):
-        if a:
-            p_terms.append((*mi.unpair(u), a))
+    exponent = _basis(sys)[0]
+    p_at = [u for u, a in enumerate(coeffs) if a]
+    p_coeffs = [coeffs[u] for u in p_at]
+    p_exponents = list(map(exponent, p_at))
 
     def pair(form, j=1):
         nonlocal scale
@@ -451,15 +464,8 @@ def moment_rows(sys: MeasureSystem, form) -> Callable[..., Scalar]:
                 # the pairs first reach them (p's terms outer), so a missing
                 # table moment raises on the same exponent as a pair-by-pair
                 # sum would.
-                exps = []
-                for l in need:
-                    exps.append(mi.unpair(l))
-                moments = []
-                lcm = scale
-                for t, s, _ in p_terms:
-                    for lt, ls in exps:
-                        moments.append(m := read(j, t + lt, s + ls))
-                        lcm = math.lcm(lcm, m[1])
+                moments = _products(sys, j, p_exponents, list(map(exponent, need)))
+                lcm = math.lcm(scale, *[den for _, den in moments])
                 if lcm != scale:
                     grow = lcm // scale
                     total *= grow
@@ -469,7 +475,7 @@ def moment_rows(sys: MeasureSystem, form) -> Callable[..., Scalar]:
                     scale = lcm
                 row.update(dict.fromkeys(need, 0))
                 reads = iter(moments)
-                for _, _, a in p_terms:
+                for a in p_coeffs:
                     for l in need:
                         num, den = next(reads)
                         row[l] += a * num * (lcm // den)
@@ -482,16 +488,19 @@ def moment_rows(sys: MeasureSystem, form) -> Callable[..., Scalar]:
 
 
 @on_exact_system
-def inner(sys: MeasureSystem, j: int, p: BiPoly, q: BiPoly) -> Scalar:
+def inner(sys: System, j: int, p: Union[BiPoly, UniPoly],
+          q: Union[BiPoly, UniPoly]) -> Scalar:
     """Moment-bilinear inner product <p, q>_j (no quadrature).
 
     It pairs the rationals the coefficients denote, float ones included,
     exactly (``cleared``, ``moment_rows``): one Fraction, rounded once on a
-    float system.  j is checked first, so a zero polynomial does not hide
-    a measure index outside 1..r.
+    float system.  p and q are of the system's kind: ``BiPoly`` on a
+    ``MeasureSystem``, ``UniPoly`` on a ``UniMeasureSystem``; the other
+    kind raises ValidationError.  j is checked first, so a zero polynomial
+    does not hide a measure index outside 1..r.
     """
     sys._check_measure(j)
-    return moment_rows(sys, cleared((p,)))(cleared((q,)), j)
+    return moment_rows(sys, cleared(sys, (p,)))(cleared(sys, (q,)), j)
 
 
 def combine(sys: System, terms: Sequence[tuple]) -> BiPoly:
@@ -528,23 +537,23 @@ def _exact_only(sys: System, name: str) -> None:
         raise ValidationError(f"{name} needs an exact system, not mode {sys.mode!r}")
 
 
-def cleared(polys: Sequence[BiPoly]) -> Tuple[List[List[int]], int]:
+def cleared(sys: System,
+            polys: Sequence[Union[BiPoly, UniPoly]]) -> Tuple[List[List[int]], int]:
     """The cleared form ([N_1, ...], d) of polys: the coefficients of each
     polynomial as integers over one d, polys[i] = sum_z N_i[z] x^{e_z} / d.
     A coefficient is the rational it denotes, a float one included
     (``rational_parts``).  A caller's polynomial is cleared once, where it
-    enters a pairing."""
+    enters a pairing, and must be of the system's kind (``_basis``): a
+    polynomial of the other kind, whose positions name other monomials,
+    raises ValidationError."""
+    kind = _basis(sys)[1]
+    for q in polys:
+        if not isinstance(q, kind):
+            raise ValidationError(f"a {type(sys).__name__} pairs {kind.__name__} "
+                                  f"polynomials, not {type(q).__name__}")
     ratios = rational_parts([q.coeffs for q in polys])
-    d = 1
-    for q in ratios:
-        for _, b in q:
-            d = math.lcm(d, b)
-    out = []
-    for q in ratios:
-        out.append(coeffs := [])
-        for a, b in q:
-            coeffs.append(a * (d // b))
-    return out, d
+    d = math.lcm(*[b for q in ratios for _, b in q])
+    return [[a * (d // b) for a, b in q] for q in ratios], d
 
 
 def shifted(coeffs: Sequence[int], shift: Callable[[int, int], int]) -> List[int]:
@@ -561,13 +570,14 @@ def shifted(coeffs: Sequence[int], shift: Callable[[int, int], int]) -> List[int
 
 
 @on_exact_system
-def type1_pairing(sys: MeasureSystem, p: BiPoly, m: Sequence[int]) -> Scalar:
+def type1_pairing(sys: System, p: Union[BiPoly, UniPoly], m: Sequence[int]) -> Scalar:
     """Biorthogonality pairing <p, Q_m> = sum_j <p, A_{m,j}>_j.
 
     Computed purely from moments; weights are never evaluated.  p is
-    paired as the rationals its coefficients denote (``cleared``).
+    paired as the rationals its coefficients denote (``cleared``), and is
+    of the system's kind, as in ``inner``.
     """
-    return moment_rows(sys, cleared((p,)))(type1_form(sys, m))
+    return moment_rows(sys, cleared(sys, (p,)))(type1_form(sys, m))
 
 
 def uni_moment_matrix(sys1d: UniMeasureSystem, n: Sequence[int]) -> Matrix:

@@ -25,8 +25,12 @@ def pair(t: int, s: int) -> int:
 
 
 def unpair(z: int) -> Tuple[int, int]:
-    """Inverse of pair, via exact integer square root (never floating point)."""
-    w = (math.isqrt(8 * z + 1) - 1) // 2
+    """Inverse of pair, via exact integer square root (never floating point);
+    IndexOutOfRange for a negative position, which names no monomial."""
+    try:
+        w = (math.isqrt(8 * z + 1) - 1) // 2
+    except ValueError:
+        raise IndexOutOfRange(f"position {z} is negative") from None
     s = z - w * (w + 1) // 2
     return w - s, s
 

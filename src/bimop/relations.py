@@ -13,13 +13,13 @@ rounded to float.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import multiindex as mi
-from .errors import ChainInvalid, EmptyIndex, IndexTooSmall, PathInvalid
+from .errors import ChainInvalid, EmptyIndex, IndexTooSmall, PathInvalid, ValidationError
 from .linalg import Matrix, Scalar, format_scalar
-from .measures import MeasureSystem
-from .mopcore import (BiPoly, _index, cleared, combine, moment_rows, on_exact_system,
+from .measures import MeasureSystem, UniMeasureSystem
+from .mopcore import (BiPoly, UniPoly, _index, cleared, combine, moment_rows, on_exact_system,
                       shifted, solve_path, type1, type1_form, type2, type2_form)
 from .record import Record
 
@@ -160,11 +160,13 @@ def assemble_type2_vector(sys: MeasureSystem, chain: Sequence[Sequence[int]]) ->
 
 
 @on_exact_system
-def gram_pattern_holds(sys: MeasureSystem, n: Sequence[int], p: BiPoly) -> bool:
-    """True iff <p, x^t y^s>_j vanishes for the first n_j monomials of each j
-    (the Type II conditions of n).  p is judged exactly, as the rationals its
-    coefficients denote, float ones included (``cleared``)."""
-    return gram_form_holds(sys, n, cleared((p,)))
+def gram_pattern_holds(sys: Union[MeasureSystem, UniMeasureSystem], n: Sequence[int],
+                       p: Union[BiPoly, UniPoly]) -> bool:
+    """True iff <p, x^{e_l}>_j vanishes for the first n_j basis monomials of
+    each j (the Type II conditions of n).  p is judged exactly, as the
+    rationals its coefficients denote, float ones included, and is of the
+    system's kind (``cleared``)."""
+    return gram_form_holds(sys, n, cleared(sys, (p,)))
 
 
 def gram_form_holds(sys: MeasureSystem, n: Sequence[int], form) -> bool:
@@ -235,9 +237,14 @@ class NNRReport(Record):
         return doc
 
 
-def _axis(axis: str):
+def _axis(sys: MeasureSystem, axis: str):
     """The shift of an axis (``shifted``) and its top's offset above d_n: the
-    expansion of x*P_n reaches modulus |n| + d_n + 1, that of y*P_n one more."""
+    expansion of x*P_n reaches modulus |n| + d_n + 1, that of y*P_n one more.
+    The shifts and the index calculus are those of the Cantor basis, so a
+    univariate system raises ValidationError."""
+    if isinstance(sys, UniMeasureSystem):
+        raise ValidationError("the recurrences need a bivariate system (MeasureSystem), "
+                              f"not a {type(sys).__name__}")
     if axis not in ("x", "y"):
         raise PathInvalid(f"axis must be 'x' or 'y', got {axis!r}")
     return (mi.shift_x, 1) if axis == "x" else (mi.shift_y, 2)
@@ -306,7 +313,7 @@ def nnr_type2(sys: MeasureSystem, n: Sequence[int], axis: str,
     Requires every n_j >= d_n + 1 so that v = n - (d_n + 1) stays natural.
     The whole path is solved by one factorisation.
     """
-    shift, offset = _axis(axis)
+    shift, offset = _axis(sys, axis)
     n = tuple(n)
     r = len(n)
     p = mi.params(n)
@@ -346,7 +353,7 @@ def nnr_type1(sys: MeasureSystem, n: Sequence[int], axis: str,
     axis x and >= 2 for axis y, so it does not gate `holds`.  The low term
     is dropped entirely when the low index is the zero index (Q there is 0).
     """
-    shift, offset = _axis(axis)
+    shift, offset = _axis(sys, axis)
     n = tuple(n)
     r = len(n)
     p = mi.params(n)
@@ -432,7 +439,7 @@ def nnr_vector(sys: MeasureSystem, chain: Sequence[Sequence[int]], axis: str,
     verifies both the residual and the forced leading selection matrix
     (identity columns into the degree d+1 vector).
     """
-    shift, offset = _axis(axis)
+    shift, offset = _axis(sys, axis)
     chain, d = _chain(chain)
     r = len(chain[0])
     if lower is None or upper is None:

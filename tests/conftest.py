@@ -6,6 +6,7 @@ import pytest
 
 from bimop import (
     BiPoly,
+    Jacobi,
     Laguerre,
     MeasureSystem,
     ProductSystem,
@@ -63,6 +64,20 @@ def make_ysystem(mode="exact"):
 
 def make_product_system(mode="exact"):
     return ProductSystem.build(make_xsystem(mode), make_ysystem(mode))
+
+
+def make_uni_pair_system(mode="exact"):
+    """Two univariate measures: x e^{-x} on [0, inf) and Jacobi(1/2)."""
+    return UniMeasureSystem(families=(Laguerre(F(1)), Jacobi(F(1, 2))), mode=mode)
+
+
+def uni_inner(sys_, j, p, q):
+    """<p, q>_j for the power-basis coefficients p and q of a univariate
+    system (coefficient k multiplies x^k), summed pair by pair from family
+    j's own ``moment``."""
+    family = sys_.families[j - 1]
+    return sum(F(a) * F(b) * family.moment(k + l)
+               for k, a in enumerate(p) for l, b in enumerate(q) if a and b)
 
 
 def make_pair_system(mode="exact"):

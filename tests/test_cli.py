@@ -220,9 +220,9 @@ def test_check_clears_no_polynomial(monkeypatch, configs):
     calls = []
     clear = mopcore.cleared
 
-    def spy(polys):
+    def spy(sys_, polys):
         calls.append(polys)
-        return clear(polys)
+        return clear(sys_, polys)
 
     monkeypatch.setattr(mopcore, "cleared", spy)
     monkeypatch.setattr(relations, "cleared", spy)

@@ -25,6 +25,7 @@ from bimop import (
     TableMeasure,
     TensorMeasure,
     UniMeasureSystem,
+    UniPoly,
     ValidationError,
     biorth,
     canonical_path,
@@ -48,10 +49,10 @@ from bimop import (
     uni_type2,
     unpair,
 )
-from bimop import linalg, mopcore, multiindex
+from bimop import linalg, mopcore, multiindex, relations
 from bimop.errors import FrozenInstanceError
-from conftest import (make_pair_system, make_product_system, make_xsystem, make_ysystem, poly,
-                      times)
+from conftest import (make_pair_system, make_product_system, make_uni_pair_system, make_xsystem,
+                      make_ysystem, poly, times, uni_inner)
 
 
 def trimmed(coeffs):
@@ -101,14 +102,14 @@ def test_bipoly_pretty():
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.fractions(min_value=-5, max_value=5), min_size=1, max_size=12))
-def test_shift_moves_top_position(coeffs):
+def test_shift_moves_top_position(duo, coeffs):
     """x*p and y*p move the top position z = pair(t, s) of p's cleared
     integers to pair(t + 1, s) = z + t + s + 1 and pair(t, s + 1) =
     z + t + s + 2 (``shifted``)."""
     p = BiPoly(trimmed(F(c) for c in coeffs))
     if p.is_zero():
         return
-    (ints,), _ = mopcore.cleared((p,))
+    (ints,), _ = mopcore.cleared(duo, (p,))
     z = len(ints) - 1
     deg = sum(unpair(z))
     assert len(mopcore.shifted(ints, multiindex.shift_x)) - 1 == z + deg + 1
@@ -119,14 +120,14 @@ def test_shift_moves_top_position(coeffs):
 @given(st.lists(st.one_of(st.integers(-6, 6),
                           st.fractions(min_value=-6, max_value=6, max_denominator=12)),
                 max_size=10))
-def test_shifted_cleared_form_is_the_cleared_product(coeffs):
+def test_shifted_cleared_form_is_the_cleared_product(duo, coeffs):
     """x*p and y*p have one rule: ``shifted`` of p's cleared integers, over
     the same d, is the cleared form of x*p and y*p by the exponent map
     (``times``), the zero polynomial included."""
     p = BiPoly(trimmed(coeffs))
-    (ints,), d = mopcore.cleared((p,))
+    (ints,), d = mopcore.cleared(duo, (p,))
     for shift, xp in ((multiindex.shift_x, times(p, 1, 0)), (multiindex.shift_y, times(p, 0, 1))):
-        assert ([mopcore.shifted(ints, shift)], d) == mopcore.cleared((xp,))
+        assert ([mopcore.shifted(ints, shift)], d) == mopcore.cleared(duo, (xp,))
 
 
 # ---------------------------------------------------------------------------
@@ -1037,6 +1038,62 @@ def test_float_inner_keeps_pairwise_summation(p, q, data):
         assert got.hex() == float(naive_pairing(exact, rationals(p), m)).hex()
 
 
+def x_power(k):
+    """x^k as a UniPoly."""
+    return UniPoly((0,) * k + (1,))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float64"])
+def test_univariate_pairings_read_powers_of_x(mode):
+    """On a univariate system position k is x^k in the pairings, as in M_n:
+    for k, l in 0..6, inner(x^k, x^l) under measure j is family j's moment
+    of order k + l (inner(1, x^3) under Laguerre(1) is 24, not m_2 = 6),
+    and type1_pairing(x^k, m) is the sum of <x^k, A_{m,j}>_j from the
+    families' moments: 0 for k < |m| - 1 and 1 for k = |m| - 1.  A float
+    system answers the exact value rounded once."""
+    sys_ = make_uni_pair_system(mode)
+    exact = sys_.exact_system
+
+    def rounded(value):
+        return value if sys_.exact else float(value)
+
+    assert inner(sys_, 1, x_power(0), x_power(3)) == rounded(F(24))
+    for k in range(7):
+        for l in range(7):
+            for j in (1, 2):
+                want = exact.families[j - 1].moment(k + l)
+                assert inner(sys_, j, x_power(k), x_power(l)) == rounded(want)
+        for m in itertools.product(range(4), repeat=2):
+            if not sum(m):
+                continue
+            want = sum(uni_inner(exact, j, x_power(k).coeffs, a.coeffs)
+                       for j, a in enumerate(uni_type1(exact, m), start=1))
+            if k <= sum(m) - 1:
+                assert want == (k == sum(m) - 1)
+            assert type1_pairing(sys_, x_power(k), m) == rounded(want)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float64"])
+def test_pairings_refuse_a_polynomial_of_the_other_kind(mode):
+    """A BiPoly's position 2 is y, a UniPoly's is x^2: a polynomial of the
+    other kind than the system's would be paired at the wrong monomials
+    (on the pair system <x^2, 1>_1 is m(2, 0) = 6, not m(0, 1) = 33/10),
+    so inner, type1_pairing and gram_pattern_holds raise ValidationError
+    where it enters."""
+    bi, uni = make_pair_system(mode), make_uni_pair_system(mode)
+    assert inner(bi.exact_system, 1, poly({(2, 0): 1}), BiPoly((1,))) == 6
+    for sys_, wrong, right in ((bi, UniPoly((0, 0, 1)), BiPoly((1,))),
+                               (uni, BiPoly((0, 0, 1)), UniPoly((1,)))):
+        message = (f"^a {type(sys_).__name__} pairs {type(right).__name__} polynomials, "
+                   f"not {type(wrong).__name__}$")
+        for call in (lambda: inner(sys_, 1, wrong, right),
+                     lambda: inner(sys_, 1, right, wrong),
+                     lambda: type1_pairing(sys_, wrong, (1, 1)),
+                     lambda: relations.gram_pattern_holds(sys_, (1, 1), wrong)):
+            with pytest.raises(ValidationError, match=message):
+                call()
+
+
 def test_inner_reports_first_missing_table_moment():
     """The first moment the pairs reach is the one reported missing.
 
@@ -1064,18 +1121,18 @@ def test_one_row_set_matches_pairwise_sums(duo, quad, p, qs, data):
     polynomials included."""
     for sys_ in (duo, quad):
         for pp in (p, BiPoly(())):
-            pair = mopcore.moment_rows(sys_, mopcore.cleared((pp,)))
+            pair = mopcore.moment_rows(sys_, mopcore.cleared(sys_, (pp,)))
             for q in qs + [BiPoly(())]:
                 j = data.draw(st.integers(1, sys_.r))
-                got = pair(mopcore.cleared((q,)), j)
+                got = pair(mopcore.cleared(sys_, (q,)), j)
                 assert isinstance(got, F)
                 assert got == naive_inner(sys_, j, pp, q)
                 m = data.draw(st.sampled_from(PAIRING_INDICES[sys_.r]))
-                got = pair(mopcore.cleared(type1(sys_, m).polys))
+                got = pair(mopcore.cleared(sys_, type1(sys_, m).polys))
                 assert isinstance(got, F)
                 assert got == naive_pairing(sys_, pp, m)
                 assert repr(pair(mopcore.type1_form(sys_, m))) == repr(got)
-            got = pair(mopcore.cleared(qs[:sys_.r]))
+            got = pair(mopcore.cleared(sys_, qs[:sys_.r]))
             assert isinstance(got, F)
             assert got == sum(naive_inner(sys_, j, pp, q)
                               for j, q in enumerate(qs[:sys_.r], start=1))
@@ -1097,17 +1154,17 @@ def test_rows_read_no_moment_for_a_zero_coefficient():
     p = BiPoly((0, 1, 1))
     q1 = BiPoly((1, 0, 0, 0, 0, 1))
     q2 = BiPoly((1, 0, 1, 1))
-    pair = mopcore.moment_rows(sys_, mopcore.cleared((p,)))
-    assert pair(mopcore.cleared((q1,))) == naive_inner(sys_, 1, p, q1)
+    pair = mopcore.moment_rows(sys_, mopcore.cleared(sys_, (p,)))
+    assert pair(mopcore.cleared(sys_, (q1,))) == naive_inner(sys_, 1, p, q1)
     with pytest.raises(TableExhausted) as want:
         naive_inner(sys_, 1, p, q2)
     with pytest.raises(TableExhausted) as got:
-        pair(mopcore.cleared((q2,)))
+        pair(mopcore.cleared(sys_, (q2,)))
     assert str(got.value) == str(want.value) == "no moment for (t, s) = (3, 0)"
     # The failed pairing left no row entry behind.
     with pytest.raises(TableExhausted):
-        pair(mopcore.cleared((q2,)))
-    assert pair(mopcore.cleared((q1,))) == naive_inner(sys_, 1, p, q1)
+        pair(mopcore.cleared(sys_, (q2,)))
+    assert pair(mopcore.cleared(sys_, (q1,))) == naive_inner(sys_, 1, p, q1)
 
 
 def solved_poly(sys_, m, k):
@@ -1128,7 +1185,7 @@ def solved_form(sys_, m, k):
     if k > 3:
         blocks, d = mopcore.type1_form(sys_, m)
         return [blocks[k - 4]], d
-    return mopcore.cleared((solved_poly(sys_, m, k),))
+    return mopcore.cleared(sys_, (solved_poly(sys_, m, k),))
 
 
 def residual_chain(terms):
@@ -1163,7 +1220,7 @@ def test_combine_matches_the_residual_chain(duo, quad, data):
         got = mopcore.combine(sys_, form_terms)
         assert got == residual_chain(exact_terms)
         assert all(isinstance(c, F) for c in got.coeffs)
-        cleared_terms = [(c, mopcore.cleared((p,))) for c, p in exact_terms]
+        cleared_terms = [(c, mopcore.cleared(sys_, (p,))) for c, p in exact_terms]
         assert repr(mopcore.combine(sys_, cleared_terms)) == repr(got)
 
 
@@ -1172,10 +1229,11 @@ def test_combine_sums_cleared_forms_without_clearing(duo, monkeypatch):
     ``cleared`` call, and a sum whose value is not zero."""
     terms = [(1, times(type2(duo, (2, 2)), 0, 1)), (F(-3, 7), type2(duo, (3, 2))),
              (F(5, 2), type1(duo, (2, 3)).polys[1]), (F(1, 3), BiPoly(()))]
-    forms = [(c, mopcore.cleared((p,))) for c, p in terms]
+    forms = [(c, mopcore.cleared(duo, (p,))) for c, p in terms]
     calls = []
     clear = mopcore.cleared
-    monkeypatch.setattr(mopcore, "cleared", lambda polys: calls.append(polys) or clear(polys))
+    monkeypatch.setattr(mopcore, "cleared",
+                        lambda sys_, polys: calls.append(polys) or clear(sys_, polys))
     got = mopcore.combine(duo, forms)
     assert calls == []
     assert got == residual_chain(terms) and not got.is_zero()
@@ -1238,8 +1296,8 @@ def test_cached_forms_are_the_cleared_public_polynomials(make, indices):
                  _outcome(lambda: mopcore.type1_form(sys_, n))]
         entry = sys_._index_cache.get(n)
         held = entry and (entry.type2, entry.type1)
-        cleared = [_outcome(lambda: mopcore.cleared((type2(sys_, n),))),
-                   _outcome(lambda: mopcore.cleared(type1(sys_, n).polys))]
+        cleared = [_outcome(lambda: mopcore.cleared(sys_, (type2(sys_, n),))),
+                   _outcome(lambda: mopcore.cleared(sys_, type1(sys_, n).polys))]
         assert forms == cleared, n
         if entry:
             assert entry.type2 is held[0] and entry.type1 is held[1]

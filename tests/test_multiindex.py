@@ -41,6 +41,14 @@ def test_a_negative_exponent_has_no_position(call):
         call()
 
 
+@pytest.mark.parametrize("z", [-1, -2, -10**6])
+def test_a_negative_position_has_no_monomial(z):
+    """unpair of a negative position raises IndexOutOfRange, as pair of a
+    negative exponent does, not isqrt's bare ValueError."""
+    with pytest.raises(IndexOutOfRange, match=rf"^position {z} is negative$"):
+        unpair(z)
+
+
 @given(st.integers(min_value=0, max_value=10**6))
 def test_unpair_roundtrip(z):
     t, s = unpair(z)

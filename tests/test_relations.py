@@ -1,5 +1,6 @@
 """Biorthogonality, polynomial vectors, and the recurrence checks."""
 
+import itertools
 import json
 from fractions import Fraction as F
 from pathlib import Path
@@ -18,6 +19,7 @@ from bimop import (
     NotNormal,
     PathInvalid,
     TensorMeasure,
+    UniPoly,
     ValidationError,
     assemble_type1_vectors,
     assemble_type2_vector,
@@ -34,12 +36,15 @@ from bimop import (
     type1,
     type1_pairing,
     type2,
+    uni_type1,
+    uni_type2,
     unpair,
 )
 from bimop import mopcore, relations
-from conftest import make_pair_system, times
+from conftest import make_pair_system, make_uni_pair_system, times, uni_inner
 
 CHAIN_D2 = [(1, 2), (1, 3), (2, 3)]
+UNI_GRID = list(itertools.product(range(4), repeat=2))
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +129,26 @@ def test_biorth_float_matches_within_tolerance(duo_float):
     assert type(res.value) is float and res.value == 1.0
     assert res.matches is True
     assert biorth(duo_float, (3, 0), (1, 2)).matches is None
+
+
+def test_biorth_law_on_a_univariate_system():
+    """On the univariate system Laguerre(1), Jacobi(1/2), biorth for every
+    n and nonzero m <= (3, 3) gives <P_n, Q_m> as the families' moments
+    give it, and the law holds on every constrained branch."""
+    uni = make_uni_pair_system()
+    constrained = 0
+    for n in UNI_GRID:
+        p = uni_type2(uni, n).coeffs
+        for m in UNI_GRID:
+            if not sum(m):
+                continue
+            res = biorth(uni, n, m)
+            assert res.value == sum(uni_inner(uni, j, p, a.coeffs)
+                                    for j, a in enumerate(uni_type1(uni, m), start=1))
+            assert res.matches is not False, (n, m)
+            constrained += res.matches is True
+    # 240 pairs less the 50 where m is not <= n and |n| >= |m|
+    assert constrained == 190
 
 
 def test_biorth_matrix_same_chain(duo):
@@ -291,6 +316,24 @@ def test_gram_pattern_fails_off_the_type2_polynomial(duo, n):
     assert not relations.gram_pattern_holds(approx, n, plus_one(type2(approx, n)))
 
 
+def test_gram_pattern_on_a_univariate_system():
+    """Each P_n = uni_type2(n), n <= (3, 3), meets its Type II conditions
+    by the families' moments, <P_n, x^l>_j = 0 for l < n_j, and
+    gram_pattern_holds says so; P_n + 1 fails it for n nonzero.
+    assemble_type2_vector reports the pattern on a univariate chain."""
+    uni = make_uni_pair_system()
+    for n in UNI_GRID:
+        p = uni_type2(uni, n)
+        assert all(uni_inner(uni, j, p.coeffs, (0,) * l + (1,)) == 0
+                   for j, nj in enumerate(n, start=1) for l in range(nj))
+        assert relations.gram_pattern_holds(uni, n, p)
+        plus_one = UniPoly((p.coeffs[0] + 1,) + p.coeffs[1:])
+        assert relations.gram_pattern_holds(uni, n, plus_one) == (not sum(n))
+    vector = assemble_type2_vector(uni, CHAIN_D2)
+    assert vector.pattern_ok
+    assert vector.polys == tuple(uni_type2(uni, n) for n in CHAIN_D2)
+
+
 @pytest.mark.parametrize("n, error", [((-3, 1), IndexOutOfRange), ((0,), DimensionMismatch),
                                       ((), DimensionMismatch), ((2,), DimensionMismatch)])
 def test_gram_pattern_checks_its_index(duo, n, error):
@@ -321,6 +364,19 @@ def test_type1_pattern_fails_on_a_wrong_form(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # Scalar recurrences, Type II
+
+
+@pytest.mark.parametrize("mode", ["exact", "float64"])
+@pytest.mark.parametrize("call", [lambda s: nnr_type2(s, (6, 6), "x"),
+                                  lambda s: nnr_type2(s, (6, 6), "y"),
+                                  lambda s: nnr_type1(s, (2, 2), "x"),
+                                  lambda s: nnr_vector(s, CHAIN_D2, "y")])
+def test_recurrences_refuse_a_univariate_system(call, mode):
+    """The recurrences' x/y shifts and index calculus are those of the
+    Cantor basis, so each raises ValidationError on a univariate system,
+    never a report."""
+    with pytest.raises(ValidationError, match="^the recurrences need a bivariate system "):
+        call(make_uni_pair_system(mode))
 
 
 def test_nnr_type2_default(duo):
@@ -631,9 +687,9 @@ def test_verifiers_clear_no_polynomial(monkeypatch):
     calls = []
     clear = mopcore.cleared
 
-    def spy(polys):
+    def spy(sys_, polys):
         calls.append(polys)
-        return clear(polys)
+        return clear(sys_, polys)
 
     monkeypatch.setattr(mopcore, "cleared", spy)
     monkeypatch.setattr(relations, "cleared", spy)
@@ -656,9 +712,9 @@ def test_gram_checks_pair_the_cached_type2_form(monkeypatch):
     calls = []
     clear = mopcore.cleared
 
-    def spy(polys):
+    def spy(sys_, polys):
         calls.append(polys)
-        return clear(polys)
+        return clear(sys_, polys)
 
     monkeypatch.setattr(mopcore, "cleared", spy)
     monkeypatch.setattr(relations, "cleared", spy)
